@@ -150,7 +150,7 @@ def _resolve_spin_numbers(cfg: RunConfig, ints) -> tuple[int, int, int]:
 
     n_electrons = pick(cfg.n_electrons, ints.n_electrons, "n_electrons")
     ms2 = pick(cfg.ms2, ints.ms2, "ms2")
-    spin2 = ms2 if cfg.spin2 == "auto" else int(cfg.spin2)
+    spin2 = pick(cfg.spin2, ms2, "spin2")
     return n_electrons, ms2, spin2
 
 
@@ -169,7 +169,10 @@ def _resolve_ansatz(cfg: RunConfig, ints, ham, dense_limit: int) -> AnsatzSpec:
     if not cfg.ansatz.endswith("sel"):
         return AnsatzSpec(cfg.ansatz)
     if cfg.nat_occ != "auto":
-        occ = tuple(float(tok) for tok in cfg.nat_occ.split(","))
+        try:
+            occ = tuple(float(tok) for tok in cfg.nat_occ.split(","))
+        except ValueError:
+            raise ConfigError(f"cannot parse nat_occ = {cfg.nat_occ!r}") from None
         if len(occ) != ints.m_orb:
             raise ConfigError(
                 f"nat_occ lists {len(occ)} values for {ints.m_orb} orbitals"
@@ -247,6 +250,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         )
         save_checkpoint(pair_ensemble, outdir / "stage1_checkpoint.json")
         pair_best = pair_ensemble.best_params()
+        del pair_ensemble  # frees the pair stage's evaluator and sweep tables
 
         if spec.is_hybrid and spec.combine_mode == "sum":
             start = sum_hybrid_start(spec, pair_best, init_rng)

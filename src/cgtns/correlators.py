@@ -397,12 +397,12 @@ class AmplitudeEngine:
         # determinants whose occupations select that entry.
         cols = []
         indptr = [0]
-        self._jac_cells = []  # (tensor row, determinant columns) per active entry
+        self.entry_cells = []  # (tensor row, determinant columns) per active entry
         for e in self.active_indices:
             t = int(np.searchsorted(self.offsets, e, side="right") - 1)
             dets = np.flatnonzero(table[t] == e)
             cols.append(dets)
-            self._jac_cells.append((t, dets))
+            self.entry_cells.append((t, dets))
             indptr.append(indptr[-1] + len(dets))
         self._jac_indices = (
             np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
@@ -443,11 +443,26 @@ class AmplitudeEngine:
         return x[self.entry_table]
 
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
+        return self.amplitude_parts(x)[0]
+
+    def amplitude_parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(amplitudes, the addend that holds the active entries).
+
+        The two coincide in product mode; in sum mode the second is the
+        triple product alone.
+        """
         f = self.factors(x)
         if self.sum_mode:
-            return np.prod(f[: self.n_pair_rows], axis=0) + np.prod(
-                f[self.n_pair_rows :], axis=0
-            )
+            active = np.prod(f[self.n_pair_rows :], axis=0)
+            return np.prod(f[: self.n_pair_rows], axis=0) + active, active
+        a = np.prod(f, axis=0)
+        return a, a
+
+    def active_cofactor(self, x: np.ndarray, t: int, dets: np.ndarray) -> np.ndarray:
+        """Cofactor of tensor t within its addend, at determinants ``dets``."""
+        lo = self.n_pair_rows if self.sum_mode else 0
+        f = x[self.entry_table[lo:, dets]]
+        f[t - lo] = 1.0
         return np.prod(f, axis=0)
 
     def _block_cofactors(self, f: np.ndarray) -> np.ndarray:
@@ -477,7 +492,7 @@ class AmplitudeEngine:
         cof = self.cofactors(x)
         data = np.empty(len(self._jac_indices))
         pos = 0
-        for t, dets in self._jac_cells:
+        for t, dets in self.entry_cells:
             data[pos : pos + len(dets)] = cof[t, dets]
             pos += len(dets)
         return sparse.csr_matrix(

@@ -8,6 +8,7 @@ Gradients are exact, assembled from the multilinear amplitude derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,17 @@ from .hamiltonian import HamiltonianOperator, csf_hamiltonian
 
 #: Below this squared norm the state is treated as numerically vanished.
 NORM_FLOOR = 1e-300
+#: Peak CSF weights that ``energy_from_weights`` uses without rescaling.
+UNSCALED_PEAK = (1e-100, 1e100)
+#: A local update is trusted while the squared norm stays inside this range
+#: (the square of ``UNSCALED_PEAK``) and above this fraction of its value at
+#: the sweep start; otherwise the proposal is evaluated in full.
+LOCAL_NORM_RANGE = (1e-200, 1e200)
+LOCAL_NORM_DROP = 1e-3
+#: Nonzero local energy changes within this fraction of |E| (of 1 Ha at
+#: least) are left to a full evaluation: near such a tie the sign of a
+#: roundoff-level change decides whether a random number is drawn.
+LOCAL_TIE = 1e-10
 
 
 @dataclass
@@ -65,6 +77,7 @@ class EnergyEvaluator:
         self.K = basis.dense()
         self.overlap = basis.overlap()
         self.h_csf = csf_hamiltonian(basis, ham)
+        self._projected = None
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -101,7 +114,7 @@ class EnergyEvaluator:
             raise DegenerateStateError(
                 "CSF weights overflowed; the energy is numerically undefined"
             )
-        if peak > 1e100 or 0.0 < peak < 1e-100:
+        if peak > UNSCALED_PEAK[1] or 0.0 < peak < UNSCALED_PEAK[0]:
             # The quotient is invariant under rescaling; normalizing extreme
             # weight scales keeps the quadratic forms inside float range.
             return self._energy_from_normalized(S / peak, peak, with_estimators)
@@ -159,6 +172,36 @@ class EnergyEvaluator:
     def energy(self, x: np.ndarray, with_estimators: bool = False) -> EnergyReport:
         return self.energy_from_weights(self.weights(x), with_estimators)
 
+    # -- local moves --------------------------------------------------------------
+
+    def projected_operators(self) -> np.ndarray:
+        """[Hd | Od]: K^T h K and K^T O K, the CSF Hamiltonian and overlap on
+        determinants, side by side so that one row gather serves both.
+
+        Built on first use and cached; only Metropolis sweeps need them.  Both
+        halves are symmetric up to rounding, so a row serves as the matching
+        column.
+        """
+        if self._projected is None:
+            n = self.K.shape[1]
+            tables = np.empty((n, 2 * n))
+            np.matmul(self.K.T @ self.h_csf, self.K, out=tables[:, :n])
+            np.matmul(self.K.T @ self.overlap, self.K, out=tables[:, n:])
+            self._projected = tables
+        return self._projected
+
+    def local_moves(self, x: np.ndarray) -> LocalMoves | None:
+        """Incremental proposal state at ``x``, or None where a sweep must
+        evaluate every proposal in full: screened energies, and weights the
+        full path would rescale (or that vanished or overflowed)."""
+        if self.screen > 0.0:
+            return None
+        a, active = self.engine.amplitude_parts(x)
+        peak = np.max(np.abs(self.K @ a))
+        if not UNSCALED_PEAK[0] <= peak <= UNSCALED_PEAK[1]:
+            return None
+        return LocalMoves(self, a, active)
+
     # -- estimators -------------------------------------------------------------
 
     def estimator(self, r: int, x: np.ndarray) -> float:
@@ -195,6 +238,70 @@ class EnergyEvaluator:
         jac = self.engine.jacobian(x)          # (n_active, n_det)
         dS = jac @ self.K.T                    # (n_active, n_csf)
         return self.gradient_from_weights(S, dS)
+
+
+class LocalMoves:
+    """Energies of single-entry moves from one state, at O(|D|) per proposal.
+
+    Moving active entry x_e by delta changes only the amplitudes of the
+    determinants D that select it, by d = act_D * delta / x_e, where act is
+    the addend holding the entry (the amplitude itself in product mode, the
+    triple product in sum mode).  With u = Hd a and w = Od a,
+
+        num' = num + 2 d.u_D + d.Hd_DD d,   den' = den + 2 d.w_D + d.Od_DD d.
+
+    A zero x_e regathers the cofactor instead of dividing by it.  The rows
+    d.Hd_D and d.Od_D computed for a proposal update u and w on acceptance.
+    """
+
+    def __init__(self, evaluator: EnergyEvaluator, a: np.ndarray, active: np.ndarray):
+        self.engine = evaluator.engine
+        self.tables = evaluator.projected_operators()
+        self.active = active.copy()
+        self.uw = (a @ self.tables).reshape(2, -1)  # rows u and w
+        self.nd = self.uw @ a  # (num, den)
+        self.energy = float(self.nd[0] / self.nd[1])
+        self._norm_floor = max(LOCAL_NORM_RANGE[0], LOCAL_NORM_DROP * self.nd[1])
+        self._pending = None
+
+    def propose(self, x: np.ndarray, k: int, delta: float) -> float | None:
+        """Energy after adding ``delta`` to the k-th active entry of ``x``.
+
+        None when only a full evaluation decides the move as a full-recompute
+        sweep would: the update left the trusted norm range, or it moved the
+        energy by a nonzero amount within ``LOCAL_TIE`` (a roundoff-level
+        tie).  A move that changes no amplitude returns ``energy`` itself.
+        """
+        t, dets = self.engine.entry_cells[k]
+        x_e = x[self.engine.active_indices[k]]
+        if x_e != 0.0:
+            d = self.active[dets] * (delta / x_e)
+        else:
+            d = self.engine.active_cofactor(x, t, dets) * delta
+        rows = (d @ self.tables.take(dets, axis=0)).reshape(2, -1)
+        nd = self.nd + 2.0 * (self.uw[:, dets] @ d) + rows[:, dets] @ d
+        num, den = nd.tolist()
+        if not (math.isfinite(num) and self._norm_floor < den < LOCAL_NORM_RANGE[1]):
+            self._pending = None
+            return None
+        self._pending = (dets, d, rows, nd)
+        if not np.count_nonzero(d):
+            return self.energy
+        e = num / den
+        if abs(e - self.energy) <= LOCAL_TIE * max(abs(self.energy), 1.0):
+            return None
+        return e
+
+    def accept(self) -> bool:
+        """Move the state to the last proposal; False if it left the trusted
+        range, after which this state no longer describes the sweep."""
+        if self._pending is None:
+            return False
+        dets, d, rows, self.nd = self._pending
+        self.energy = float(self.nd[0] / self.nd[1])
+        self.active[dets] += d
+        self.uw += rows
+        return True
 
 
 def _evaluator(params, spec, basis, ham, screen=0.0):

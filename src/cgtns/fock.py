@@ -262,8 +262,11 @@ def _cg_add_half(s2_prev: int, m2_new: int, mu2: int, s2_new: int) -> float:
 
     All spin arguments are twice the physical value.  ``mu2`` is +1 or -1 for
     the added alpha/beta spin, ``m2_new`` the projection after the addition.
-    Condon-Shortley phases.
+    Condon-Shortley phases.  A projection outside the new spin's range,
+    reachable after an earlier zero coefficient, gives zero.
     """
+    if abs(m2_new) > s2_new:
+        return 0.0
     if s2_new == s2_prev + 1:
         if mu2 == 1:
             return math.sqrt((s2_prev + m2_new + 1) / (2.0 * (s2_prev + 1)))

@@ -208,34 +208,56 @@ def metropolis_sweep(
     target acceptance is given, the step width is rescaled multiplicatively
     afterwards (bounded per sweep and globally).  Returns the acceptance
     ratio of the sweep.
+
+    An unscreened ``EnergyEvaluator`` prices each proposal by a local update
+    (``LocalMoves``) and stores one full evaluation of the final state as
+    the replica energy.  Any other evaluator, and every proposal that
+    ``LocalMoves.propose`` declines, is evaluated in full, exactly as in the
+    full-recompute sweep.
     """
     active = evaluator.engine.active_indices
     if len(active) == 0:
         raise FrozenTensorError("no active parameters to optimize")
     rng = replica.rng
+    x = replica.x.copy()
+    moves = evaluator.local_moves(x) if isinstance(evaluator, EnergyEvaluator) else None
+    # The full energy of x as a full-recompute sweep holds it; None while x
+    # is only known through local updates.
+    e_full = replica.energy
     accepted = 0
-    for entry in active:
+    for k, entry in enumerate(active):
         delta = rng.uniform(-replica.step, replica.step)
-        x_new = replica.x.copy()
-        x_new[entry] += delta
-        try:
-            e_new = evaluator.energy(x_new).e
-        except DegenerateStateError:
-            log.warning("energy evaluation failed; move on entry %d aborted", entry)
-            continue
-        de = e_new - replica.energy
+        e_new = None if moves is None else moves.propose(x, k, delta)
+        full_new = None
+        if e_new is None:
+            x_new = x.copy()
+            x_new[entry] += delta
+            try:
+                full_new = evaluator.energy(x_new).e
+                if e_full is None:
+                    e_full = evaluator.energy(x).e
+            except DegenerateStateError:
+                log.warning("energy evaluation failed; move on entry %d aborted", entry)
+                continue
+            de = full_new - e_full
+        else:
+            de = e_new - moves.energy
         if de <= 0.0 or rng.random() < math.exp(-de / temperature):
-            replica.x = x_new
-            replica.energy = e_new
+            x[entry] += delta
             accepted += 1
+            e_full = full_new
+            if moves is not None and not moves.accept():
+                moves = None
+    if accepted:
+        replica.x = x
+        replica.energy = evaluator.energy(x).e if e_full is None else e_full
     ratio = accepted / len(active)
     if target_acceptance is not None:
         factor = math.exp(ratio - target_acceptance)
         factor = min(max(factor, 1.0 / STEP_FACTOR_CAP), STEP_FACTOR_CAP)
         replica.step = min(max(replica.step * factor, STEP_BOUNDS[0]), STEP_BOUNDS[1])
-    engine = getattr(evaluator, "engine", None)
-    if engine is not None and hasattr(engine, "keys"):
-        replica.x = _renormalize_product_scale(engine, replica.x)
+    if isinstance(evaluator, EnergyEvaluator):
+        replica.x = _renormalize_product_scale(evaluator.engine, replica.x)
     return ratio
 
 
@@ -640,8 +662,9 @@ def save_checkpoint(ensemble: ReplicaEnsemble, path) -> None:
     """Write the full ensemble state (tensors, RNG streams, trace tail)."""
     doc = {
         "format": "cgtns-checkpoint",
-        "version": 1,
+        "version": 2,
         "config": asdict(ensemble.config),
+        "screen": ensemble.evaluator.screen,
         "ansatz": {
             "kind": ensemble.spec.kind,
             "selected_sites": (
@@ -681,10 +704,15 @@ def _restore_rng(state: dict) -> np.random.Generator:
 def load_checkpoint(
     path, basis: CsfBasis, ham: HamiltonianOperator
 ) -> ReplicaEnsemble:
-    """Rebuild an ensemble; continuing it reproduces the uninterrupted run."""
+    """Rebuild an ensemble; continuing it reproduces the uninterrupted run.
+
+    Version-1 files do not record the screening threshold; they load with
+    ``screen = 0``.
+    """
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "cgtns-checkpoint" or doc.get("version") != 1:
-        raise DimensionError(f"{path} is not a version-1 checkpoint")
+    if doc.get("format") != "cgtns-checkpoint" or doc.get("version") not in (1, 2):
+        raise DimensionError(f"{path} is not a version-1 or version-2 checkpoint")
+    screen = float(doc["screen"]) if doc["version"] == 2 else 0.0
     ansatz = doc["ansatz"]
     spec = AnsatzSpec(
         ansatz["kind"],
@@ -694,7 +722,7 @@ def load_checkpoint(
         si_selected_triples=ansatz["si_selected_triples"],
     )
     config = PtConfig(**doc["config"])
-    evaluator = EnergyEvaluator(spec, doc["m"], basis, ham)
+    evaluator = EnergyEvaluator(spec, doc["m"], basis, ham, screen=screen)
     replicas = [
         ReplicaState(
             x=np.asarray(r["x"], dtype=float),

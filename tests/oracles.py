@@ -2,12 +2,19 @@
 
 Everything here is written from first principles against the same conventions
 as the library (interleaved spin orbitals, ascending-index operator strings)
-but shares no code with it, so agreement is meaningful.
+but shares no code with it, so agreement is meaningful.  The one exception is
+the reference Metropolis sweep, which reuses the library's step bounds and
+scale renormalization: it checks how proposals are priced, not those.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from cgtns.errors import DegenerateStateError
+from cgtns.optimizer import STEP_BOUNDS, STEP_FACTOR_CAP, _renormalize_product_scale
 
 
 def popcount_below(bits: int, pos: int) -> int:
@@ -188,3 +195,34 @@ def dense_g_from_unique(m_orb: int, entries: dict) -> np.ndarray:
                 g[a, b, c, d] = v
                 g[c, d, a, b] = v
     return g
+
+
+def metropolis_sweep_full(replica, temperature, evaluator, target_acceptance=None):
+    """Reference Metropolis sweep: one full energy evaluation per proposal.
+
+    Same proposal order, random draws, step adaptation and power-of-two scale
+    renormalization as the library's sweep, which must take the same
+    decisions.  Returns the acceptance ratio.
+    """
+    active = evaluator.engine.active_indices
+    accepted = 0
+    for entry in active:
+        delta = replica.rng.uniform(-replica.step, replica.step)
+        x_new = replica.x.copy()
+        x_new[entry] += delta
+        try:
+            e_new = evaluator.energy(x_new).e
+        except DegenerateStateError:
+            continue
+        de = e_new - replica.energy
+        if de <= 0.0 or replica.rng.random() < math.exp(-de / temperature):
+            replica.x = x_new
+            replica.energy = e_new
+            accepted += 1
+    ratio = accepted / len(active)
+    if target_acceptance is not None:
+        factor = math.exp(ratio - target_acceptance)
+        factor = min(max(factor, 1.0 / STEP_FACTOR_CAP), STEP_FACTOR_CAP)
+        replica.step = min(max(replica.step * factor, STEP_BOUNDS[0]), STEP_BOUNDS[1])
+    replica.x = _renormalize_product_scale(evaluator.engine, replica.x)
+    return ratio

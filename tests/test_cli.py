@@ -223,6 +223,22 @@ class TestRun:
     def test_run_without_integrals_exits_2(self):
         assert main(["run"]) == EXIT_CONFIG
 
+    def test_non_numeric_spin2_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"integrals = {H2}\nspin2 = two\n")
+        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert "spin2" in capsys.readouterr().err
+
+    def test_non_numeric_nat_occ_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"integrals = {H2}\nansatz = 3s[2s]sel\nnat_occ = 1.9,abc\n"
+        )
+        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert "nat_occ" in capsys.readouterr().err
+
     def test_h6_end_to_end(self, tmp_path):
         # Largest bundled fixture through the whole pipeline: 400
         # determinants, 175 singlet CSFs, 312 pair parameters.

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cgtns import fock
 from cgtns.errors import CapacityError, DimensionError, EmptyBasisError, EmptySpaceError
 from cgtns.fock import (
     OccupationVector,
@@ -245,6 +246,40 @@ class TestCsfBasis:
         basis = build_csf_basis(space, 0.0)
         overlap = basis.overlap()
         assert np.max(np.abs(overlap - np.eye(basis.n_csfs))) < 1e-12
+
+    def test_triplet_over_six_orbitals_builds(self):
+        # MS2 = 2: coupling paths pass projections above the intermediate
+        # spin once an earlier coefficient has vanished.
+        space = enumerate_onvs(12, 6, 1.0)
+        basis = build_csf_basis(space, 1.0)
+        # Weyl dimension of 6 electrons in 6 orbitals at S = 1.
+        assert basis.n_csfs == 3 * math.comb(7, 2) * math.comb(7, 5) // 7 == 189
+        assert np.max(np.abs(basis.overlap() - np.eye(basis.n_csfs))) < 1e-12
+        for p in range(basis.n_csfs):
+            row = basis.row(p)
+            assert np.max(np.abs(s2_apply(space, row) - 2.0 * row)) < 1e-10
+
+    @pytest.mark.parametrize("name,m,n", [("h2", 4, 2), ("h4", 8, 4), ("h6", 12, 6)])
+    def test_fixture_bases_unchanged_by_projection_guard(self, name, m, n, monkeypatch):
+        # The guard returns zero only where the bare coefficient formula was
+        # undefined, so every basis it could build is bit-identical.
+        def unguarded(s2_prev, m2_new, mu2, s2_new):
+            scale = 2.0 * (s2_prev + 1)
+            if s2_new == s2_prev + 1:
+                if mu2 == 1:
+                    return math.sqrt((s2_prev + m2_new + 1) / scale)
+                return math.sqrt((s2_prev - m2_new + 1) / scale)
+            if mu2 == 1:
+                return -math.sqrt((s2_prev - m2_new + 1) / scale)
+            return math.sqrt((s2_prev + m2_new + 1) / scale)
+
+        space = enumerate_onvs(m, n, 0.0)
+        guarded = build_csf_basis(space, 0.0).K
+        monkeypatch.setattr(fock, "_cg_add_half", unguarded)
+        bare = build_csf_basis(space, 0.0).K
+        assert guarded.shape == bare.shape
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(guarded, attr), getattr(bare, attr))
 
     def test_no_csf_for_unreachable_spin(self):
         space = enumerate_onvs(4, 2, 0.0)

@@ -1,5 +1,6 @@
 """Parallel tempering, refinement stages, warm starts, and checkpointing."""
 
+import json
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import linalg, optimize, stats
 
-from cgtns.correlators import AnsatzSpec, CorrelatorSet, amplitude
+from cgtns.correlators import ANSATZ_KINDS, AnsatzSpec, CorrelatorSet, amplitude
 from cgtns.energy import (
     EnergyEvaluator,
     EnergyReport,
@@ -42,6 +43,8 @@ from cgtns.optimizer import (
     warm_start_triples_from_pairs,
 )
 
+from oracles import metropolis_sweep_full
+
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 
 
@@ -49,6 +52,15 @@ FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 def h2():
     ints = parse_fcidump(FIXTURES / "h2.fcidump")
     space = enumerate_onvs(4, 2, 0.0)
+    basis = build_csf_basis(space, 0.0)
+    ham = HamiltonianOperator(ints, space)
+    return basis, ham
+
+
+@pytest.fixture(scope="module")
+def h4():
+    ints = parse_fcidump(FIXTURES / "h4.fcidump")
+    space = enumerate_onvs(8, 4, 0.0)
     basis = build_csf_basis(space, 0.0)
     ham = HamiltonianOperator(ints, space)
     return basis, ham
@@ -206,6 +218,156 @@ class TestMetropolis:
                 samples[i - burn] = replica.x[0]
         stat, _ = stats.kstest(samples, "norm", args=(0.0, math.sqrt(temperature)))
         assert stat < 0.05
+
+
+def _h4_start(spec, seed, cli_like):
+    """A start as the CLI builds it (warm-started pure triples, identity or
+    near-zero hybrid triples on cold pairs) or with noisy triples."""
+    rng = np.random.default_rng(seed)
+    if not spec.has_triples or (not cli_like and not spec.is_hybrid):
+        return cold_start(spec, 8, rng)
+    pairs = cold_start(AnsatzSpec("2s/si" if spec.kind == "3s/si" else "2s"), 8, rng)
+    if not spec.is_hybrid:
+        return warm_start_triples_from_pairs(spec, pairs)
+    if cli_like and spec.combine_mode == "sum":
+        return sum_hybrid_start(spec, pairs, rng)
+    cset = CorrelatorSet.hybrid_from_pairs(spec, pairs)
+    if not cli_like:
+        for key in sorted(cset.triples):
+            cset.triples[key] += rng.uniform(-0.1, 0.1, (2, 2, 2))
+    return cset
+
+
+def _replica_pair(ev, x, seed, step=0.1):
+    """Two replicas in the same state with the same RNG stream."""
+    e = ev.energy(x).e
+    return [
+        ReplicaState(x=x.copy(), energy=e, step=step, rng=np.random.default_rng(seed))
+        for _ in range(2)
+    ]
+
+
+def _assert_sweeps_match(ev, fast, ref, temperature, sweeps, target=0.4):
+    for _ in range(sweeps):
+        ratio_fast = metropolis_sweep(fast, temperature, ev, target)
+        ratio_ref = metropolis_sweep_full(ref, temperature, ev, target)
+        assert ratio_fast == ratio_ref
+        assert fast.step == ref.step
+        assert np.array_equal(fast.x, ref.x)
+        assert fast.energy == ref.energy
+
+
+class TestLocalMoves:
+    """The local-update sweep against the full-recompute reference sweep."""
+
+    @pytest.mark.parametrize("cli_like", [True, False], ids=["cli-start", "noisy"])
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    def test_matches_full_recompute(self, h4, kind, cli_like):
+        basis, ham = h4
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        ev = EnergyEvaluator(spec, 8, basis, ham)
+        x = ev.flatten(_h4_start(spec, 5 if cli_like else 6, cli_like))
+        fast, ref = _replica_pair(ev, x, seed=7)
+        _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=4)
+
+    def test_proposal_energies_match_full_evaluation(self, h4):
+        basis, ham = h4
+        spec = AnsatzSpec("3s[2s]")
+        ev = EnergyEvaluator(spec, 8, basis, ham)
+        x = ev.flatten(_h4_start(spec, 7, cli_like=False))
+        moves = ev.local_moves(x)
+        rng = np.random.default_rng(8)
+        for k in rng.choice(len(ev.engine.active_indices), 40, replace=False):
+            delta = float(rng.uniform(-0.5, 0.5))
+            x_new = x.copy()
+            x_new[ev.engine.active_indices[k]] += delta
+            e_local = moves.propose(x, k, delta)
+            if e_local is not None:
+                assert e_local == pytest.approx(ev.energy(x_new).e, rel=1e-12)
+
+    def test_zero_entry_uses_the_cofactor(self, h4):
+        basis, ham = h4
+        spec = AnsatzSpec("3s[2s]")
+        ev = EnergyEvaluator(spec, 8, basis, ham)
+        x = ev.flatten(_h4_start(spec, 9, cli_like=False))
+        k = next(k for k, (_, dets) in enumerate(ev.engine.entry_cells) if len(dets))
+        entry = ev.engine.active_indices[k]
+        x[entry] = 0.0
+        moves = ev.local_moves(x)
+        x_new = x.copy()
+        x_new[entry] = 0.3
+        assert moves.propose(x, k, 0.3) == pytest.approx(ev.energy(x_new).e, rel=1e-12)
+        assert moves.accept()
+        # The accepted zero-entry move leaves a state that matches a rebuild.
+        rebuilt = ev.local_moves(x_new)
+        assert moves.energy == pytest.approx(rebuilt.energy, rel=1e-12)
+        assert np.allclose(moves.uw, rebuilt.uw, rtol=1e-12, atol=1e-14)
+        # A sweep from a zero entry takes the same decisions as the reference.
+        fast, ref = _replica_pair(ev, x, seed=10)
+        _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_degenerate_proposals_abort_and_keep_the_state(self, h2, caplog):
+        basis, ham = h2
+        spec = AnsatzSpec("2s")
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        # Amplitudes of 30**10 need no rescaling; a step of order 1e300
+        # overflows them, so every proposal on an entry that some determinant
+        # selects is degenerate.  The other entries move nothing and are
+        # accepted at zero energy change.
+        x = np.full(ev.engine.n_params, 30.0)
+        assert ev.local_moves(x) is not None
+        selected = np.array([len(dets) > 0 for _, dets in ev.engine.entry_cells])
+        assert 0 < selected.sum() < selected.size
+        fast, ref = _replica_pair(ev, x, seed=11, step=1e300)
+        with caplog.at_level("WARNING", logger="cgtns.optimizer"):
+            ratio = metropolis_sweep(fast, 0.01, ev, target_acceptance=None)
+        aborted = [r for r in caplog.records if "aborted" in r.getMessage()]
+        assert len(aborted) == selected.sum()
+        assert ratio == (~selected).sum() / selected.size
+        assert np.array_equal(fast.x[ev.engine.active_indices[selected]], x[selected])
+        assert fast.energy == ev.energy(x).e
+        assert metropolis_sweep_full(ref, 0.01, ev, target_acceptance=None) == ratio
+        assert np.array_equal(fast.x, ref.x)
+        assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_screened_evaluator_takes_the_full_path(self, h4, monkeypatch):
+        basis, ham = h4
+        spec = AnsatzSpec("2s")
+        ev = EnergyEvaluator(spec, 8, basis, ham, screen=0.3)
+        x = ev.flatten(_h4_start(spec, 12, cli_like=True))
+        assert ev.local_moves(x) is None
+        calls = []
+        full_energy = ev.energy
+
+        def counted(x, *args, **kwargs):
+            calls.append(1)
+            return full_energy(x, *args, **kwargs)
+
+        monkeypatch.setattr(ev, "energy", counted)
+        fast, ref = _replica_pair(ev, x, seed=13)
+        _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
+        # Reference and fast sweeps each evaluate every proposal in full.
+        assert len(calls) >= 4 * len(ev.engine.active_indices)
+
+    def test_unscreened_sweep_evaluates_once(self, h4, monkeypatch):
+        basis, ham = h4
+        spec = AnsatzSpec("2s")
+        ev = EnergyEvaluator(spec, 8, basis, ham)
+        x = ev.flatten(_h4_start(spec, 14, cli_like=True))
+        calls = []
+        full_energy = ev.energy
+
+        def counted(x, *args, **kwargs):
+            calls.append(1)
+            return full_energy(x, *args, **kwargs)
+
+        monkeypatch.setattr(ev, "energy", counted)
+        replica = ReplicaState(x=x, energy=full_energy(x).e, step=0.1,
+                               rng=np.random.default_rng(15))
+        metropolis_sweep(replica, 0.01, ev, target_acceptance=0.4)
+        assert len(calls) == 1
 
 
 class TestRunParallelTempering:
@@ -522,3 +684,44 @@ class TestCheckpoint:
             assert np.array_equal(a.x, b.x)
             assert a.energy == b.energy
             assert a.step == b.step
+
+    def test_screened_restart_continues_bit_identically(self, h4, tmp_path):
+        basis, ham = h4
+        spec = AnsatzSpec("2s")
+        init = cold_start(spec, 8, np.random.default_rng(21))
+
+        def config(sweeps):
+            return PtConfig(n_replicas=2, sweeps=sweeps, swap_interval=2, seed=21)
+
+        full = run_parallel_tempering(config(6), spec, basis, ham, init.copy(), screen=0.3)
+        half = run_parallel_tempering(config(3), spec, basis, ham, init.copy(), screen=0.3)
+        ckpt = tmp_path / "screened.json"
+        save_checkpoint(half, ckpt)
+        resumed = load_checkpoint(ckpt, basis, ham)
+        assert resumed.evaluator.screen == 0.3
+        continue_parallel_tempering(resumed, 3)
+
+        assert [r.as_list() for r in resumed.trace if r.sweep > 3] == [
+            r.as_list() for r in full.trace if r.sweep > 3
+        ]
+        assert resumed.best_energy == full.best_energy
+        assert np.array_equal(resumed.best_x, full.best_x)
+        for a, b in zip(full.replicas, resumed.replicas):
+            assert np.array_equal(a.x, b.x)
+            assert a.energy == b.energy
+            assert a.step == b.step
+
+    def test_version_1_checkpoint_loads_unscreened(self, h2, tmp_path):
+        basis, ham = h2
+        spec = AnsatzSpec("2s")
+        config = PtConfig(n_replicas=2, sweeps=2, swap_interval=2, seed=3)
+        init = cold_start(spec, 4, np.random.default_rng(3))
+        ensemble = run_parallel_tempering(config, spec, basis, ham, init, screen=0.05)
+        ckpt = tmp_path / "v1.json"
+        save_checkpoint(ensemble, ckpt)
+        doc = json.loads(ckpt.read_text())
+        assert (doc["version"], doc["screen"]) == (2, 0.05)
+        doc["version"] = 1
+        del doc["screen"]
+        ckpt.write_text(json.dumps(doc))
+        assert load_checkpoint(ckpt, basis, ham).evaluator.screen == 0.0
