@@ -11,12 +11,10 @@ from .correlators import (
     ANSATZ_KINDS,
     AnsatzSpec,
     CorrelatorSet,
-    amplitude,
-    csf_weights,
     param_count,
     select_sites,
 )
-from .energy import EnergyEvaluator, EnergyReport, energy_gradient, variational_energy
+from .energy import EnergyEvaluator, EnergyReport
 from .fock import (
     CsfBasis,
     FockSubspace,
@@ -40,6 +38,7 @@ from .optimizer import (
     gradient_subspace_solve,
     reduced_gradient_sweep,
     run_parallel_tempering,
+    subspace_refine,
     swap_probability,
     temperature_ladder,
 )

@@ -33,10 +33,10 @@ from .optimizer import (
     PtConfig,
     bfgs_refine,
     cold_start,
-    gradient_subspace_solve,
     reduced_gradient_sweep,
     run_parallel_tempering,
     save_checkpoint,
+    subspace_refine,
     sum_hybrid_start,
     warm_start_triples_from_pairs,
 )
@@ -46,7 +46,17 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_NUMERICAL = 4
 
-REFINE_STAGES = ("none", "bfgs", "reduced-gradient", "subspace")
+REFINERS = {
+    "bfgs": bfgs_refine,
+    "reduced-gradient": reduced_gradient_sweep,
+    "subspace": subspace_refine,
+}
+REFINE_STAGES = ("none", *REFINERS)
+#: Refinements that update pair tensors.
+PAIR_REFINERS = ("reduced-gradient", "subspace")
+#: The ansatze optimized in one stage; only they keep their pair tensors
+#: active (the hybrids freeze theirs, the pure triples have none).
+PAIR_KINDS = ("2s", "2s/si")
 
 
 @dataclass
@@ -83,6 +93,11 @@ class RunConfig:
         if self.refine not in REFINE_STAGES:
             raise ConfigError(
                 f"unknown refinement stage {self.refine!r}; choose from {REFINE_STAGES}"
+            )
+        if self.refine in PAIR_REFINERS and self.ansatz not in PAIR_KINDS:
+            raise ConfigError(
+                f"refine = {self.refine} needs active pair tensors, which only "
+                f"the {' and '.join(PAIR_KINDS)} ansatze have (ansatz = {self.ansatz})"
             )
         if self.init not in ("warm", "cold"):
             raise ConfigError("init must be 'warm' or 'cold'")
@@ -151,6 +166,18 @@ def _resolve_spin_numbers(cfg: RunConfig, ints) -> tuple[int, int, int]:
     n_electrons = pick(cfg.n_electrons, ints.n_electrons, "n_electrons")
     ms2 = pick(cfg.ms2, ints.ms2, "ms2")
     spin2 = pick(cfg.spin2, ms2, "spin2")
+    if not 0 <= n_electrons <= 2 * ints.m_orb:
+        raise ConfigError(
+            f"n_electrons = {n_electrons} does not fit {ints.m_orb} orbitals"
+        )
+    highest = min(n_electrons, 2 * ints.m_orb - n_electrons)
+    for name, value, lowest in (("ms2", ms2, -highest), ("spin2", spin2, abs(ms2))):
+        if not lowest <= value <= highest or (value - n_electrons) % 2:
+            raise ConfigError(
+                f"{name} = {value} is out of range for {n_electrons} electrons "
+                f"in {ints.m_orb} orbitals: it needs {lowest} <= {name} <= "
+                f"{highest} and the parity of the electron count"
+            )
     return n_electrons, ms2, spin2
 
 
@@ -173,6 +200,8 @@ def _resolve_ansatz(cfg: RunConfig, ints, ham, dense_limit: int) -> AnsatzSpec:
             occ = tuple(float(tok) for tok in cfg.nat_occ.split(","))
         except ValueError:
             raise ConfigError(f"cannot parse nat_occ = {cfg.nat_occ!r}") from None
+        if not all(0.0 <= value <= 2.0 for value in occ):
+            raise ConfigError(f"nat_occ = {cfg.nat_occ!r} has a value outside [0, 2]")
         if len(occ) != ints.m_orb:
             raise ConfigError(
                 f"nat_occ lists {len(occ)} values for {ints.m_orb} orbitals"
@@ -233,7 +262,7 @@ def cmd_run(cfg: RunConfig) -> Path:
     # in a later stage never costs earlier results.
     (outdir / "config.txt").write_text(dump_config(cfg))
 
-    if spec.kind in ("2s", "2s/si"):
+    if spec.kind in PAIR_KINDS:
         init = cold_start(spec, m, init_rng)
         ensemble = run_parallel_tempering(
             _pt_config(cfg, cfg.seed), spec, basis, ham, init, screen=cfg.screen
@@ -269,34 +298,9 @@ def cmd_run(cfg: RunConfig) -> Path:
     final_params = ensemble.best_params()
     final_energy = ensemble.best_energy
 
-    if cfg.refine == "bfgs":
-        result = bfgs_refine(final_params, spec, basis, ham)
+    if cfg.refine in REFINERS:
+        result = REFINERS[cfg.refine](final_params, spec, basis, ham)
         final_params, final_energy = result.params, result.energy
-    elif cfg.refine == "reduced-gradient":
-        result = reduced_gradient_sweep(final_params, spec, basis, ham)
-        final_params, final_energy = result.params, result.energy
-    elif cfg.refine == "subspace":
-        active_pairs = [
-            k for k in sorted(final_params.pairs) if k not in final_params.frozen
-        ]
-        if not active_pairs:
-            raise ConfigError(
-                "subspace refinement needs active pair tensors "
-                f"(ansatz {spec.kind} has none)"
-            )
-        energy = final_energy
-        for _ in range(50):
-            improved = False
-            for key in active_pairs:
-                final_params, e_sub = gradient_subspace_solve(
-                    final_params, spec, basis, ham, *key
-                )
-                if energy - e_sub > 1e-10:
-                    improved = True
-                energy = e_sub
-            if not improved:
-                break
-        final_energy = energy
 
     (outdir / "correlators.json").write_text(final_params.dumps())
 

@@ -1,4 +1,4 @@
-"""Correlator ansatze: tensors, amplitudes, CSF weights, and site selection.
+"""Correlator ansatze: tensors, vectorized amplitudes, and site selection.
 
 An amplitude is a product of small tensor factors, one per stored site pair
 (and/or site triple); which entry of each factor participates is dictated by
@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DimensionError, FrozenTensorError
-from .fock import CsfBasis, FockSubspace, OccupationVector
+from .fock import CsfBasis, FockSubspace
 
 ANSATZ_KINDS = (
     "2s",
@@ -280,63 +280,6 @@ class CorrelatorSet:
         return cls.from_json_obj(json.loads(text))
 
 
-def _occ(bits: int, site: int) -> int:
-    return (bits >> site) & 1
-
-
-def amplitude(params: CorrelatorSet, spec: AnsatzSpec, onv) -> float:
-    """Reference amplitude of one determinant (plain loops over the tensors)."""
-    bits = onv.bits if isinstance(onv, OccupationVector) else int(onv)
-    pair_product = 1.0
-    for (i, j), tensor in params.pairs.items():
-        pair_product *= tensor[_occ(bits, i), _occ(bits, j)]
-    triple_product = 1.0
-    for (i, j, k), tensor in params.triples.items():
-        triple_product *= tensor[_occ(bits, i), _occ(bits, j), _occ(bits, k)]
-    if not params.pairs:
-        return triple_product
-    if not params.triples:
-        return pair_product
-    if spec.combine_mode == "sum":
-        return pair_product + triple_product
-    return pair_product * triple_product
-
-
-def amplitude_partial_derivative(
-    params: CorrelatorSet, spec: AnsatzSpec, onv, key, element
-) -> float:
-    """d(amplitude)/d(one tensor entry), recomputing the co-factor product.
-
-    Zero unless the determinant's occupations at the tensor's sites match the
-    entry's index pattern; the surviving factor product is rebuilt without the
-    differentiated tensor rather than divided out.
-    """
-    if key in params.frozen:
-        raise FrozenTensorError(f"tensor {key} is frozen")
-    if len(key) == 2 and key not in params.pairs:
-        raise DimensionError(f"no pair tensor {key}")
-    if len(key) == 3 and key not in params.triples:
-        raise DimensionError(f"no triple tensor {key}")
-    bits = onv.bits if isinstance(onv, OccupationVector) else int(onv)
-    occs = tuple(_occ(bits, site) for site in key)
-    if occs != tuple(element):
-        return 0.0
-    pair_product = 1.0
-    for k, tensor in params.pairs.items():
-        if k == key:
-            continue
-        pair_product *= tensor[_occ(bits, k[0]), _occ(bits, k[1])]
-    triple_product = 1.0
-    for k, tensor in params.triples.items():
-        if k == key:
-            continue
-        triple_product *= tensor[_occ(bits, k[0]), _occ(bits, k[1]), _occ(bits, k[2])]
-    if spec.combine_mode == "sum" and params.pairs and params.triples:
-        # The differentiated entry lives in exactly one of the two addends.
-        return triple_product if len(key) == 3 else pair_product
-    return pair_product * triple_product
-
-
 class AmplitudeEngine:
     """Vectorized amplitudes, cofactors, and sparse Jacobians over one space.
 
@@ -436,6 +379,20 @@ class AmplitudeEngine:
         frozen = frozenset(pairs) if self.spec.pairs_frozen else frozenset()
         return CorrelatorSet(m=self.m, pairs=pairs, triples=triples, frozen=frozen)
 
+    def active_rows(self, key) -> slice:
+        """Gradient rows (positions in ``active_indices``) of tensor ``key``.
+
+        A tensor is active or frozen as a whole, so its rows form one
+        contiguous block in the tensor's element order.
+        """
+        if key not in self.keys:
+            raise DimensionError(f"no tensor {key} in this ansatz")
+        t = self.keys.index(key)
+        if not self.active_mask[self.offsets[t]]:
+            raise FrozenTensorError(f"tensor {key} is frozen")
+        start = int(np.count_nonzero(self.active_mask[: self.offsets[t]]))
+        return slice(start, start + self.sizes[t])
+
     # -- evaluation ---------------------------------------------------------
 
     def factors(self, x: np.ndarray) -> np.ndarray:
@@ -499,12 +456,6 @@ class AmplitudeEngine:
             (data, self._jac_indices, self._jac_indptr),
             shape=(len(self.active_indices), self.space.size),
         )
-
-
-def csf_weights(params: CorrelatorSet, spec: AnsatzSpec, basis: CsfBasis) -> np.ndarray:
-    """CSF weights S_p = sum_n K_pn * amplitude(n)."""
-    engine = AmplitudeEngine(spec, params.m, basis.space)
-    return basis.K @ engine.amplitudes(engine.flatten(params))
 
 
 def cgtns_norm(S: np.ndarray, basis: CsfBasis) -> float:

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlators import AmplitudeEngine, AnsatzSpec, CorrelatorSet
-from .errors import (
-    DegenerateStateError,
-    DimensionError,
-    EstimatorUndefinedError,
-    FrozenTensorError,
-)
+from .errors import DegenerateStateError, DimensionError, EstimatorUndefinedError
 from .fock import CsfBasis
 from .hamiltonian import HamiltonianOperator, csf_hamiltonian
 
@@ -87,20 +82,10 @@ class EnergyEvaluator:
     def unflatten(self, x: np.ndarray) -> CorrelatorSet:
         return self.engine.unflatten(x)
 
-    def active_entry_labels(self) -> list[tuple[tuple, tuple]]:
-        """(tensor key, element index) per gradient component, in order."""
-        labels = []
-        for e in self.engine.active_indices:
-            t = int(np.searchsorted(self.engine.offsets, e, side="right") - 1)
-            key = self.engine.keys[t]
-            local = int(e - self.engine.offsets[t])
-            shape = (2, 2) if len(key) == 2 else (2, 2, 2)
-            labels.append((key, tuple(int(v) for v in np.unravel_index(local, shape))))
-        return labels
-
     # -- energy ---------------------------------------------------------------
 
     def weights(self, x: np.ndarray) -> np.ndarray:
+        """CSF weights S_p = sum_n K_pn * amplitude(n)."""
         return self.K @ self.engine.amplitudes(x)
 
     def energy_from_weights(
@@ -170,6 +155,12 @@ class EnergyEvaluator:
         )
 
     def energy(self, x: np.ndarray, with_estimators: bool = False) -> EnergyReport:
+        """Rayleigh quotient of the correlator state over the CSF basis.
+
+        CSFs whose |weight| falls below ``screen * max|weight|`` are dropped
+        from numerator and denominator alike.  ``with_estimators`` also fills
+        the per-CSF energy estimates (NaN where a weight sits below the floor).
+        """
         return self.energy_from_weights(self.weights(x), with_estimators)
 
     # -- local moves --------------------------------------------------------------
@@ -302,77 +293,6 @@ class LocalMoves:
         self.active[dets] += d
         self.uw += rows
         return True
-
-
-def _evaluator(params, spec, basis, ham, screen=0.0):
-    return EnergyEvaluator(spec, params.m, basis, ham, screen=screen)
-
-
-def variational_energy(
-    params: CorrelatorSet,
-    spec: AnsatzSpec,
-    basis: CsfBasis,
-    ham: HamiltonianOperator,
-    screen: float = 0.0,
-    with_estimators: bool = False,
-) -> EnergyReport:
-    """Rayleigh quotient of the correlator state over the CSF basis.
-
-    CSFs whose |weight| falls below ``screen * max|weight|`` are dropped from
-    numerator and denominator alike; ``screen=0`` keeps every CSF.
-    ``with_estimators`` also fills the per-CSF energy estimates (NaN where a
-    weight sits below the floor).
-    """
-    ev = _evaluator(params, spec, basis, ham, screen)
-    return ev.energy(ev.flatten(params), with_estimators)
-
-
-def csf_estimator(
-    r: int,
-    params: CorrelatorSet,
-    spec: AnsatzSpec,
-    basis: CsfBasis,
-    ham: HamiltonianOperator,
-    screen: float = 0.0,
-) -> float:
-    ev = _evaluator(params, spec, basis, ham, screen)
-    return ev.estimator(r, ev.flatten(params))
-
-
-def energy_gradient(
-    params: CorrelatorSet,
-    spec: AnsatzSpec,
-    basis: CsfBasis,
-    ham: HamiltonianOperator,
-) -> np.ndarray:
-    """Analytic energy gradient over all active tensor entries."""
-    ev = _evaluator(params, spec, basis, ham)
-    return ev.gradient(ev.flatten(params))
-
-
-def site_pair_gradient(
-    params: CorrelatorSet,
-    spec: AnsatzSpec,
-    basis: CsfBasis,
-    ham: HamiltonianOperator,
-    i: int,
-    j: int,
-) -> np.ndarray:
-    """The four gradient components of pair tensor (i, j).
-
-    Sliced from the full gradient so the values are bit-identical to the
-    corresponding components of ``energy_gradient``.
-    """
-    key = (i, j) if i <= j else (j, i)
-    if key not in params.pairs:
-        raise DimensionError(f"no pair tensor {key} in this ansatz")
-    if key in params.frozen:
-        raise FrozenTensorError(f"pair tensor {key} is frozen")
-    ev = _evaluator(params, spec, basis, ham)
-    full = ev.gradient(ev.flatten(params))
-    labels = ev.active_entry_labels()
-    rows = [row for row, (k, _) in enumerate(labels) if k == key]
-    return full[rows]
 
 
 # -- oracle-eigenvector seam -------------------------------------------------

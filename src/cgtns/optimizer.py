@@ -36,6 +36,10 @@ STEP_BOUNDS = (1e-9, 1e2)
 STEP_FACTOR_CAP = 2.0
 #: Rows of trace kept inside a checkpoint document.
 TRACE_TAIL = 200
+#: Pass cap of ``subspace_refine``, and the energy drop (Ha) that makes a
+#: pass count as an improvement.
+SUBSPACE_PASSES = 50
+SUBSPACE_GAIN = 1e-10
 
 
 @dataclass
@@ -560,13 +564,9 @@ def reduced_gradient_sweep(
     if not active_pairs:
         raise FrozenTensorError("reduced-gradient sweep needs active pair tensors")
     evaluator = EnergyEvaluator(spec, params.m, basis, ham)
-    labels = evaluator.active_entry_labels()
-    rows_of = {
-        key: np.array([r for r, (k, _) in enumerate(labels) if k == key])
-        for key in active_pairs
-    }
+    rows_of = {key: evaluator.engine.active_rows(key) for key in active_pairs}
     flat_of = {
-        key: evaluator.engine.active_indices[rows_of[key]] for key in active_pairs
+        key: evaluator.engine.active_indices[rows] for key, rows in rows_of.items()
     }
     x = evaluator.flatten(params)
     energy = evaluator.energy(x).e
@@ -603,35 +603,23 @@ def reduced_gradient_sweep(
 
 
 def gradient_subspace_solve(
-    params: CorrelatorSet,
-    spec: AnsatzSpec,
-    basis: CsfBasis,
-    ham: HamiltonianOperator,
-    i: int,
-    j: int,
-) -> tuple[CorrelatorSet, float]:
+    evaluator: EnergyEvaluator, x: np.ndarray, i: int, j: int
+) -> tuple[np.ndarray, float]:
     """Optimal pair tensor (i, j) from a 4-dimensional eigenvalue problem.
 
     The state is linear in the chosen tensor's entries, so the partial
     derivative states span a subspace containing it; the lowest eigenpair of
     the Hamiltonian/overlap pencil in that subspace gives the replacement
     entries and the new energy.  Near-singular overlaps are rank-reduced at
-    a relative eigenvalue floor of 1e-10.
+    a relative eigenvalue floor of 1e-10.  Returns the updated copy of ``x``
+    and its energy; the evaluator's screening is ignored.
     """
-    params.validate(spec)
     key = (i, j) if i <= j else (j, i)
-    if key not in params.pairs:
-        raise DimensionError(f"no pair tensor {key} in this ansatz")
-    if key in params.frozen:
-        raise FrozenTensorError(f"pair tensor {key} is frozen")
-    if spec.combine_mode != "product":
+    rows = evaluator.engine.active_rows(key)
+    if evaluator.spec.combine_mode != "product":
         raise DimensionError(
             "subspace update requires the state to be linear in the tensor"
         )
-    evaluator = EnergyEvaluator(spec, params.m, basis, ham)
-    labels = evaluator.active_entry_labels()
-    rows = np.array([r for r, (k, _) in enumerate(labels) if k == key])
-    x = evaluator.flatten(params)
     jac = evaluator.engine.jacobian(x)
     V = np.asarray(jac[rows] @ evaluator.K.T)
     h_sub = V @ evaluator.h_csf @ V.T
@@ -650,7 +638,45 @@ def gradient_subspace_solve(
     coeff = X @ Y[:, 0]
     x_new = x.copy()
     x_new[evaluator.engine.active_indices[rows]] = coeff
-    return evaluator.unflatten(x_new), float(evals[0])
+    return x_new, float(evals[0])
+
+
+def subspace_refine(
+    params: CorrelatorSet,
+    spec: AnsatzSpec,
+    basis: CsfBasis,
+    ham: HamiltonianOperator,
+) -> RefineResult:
+    """Cycle ``gradient_subspace_solve`` over the active pairs in sorted order.
+
+    A pass improves when some solve lowers the energy by more than
+    ``SUBSPACE_GAIN``; the cycle stops after the first pass that does not,
+    or after ``SUBSPACE_PASSES`` passes (``converged=False``).  One
+    unscreened evaluator serves every solve, and the energy returned is
+    that of the last solve.
+    """
+    params.validate(spec)
+    active_pairs = [k for k in sorted(params.pairs) if k not in params.frozen]
+    if not active_pairs:
+        raise FrozenTensorError("subspace refinement needs active pair tensors")
+    evaluator = EnergyEvaluator(spec, params.m, basis, ham)
+    x = evaluator.flatten(params)
+    energy = evaluator.energy(x).e
+    for done in range(1, SUBSPACE_PASSES + 1):
+        improved = False
+        for key in active_pairs:
+            x, e_sub = gradient_subspace_solve(evaluator, x, *key)
+            if energy - e_sub > SUBSPACE_GAIN:
+                improved = True
+            energy = e_sub
+        if not improved:
+            break
+    return RefineResult(
+        params=evaluator.unflatten(x),
+        energy=energy,
+        n_iterations=done,
+        converged=not improved,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Everything here is written from first principles against the same conventions
 as the library (interleaved spin orbitals, ascending-index operator strings)
 but shares no code with it, so agreement is meaningful.  The one exception is
 the reference Metropolis sweep, which reuses the library's step bounds and
-scale renormalization: it checks how proposals are priced, not those.
+scale renormalization: it checks how proposals are priced, not those.  The
+per-determinant amplitude loops (``amplitude``,
+``amplitude_partial_derivative``) are the references for the vectorized
+``AmplitudeEngine``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import math
 
 import numpy as np
 
-from cgtns.errors import DegenerateStateError
+from cgtns.correlators import AnsatzSpec, CorrelatorSet
+from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
+from cgtns.fock import OccupationVector
 from cgtns.optimizer import STEP_BOUNDS, STEP_FACTOR_CAP, _renormalize_product_scale
 
 
@@ -226,3 +231,60 @@ def metropolis_sweep_full(replica, temperature, evaluator, target_acceptance=Non
         replica.step = min(max(replica.step * factor, STEP_BOUNDS[0]), STEP_BOUNDS[1])
     replica.x = _renormalize_product_scale(evaluator.engine, replica.x)
     return ratio
+
+
+def _occ(bits: int, site: int) -> int:
+    return (bits >> site) & 1
+
+
+def amplitude(params: CorrelatorSet, spec: AnsatzSpec, onv) -> float:
+    """Reference amplitude of one determinant (plain loops over the tensors)."""
+    bits = onv.bits if isinstance(onv, OccupationVector) else int(onv)
+    pair_product = 1.0
+    for (i, j), tensor in params.pairs.items():
+        pair_product *= tensor[_occ(bits, i), _occ(bits, j)]
+    triple_product = 1.0
+    for (i, j, k), tensor in params.triples.items():
+        triple_product *= tensor[_occ(bits, i), _occ(bits, j), _occ(bits, k)]
+    if not params.pairs:
+        return triple_product
+    if not params.triples:
+        return pair_product
+    if spec.combine_mode == "sum":
+        return pair_product + triple_product
+    return pair_product * triple_product
+
+
+def amplitude_partial_derivative(
+    params: CorrelatorSet, spec: AnsatzSpec, onv, key, element
+) -> float:
+    """d(amplitude)/d(one tensor entry), recomputing the co-factor product.
+
+    Zero unless the determinant's occupations at the tensor's sites match the
+    entry's index pattern; the surviving factor product is rebuilt without the
+    differentiated tensor rather than divided out.
+    """
+    if key in params.frozen:
+        raise FrozenTensorError(f"tensor {key} is frozen")
+    if len(key) == 2 and key not in params.pairs:
+        raise DimensionError(f"no pair tensor {key}")
+    if len(key) == 3 and key not in params.triples:
+        raise DimensionError(f"no triple tensor {key}")
+    bits = onv.bits if isinstance(onv, OccupationVector) else int(onv)
+    occs = tuple(_occ(bits, site) for site in key)
+    if occs != tuple(element):
+        return 0.0
+    pair_product = 1.0
+    for k, tensor in params.pairs.items():
+        if k == key:
+            continue
+        pair_product *= tensor[_occ(bits, k[0]), _occ(bits, k[1])]
+    triple_product = 1.0
+    for k, tensor in params.triples.items():
+        if k == key:
+            continue
+        triple_product *= tensor[_occ(bits, k[0]), _occ(bits, k[1]), _occ(bits, k[2])]
+    if spec.combine_mode == "sum" and params.pairs and params.triples:
+        # The differentiated entry lives in exactly one of the two addends.
+        return triple_product if len(key) == 3 else pair_product
+    return pair_product * triple_product

@@ -19,11 +19,7 @@ import pytest
 
 from cgtns.analysis import reduction_report, spin_splitting
 from cgtns.correlators import AnsatzSpec, CorrelatorSet, param_count
-from cgtns.energy import (
-    EnergyEvaluator,
-    amplitude_space_gradient,
-    variational_energy,
-)
+from cgtns.energy import EnergyEvaluator, amplitude_space_gradient
 from cgtns.fock import build_csf_basis, enumerate_onvs, s2_apply
 from cgtns.hamiltonian import (
     HamiltonianOperator,
@@ -322,11 +318,13 @@ def test_criterion_09_hybrid_staging(problems):
         config, spec2, basis, ham, cold_start(spec2, 4, np.random.default_rng(90))
     )
     pair_best = stage1.best_params()
-    e2 = variational_energy(pair_best, spec2, basis, ham).e
+    ev2 = EnergyEvaluator(spec2, 4, basis, ham)
+    e2 = ev2.energy(ev2.flatten(pair_best)).e
 
     spec_h = AnsatzSpec("3s[2s]")
     hybrid = CorrelatorSet.hybrid_from_pairs(spec_h, pair_best)
-    e_init = variational_energy(hybrid, spec_h, basis, ham).e
+    ev_h = EnergyEvaluator(spec_h, 4, basis, ham)
+    e_init = ev_h.energy(ev_h.flatten(hybrid)).e
     assert e_init == e2  # bitwise: identity triples change nothing
 
     stage2 = run_parallel_tempering(config, spec_h, basis, ham, hybrid)

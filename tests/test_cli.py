@@ -10,6 +10,8 @@ from cgtns.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
     EXIT_OK,
+    PAIR_REFINERS,
+    REFINERS,
     RunConfig,
     cmd_run,
     dump_config,
@@ -212,13 +214,31 @@ class TestRun:
         assert (outdir / "stage1_trace.csv").exists()
         assert (outdir / "stage1_checkpoint.json").exists()
 
-    def test_refinement_stage_bfgs(self, tmp_path):
-        cfg = quick_cfg(refine="bfgs", out=str(tmp_path / "ref"))
-        outdir = cmd_run(cfg)
+    @pytest.mark.parametrize("stage", list(REFINERS))
+    def test_refinement_stage(self, tmp_path, stage):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(dump_config(quick_cfg(refine=stage)))
+        outdir = tmp_path / "ref"
+        assert main(["run", "--config", str(cfg_file), "--out", str(outdir)]) == EXIT_OK
         record = RunRecord.from_json((outdir / "record.json").read_text())
-        # Quasi-Newton refinement on the pair ansatz drives the small H2
-        # problem essentially to the oracle.
+        checkpoint = json.loads((outdir / "checkpoint.json").read_text())
+        assert record.final_energy <= checkpoint["best_energy"] + 1e-9
+        assert record.final_energy >= record.e_oracle - 1e-9
+        # Every refinement of the pair ansatz drives the small H2 problem
+        # essentially to the oracle.
         assert record.error_vs_oracle < 1e-5
+
+    @pytest.mark.parametrize("ansatz", ["3s", "3s[2s]"])
+    @pytest.mark.parametrize("stage", PAIR_REFINERS)
+    def test_pair_refinement_needs_active_pairs(self, tmp_path, capsys, stage, ansatz):
+        outdir = tmp_path / "out"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"integrals = {H2}\nansatz = {ansatz}\nrefine = {stage}\n")
+        argv = ["run", "--config", str(cfg_file), "--out", str(outdir)]
+        assert main(argv) == EXIT_CONFIG
+        assert "refine" in capsys.readouterr().err
+        assert not (outdir / "trace.csv").exists()
+        assert not (outdir / "stage1_trace.csv").exists()
 
     def test_run_without_integrals_exits_2(self):
         assert main(["run"]) == EXIT_CONFIG
@@ -234,6 +254,36 @@ class TestRun:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             f"integrals = {H2}\nansatz = 3s[2s]sel\nnat_occ = 1.9,abc\n"
+        )
+        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert "nat_occ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spins,key",
+        [
+            ("spin2 = 4", "spin2"),
+            ("spin2 = 1", "spin2"),
+            ("spin2 = 3", "spin2"),
+            ("ms2 = 2\nspin2 = 0", "spin2"),
+            ("ms2 = 4\nspin2 = 4", "ms2"),
+            ("ms2 = 1", "ms2"),
+            ("n_electrons = 5", "n_electrons"),
+            ("n_electrons = -1", "n_electrons"),
+        ],
+    )
+    def test_out_of_range_spin_numbers_exit_2(self, tmp_path, capsys, spins, key):
+        # H2: two electrons in two orbitals admit 2S = 0 or 2 only.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"integrals = {H2}\n{spins}\n")
+        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {key} = ")
+
+    def test_out_of_range_nat_occ_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            f"integrals = {H2}\nansatz = 3s[2s]sel\nnat_occ = 2.5,0.1\n"
         )
         argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG

@@ -8,15 +8,23 @@ from cgtns.correlators import (
     AmplitudeEngine,
     AnsatzSpec,
     CorrelatorSet,
-    amplitude,
-    amplitude_partial_derivative,
     cgtns_norm,
-    csf_weights,
     param_count,
     select_sites,
 )
+from cgtns.energy import EnergyEvaluator
 from cgtns.errors import DimensionError, FrozenTensorError
 from cgtns.fock import OccupationVector, build_csf_basis, enumerate_onvs
+from cgtns.hamiltonian import HamiltonianOperator, IntegralSet
+
+from oracles import amplitude, amplitude_partial_derivative
+
+
+def csf_weights(cset, spec, basis):
+    """EnergyEvaluator.weights; the (zero) Hamiltonian plays no part in them."""
+    ham = HamiltonianOperator(IntegralSet.zeros(basis.space.m // 2), basis.space)
+    ev = EnergyEvaluator(spec, cset.m, basis, ham)
+    return ev.weights(ev.flatten(cset))
 
 
 def loop_amplitude_oracle(params, spec, bits):

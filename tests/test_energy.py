@@ -9,11 +9,7 @@ from cgtns.correlators import AnsatzSpec, CorrelatorSet
 from cgtns.energy import (
     EnergyEvaluator,
     amplitude_space_gradient,
-    csf_estimator,
     energy_from_amplitudes,
-    energy_gradient,
-    site_pair_gradient,
-    variational_energy,
 )
 from cgtns.errors import (
     DegenerateStateError,
@@ -76,7 +72,8 @@ class TestVariationalEnergy:
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
         cset = CorrelatorSet.identity(spec, 2)
-        report = variational_energy(cset, spec, basis, ham)
+        ev = EnergyEvaluator(spec, 2, basis, ham)
+        report = ev.energy(ev.flatten(cset))
         assert report.e == pytest.approx(
             csf_matrix_element(0, 0, basis, ham), abs=1e-12
         )
@@ -91,9 +88,10 @@ class TestVariationalEnergy:
         _, space, basis, ham = h2
         e0, _ = exact_diagonalize(ham, basis)
         spec = AnsatzSpec("2s")
+        ev = EnergyEvaluator(spec, 4, basis, ham)
         for seed in range(50):
             cset = random_params(spec, 4, seed)
-            report = variational_energy(cset, spec, basis, ham)
+            report = ev.energy(ev.flatten(cset))
             assert report.e >= e0 - 1e-12
             assert report.norm > 0
 
@@ -111,8 +109,9 @@ class TestVariationalEnergy:
         _, space, basis, ham = h4
         spec = AnsatzSpec("2s")
         cset = random_params(spec, 8, 6)
-        exact = variational_energy(cset, spec, basis, ham, screen=0.0)
-        screened = variational_energy(cset, spec, basis, ham, screen=0.3)
+        x = EnergyEvaluator(spec, 8, basis, ham).flatten(cset)
+        exact = EnergyEvaluator(spec, 8, basis, ham, screen=0.0).energy(x)
+        screened = EnergyEvaluator(spec, 8, basis, ham, screen=0.3).energy(x)
         assert screened.screened_csfs > 0
         # The screened value is a Rayleigh quotient of a submatrix, hence
         # still a valid energy bounded by the oracle.
@@ -125,8 +124,9 @@ class TestVariationalEnergy:
         spec = AnsatzSpec("2s")
         cset = CorrelatorSet.identity(spec, 4)
         cset.pairs[(0, 1)][:] = 0.0
+        ev = EnergyEvaluator(spec, 4, basis, ham)
         with pytest.raises(DegenerateStateError):
-            variational_energy(cset, spec, basis, ham)
+            ev.energy(ev.flatten(cset))
 
 
 class TestEstimator:
@@ -141,7 +141,8 @@ class TestEstimator:
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
         cset = random_params(spec, 2, 9)
-        assert csf_estimator(0, cset, spec, basis, ham) == pytest.approx(
+        ev = EnergyEvaluator(spec, 2, basis, ham)
+        assert ev.estimator(0, ev.flatten(cset)) == pytest.approx(
             csf_matrix_element(0, 0, basis, ham), abs=1e-12
         )
 
@@ -178,11 +179,11 @@ class TestEstimator:
         _, space, basis, ham = h4
         spec = AnsatzSpec("2s")
         cset = random_params(spec, 8, 14)
-        report = variational_energy(cset, spec, basis, ham, with_estimators=True)
-        samples = report.estimator_samples
-        assert samples is not None and samples.shape == (basis.n_csfs,)
         ev = EnergyEvaluator(spec, 8, basis, ham)
         x = ev.flatten(cset)
+        report = ev.energy(x, with_estimators=True)
+        samples = report.estimator_samples
+        assert samples is not None and samples.shape == (basis.n_csfs,)
         S = ev.weights(x)
         for r in range(basis.n_csfs):
             if S[r] != 0.0:
@@ -238,11 +239,12 @@ class TestGradient:
         _, space, basis, ham = h4
         spec = AnsatzSpec("2s")
         cset = random_params(spec, 8, 27)
-        base = variational_energy(cset, spec, basis, ham).e
+        ev = EnergyEvaluator(spec, 8, basis, ham)
+        base = ev.energy(ev.flatten(cset)).e
         for lam in (2.0, -0.5, 1e3):
             scaled = cset.copy()
             scaled.pairs[(1, 4)] *= lam
-            e = variational_energy(scaled, spec, basis, ham).e
+            e = ev.energy(ev.flatten(scaled)).e
             assert e == pytest.approx(base, abs=1e-10)
 
     def test_scale_direction_is_flat(self, h4):
@@ -254,36 +256,29 @@ class TestGradient:
         ev = EnergyEvaluator(spec, 8, basis, ham)
         x = ev.flatten(cset)
         grad = ev.gradient(x)
-        labels = ev.active_entry_labels()
         key = (2, 5)
         direction = np.zeros_like(grad)
-        for row, (k, element) in enumerate(labels):
-            if k == key:
-                direction[row] = cset.pairs[key][element]
+        direction[ev.engine.active_rows(key)] = cset.pairs[key].ravel()
         assert abs(grad @ direction) < 1e-9
-
-    def test_module_level_wrapper(self, h2):
-        _, space, basis, ham = h2
-        spec = AnsatzSpec("2s")
-        cset = random_params(spec, 4, 3)
-        ev = EnergyEvaluator(spec, 4, basis, ham)
-        assert np.array_equal(
-            energy_gradient(cset, spec, basis, ham), ev.gradient(ev.flatten(cset))
-        )
 
 
 class TestSitePairGradient:
     def test_slicing_consistency(self, h2):
+        # The rows of a tensor are those whose flat entry lies in its block.
         _, space, basis, ham = h2
-        spec = AnsatzSpec("2s")
-        cset = random_params(spec, 4, 17)
-        full = energy_gradient(cset, spec, basis, ham)
-        ev = EnergyEvaluator(spec, 4, basis, ham)
-        labels = ev.active_entry_labels()
-        for key in [(0, 1), (2, 3), (1, 1)]:
-            rows = [r for r, (k, _) in enumerate(labels) if k == key]
-            sliced = site_pair_gradient(cset, spec, basis, ham, *key)
-            assert np.array_equal(sliced, full[rows])
+        cases = {"2s": [(0, 1), (2, 3), (1, 1)], "3s[2s]": [(0, 1, 2), (1, 1, 3)]}
+        for kind, keys in cases.items():
+            spec = AnsatzSpec(kind)
+            cset = random_params(spec, 4, 17)
+            ev = EnergyEvaluator(spec, 4, basis, ham)
+            full = ev.gradient(ev.flatten(cset))
+            engine = ev.engine
+            for key in keys:
+                t = engine.keys.index(key)
+                lo, hi = engine.offsets[t], engine.offsets[t] + engine.sizes[t]
+                rows = [r for r, e in enumerate(engine.active_indices) if lo <= e < hi]
+                assert len(rows) == engine.sizes[t]
+                assert np.array_equal(full[engine.active_rows(key)], full[rows])
 
     def test_zero_at_eigenvector_seam(self, h2):
         _, space, basis, ham = h2
@@ -297,23 +292,20 @@ class TestSitePairGradient:
         cset = random_params(spec, 4, 23)
         ev = EnergyEvaluator(spec, 4, basis, ham)
         x = ev.flatten(cset)
-        labels = ev.active_entry_labels()
         key = (1, 2)
-        sliced = site_pair_gradient(cset, spec, basis, ham, *key)
-        rows = [r for r, (k, _) in enumerate(labels) if k == key]
+        rows = ev.engine.active_rows(key)
+        sliced = ev.gradient(x)[rows]
         noise = fd_noise_bound(ev.energy(x).e)
-        for comp, row in enumerate(rows):
+        for comp, row in enumerate(range(rows.start, rows.stop)):
             fd = finite_difference(ev, x, ev.engine.active_indices[row])
             tol = max(1e-6 * max(abs(fd), abs(sliced[comp])), noise)
             assert abs(sliced[comp] - fd) <= tol
 
     def test_frozen_and_absent_tensors_rejected(self, h2):
         _, space, basis, ham = h2
-        hspec = AnsatzSpec("3s[2s]")
-        hset = CorrelatorSet.identity(hspec, 4)
+        hybrid = EnergyEvaluator(AnsatzSpec("3s[2s]"), 4, basis, ham)
         with pytest.raises(FrozenTensorError):
-            site_pair_gradient(hset, hspec, basis, ham, 0, 1)
-        spec = AnsatzSpec("2s/si")
-        cset = CorrelatorSet.identity(spec, 4)
+            hybrid.engine.active_rows((0, 1))
+        strict = EnergyEvaluator(AnsatzSpec("2s/si"), 4, basis, ham)
         with pytest.raises(DimensionError):
-            site_pair_gradient(cset, spec, basis, ham, 1, 1)
+            strict.engine.active_rows((1, 1))

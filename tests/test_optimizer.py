@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from scipy import linalg, optimize, stats
 
-from cgtns.correlators import ANSATZ_KINDS, AnsatzSpec, CorrelatorSet, amplitude
+from cgtns import optimizer
+from cgtns.correlators import ANSATZ_KINDS, AnsatzSpec, CorrelatorSet
 from cgtns.energy import (
     EnergyEvaluator,
     EnergyReport,
     amplitude_space_gradient,
     energy_from_amplitudes,
-    variational_energy,
 )
 from cgtns.errors import ConfigError, DimensionError, FrozenTensorError
 from cgtns.fock import build_csf_basis, enumerate_onvs
@@ -37,13 +37,14 @@ from cgtns.optimizer import (
     reduced_gradient_sweep,
     run_parallel_tempering,
     save_checkpoint,
+    subspace_refine,
     sum_hybrid_start,
     swap_probability,
     temperature_ladder,
     warm_start_triples_from_pairs,
 )
 
-from oracles import metropolis_sweep_full
+from oracles import amplitude, metropolis_sweep_full
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 
@@ -417,11 +418,13 @@ class TestRunParallelTempering:
         basis, ham = h2
         spec2 = AnsatzSpec("2s")
         pair_set = cold_start(spec2, 4, np.random.default_rng(11))
-        e2 = variational_energy(pair_set, spec2, basis, ham).e
+        ev2 = EnergyEvaluator(spec2, 4, basis, ham)
+        e2 = ev2.energy(ev2.flatten(pair_set)).e
         spec_h = AnsatzSpec("3s[2s]")
         hybrid = CorrelatorSet.hybrid_from_pairs(spec_h, pair_set)
         # Identity triples leave the pair-product state untouched, bitwise.
-        assert variational_energy(hybrid, spec_h, basis, ham).e == e2
+        ev_h = EnergyEvaluator(spec_h, 4, basis, ham)
+        assert ev_h.energy(ev_h.flatten(hybrid)).e == e2
         config = PtConfig(n_replicas=2, sweeps=15, swap_interval=4, seed=13)
         ensemble = run_parallel_tempering(config, spec_h, basis, ham, hybrid)
         assert ensemble.best_energy <= e2
@@ -479,10 +482,12 @@ class TestWarmStarts:
         basis, ham = h2
         spec2 = AnsatzSpec("2s")
         pairs = cold_start(spec2, 4, np.random.default_rng(3))
-        e2 = variational_energy(pairs, spec2, basis, ham).e
+        ev2 = EnergyEvaluator(spec2, 4, basis, ham)
+        e2 = ev2.energy(ev2.flatten(pairs)).e
         spec_s = AnsatzSpec("3s+[2s]")
         hybrid = sum_hybrid_start(spec_s, pairs, np.random.default_rng(4))
-        e_h = variational_energy(hybrid, spec_s, basis, ham).e
+        ev_s = EnergyEvaluator(spec_s, 4, basis, ham)
+        e_h = ev_s.energy(ev_s.flatten(hybrid)).e
         assert abs(e_h - e2) < 5e-2
         for tensor in hybrid.triples.values():
             assert np.max(np.abs(tensor)) <= 1e-3
@@ -506,7 +511,8 @@ class TestBfgsRefine:
         e0, _ = exact_diagonalize(ham)
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 4, np.random.default_rng(6))
-        start = variational_energy(cset, spec, basis, ham).e
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        start = ev.energy(ev.flatten(cset)).e
         result = bfgs_refine(cset, spec, basis, ham, max_iter=300)
         assert result.energy <= start
         assert result.energy >= e0 - 1e-12
@@ -569,7 +575,8 @@ class TestReducedGradient:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 4, np.random.default_rng(10))
-        start = variational_energy(cset, spec, basis, ham).e
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        start = ev.energy(ev.flatten(cset)).e
         result = reduced_gradient_sweep(cset, spec, basis, ham, passes=4)
         assert result.energy <= start
 
@@ -600,7 +607,8 @@ class TestGradientSubspace:
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 2, np.random.default_rng(3))
-        _, e_sub = gradient_subspace_solve(cset, spec, basis, ham, 0, 1)
+        ev = EnergyEvaluator(spec, 2, basis, ham)
+        _, e_sub = gradient_subspace_solve(ev, ev.flatten(cset), 0, 1)
         from cgtns.hamiltonian import csf_matrix_element
 
         assert e_sub == pytest.approx(csf_matrix_element(0, 0, basis, ham), abs=1e-10)
@@ -609,10 +617,12 @@ class TestGradientSubspace:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 4, np.random.default_rng(21))
-        before = variational_energy(cset, spec, basis, ham).e
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        x = ev.flatten(cset)
+        before = ev.energy(x).e
         key = (1, 2)
-        updated, e_sub = gradient_subspace_solve(cset, spec, basis, ham, *key)
-        after = variational_energy(updated, spec, basis, ham).e
+        x_new, e_sub = gradient_subspace_solve(ev, x, *key)
+        after = ev.energy(x_new).e
         assert after <= before + 1e-12
         assert after == pytest.approx(e_sub, abs=1e-9)
 
@@ -638,25 +648,59 @@ class TestGradientSubspace:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 4, np.random.default_rng(33))
-        energy = variational_energy(cset, spec, basis, ham).e
-        for _ in range(200):
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        result = subspace_refine(cset, spec, basis, ham)
+        assert result.converged, "pair cycling did not reach a fixed point"
+        assert result.energy <= ev.energy(ev.flatten(cset)).e
+        assert result.energy == pytest.approx(
+            ev.energy(ev.flatten(result.params)).e, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("kind", ["2s", "2s/si"])
+    def test_refine_matches_evaluator_per_solve(self, h4, kind):
+        # The reference is the pass loop with a fresh evaluator for every
+        # pair solve: sharing one evaluator must change no bit.
+        basis, ham = h4
+        spec = AnsatzSpec(kind)
+        cset = cold_start(spec, 8, np.random.default_rng(5))
+        x = EnergyEvaluator(spec, 8, basis, ham).flatten(cset)
+        energy = EnergyEvaluator(spec, 8, basis, ham).energy(x).e
+        for passes in range(1, 51):
             improved = False
             for key in sorted(cset.pairs):
-                cset, e_sub = gradient_subspace_solve(cset, spec, basis, ham, *key)
+                fresh = EnergyEvaluator(spec, 8, basis, ham)
+                x, e_sub = gradient_subspace_solve(fresh, x, *key)
                 if energy - e_sub > 1e-10:
                     improved = True
                 energy = e_sub
             if not improved:
                 break
-        else:
-            pytest.fail("pair cycling did not reach a fixed point")
+        result = subspace_refine(cset, spec, basis, ham)
+        assert result.energy == energy
+        ref = EnergyEvaluator(spec, 8, basis, ham).unflatten(x)
+        for key, tensor in ref.pairs.items():
+            assert np.array_equal(result.params.pairs[key], tensor)
+        assert result.n_iterations == passes
+        assert result.converged == (not improved)
+
+    def test_pass_cap_reports_not_converged(self, h2, monkeypatch):
+        basis, ham = h2
+        spec = AnsatzSpec("2s")
+        cset = cold_start(spec, 4, np.random.default_rng(33))
+        monkeypatch.setattr(optimizer, "SUBSPACE_PASSES", 1)
+        result = subspace_refine(cset, spec, basis, ham)
+        assert result.n_iterations == 1
+        assert not result.converged
 
     def test_rejects_frozen_pairs(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("3s[2s]")
         cset = CorrelatorSet.identity(spec, 4)
+        ev = EnergyEvaluator(spec, 4, basis, ham)
         with pytest.raises(FrozenTensorError):
-            gradient_subspace_solve(cset, spec, basis, ham, 0, 1)
+            gradient_subspace_solve(ev, ev.flatten(cset), 0, 1)
+        with pytest.raises(FrozenTensorError):
+            subspace_refine(cset, spec, basis, ham)
 
 
 class TestCheckpoint:
