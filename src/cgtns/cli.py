@@ -192,7 +192,8 @@ def _load_problem(cfg: RunConfig):
     return ints, space, basis, ham
 
 
-def _resolve_ansatz(cfg: RunConfig, ints, ham, dense_limit: int) -> AnsatzSpec:
+def _resolve_ansatz(cfg: RunConfig, ints, ham, oracle) -> AnsatzSpec:
+    """The run's ansatz; ``oracle`` is the ground eigenpair, if it was computed."""
     if not cfg.ansatz.endswith("sel"):
         return AnsatzSpec(cfg.ansatz)
     if cfg.nat_occ != "auto":
@@ -208,14 +209,13 @@ def _resolve_ansatz(cfg: RunConfig, ints, ham, dense_limit: int) -> AnsatzSpec:
             )
     elif ints.nat_occ is not None:
         occ = ints.nat_occ
+    elif oracle is None:
+        raise ConfigError(
+            "selected ansatz needs occupation numbers: provide nat_occ, "
+            "the space is too large for the oracle density"
+        )
     else:
-        if ham.dim > dense_limit:
-            raise ConfigError(
-                "selected ansatz needs occupation numbers: provide nat_occ, "
-                "the space is too large for the oracle density"
-            )
-        _, vec = exact_diagonalize(ham, dense_limit=dense_limit)
-        occ = orbital_occupations(ham, vec)
+        occ = orbital_occupations(ham, oracle[1])
     sites = select_sites(occ, (cfg.window_lo, cfg.window_hi))
     if not sites:
         raise ConfigError(
@@ -251,11 +251,12 @@ def cmd_run(cfg: RunConfig) -> Path:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    e_oracle = None
+    oracle = None
     if space.size <= cfg.dense_limit:
-        e_oracle, _ = exact_diagonalize(ham, dense_limit=cfg.dense_limit)
+        oracle = exact_diagonalize(ham, dense_limit=cfg.dense_limit)
+    e_oracle = None if oracle is None else oracle[0]
 
-    spec = _resolve_ansatz(cfg, ints, ham, cfg.dense_limit)
+    spec = _resolve_ansatz(cfg, ints, ham, oracle)
     m = space.m
     init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(99,)))
     # Checkpoints land on disk as soon as each stage completes, so a failure

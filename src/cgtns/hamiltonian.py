@@ -3,6 +3,13 @@
 Two-electron integrals are handled in chemists' notation (pq|rs) with the
 8-fold permutational symmetry folded into a non-redundant triangular store.
 Spatial orbitals are 0-based internally; FCIDUMP files are 1-based.
+
+``slater_condon`` evaluates one determinant pair.  ``HamiltonianOperator``
+assembles the whole determinant matrix without it: blocks of rows are
+classified by the spin orbitals each pair shares, and the diagonal, the
+single and the double excitations are evaluated class by class in whole-array
+steps that add the integrals in ``slater_condon``'s order, so the matrix is
+bit-identical to the per-pair loop.
 """
 
 from __future__ import annotations
@@ -25,6 +32,13 @@ def _tri(p: int, q: int) -> int:
     if p < q:
         p, q = q, p
     return p * (p + 1) // 2 + q
+
+
+def _tri_table(n: int) -> np.ndarray:
+    """``_tri(p, q)`` for every ``p, q < n``, as an (n, n) integer array."""
+    idx = np.arange(n)
+    hi = np.maximum.outer(idx, idx)
+    return hi * (hi + 1) // 2 + np.minimum.outer(idx, idx)
 
 
 @dataclass
@@ -77,16 +91,12 @@ class IntegralSet:
     ) -> "IntegralSet":
         """Build from a full (m,m,m,m) chemists'-notation array."""
         m = h.shape[0]
-        ints = cls.zeros(m, e_core=e_core, **kw)
-        ints.h = np.asarray(h, dtype=float)
-        ints.__post_init__()
-        for p in range(m):
-            for q in range(p + 1):
-                for r in range(m):
-                    for s in range(r + 1):
-                        if _tri(p, q) >= _tri(r, s):
-                            ints.set_g(p, q, r, s, float(g[p, q, r, s]))
-        return ints
+        # tril_indices walks (p >= q) pairs, then (pq >= rs) pair pairs, in
+        # ascending _tri order: exactly the layout of g_flat.
+        p, q = np.tril_indices(m)
+        pq, rs = np.tril_indices(len(p))
+        g_flat = np.asarray(g, dtype=float)[p[pq], q[pq], p[rs], q[rs]]
+        return cls(m_orb=m, h=h, g_flat=g_flat, e_core=e_core, **kw)
 
     def g(self, p: int, q: int, r: int, s: int) -> float:
         return self.g_flat[_tri(_tri(p, q), _tri(r, s))]
@@ -99,13 +109,9 @@ class IntegralSet:
         """Full chemists' array with all eight permutation partners filled."""
         if not self._g_dense:
             m = self.m_orb
-            g = np.empty((m, m, m, m))
-            for p in range(m):
-                for q in range(m):
-                    for r in range(m):
-                        for s in range(m):
-                            g[p, q, r, s] = self.g(p, q, r, s)
-            self._g_dense.append(g)
+            pair = _tri_table(m)
+            flat = _tri_table(m * (m + 1) // 2)[pair[:, :, None, None], pair]
+            self._g_dense.append(self.g_flat[flat])
         return self._g_dense[0]
 
 
@@ -364,6 +370,110 @@ def slater_condon(bra: int, ket: int, ints: IntegralSet) -> float:
     return phase * val
 
 
+#: Rows of the determinant matrix classified per block; the block's
+#: temporaries are O(_BLOCK_ROWS x n_det).
+_BLOCK_ROWS = 256
+
+
+def _occupations(onvs: np.ndarray, m: int) -> np.ndarray:
+    """(n_det, m) boolean occupation of every spin orbital of uint64 ONVs."""
+    return ((onvs[:, None] >> np.arange(m, dtype=np.uint64)) & 1).astype(bool)
+
+
+def _set_bits(bits: np.ndarray, count: int) -> np.ndarray:
+    """(len(bits), count) ascending positions of the set bits of uint64 words."""
+    positions = []
+    for _ in range(count):
+        lowest = bits & (~bits + np.uint64(1))
+        positions.append(np.frexp(lowest.astype(float))[1] - 1)  # exact: 2**k
+        bits = bits ^ lowest
+    return np.stack(positions, axis=1)
+
+
+def _determinant_matrix(ints: IntegralSet, space: FockSubspace) -> np.ndarray:
+    """Dense H over ``space``, built per excitation class in whole-array steps.
+
+    Every element repeats the operand order of ``slater_condon(onvs[i],
+    onvs[j])`` for the bra row ``i`` and the ket column ``j <= i``, so the
+    matrix is bit-identical to the per-pair loop; a term ``slater_condon``
+    skips is skipped here through ``np.where``, never added as zero.  The
+    classification counts the spin orbitals each pair shares, one block of
+    rows at a time, and drops the pairs beyond a double excitation.
+    """
+    n, n_el = space.size, space.n_electrons
+    h, g = ints.h, ints.g_dense()
+    onvs = np.array(space.onvs, dtype=np.uint64)
+    occupied = _occupations(onvs, space.m)
+    occ = np.nonzero(occupied)[1].reshape(n, n_el)  # ascending per row
+    orb, spin = occ >> 1, occ & 1
+    # below[d, s]: occupied spin orbitals of determinant d with index < s.
+    below = np.zeros((n, space.m + 1), dtype=np.int64)
+    np.cumsum(occupied, axis=1, out=below[:, 1:])
+
+    mat = np.zeros((n, n))
+    diag = np.full(n, ints.e_core, dtype=float)
+    for a in range(n_el):
+        P = orb[:, a]
+        diag = diag + h[P, P]
+        for b in range(a):
+            Q = orb[:, b]
+            diag = diag + g[P, P, Q, Q]
+            diag = np.where(spin[:, a] == spin[:, b], diag - g[P, Q, Q, P], diag)
+    mat[np.arange(n), np.arange(n)] = diag
+
+    counts = occupied.astype(np.float32)  # exact for these small integers
+    for i0 in range(0, n, _BLOCK_ROWS):
+        i1 = min(i0 + _BLOCK_ROWS, n)
+        shared = counts[i0:i1] @ counts[:i1].T
+        rows, cols = np.nonzero(shared >= n_el - 2)
+        below_diagonal = cols < rows + i0
+        rows, cols = rows[below_diagonal], cols[below_diagonal]
+        levels = n_el - shared[rows, cols].astype(np.int64)
+        for level in (1, 2):
+            bra, ket = rows[levels == level] + i0, cols[levels == level]
+            diff = onvs[bra] ^ onvs[ket]
+            holes = _set_bits(diff & onvs[ket], level)
+            parts = _set_bits(diff & onvs[bra], level)
+            # Parity of a+_{p1}..a+_{pk} a_{qk}..a_{q1} |ket>: annihilate the
+            # holes in ascending order, then create the parts in descending.
+            parity = below[ket[:, None], np.hstack([holes, parts])].sum(1)
+            parity -= level * (level - 1) // 2
+            parity -= (holes[:, None, :] < parts[:, :, None]).sum((1, 2))
+            if level == 1:
+                val = _single_elements(h, g, occ[ket], holes[:, 0], parts[:, 0])
+            else:
+                val = _double_elements(g, holes, parts)
+            val = np.where(parity & 1, -val, val)
+            mat[bra, ket] = val
+            mat[ket, bra] = val
+    return mat
+
+
+def _single_elements(h, g, ket_occ, q, p) -> np.ndarray:
+    """``slater_condon``'s single-excitation sum before the phase.
+
+    Every determinant of a space has the same alpha count, so ``p`` and ``q``
+    always share their spin.
+    """
+    P, Q, sp = p >> 1, q >> 1, p & 1
+    val = h[P, Q]
+    for r in ket_occ.T:
+        R, other = r >> 1, r != q
+        val = np.where(other, val + g[P, Q, R, R], val)
+        val = np.where(other & ((r & 1) == sp), val - g[P, R, R, Q], val)
+    return val
+
+
+def _double_elements(g, holes, parts) -> np.ndarray:
+    """``slater_condon``'s direct minus exchange term before the phase."""
+    (q1, q2), (p1, p2) = holes.T, parts.T
+    val = np.zeros(len(holes))
+    direct = ((p1 & 1) == (q1 & 1)) & ((p2 & 1) == (q2 & 1))
+    val = np.where(direct, val + g[p1 >> 1, q1 >> 1, p2 >> 1, q2 >> 1], val)
+    exchange = ((p1 & 1) == (q2 & 1)) & ((p2 & 1) == (q1 & 1))
+    return np.where(exchange, val - g[p1 >> 1, q2 >> 1, p2 >> 1, q1 >> 1], val)
+
+
 @dataclass
 class HamiltonianOperator:
     """Hamiltonian restricted to one determinant space, with a cached matrix."""
@@ -386,15 +496,7 @@ class HamiltonianOperator:
     def matrix(self) -> np.ndarray:
         """Dense symmetric determinant-basis matrix (assembled once)."""
         if not self._matrix:
-            n = self.space.size
-            mat = np.zeros((n, n))
-            onvs = self.space.onvs
-            for i in range(n):
-                for j in range(i + 1):
-                    el = slater_condon(onvs[i], onvs[j], self.integrals)
-                    mat[i, j] = el
-                    mat[j, i] = el
-            self._matrix.append(mat)
+            self._matrix.append(_determinant_matrix(self.integrals, self.space))
         return self._matrix[0]
 
     def element(self, i: int, j: int) -> float:
@@ -445,16 +547,11 @@ def orbital_occupations(
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.size,):
         raise DimensionError("coefficient vector does not match the space")
-    m_orb = ham.integrals.m_orb
-    occ = np.zeros(m_orb)
-    weights = coeffs * coeffs
-    for i, bits in enumerate(space.onvs):
-        if weights[i] == 0.0:
-            continue
-        for p in range(m_orb):
-            n_p = ((bits >> (2 * p)) & 1) + ((bits >> (2 * p + 1)) & 1)
-            if n_p:
-                occ[p] += n_p * weights[i]
+    occupied = _occupations(np.array(space.onvs, dtype=np.uint64), space.m)
+    n_p = occupied.reshape(space.size, -1, 2).sum(axis=2)
+    # cumsum adds the determinants left to right, as a loop over them does;
+    # its zero terms add +0.0 to a non-negative sum, which changes no bit.
+    occ = np.cumsum(n_p * (coeffs * coeffs)[:, None], axis=0)[-1]
     return tuple(float(v) for v in occ)
 
 

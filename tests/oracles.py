@@ -2,12 +2,16 @@
 
 Everything here is written from first principles against the same conventions
 as the library (interleaved spin orbitals, ascending-index operator strings)
-but shares no code with it, so agreement is meaningful.  The one exception is
-the reference Metropolis sweep, which reuses the library's step bounds and
-scale renormalization: it checks how proposals are priced, not those.  The
-per-determinant amplitude loops (``amplitude``,
-``amplitude_partial_derivative``) are the references for the vectorized
-``AmplitudeEngine``.
+but shares no code with it, so agreement is meaningful.  The exceptions are
+the references for vectorized library code, which keep the loops that code
+replaced: the reference Metropolis sweep reuses the library's step bounds and
+scale renormalization (it checks how proposals are priced, not those), and
+``slater_condon_matrix`` calls the library's per-pair ``slater_condon`` (it
+checks the excitation-class assembly of ``HamiltonianOperator.matrix``, not
+the Slater-Condon rules, which ``hamiltonian_matrix_brute`` checks).  The
+per-determinant loops ``amplitude``, ``amplitude_partial_derivative`` and
+``orbital_occupations_loop`` are the references for ``AmplitudeEngine`` and
+``orbital_occupations``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 from cgtns.correlators import AnsatzSpec, CorrelatorSet
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
 from cgtns.fock import OccupationVector
+from cgtns.hamiltonian import slater_condon
 from cgtns.optimizer import STEP_BOUNDS, STEP_FACTOR_CAP, _renormalize_product_scale
 
 
@@ -167,6 +172,35 @@ def hamiltonian_matrix_brute(
                 mat[row, col] += val
     mat += e_core * np.eye(dim)
     return mat
+
+
+def slater_condon_matrix(ints, space) -> np.ndarray:
+    """Dense determinant H from one ``slater_condon`` call per pair j <= i."""
+    n = space.size
+    mat = np.zeros((n, n))
+    onvs = space.onvs
+    for i in range(n):
+        for j in range(i + 1):
+            el = slater_condon(onvs[i], onvs[j], ints)
+            mat[i, j] = el
+            mat[j, i] = el
+    return mat
+
+
+def orbital_occupations_loop(ham, coeffs) -> tuple[float, ...]:
+    """Spin-summed orbital occupations, one determinant at a time."""
+    m_orb = ham.integrals.m_orb
+    occ = np.zeros(m_orb)
+    coeffs = np.asarray(coeffs, dtype=float)
+    weights = coeffs * coeffs
+    for i, bits in enumerate(ham.space.onvs):
+        if weights[i] == 0.0:
+            continue
+        for p in range(m_orb):
+            n_p = ((bits >> (2 * p)) & 1) + ((bits >> (2 * p + 1)) & 1)
+            if n_p:
+                occ[p] += n_p * weights[i]
+    return tuple(float(v) for v in occ)
 
 
 def fd_gradient(f, x, idx, h=3e-4):

@@ -202,6 +202,29 @@ class TestRun:
         record = RunRecord.from_json((outdir / "record.json").read_text())
         assert record.n_active_parameters == param_count("3s[2s]", 4)
 
+    def test_selected_run_diagonalizes_once(self, tmp_path, monkeypatch):
+        # The oracle eigenpair also gives the occupations that pick the sites.
+        from cgtns import cli
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return exact_diagonalize(*args, **kwargs)
+
+        exact_diagonalize = cli.exact_diagonalize
+        monkeypatch.setattr(cli, "exact_diagonalize", counted)
+        cfg = quick_cfg(
+            integrals=str(FIXTURES / "h4.fcidump"),
+            ansatz="3s[2s]sel",
+            sweeps=2,
+            out=str(tmp_path / "sel"),
+        )
+        record = RunRecord.from_json((cmd_run(cfg) / "record.json").read_text())
+        assert len(calls) == 1
+        assert record.kind == "3s[2s]sel"
+        assert record.error_vs_oracle >= -1e-12
+
     def test_hybrid_run_freezes_pairs_and_keeps_stage_artifacts(self, tmp_path):
         from cgtns.correlators import CorrelatorSet
 

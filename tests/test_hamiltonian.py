@@ -13,10 +13,15 @@ from cgtns.hamiltonian import (
     IntegralSet,
     csf_matrix_element,
     exact_diagonalize,
+    orbital_occupations,
     parse_fcidump,
 )
 
-from oracles import hamiltonian_matrix_brute
+from oracles import (
+    hamiltonian_matrix_brute,
+    orbital_occupations_loop,
+    slater_condon_matrix,
+)
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 
@@ -51,6 +56,54 @@ def random_integrals(m_orb, seed):
                             g[a, b, c, d] = v
                             g[c, d, a, b] = v
     return h, g, rng.standard_normal()
+
+
+def fixture_problem(name):
+    ints = parse_fcidump(FIXTURES / f"{name}.fcidump")
+    space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
+    return ints, space
+
+
+def assert_bit_identical(a, b):
+    """Equal shapes and equal bit patterns (so also the signs of zeros)."""
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestIntegralSet:
+    @pytest.mark.parametrize("m_orb", [1, 2, 4])
+    def test_g_dense_matches_g_at_every_index(self, m_orb):
+        ints = IntegralSet.zeros(m_orb)
+        ints.g_flat[:] = np.random.default_rng(m_orb).standard_normal(ints.g_flat.size)
+        dense = ints.g_dense()
+        for idx in np.ndindex(dense.shape):
+            assert dense[idx] == ints.g(*idx)
+
+    @pytest.mark.parametrize("m_orb", [1, 3, 4])
+    def test_from_dense_round_trips_g_flat(self, m_orb):
+        ints = IntegralSet.zeros(m_orb, e_core=0.5)
+        rng = np.random.default_rng(100 + m_orb)
+        ints.g_flat[:] = rng.standard_normal(ints.g_flat.size)
+        again = IntegralSet.from_dense(ints.h, ints.g_dense(), e_core=0.5)
+        assert np.array_equal(again.g_flat, ints.g_flat)
+        assert np.array_equal(again.g_dense(), ints.g_dense())
+
+    def test_from_dense_reads_the_canonical_entries(self):
+        # Each stored value is g[p, q, r, s] with p >= q, r >= s, (pq) >= (rs);
+        # the other permutation partners of an asymmetric array are ignored.
+        m = 3
+        g = np.random.default_rng(5).standard_normal((m,) * 4)
+        ints = IntegralSet.from_dense(np.eye(m), g)
+        for p, q, r, s in np.ndindex(g.shape):
+            if p >= q and r >= s and p * (p + 1) // 2 + q >= r * (r + 1) // 2 + s:
+                assert ints.g(p, q, r, s) == g[p, q, r, s]
+
+    def test_set_g_invalidates_dense_cache(self):
+        ints = IntegralSet.zeros(2)
+        ints.g_dense()
+        ints.set_g(1, 0, 1, 1, 0.75)
+        assert ints.g_dense()[1, 1, 0, 1] == 0.75
 
 
 class TestParser:
@@ -190,6 +243,58 @@ class TestSlaterCondon:
 
         diags = [slater_condon(b, b, ints) for b in space.onvs]
         assert np.ptp(diags) < 1e-14
+
+
+class TestMatrixAssembly:
+    """The excitation-class build against the per-pair ``slater_condon`` loop."""
+
+    @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
+    def test_fixture_matrix_bit_identical(self, name):
+        ints, space = fixture_problem(name)
+        assert_bit_identical(
+            HamiltonianOperator(ints, space).matrix(), slater_condon_matrix(ints, space)
+        )
+
+    @pytest.mark.parametrize(
+        "m_orb,n_electrons,ms",
+        [
+            (3, 0, 0.0),  # the vacuum: e_core alone
+            (4, 1, 0.5),  # one electron: every pair is a single
+            (4, 3, -0.5),  # odd N, negative projection
+            (5, 5, 0.5),  # odd N with doubles of every spin pattern
+            (5, 4, 2.0),  # all alpha (MS2 = N)
+            (3, 6, 0.0),  # full shell: one determinant
+            (6, 5, 0.5),  # 300 determinants: more than one block of rows
+        ],
+    )
+    def test_random_integrals_bit_identical(self, m_orb, n_electrons, ms):
+        h, g, e_core = random_integrals(m_orb, 7 * m_orb + n_electrons)
+        ints = IntegralSet.from_dense(h, g, e_core=e_core)
+        space = enumerate_onvs(2 * m_orb, n_electrons, ms)
+        assert_bit_identical(
+            HamiltonianOperator(ints, space).matrix(), slater_condon_matrix(ints, space)
+        )
+
+    def test_asymmetric_h_keeps_bra_ket_order(self):
+        # h within the symmetry tolerance but not symmetric: the element of
+        # row i, column j < i reads h[bra orbital, ket orbital].
+        h, g, e_core = random_integrals(4, 31)
+        skew = np.triu(np.full((4, 4), 4e-9), 1)
+        ints = IntegralSet.from_dense(h + skew - skew.T, g, e_core=e_core)
+        assert not np.array_equal(ints.h, ints.h.T)
+        space = enumerate_onvs(8, 3, 0.5)
+        mat = HamiltonianOperator(ints, space).matrix()
+        assert_bit_identical(mat, slater_condon_matrix(ints, space))
+        assert np.array_equal(mat, mat.T)
+
+    @pytest.mark.parametrize("name", ["h4", "h6"])
+    def test_orbital_occupations_bit_identical(self, name):
+        ints, space = fixture_problem(name)
+        ham = HamiltonianOperator(ints, space)
+        _, vec = exact_diagonalize(ham)
+        occ = orbital_occupations(ham, vec)
+        assert occ == orbital_occupations_loop(ham, vec)
+        assert sum(occ) == pytest.approx(space.n_electrons, abs=1e-12)
 
 
 class TestCsfMatrixElement:
