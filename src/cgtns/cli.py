@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analysis
 from .correlators import ANSATZ_KINDS, AnsatzSpec, CorrelatorSet, select_sites
+from .energy import EnergyEvaluator
 from .errors import (
     CapacityError,
     CgtnsError,
@@ -296,13 +297,17 @@ def cmd_run(cfg: RunConfig) -> Path:
         )
     analysis.export_trace(ensemble.trace, outdir / "trace.csv", fmt="csv")
     save_checkpoint(ensemble, outdir / "checkpoint.json")
-    final_params = ensemble.best_params()
-    final_energy = ensemble.best_energy
+    evaluator = ensemble.evaluator
+    final_x, final_energy = ensemble.best_x, ensemble.best_energy
 
     if cfg.refine in REFINERS:
-        result = REFINERS[cfg.refine](final_params, spec, basis, ham)
-        final_params, final_energy = result.params, result.energy
+        if evaluator.screen > 0.0:
+            # Refinements are defined on the unscreened energy.
+            evaluator = EnergyEvaluator(spec, m, basis, ham)
+        result = REFINERS[cfg.refine](evaluator, final_x)
+        final_x, final_energy = result.x, result.energy
 
+    final_params = evaluator.unflatten(final_x)
     (outdir / "correlators.json").write_text(final_params.dumps())
 
     n_active = final_params.n_active_parameters

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DimensionError, FrozenTensorError
-from .fock import CsfBasis, FockSubspace
+from .fock import CsfBasis, FockSubspace, occupations
 
 ANSATZ_KINDS = (
     "2s",
@@ -320,12 +320,8 @@ class AmplitudeEngine:
 
         # entry_table[t, n] = flat index of the entry of tensor t picked by
         # determinant n's occupations.
-        n_det = space.size
-        table = np.empty((len(self.keys), n_det), dtype=np.int64)
-        occ = np.empty((m, n_det), dtype=np.int64)
-        for n, bits in enumerate(space.onvs):
-            for site in range(m):
-                occ[site, n] = (bits >> site) & 1
+        table = np.empty((len(self.keys), space.size), dtype=np.int64)
+        occ = occupations(space).T.astype(np.int64)
         for t, key in enumerate(self.keys):
             if len(key) == 2:
                 i, j = key
@@ -337,19 +333,22 @@ class AmplitudeEngine:
         self.entry_table = table
 
         # Sparse-Jacobian structure: row e (active entry), columns = the
-        # determinants whose occupations select that entry.
+        # determinants whose occupations select that entry; _jac_rows holds
+        # the tensor row of each stored element, so one gather fills them.
+        rows = []
         cols = []
         indptr = [0]
         self.entry_cells = []  # (tensor row, determinant columns) per active entry
         for e in self.active_indices:
             t = int(np.searchsorted(self.offsets, e, side="right") - 1)
             dets = np.flatnonzero(table[t] == e)
+            rows.append(np.full(len(dets), t))
             cols.append(dets)
             self.entry_cells.append((t, dets))
             indptr.append(indptr[-1] + len(dets))
-        self._jac_indices = (
-            np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        )
+        empty = np.empty(0, dtype=np.int64)
+        self._jac_rows = np.concatenate(rows) if rows else empty
+        self._jac_indices = np.concatenate(cols) if cols else empty
         self._jac_indptr = np.asarray(indptr, dtype=np.int64)
 
     # -- flat-vector plumbing ----------------------------------------------
@@ -446,12 +445,7 @@ class AmplitudeEngine:
 
     def jacobian(self, x: np.ndarray) -> sparse.csr_matrix:
         """Sparse d(amplitudes)/d(active entries), shape (n_active, n_det)."""
-        cof = self.cofactors(x)
-        data = np.empty(len(self._jac_indices))
-        pos = 0
-        for t, dets in self.entry_cells:
-            data[pos : pos + len(dets)] = cof[t, dets]
-            pos += len(dets)
+        data = self.cofactors(x)[self._jac_rows, self._jac_indices]
         return sparse.csr_matrix(
             (data, self._jac_indices, self._jac_indptr),
             shape=(len(self.active_indices), self.space.size),

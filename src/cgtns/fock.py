@@ -156,6 +156,12 @@ class FockSubspace:
             ) from None
 
 
+def occupations(space: FockSubspace) -> np.ndarray:
+    """(n_det, m) boolean occupation of every spin orbital of every ONV."""
+    onvs = np.array(space.onvs, dtype=np.uint64)
+    return ((onvs[:, None] >> np.arange(space.m, dtype=np.uint64)) & 1).astype(bool)
+
+
 def determinant_irrep(bits: int, orb_irreps: tuple[int, ...]) -> int:
     """Direct product (XOR) of the irreps of all occupied spin orbitals."""
     label = 0

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import CapacityError, DimensionError, ParseError
-from .fock import CsfBasis, FockSubspace, annihilate, create
+from .fock import CsfBasis, FockSubspace, annihilate, create, occupations
 
 #: Default cap on the determinant dimension of the dense eigensolver.
 DENSE_LIMIT = 20_000
@@ -375,11 +375,6 @@ def slater_condon(bra: int, ket: int, ints: IntegralSet) -> float:
 _BLOCK_ROWS = 256
 
 
-def _occupations(onvs: np.ndarray, m: int) -> np.ndarray:
-    """(n_det, m) boolean occupation of every spin orbital of uint64 ONVs."""
-    return ((onvs[:, None] >> np.arange(m, dtype=np.uint64)) & 1).astype(bool)
-
-
 def _set_bits(bits: np.ndarray, count: int) -> np.ndarray:
     """(len(bits), count) ascending positions of the set bits of uint64 words."""
     positions = []
@@ -403,7 +398,7 @@ def _determinant_matrix(ints: IntegralSet, space: FockSubspace) -> np.ndarray:
     n, n_el = space.size, space.n_electrons
     h, g = ints.h, ints.g_dense()
     onvs = np.array(space.onvs, dtype=np.uint64)
-    occupied = _occupations(onvs, space.m)
+    occupied = occupations(space)
     occ = np.nonzero(occupied)[1].reshape(n, n_el)  # ascending per row
     orb, spin = occ >> 1, occ & 1
     # below[d, s]: occupied spin orbitals of determinant d with index < s.
@@ -547,7 +542,7 @@ def orbital_occupations(
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.size,):
         raise DimensionError("coefficient vector does not match the space")
-    occupied = _occupations(np.array(space.onvs, dtype=np.uint64), space.m)
+    occupied = occupations(space)
     n_p = occupied.reshape(space.size, -1, 2).sum(axis=2)
     # cumsum adds the determinants left to right, as a loop over them does;
     # its zero terms add +0.0 to a non-negative sum, which changes no bit.

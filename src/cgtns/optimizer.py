@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from .correlators import AnsatzSpec, CorrelatorSet
 from .energy import EnergyEvaluator
@@ -135,20 +135,21 @@ class ReplicaState:
 
 @dataclass
 class ReplicaEnsemble:
-    """Full optimizer state: replicas, best-so-far, and the run trace."""
+    """Full optimizer state: replicas, best-so-far, and the run trace.
+
+    The evaluator holds the ansatz and the site count.
+    """
 
     config: PtConfig
-    spec: AnsatzSpec
-    m: int
     temperatures: list[float]
     replicas: list[ReplicaState]
     best_x: np.ndarray
     best_energy: float
+    evaluator: EnergyEvaluator = field(repr=False)
     trace: list[TraceRow] = field(default_factory=list)
     sweeps_done: int = 0
     swap_attempts: int = 0
     swap_rng: np.random.Generator = None
-    evaluator: EnergyEvaluator = field(default=None, repr=False)
 
     def best_params(self) -> CorrelatorSet:
         return self.evaluator.unflatten(self.best_x)
@@ -174,7 +175,7 @@ def _renormalize_product_scale(engine, x: np.ndarray) -> np.ndarray:
     hence the energy quotient, are unchanged except for the removed scale.
     Sum hybrids are left alone (their addend scale is physical).
     """
-    if getattr(engine, "sum_mode", False):
+    if engine.sum_mode:
         return x
     amps = np.abs(engine.amplitudes(x))
     peak = float(np.max(amps))
@@ -302,8 +303,6 @@ def run_parallel_tempering(
     ]
     ensemble = ReplicaEnsemble(
         config=config,
-        spec=spec,
-        m=init.m,
         temperatures=temperatures,
         replicas=replicas,
         best_x=x0.copy(),
@@ -319,8 +318,6 @@ def continue_parallel_tempering(ensemble: ReplicaEnsemble, sweeps: int) -> None:
     """Advance an ensemble by ``sweeps`` further sweeps, in place."""
     config = ensemble.config
     evaluator = ensemble.evaluator
-    if evaluator is None:
-        raise DimensionError("ensemble has no evaluator; load it with basis and H")
     p = config.n_replicas
     for _ in range(sweeps):
         sweep = ensemble.sweeps_done + 1
@@ -467,22 +464,33 @@ def warm_start_triples_from_pairs(
 # ---------------------------------------------------------------------------
 # Gradient refinements
 # ---------------------------------------------------------------------------
+# Each refinement runs on the caller's evaluator (the search's, as a rule)
+# from the flat vector ``x``, which it leaves unchanged; the result carries
+# a new vector.
 
 
 @dataclass
 class RefineResult:
-    params: CorrelatorSet
+    x: np.ndarray
     energy: float
     n_iterations: int
     converged: bool
     message: str = ""
 
 
+def _check_unscreened(evaluator: EnergyEvaluator) -> None:
+    """Refinements are defined on the unscreened energy; a screened energy
+    would not match the gradient and the subspace solves."""
+    if evaluator.screen > 0.0:
+        raise ConfigError(
+            f"refinements need an unscreened evaluator, got screen = "
+            f"{evaluator.screen}"
+        )
+
+
 def bfgs_refine(
-    params: CorrelatorSet,
-    spec: AnsatzSpec,
-    basis: CsfBasis,
-    ham: HamiltonianOperator,
+    evaluator: EnergyEvaluator,
+    x: np.ndarray,
     max_iter: int = 200,
     tol: float = 1e-8,
 ) -> RefineResult:
@@ -491,18 +499,19 @@ def bfgs_refine(
     Never returns a point with higher energy than the input; a line-search
     failure surfaces as ``converged=False`` with the best point found.
     """
-    params.validate(spec)
-    evaluator = EnergyEvaluator(spec, params.m, basis, ham)
+    # Imported here: only BFGS needs it, and it slows every command's start.
+    from scipy import optimize
+
+    _check_unscreened(evaluator)
     active = evaluator.engine.active_indices
     if len(active) == 0:
         raise FrozenTensorError("no active parameters to refine")
-    x_full = evaluator.flatten(params)
-    best = {"y": x_full[active].copy(), "e": evaluator.energy(x_full).e}
+    best = {"y": x[active].copy(), "e": evaluator.energy(x).e}
 
     def assemble(y):
-        x = x_full.copy()
-        x[active] = y
-        return x
+        x_new = x.copy()
+        x_new[active] = y
+        return x_new
 
     def fun(y):
         try:
@@ -523,7 +532,7 @@ def bfgs_refine(
     start_grad = jac(best["y"])
     if float(np.max(np.abs(start_grad), initial=0.0)) < tol:
         return RefineResult(
-            params=evaluator.unflatten(assemble(best["y"])),
+            x=assemble(best["y"]),
             energy=best["e"],
             n_iterations=0,
             converged=True,
@@ -537,7 +546,7 @@ def bfgs_refine(
         options={"gtol": tol, "maxiter": max_iter},
     )
     return RefineResult(
-        params=evaluator.unflatten(assemble(best["y"])),
+        x=assemble(best["y"]),
         energy=best["e"],
         n_iterations=int(res.nit),
         converged=bool(res.success),
@@ -546,10 +555,8 @@ def bfgs_refine(
 
 
 def reduced_gradient_sweep(
-    params: CorrelatorSet,
-    spec: AnsatzSpec,
-    basis: CsfBasis,
-    ham: HamiltonianOperator,
+    evaluator: EnergyEvaluator,
+    x: np.ndarray,
     passes: int = 3,
     initial_step: float = 0.5,
     tol: float = 1e-10,
@@ -559,16 +566,15 @@ def reduced_gradient_sweep(
     Each accepted step strictly lowers the energy; the sweep stops after
     ``passes`` full cycles or as soon as a cycle brings no improvement.
     """
-    params.validate(spec)
-    active_pairs = [k for k in sorted(params.pairs) if k not in params.frozen]
+    _check_unscreened(evaluator)
+    active_pairs = () if evaluator.spec.pairs_frozen else evaluator.engine.pair_keys
     if not active_pairs:
         raise FrozenTensorError("reduced-gradient sweep needs active pair tensors")
-    evaluator = EnergyEvaluator(spec, params.m, basis, ham)
     rows_of = {key: evaluator.engine.active_rows(key) for key in active_pairs}
     flat_of = {
         key: evaluator.engine.active_indices[rows] for key, rows in rows_of.items()
     }
-    x = evaluator.flatten(params)
+    x = x.copy()
     energy = evaluator.energy(x).e
     done = 0
     for _ in range(passes):
@@ -594,12 +600,7 @@ def reduced_gradient_sweep(
         done += 1
         if not improved:
             break
-    return RefineResult(
-        params=evaluator.unflatten(x),
-        energy=energy,
-        n_iterations=done,
-        converged=True,
-    )
+    return RefineResult(x=x, energy=energy, n_iterations=done, converged=True)
 
 
 def gradient_subspace_solve(
@@ -641,26 +642,18 @@ def gradient_subspace_solve(
     return x_new, float(evals[0])
 
 
-def subspace_refine(
-    params: CorrelatorSet,
-    spec: AnsatzSpec,
-    basis: CsfBasis,
-    ham: HamiltonianOperator,
-) -> RefineResult:
+def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     """Cycle ``gradient_subspace_solve`` over the active pairs in sorted order.
 
     A pass improves when some solve lowers the energy by more than
     ``SUBSPACE_GAIN``; the cycle stops after the first pass that does not,
-    or after ``SUBSPACE_PASSES`` passes (``converged=False``).  One
-    unscreened evaluator serves every solve, and the energy returned is
-    that of the last solve.
+    or after ``SUBSPACE_PASSES`` passes (``converged=False``).  The energy
+    returned is that of the last solve.
     """
-    params.validate(spec)
-    active_pairs = [k for k in sorted(params.pairs) if k not in params.frozen]
+    _check_unscreened(evaluator)
+    active_pairs = () if evaluator.spec.pairs_frozen else evaluator.engine.pair_keys
     if not active_pairs:
         raise FrozenTensorError("subspace refinement needs active pair tensors")
-    evaluator = EnergyEvaluator(spec, params.m, basis, ham)
-    x = evaluator.flatten(params)
     energy = evaluator.energy(x).e
     for done in range(1, SUBSPACE_PASSES + 1):
         improved = False
@@ -671,12 +664,7 @@ def subspace_refine(
             energy = e_sub
         if not improved:
             break
-    return RefineResult(
-        params=evaluator.unflatten(x),
-        energy=energy,
-        n_iterations=done,
-        converged=not improved,
-    )
+    return RefineResult(x=x, energy=energy, n_iterations=done, converged=not improved)
 
 
 # ---------------------------------------------------------------------------
@@ -686,21 +674,20 @@ def subspace_refine(
 
 def save_checkpoint(ensemble: ReplicaEnsemble, path) -> None:
     """Write the full ensemble state (tensors, RNG streams, trace tail)."""
+    spec = ensemble.evaluator.spec
     doc = {
         "format": "cgtns-checkpoint",
         "version": 2,
         "config": asdict(ensemble.config),
         "screen": ensemble.evaluator.screen,
         "ansatz": {
-            "kind": ensemble.spec.kind,
+            "kind": spec.kind,
             "selected_sites": (
-                list(ensemble.spec.selected_sites)
-                if ensemble.spec.selected_sites
-                else None
+                list(spec.selected_sites) if spec.selected_sites else None
             ),
-            "si_selected_triples": ensemble.spec.si_selected_triples,
+            "si_selected_triples": spec.si_selected_triples,
         },
-        "m": ensemble.m,
+        "m": ensemble.evaluator.engine.m,
         "temperatures": ensemble.temperatures,
         "sweeps_done": ensemble.sweeps_done,
         "swap_attempts": ensemble.swap_attempts,
@@ -771,8 +758,6 @@ def load_checkpoint(
     ]
     return ReplicaEnsemble(
         config=config,
-        spec=spec,
-        m=doc["m"],
         temperatures=[float(t) for t in doc["temperatures"]],
         replicas=replicas,
         best_x=np.asarray(doc["best_x"], dtype=float),

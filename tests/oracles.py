@@ -11,7 +11,7 @@ checks the excitation-class assembly of ``HamiltonianOperator.matrix``, not
 the Slater-Condon rules, which ``hamiltonian_matrix_brute`` checks).  The
 per-determinant loops ``amplitude``, ``amplitude_partial_derivative`` and
 ``orbital_occupations_loop`` are the references for ``AmplitudeEngine`` and
-``orbital_occupations``.
+``orbital_occupations``, and ``jacobian_loop`` for ``AmplitudeEngine.jacobian``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from cgtns.correlators import AnsatzSpec, CorrelatorSet
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
@@ -265,6 +266,23 @@ def metropolis_sweep_full(replica, temperature, evaluator, target_acceptance=Non
         replica.step = min(max(replica.step * factor, STEP_BOUNDS[0]), STEP_BOUNDS[1])
     replica.x = _renormalize_product_scale(evaluator.engine, replica.x)
     return ratio
+
+
+def jacobian_loop(engine, x: np.ndarray) -> sparse.csr_matrix:
+    """Reference ``AmplitudeEngine.jacobian``: the per-entry loop it replaced,
+    its sparsity structure rebuilt from the entry table."""
+    cof = engine.cofactors(x)
+    data, indices, indptr = [], [], [0]
+    for e in engine.active_indices:
+        t = int(np.searchsorted(engine.offsets, e, side="right") - 1)
+        dets = np.flatnonzero(engine.entry_table[t] == e)
+        data.append(cof[t, dets])
+        indices.append(dets)
+        indptr.append(indptr[-1] + len(dets))
+    return sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), np.asarray(indptr)),
+        shape=(len(engine.active_indices), engine.space.size),
+    )
 
 
 def _occ(bits: int, site: int) -> int:

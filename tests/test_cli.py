@@ -1,6 +1,9 @@
 """Command-line front end: config round trips, commands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,6 +254,30 @@ class TestRun:
         # essentially to the oracle.
         assert record.error_vs_oracle < 1e-5
 
+    @pytest.mark.parametrize("screen, built", [(0.0, [0.0]), (0.05, [0.05, 0.0])])
+    def test_refinement_reuses_search_evaluator(self, tmp_path, monkeypatch, screen, built):
+        # The refinement runs on the search's evaluator; only a screened run
+        # builds a second, unscreened one for it.
+        from cgtns.energy import EnergyEvaluator
+
+        screens = []
+        init = EnergyEvaluator.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            screens.append(self.screen)
+
+        monkeypatch.setattr(EnergyEvaluator, "__init__", counted)
+        cfg = quick_cfg(
+            integrals=str(FIXTURES / "h4.fcidump"),
+            sweeps=2,
+            refine="subspace",
+            screen=screen,
+            out=str(tmp_path / "ref"),
+        )
+        cmd_run(cfg)
+        assert screens == built
+
     @pytest.mark.parametrize("ansatz", ["3s", "3s[2s]"])
     @pytest.mark.parametrize("stage", PAIR_REFINERS)
     def test_pair_refinement_needs_active_pairs(self, tmp_path, capsys, stage, ansatz):
@@ -375,3 +402,19 @@ class TestCompare:
 
     def test_missing_record_exits_2(self, tmp_path):
         assert main(["compare", str(tmp_path / "no.json"), str(tmp_path / "no.json")]) == EXIT_CONFIG
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only bfgs_refine needs scipy.optimize, and it imports it when called;
+    # every command pays for a module-level import at start-up.
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, cgtns, cgtns.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -17,7 +17,7 @@ from cgtns.errors import DimensionError, FrozenTensorError
 from cgtns.fock import OccupationVector, build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import HamiltonianOperator, IntegralSet
 
-from oracles import amplitude, amplitude_partial_derivative
+from oracles import _occ, amplitude, amplitude_partial_derivative, jacobian_loop
 
 
 def csf_weights(cset, spec, basis):
@@ -343,6 +343,39 @@ class TestPartialDerivative:
             for n, bits in enumerate(space.onvs):
                 ref = amplitude_partial_derivative(cset, spec, bits, key, element)
                 assert jac[row, n] == pytest.approx(ref, rel=1e-11, abs=1e-11)
+
+
+class TestEngineTables:
+    """The engine's vectorised tables against per-determinant loops."""
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_jacobian_matches_loop_bitwise(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        engine = AmplitudeEngine(spec, 8, enumerate_onvs(8, 4, 0.0))
+        x = engine.flatten(randomize(CorrelatorSet.identity(spec, 8), rng))
+        if seed:
+            x[engine.active_indices[3]] = 0.0  # a zero factor as well
+        fast, ref = engine.jacobian(x), jacobian_loop(engine, x)
+        assert np.array_equal(fast.data, ref.data)
+        assert np.array_equal(fast.indices, ref.indices)
+        assert np.array_equal(fast.indptr, ref.indptr)
+
+    @pytest.mark.parametrize("kind", ["2s", "3s"])
+    @pytest.mark.parametrize("m, n", [(8, 4), (12, 6)])
+    def test_entry_table_matches_bit_loop(self, kind, m, n):
+        space = enumerate_onvs(m, n, 0.0)
+        engine = AmplitudeEngine(AnsatzSpec(kind), m, space)
+        ref = np.empty_like(engine.entry_table)
+        for t, key in enumerate(engine.keys):
+            for col, bits in enumerate(space.onvs):
+                local = 0
+                for site in key:
+                    local = 2 * local + _occ(bits, site)
+                ref[t, col] = engine.offsets[t] + local
+        assert np.array_equal(engine.entry_table, ref)
 
 
 class TestSerialization:

@@ -502,7 +502,8 @@ class TestBfgsRefine:
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 2, np.random.default_rng(5))
-        result = bfgs_refine(cset, spec, basis, ham)
+        ev = EnergyEvaluator(spec, 2, basis, ham)
+        result = bfgs_refine(ev, ev.flatten(cset))
         assert result.n_iterations == 0
         assert result.converged
 
@@ -513,7 +514,7 @@ class TestBfgsRefine:
         cset = cold_start(spec, 4, np.random.default_rng(6))
         ev = EnergyEvaluator(spec, 4, basis, ham)
         start = ev.energy(ev.flatten(cset)).e
-        result = bfgs_refine(cset, spec, basis, ham, max_iter=300)
+        result = bfgs_refine(ev, ev.flatten(cset), max_iter=300)
         assert result.energy <= start
         assert result.energy >= e0 - 1e-12
         assert result.energy - e0 < 1e-6
@@ -567,9 +568,13 @@ class TestReducedGradient:
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 2, np.random.default_rng(4))
-        result = reduced_gradient_sweep(cset, spec, basis, ham, passes=2)
+        ev = EnergyEvaluator(spec, 2, basis, ham)
+        x = ev.flatten(cset)
+        result = reduced_gradient_sweep(ev, x, passes=2)
+        assert result.x is not x
+        refined = ev.unflatten(result.x)
         for key, tensor in cset.pairs.items():
-            assert np.array_equal(result.params.pairs[key], tensor)
+            assert np.array_equal(refined.pairs[key], tensor)
 
     def test_energy_never_increases(self, h2):
         basis, ham = h2
@@ -577,25 +582,25 @@ class TestReducedGradient:
         cset = cold_start(spec, 4, np.random.default_rng(10))
         ev = EnergyEvaluator(spec, 4, basis, ham)
         start = ev.energy(ev.flatten(cset)).e
-        result = reduced_gradient_sweep(cset, spec, basis, ham, passes=4)
+        result = reduced_gradient_sweep(ev, ev.flatten(cset), passes=4)
         assert result.energy <= start
 
     def test_agrees_with_bfgs_at_stationary_point(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 4, np.random.default_rng(12))
-        refined = bfgs_refine(cset, spec, basis, ham, max_iter=400, tol=1e-10)
-        touched = reduced_gradient_sweep(
-            refined.params, spec, basis, ham, passes=2
-        )
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        refined = bfgs_refine(ev, ev.flatten(cset), max_iter=400, tol=1e-10)
+        touched = reduced_gradient_sweep(ev, refined.x, passes=2)
         assert abs(touched.energy - refined.energy) < 1e-8
 
     def test_requires_active_pairs(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("3s[2s]")
         cset = CorrelatorSet.identity(spec, 4)
+        ev = EnergyEvaluator(spec, 4, basis, ham)
         with pytest.raises(FrozenTensorError):
-            reduced_gradient_sweep(cset, spec, basis, ham)
+            reduced_gradient_sweep(ev, ev.flatten(cset))
 
 
 class TestGradientSubspace:
@@ -649,12 +654,10 @@ class TestGradientSubspace:
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 4, np.random.default_rng(33))
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        result = subspace_refine(cset, spec, basis, ham)
+        result = subspace_refine(ev, ev.flatten(cset))
         assert result.converged, "pair cycling did not reach a fixed point"
         assert result.energy <= ev.energy(ev.flatten(cset)).e
-        assert result.energy == pytest.approx(
-            ev.energy(ev.flatten(result.params)).e, abs=1e-9
-        )
+        assert result.energy == pytest.approx(ev.energy(result.x).e, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["2s", "2s/si"])
     def test_refine_matches_evaluator_per_solve(self, h4, kind):
@@ -675,11 +678,14 @@ class TestGradientSubspace:
                 energy = e_sub
             if not improved:
                 break
-        result = subspace_refine(cset, spec, basis, ham)
+        ev = EnergyEvaluator(spec, 8, basis, ham)
+        result = subspace_refine(ev, ev.flatten(cset))
         assert result.energy == energy
         ref = EnergyEvaluator(spec, 8, basis, ham).unflatten(x)
+        refined = ev.unflatten(result.x)
         for key, tensor in ref.pairs.items():
-            assert np.array_equal(result.params.pairs[key], tensor)
+            assert np.array_equal(refined.pairs[key], tensor)
+        assert np.array_equal(result.x, x)
         assert result.n_iterations == passes
         assert result.converged == (not improved)
 
@@ -688,7 +694,8 @@ class TestGradientSubspace:
         spec = AnsatzSpec("2s")
         cset = cold_start(spec, 4, np.random.default_rng(33))
         monkeypatch.setattr(optimizer, "SUBSPACE_PASSES", 1)
-        result = subspace_refine(cset, spec, basis, ham)
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        result = subspace_refine(ev, ev.flatten(cset))
         assert result.n_iterations == 1
         assert not result.converged
 
@@ -700,7 +707,37 @@ class TestGradientSubspace:
         with pytest.raises(FrozenTensorError):
             gradient_subspace_solve(ev, ev.flatten(cset), 0, 1)
         with pytest.raises(FrozenTensorError):
-            subspace_refine(cset, spec, basis, ham)
+            subspace_refine(ev, ev.flatten(cset))
+
+
+class TestRefinerContract:
+    """Every refinement runs on the caller's evaluator and flat vector."""
+
+    REFINERS = [bfgs_refine, reduced_gradient_sweep, subspace_refine]
+
+    @pytest.mark.parametrize("refiner", REFINERS)
+    def test_screened_evaluator_refused(self, h2, refiner):
+        basis, ham = h2
+        spec = AnsatzSpec("2s")
+        ev = EnergyEvaluator(spec, 4, basis, ham, screen=0.05)
+        x = ev.flatten(cold_start(spec, 4, np.random.default_rng(8)))
+        before = x.copy()
+        with pytest.raises(ConfigError):
+            refiner(ev, x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("refiner", REFINERS)
+    def test_input_left_unchanged(self, h2, refiner):
+        basis, ham = h2
+        spec = AnsatzSpec("2s")
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        x = ev.flatten(cold_start(spec, 4, np.random.default_rng(8)))
+        before = x.copy()
+        result = refiner(ev, x)
+        assert np.array_equal(x, before)
+        assert result.x is not x
+        assert result.energy <= ev.energy(x).e
+        assert result.energy == pytest.approx(ev.energy(result.x).e, abs=1e-9)
 
 
 class TestCheckpoint:
