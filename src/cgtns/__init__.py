@@ -18,11 +18,9 @@ from .energy import EnergyEvaluator, EnergyReport
 from .fock import (
     CsfBasis,
     FockSubspace,
-    OccupationVector,
     build_csf_basis,
     count_onvs_asymptotic,
     enumerate_onvs,
-    s2_apply,
 )
 from .hamiltonian import (
     HamiltonianOperator,

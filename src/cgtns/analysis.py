@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .correlators import AnsatzSpec, param_count
 from .errors import DimensionError
@@ -115,40 +114,28 @@ def balanced_reduction_advisory(
 TRACE_COLUMNS = ("sweep", "replica", "temperature", "energy", "acceptance", "swap")
 
 
-def export_trace(trace: list[TraceRow], path, fmt: str = "csv") -> None:
-    """Write a trace as CSV (fixed column order) or JSON, losslessly.
+def export_trace(trace: list[TraceRow], path) -> None:
+    """Write a trace as CSV with a fixed column order, losslessly.
 
-    CSV columns: sweep, replica, temperature, energy, acceptance, swap.
+    Columns: sweep, replica, temperature, energy, acceptance, swap.
     Floats are written in round-trip precision.
     """
     if not trace:
         raise DimensionError("refusing to export an empty trace")
-    path = Path(path)
-    if fmt == "csv":
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(TRACE_COLUMNS)
-            for row in trace:
-                writer.writerow(
-                    [
-                        row.sweep,
-                        row.replica,
-                        repr(row.temperature),
-                        repr(row.energy),
-                        repr(row.acceptance),
-                        int(row.swapped),
-                    ]
-                )
-    elif fmt == "json":
-        doc = {
-            "format": "cgtns-trace",
-            "version": 1,
-            "columns": list(TRACE_COLUMNS),
-            "rows": [row.as_list() for row in trace],
-        }
-        path.write_text(json.dumps(doc))
-    else:
-        raise DimensionError(f"unknown trace format {fmt!r}; use 'csv' or 'json'")
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(TRACE_COLUMNS)
+        for row in trace:
+            writer.writerow(
+                [
+                    row.sweep,
+                    row.replica,
+                    repr(row.temperature),
+                    repr(row.energy),
+                    repr(row.acceptance),
+                    int(row.swapped),
+                ]
+            )
 
 
 def read_trace_csv(path) -> list[TraceRow]:

@@ -106,6 +106,8 @@ class RunConfig:
             raise ConfigError("window_lo must be below window_hi")
         if self.screen < 0:
             raise ConfigError("screen must be >= 0")
+        # Tempering values fail here, before any file is read or written.
+        _pt_config(self, self.seed).temperatures()
 
 
 def dump_config(cfg: RunConfig) -> str:
@@ -276,9 +278,7 @@ def cmd_run(cfg: RunConfig) -> Path:
             _pt_config(cfg, cfg.seed), pair_spec, basis, ham, pair_init,
             screen=cfg.screen,
         )
-        analysis.export_trace(
-            pair_ensemble.trace, outdir / "stage1_trace.csv", fmt="csv"
-        )
+        analysis.export_trace(pair_ensemble.trace, outdir / "stage1_trace.csv")
         save_checkpoint(pair_ensemble, outdir / "stage1_checkpoint.json")
         pair_best = pair_ensemble.best_params()
         del pair_ensemble  # frees the pair stage's evaluator and sweep tables
@@ -295,7 +295,7 @@ def cmd_run(cfg: RunConfig) -> Path:
             _pt_config(cfg, cfg.seed + 1), spec, basis, ham, start,
             screen=cfg.screen,
         )
-    analysis.export_trace(ensemble.trace, outdir / "trace.csv", fmt="csv")
+    analysis.export_trace(ensemble.trace, outdir / "trace.csv")
     save_checkpoint(ensemble, outdir / "checkpoint.json")
     evaluator = ensemble.evaluator
     final_x, final_energy = ensemble.best_x, ensemble.best_energy

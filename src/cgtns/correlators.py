@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DimensionError, FrozenTensorError
-from .fock import CsfBasis, FockSubspace, occupations
+from .fock import FockSubspace, occupations
 
 ANSATZ_KINDS = (
     "2s",
@@ -450,16 +450,6 @@ class AmplitudeEngine:
             (data, self._jac_indices, self._jac_indptr),
             shape=(len(self.active_indices), self.space.size),
         )
-
-
-def cgtns_norm(S: np.ndarray, basis: CsfBasis) -> float:
-    """Generic squared norm sum_pq S_p S_q sum_n K_pn K_qn."""
-    S = np.asarray(S, dtype=float)
-    if S.shape != (basis.n_csfs,):
-        raise DimensionError(
-            f"weight vector has shape {S.shape}, basis has {basis.n_csfs} CSFs"
-        )
-    return float(S @ basis.overlap() @ S)
 
 
 def select_sites(

@@ -23,8 +23,10 @@ NORM_FLOOR = 1e-300
 #: Peak CSF weights that ``energy_from_weights`` uses without rescaling.
 UNSCALED_PEAK = (1e-100, 1e100)
 #: A local update is trusted while the squared norm stays inside this range
-#: (the square of ``UNSCALED_PEAK``) and above this fraction of its value at
-#: the sweep start; otherwise the proposal is evaluated in full.
+#: (the square of ``UNSCALED_PEAK``) and above this fraction of the largest
+#: value accepted since the sweep start, as the incremental sums keep an
+#: absolute error of order eps times that peak; otherwise the proposal is
+#: evaluated in full.
 LOCAL_NORM_RANGE = (1e-200, 1e200)
 LOCAL_NORM_DROP = 1e-3
 #: Nonzero local energy changes within this fraction of |E| (of 1 Ha at
@@ -40,7 +42,6 @@ class EnergyReport:
     e: float
     norm: float
     screened_csfs: int = 0
-    estimator_samples: np.ndarray | None = None
 
 
 class EnergyEvaluator:
@@ -88,9 +89,7 @@ class EnergyEvaluator:
         """CSF weights S_p = sum_n K_pn * amplitude(n)."""
         return self.K @ self.engine.amplitudes(x)
 
-    def energy_from_weights(
-        self, S: np.ndarray, with_estimators: bool = False
-    ) -> EnergyReport:
+    def energy_from_weights(self, S: np.ndarray) -> EnergyReport:
         S = np.asarray(S, dtype=float)
         if S.shape != (self.basis.n_csfs,):
             raise DimensionError("weight vector does not match the CSF basis")
@@ -101,9 +100,12 @@ class EnergyEvaluator:
             )
         if peak > UNSCALED_PEAK[1] or 0.0 < peak < UNSCALED_PEAK[0]:
             # The quotient is invariant under rescaling; normalizing extreme
-            # weight scales keeps the quadratic forms inside float range.
-            return self._energy_from_normalized(S / peak, peak, with_estimators)
-        samples = None
+            # weight scales keeps the quadratic forms inside float range.  A
+            # power of two shifts only exponents, so a state and its
+            # power-of-two rescaling (the sweep's scale renormalization)
+            # get bit-identical energies.
+            scale = 2.0 ** (math.frexp(peak)[1] - 1)
+            return self._energy_from_normalized(S / scale, scale)
         if self.screen > 0.0 and peak > 0.0:
             keep = np.abs(S) >= self.screen * peak
             dropped = int(S.size - np.count_nonzero(keep))
@@ -111,17 +113,11 @@ class EnergyEvaluator:
             hs = self.h_csf[np.ix_(keep, keep)] @ Ss
             num = Ss @ hs
             den = Ss @ self.overlap[np.ix_(keep, keep)] @ Ss
-            if with_estimators:
-                samples = np.full(S.size, np.nan)
-                samples[keep] = hs / Ss
         else:
             dropped = 0
             hs = self.h_csf @ S
             num = S @ hs
             den = S @ self.overlap @ S
-            if with_estimators:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    samples = np.where(np.abs(S) > NORM_FLOOR, hs / S, np.nan)
         if not den > NORM_FLOOR:
             raise DegenerateStateError(
                 "all CSF weights vanished; the energy is undefined"
@@ -130,38 +126,27 @@ class EnergyEvaluator:
             raise DegenerateStateError(
                 "quadratic forms overflowed; the energy is numerically undefined"
             )
-        return EnergyReport(
-            e=float(num / den),
-            norm=float(den),
-            screened_csfs=dropped,
-            estimator_samples=samples,
-        )
+        return EnergyReport(e=float(num / den), norm=float(den), screened_csfs=dropped)
 
-    def _energy_from_normalized(self, Sn, peak, with_estimators):
+    def _energy_from_normalized(self, Sn, scale):
         """Energy of rescaled weights; reported norm restores the true scale.
 
         The restored norm may saturate to inf for extreme scales while the
         energy itself stays finite and exact.
         """
-        inner = self.energy_from_weights(Sn, with_estimators)
-        norm = float(inner.norm * peak * peak)
+        inner = self.energy_from_weights(Sn)
+        norm = float(inner.norm * scale * scale)
         if norm == 0.0:  # underflowed scale restoration; the state is valid
             norm = float(np.finfo(float).tiny)
-        return EnergyReport(
-            e=inner.e,
-            norm=norm,
-            screened_csfs=inner.screened_csfs,
-            estimator_samples=inner.estimator_samples,
-        )
+        return EnergyReport(e=inner.e, norm=norm, screened_csfs=inner.screened_csfs)
 
-    def energy(self, x: np.ndarray, with_estimators: bool = False) -> EnergyReport:
+    def energy(self, x: np.ndarray) -> EnergyReport:
         """Rayleigh quotient of the correlator state over the CSF basis.
 
         CSFs whose |weight| falls below ``screen * max|weight|`` are dropped
-        from numerator and denominator alike.  ``with_estimators`` also fills
-        the per-CSF energy estimates (NaN where a weight sits below the floor).
+        from numerator and denominator alike.
         """
-        return self.energy_from_weights(self.weights(x), with_estimators)
+        return self.energy_from_weights(self.weights(x))
 
     # -- local moves --------------------------------------------------------------
 
@@ -290,39 +275,7 @@ class LocalMoves:
             return False
         dets, d, rows, self.nd = self._pending
         self.energy = float(self.nd[0] / self.nd[1])
+        self._norm_floor = max(self._norm_floor, LOCAL_NORM_DROP * self.nd[1])
         self.active[dets] += d
         self.uw += rows
         return True
-
-
-# -- oracle-eigenvector seam -------------------------------------------------
-
-
-def energy_from_amplitudes(
-    c: np.ndarray, basis: CsfBasis, ham: HamiltonianOperator, screen: float = 0.0
-) -> EnergyReport:
-    """Energy of an explicit determinant-amplitude vector (test seam).
-
-    Projects the amplitudes through the CSF map exactly like a correlator
-    state, so injecting an oracle eigenvector reproduces the oracle energy.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (basis.space.size,):
-        raise DimensionError("amplitude vector does not match the space")
-    ev = EnergyEvaluator(AnsatzSpec("2s"), basis.space.m, basis, ham, screen=screen)
-    return ev.energy_from_weights(ev.K @ c)
-
-
-def amplitude_space_gradient(
-    c: np.ndarray, basis: CsfBasis, ham: HamiltonianOperator
-) -> np.ndarray:
-    """dE/dc_n for an explicit amplitude vector (test seam).
-
-    Vanishes at any eigenvector of the projected problem, which pins the
-    stationarity of the Rayleigh quotient independently of the tensor
-    parameterization.
-    """
-    c = np.asarray(c, dtype=float)
-    ev = EnergyEvaluator(AnsatzSpec("2s"), basis.space.m, basis, ham)
-    S = ev.K @ c
-    return ev.gradient_from_weights(S, ev.K.T)

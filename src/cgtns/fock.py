@@ -34,14 +34,6 @@ def spin_orbital(spatial: int, spin: int) -> int:
     return 2 * spatial + spin
 
 
-def spatial_orbital(so: int) -> int:
-    return so // 2
-
-
-def is_alpha(so: int) -> bool:
-    return so % 2 == 0
-
-
 def annihilate(bits: int, so: int) -> tuple[int, int] | None:
     """Apply an annihilation operator; returns (new_bits, phase) or None."""
     mask = 1 << so
@@ -58,59 +50,6 @@ def create(bits: int, so: int) -> tuple[int, int] | None:
         return None
     phase = -1 if (bits & (mask - 1)).bit_count() & 1 else 1
     return bits | mask, phase
-
-
-@dataclass(frozen=True)
-class OccupationVector:
-    """One Slater determinant as an occupation bitstring over m spin orbitals."""
-
-    bits: int
-    m: int
-
-    def __post_init__(self):
-        if self.m > MAX_SPIN_ORBITALS:
-            raise CapacityError(
-                f"{self.m} spin orbitals exceed the supported width "
-                f"{MAX_SPIN_ORBITALS}"
-            )
-        if self.bits < 0 or self.bits >> self.m:
-            raise DimensionError(
-                f"bit pattern {self.bits:#x} does not fit in {self.m} spin orbitals"
-            )
-
-    @classmethod
-    def from_string(cls, pattern: str) -> "OccupationVector":
-        """Build from a left-to-right occupation string, e.g. '1001'."""
-        bits = 0
-        for i, ch in enumerate(pattern):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid occupation character {ch!r}")
-        return cls(bits, len(pattern))
-
-    @property
-    def n_electrons(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def n_alpha(self) -> int:
-        return sum((self.bits >> so) & 1 for so in range(0, self.m, 2))
-
-    @property
-    def n_beta(self) -> int:
-        return sum((self.bits >> so) & 1 for so in range(1, self.m, 2))
-
-    @property
-    def ms(self) -> float:
-        """Spin projection (N_alpha - N_beta)/2."""
-        return (self.n_alpha - self.n_beta) / 2.0
-
-    def occupied(self) -> tuple[int, ...]:
-        return tuple(so for so in range(self.m) if (self.bits >> so) & 1)
-
-    def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.m))
 
 
 @dataclass(frozen=True)
@@ -142,9 +81,6 @@ class FockSubspace:
     @property
     def ms(self) -> float:
         return self.ms2 / 2.0
-
-    def onv(self, i: int) -> OccupationVector:
-        return OccupationVector(self.onvs[i], self.m)
 
     def index_of(self, bits: int) -> int:
         """Position of a bit pattern in the canonical ordering."""
@@ -444,44 +380,3 @@ def build_csf_basis(space: FockSubspace, s: float) -> CsfBasis:
         (vals, (rows, cols)), shape=(n_rows, space.size), dtype=float
     )
     return CsfBasis(s2=s2, K=K, space=space)
-
-
-def s2_apply(space: FockSubspace, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the total-spin-squared operator to a determinant-basis vector.
-
-    Uses S^2 = S- S+ + Sz (Sz + 1), with the ladder operators expanded over
-    spatial orbitals and fermionic phases taken from the package convention.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (space.size,):
-        raise DimensionError(
-            f"coefficient vector has shape {coeffs.shape}, space size {space.size}"
-        )
-    m_orb = space.m // 2
-    sz = space.ms2 / 2.0
-
-    def ladder(vec_by_bits, from_spin, to_spin):
-        out: dict[int, float] = {}
-        for bits, c in vec_by_bits.items():
-            if c == 0.0:
-                continue
-            for p in range(m_orb):
-                step = annihilate(bits, spin_orbital(p, from_spin))
-                if step is None:
-                    continue
-                t, ph1 = step
-                step = create(t, spin_orbital(p, to_spin))
-                if step is None:
-                    continue
-                t, ph2 = step
-                out[t] = out.get(t, 0.0) + ph1 * ph2 * c
-        return out
-
-    start = {bits: c for bits, c in zip(space.onvs, coeffs) if c != 0.0}
-    raised = ladder(start, BETA, ALPHA)     # S+
-    lowered = ladder(raised, ALPHA, BETA)   # S-
-
-    result = sz * (sz + 1.0) * coeffs
-    for bits, c in lowered.items():
-        result[space.index_of(bits)] += c
-    return result

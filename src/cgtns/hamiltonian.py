@@ -494,33 +494,6 @@ class HamiltonianOperator:
             self._matrix.append(_determinant_matrix(self.integrals, self.space))
         return self._matrix[0]
 
-    def element(self, i: int, j: int) -> float:
-        return slater_condon(self.space.onvs[i], self.space.onvs[j], self.integrals)
-
-
-def csf_matrix_element(p: int, q: int, basis: CsfBasis, ham: HamiltonianOperator) -> float:
-    """<CSF_p|H|CSF_q> = sum_{nl} K_pn H_nl K_ql.
-
-    Uses the cached determinant matrix when it has already been assembled;
-    otherwise streams the few needed elements instead of building the full
-    matrix for one entry.
-    """
-    if not (0 <= p < basis.n_csfs and 0 <= q < basis.n_csfs):
-        raise DimensionError(f"CSF indices ({p}, {q}) out of range")
-    if basis.space is not ham.space and basis.space != ham.space:
-        raise DimensionError("CSF basis and Hamiltonian use different spaces")
-    row_p = basis.K.getrow(p)
-    row_q = basis.K.getrow(q)
-    if ham._matrix:
-        H = ham._matrix[0]
-        sub = H[np.ix_(row_p.indices, row_q.indices)]
-        return float(row_p.data @ sub @ row_q.data)
-    total = 0.0
-    for n, kp in zip(row_p.indices, row_p.data):
-        for l, kq in zip(row_q.indices, row_q.data):
-            total += kp * kq * ham.element(int(n), int(l))
-    return total
-
 
 def csf_hamiltonian(basis: CsfBasis, ham: HamiltonianOperator) -> np.ndarray:
     """Dense CSF-basis matrix K H K^T."""

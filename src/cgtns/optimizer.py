@@ -76,6 +76,15 @@ class PtConfig:
         if self.target_acceptance is not None and not 0 < self.target_acceptance < 1:
             raise ConfigError("target_acceptance must lie in (0, 1)")
 
+    def temperatures(self) -> list[float]:
+        """The replica ladder; several replicas need t_first < t_last."""
+        if self.n_replicas > 1 and self.t_first == self.t_last:
+            raise ConfigError(
+                "multiple replicas need strictly increasing temperatures; "
+                "equal endpoints make the swap rule undefined"
+            )
+        return temperature_ladder(self.t_first, self.t_last, self.n_replicas)
+
 
 def temperature_ladder(t_first: float, t_last: float, p: int) -> list[float]:
     """Log-spaced temperatures T_l = T_1 * exp((ln T_P - ln T_1)/(P-1))**(l-1)."""
@@ -281,15 +290,8 @@ def run_parallel_tempering(
     pairs with alternating even/odd pairing.
     """
     init.validate(spec)
-    if config.n_replicas > 1 and config.t_first == config.t_last:
-        raise ConfigError(
-            "multiple replicas need strictly increasing temperatures; "
-            "equal endpoints make the swap rule undefined"
-        )
+    temperatures = config.temperatures()
     evaluator = EnergyEvaluator(spec, init.m, basis, ham, screen=screen)
-    temperatures = temperature_ladder(
-        config.t_first, config.t_last, config.n_replicas
-    )
     x0 = evaluator.flatten(init)
     e0 = evaluator.energy(x0).e
     replicas = [

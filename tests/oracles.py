@@ -23,7 +23,6 @@ from scipy import sparse
 
 from cgtns.correlators import AnsatzSpec, CorrelatorSet
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
-from cgtns.fock import OccupationVector
 from cgtns.hamiltonian import slater_condon
 from cgtns.optimizer import STEP_BOUNDS, STEP_FACTOR_CAP, _renormalize_product_scale
 
@@ -285,13 +284,18 @@ def jacobian_loop(engine, x: np.ndarray) -> sparse.csr_matrix:
     )
 
 
+def bits_of(pattern: str) -> int:
+    """ONV of a left-to-right occupation string: '1001' sets bits 0 and 3."""
+    return int(pattern[::-1], 2)
+
+
 def _occ(bits: int, site: int) -> int:
     return (bits >> site) & 1
 
 
 def amplitude(params: CorrelatorSet, spec: AnsatzSpec, onv) -> float:
     """Reference amplitude of one determinant (plain loops over the tensors)."""
-    bits = onv.bits if isinstance(onv, OccupationVector) else int(onv)
+    bits = int(onv)
     pair_product = 1.0
     for (i, j), tensor in params.pairs.items():
         pair_product *= tensor[_occ(bits, i), _occ(bits, j)]
@@ -322,7 +326,7 @@ def amplitude_partial_derivative(
         raise DimensionError(f"no pair tensor {key}")
     if len(key) == 3 and key not in params.triples:
         raise DimensionError(f"no triple tensor {key}")
-    bits = onv.bits if isinstance(onv, OccupationVector) else int(onv)
+    bits = int(onv)
     occs = tuple(_occ(bits, site) for site in key)
     if occs != tuple(element):
         return 0.0

@@ -136,16 +136,6 @@ class TestExportTrace:
         header = path.read_text().splitlines()[0]
         assert header == "sweep,replica,temperature,energy,acceptance,swap"
 
-    def test_json_format(self, tmp_path):
-        import json
-
-        path = tmp_path / "t.json"
-        rows = sample_trace()
-        export_trace(rows, path, fmt="json")
-        doc = json.loads(path.read_text())
-        assert doc["columns"][0] == "sweep"
-        assert doc["rows"][0][3] == rows[0].energy
-
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(DimensionError):
             export_trace([], tmp_path / "t.csv")

@@ -339,6 +339,26 @@ class TestRun:
         assert main(argv) == EXIT_CONFIG
         assert "nat_occ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            "swap_interval = 0",
+            "replicas = 0",
+            "sweeps = -1",
+            "step_size = 0",
+            "target_acceptance = 1.5",
+            "t_first = 0.1",
+            "replicas = 2\nt_first = 0.01\nt_last = 0.01",
+        ],
+    )
+    def test_bad_tempering_values_exit_2_before_any_output(self, tmp_path, values):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"integrals = {H2}\n{values}\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_h6_end_to_end(self, tmp_path):
         # Largest bundled fixture through the whole pipeline: 400
         # determinants, 175 singlet CSFs, 312 pair parameters.

@@ -8,16 +8,21 @@ from cgtns.correlators import (
     AmplitudeEngine,
     AnsatzSpec,
     CorrelatorSet,
-    cgtns_norm,
     param_count,
     select_sites,
 )
 from cgtns.energy import EnergyEvaluator
-from cgtns.errors import DimensionError, FrozenTensorError
-from cgtns.fock import OccupationVector, build_csf_basis, enumerate_onvs
+from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
+from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import HamiltonianOperator, IntegralSet
 
-from oracles import _occ, amplitude, amplitude_partial_derivative, jacobian_loop
+from oracles import (
+    _occ,
+    amplitude,
+    amplitude_partial_derivative,
+    bits_of,
+    jacobian_loop,
+)
 
 
 def csf_weights(cset, spec, basis):
@@ -120,7 +125,7 @@ class TestAmplitude:
         spec = AnsatzSpec("2s/si")
         cset = CorrelatorSet.identity(spec, 4)
         cset.pairs[(0, 1)][1, 0] = 3.0
-        onv = OccupationVector.from_string("1000")
+        onv = bits_of("1000")
         assert amplitude(cset, spec, onv) == 3.0
 
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
@@ -152,7 +157,7 @@ class TestAmplitude:
         spec = AnsatzSpec("2s")
         rng = np.random.default_rng(5)
         cset = randomize(CorrelatorSet.identity(spec, m), rng)
-        onv = OccupationVector.from_string("1100")
+        onv = bits_of("1100")
         key, element = (0, 1), (1, 1)
 
         def amp_with(value):
@@ -235,17 +240,28 @@ class TestCsfWeights:
 
 
 class TestNorm:
+    """The squared norm sum_pq S_p S_q sum_n K_pn K_qn is the energy's
+    denominator, reported as ``EnergyReport.norm``."""
+
+    @staticmethod
+    def evaluator(space, basis):
+        ham = HamiltonianOperator(IntegralSet.zeros(space.m // 2, e_core=-1.0), space)
+        return EnergyEvaluator(AnsatzSpec("2s"), space.m, basis, ham)
+
     def test_unit_vector(self):
         space = enumerate_onvs(4, 2, 0.0)
         basis = build_csf_basis(space, 0.0)
         e1 = np.zeros(basis.n_csfs)
         e1[0] = 1.0
-        assert cgtns_norm(e1, basis) == pytest.approx(1.0, abs=1e-12)
+        report = self.evaluator(space, basis).energy_from_weights(e1)
+        assert report.norm == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector(self):
         space = enumerate_onvs(4, 2, 0.0)
         basis = build_csf_basis(space, 0.0)
-        assert cgtns_norm(np.zeros(basis.n_csfs), basis) == 0.0
+        ev = self.evaluator(space, basis)
+        with pytest.raises(DegenerateStateError):
+            ev.energy_from_weights(np.zeros(basis.n_csfs))
 
     def test_dense_expansion_oracle(self):
         space = enumerate_onvs(6, 3, 0.5)
@@ -254,9 +270,8 @@ class TestNorm:
         cset = randomize(CorrelatorSet.identity(spec, 6), np.random.default_rng(9))
         S = csf_weights(cset, spec, basis)
         dense = basis.dense().T @ S  # determinant-space expansion
-        assert cgtns_norm(S, basis) == pytest.approx(
-            float(dense @ dense), rel=1e-12
-        )
+        report = self.evaluator(space, basis).energy_from_weights(S)
+        assert report.norm == pytest.approx(float(dense @ dense), rel=1e-12)
 
 
 class TestSelectSites:
@@ -285,20 +300,20 @@ class TestPartialDerivative:
     def test_identity_matching_pattern(self):
         spec = AnsatzSpec("2s")
         cset = CorrelatorSet.identity(spec, 4)
-        onv = OccupationVector.from_string("1100")
+        onv = bits_of("1100")
         val = amplitude_partial_derivative(cset, spec, onv, (0, 1), (1, 1))
         assert val == 1.0
 
     def test_non_matching_pattern_is_zero(self):
         spec = AnsatzSpec("2s")
         cset = CorrelatorSet.identity(spec, 4)
-        onv = OccupationVector.from_string("1100")
+        onv = bits_of("1100")
         assert amplitude_partial_derivative(cset, spec, onv, (0, 1), (0, 0)) == 0.0
 
     def test_frozen_tensor_rejected(self):
         spec = AnsatzSpec("3s[2s]")
         cset = CorrelatorSet.identity(spec, 4)
-        onv = OccupationVector.from_string("1100")
+        onv = bits_of("1100")
         with pytest.raises(FrozenTensorError):
             amplitude_partial_derivative(cset, spec, onv, (0, 1), (1, 1))
 
@@ -308,7 +323,7 @@ class TestPartialDerivative:
         rng = np.random.default_rng(12)
         spec = make_spec(kind, m)
         cset = randomize(CorrelatorSet.identity(spec, m), rng)
-        onv = OccupationVector.from_string("1010")
+        onv = bits_of("1010")
         keys = [k for k in list(cset.pairs) + list(cset.triples) if k not in cset.frozen]
         h = 1e-6
         for key in keys[:6]:

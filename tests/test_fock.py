@@ -1,4 +1,4 @@
-"""Determinant enumeration, spin-squared application, and CSF construction."""
+"""Determinant enumeration, the spin-squared reference, and CSF construction."""
 
 import math
 
@@ -6,37 +6,19 @@ import numpy as np
 import pytest
 
 from cgtns import fock
-from cgtns.errors import CapacityError, DimensionError, EmptyBasisError, EmptySpaceError
+from cgtns.errors import CapacityError, EmptyBasisError, EmptySpaceError
 from cgtns.fock import (
-    OccupationVector,
     build_csf_basis,
     count_onvs_asymptotic,
     enumerate_onvs,
     genealogical_paths,
-    s2_apply,
 )
 
-from oracles import all_onvs_brute, s2_matrix_brute
+from oracles import all_onvs_brute, bits_of, s2_matrix_brute
 
 
-def bits_of(pattern):
-    return OccupationVector.from_string(pattern).bits
-
-
-class TestOccupationVector:
-    def test_counts_and_projection(self):
-        onv = OccupationVector.from_string("1001")
-        assert onv.n_electrons == 2
-        assert onv.n_alpha == 1
-        assert onv.n_beta == 1
-        assert onv.ms == 0.0
-        assert str(onv) == "1001"
-
-    def test_width_guard(self):
-        with pytest.raises(DimensionError):
-            OccupationVector(bits=1 << 4, m=4)
-        with pytest.raises(CapacityError):
-            OccupationVector(bits=0, m=66)
+def s2_of(space):
+    return s2_matrix_brute(list(space.onvs), space.m, space.ms)
 
 
 class TestEnumerate:
@@ -135,25 +117,27 @@ class TestAsymptoticCount:
 
 
 class TestS2Apply:
+    """S^2 applied through the brute-force reference matrix."""
+
     def test_closed_shell_is_singlet(self):
         space = enumerate_onvs(4, 2, 0.0)
         vec = np.zeros(space.size)
         vec[space.index_of(bits_of("1100"))] = 1.0
-        assert np.allclose(s2_apply(space, vec), 0.0, atol=1e-14)
+        assert np.allclose(s2_of(space) @ vec, 0.0, atol=1e-14)
 
     def test_high_spin_determinant(self):
         space = enumerate_onvs(8, 3, 1.5)
         vec = np.zeros(space.size)
         vec[0] = 1.0
         s = 1.5
-        assert np.allclose(s2_apply(space, vec), s * (s + 1) * vec, atol=1e-12)
+        assert np.allclose(s2_of(space) @ vec, s * (s + 1) * vec, atol=1e-12)
 
     def test_open_shell_combinations_match_brute_force(self):
         # Oracle: dense S^2 over the four-determinant space.  The symmetric
         # open-shell combination is the triplet, the antisymmetric one the
         # singlet.
         space = enumerate_onvs(4, 2, 0.0)
-        s2 = s2_matrix_brute(list(space.onvs), 4, 0.0)
+        s2 = s2_of(space)
         plus = np.zeros(space.size)
         plus[space.index_of(bits_of("1001"))] = 1 / math.sqrt(2)
         plus[space.index_of(bits_of("0110"))] = 1 / math.sqrt(2)
@@ -162,43 +146,36 @@ class TestS2Apply:
         minus[space.index_of(bits_of("0110"))] = -1 / math.sqrt(2)
         assert np.allclose(s2 @ plus, 2.0 * plus, atol=1e-12)
         assert np.allclose(s2 @ minus, 0.0, atol=1e-12)
-        assert np.allclose(s2_apply(space, plus), s2 @ plus, atol=1e-12)
-        assert np.allclose(s2_apply(space, minus), s2 @ minus, atol=1e-12)
 
     @pytest.mark.parametrize("m,n,ms", [(6, 3, 0.5), (8, 4, 0.0), (8, 4, 1.0)])
     def test_matches_brute_force_matrix(self, m, n, ms):
+        # The CSF bases of every spin the space admits together diagonalize
+        # the brute-force matrix: S^2 = sum_s s(s+1) K_s^T K_s.
         space = enumerate_onvs(m, n, ms)
-        s2 = s2_matrix_brute(list(space.onvs), m, ms)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            vec = rng.standard_normal(space.size)
-            assert np.allclose(s2_apply(space, vec), s2 @ vec, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        space = enumerate_onvs(4, 2, 0.0)
-        with pytest.raises(DimensionError):
-            s2_apply(space, np.zeros(3))
+        spectral = np.zeros((space.size, space.size))
+        for s in np.arange(abs(ms), n / 2 + 0.25, 1.0):
+            K = build_csf_basis(space, float(s)).dense()
+            spectral += s * (s + 1) * (K.T @ K)
+        assert np.allclose(spectral, s2_of(space), atol=1e-10)
 
     def test_symmetry_filtered_space_is_closed_under_s2(self):
         # The ladder operators flip alpha/beta within one spatial orbital,
-        # so a symmetry sector is invariant; multiplicities still match.
+        # so a symmetry sector is invariant (the reference matrix raises if
+        # S- S+ leaves the list); multiplicities still match.
         labels = (1, 2, 1)
         space = enumerate_onvs(6, 3, 0.5, orb_irreps=labels, target_irrep=2)
-        rng = np.random.default_rng(13)
-        vec = rng.standard_normal(space.size)
-        out = s2_apply(space, vec)  # must not escape the sector
-        assert out.shape == vec.shape
+        s2 = s2_of(space)
+        assert s2.shape == (space.size, space.size)
         basis = build_csf_basis(space, 0.5)
         for p in range(basis.n_csfs):
             row = basis.row(p)
-            resid = s2_apply(space, row) - 0.5 * 1.5 * row
+            resid = s2 @ row - 0.5 * 1.5 * row
             assert np.max(np.abs(resid)) < 1e-10
 
 
 def s2_multiplicity(space, s):
     """Multiplicity of eigenvalue s(s+1) in the brute-force S^2 matrix."""
-    mat = s2_matrix_brute(list(space.onvs), space.m, space.ms)
-    evals = np.linalg.eigvalsh(mat)
+    evals = np.linalg.eigvalsh(s2_of(space))
     return int(np.sum(np.abs(evals - s * (s + 1)) < 1e-8))
 
 
@@ -236,9 +213,10 @@ class TestCsfBasis:
         space = enumerate_onvs(m, n, ms)
         basis = build_csf_basis(space, s)
         assert basis.n_csfs == s2_multiplicity(space, s)
+        s2 = s2_of(space)
         for p in range(basis.n_csfs):
             row = basis.row(p)
-            resid = s2_apply(space, row) - s * (s + 1) * row
+            resid = s2 @ row - s * (s + 1) * row
             assert np.max(np.abs(resid)) < 1e-10
 
     def test_rows_orthonormal_via_generic_overlap(self):
@@ -255,9 +233,10 @@ class TestCsfBasis:
         # Weyl dimension of 6 electrons in 6 orbitals at S = 1.
         assert basis.n_csfs == 3 * math.comb(7, 2) * math.comb(7, 5) // 7 == 189
         assert np.max(np.abs(basis.overlap() - np.eye(basis.n_csfs))) < 1e-12
+        s2 = s2_of(space)
         for p in range(basis.n_csfs):
             row = basis.row(p)
-            assert np.max(np.abs(s2_apply(space, row) - 2.0 * row)) < 1e-10
+            assert np.max(np.abs(s2 @ row - 2.0 * row)) < 1e-10
 
     @pytest.mark.parametrize("name,m,n", [("h2", 4, 2), ("h4", 8, 4), ("h6", 12, 6)])
     def test_fixture_bases_unchanged_by_projection_guard(self, name, m, n, monkeypatch):

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgtns.errors import CapacityError, DimensionError, ParseError
+from cgtns.errors import CapacityError, ParseError
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import (
     HamiltonianOperator,
     IntegralSet,
-    csf_matrix_element,
+    csf_hamiltonian,
     exact_diagonalize,
     orbital_occupations,
     parse_fcidump,
@@ -298,14 +298,19 @@ class TestMatrixAssembly:
 
 
 class TestCsfMatrixElement:
+    """Elements of the CSF Hamiltonian K H K^T from ``csf_hamiltonian``."""
+
     def test_single_csf_closed_shell(self):
+        from cgtns.hamiltonian import slater_condon
+
         h, g, e_core = random_integrals(1, 3)
         ints = IntegralSet.from_dense(h, g, e_core=e_core)
         space = enumerate_onvs(2, 2, 0.0)
         basis = build_csf_basis(space, 0.0)
         ham = HamiltonianOperator(ints, space)
-        assert csf_matrix_element(0, 0, basis, ham) == pytest.approx(
-            ham.element(0, 0), abs=1e-14
+        onv = space.onvs[0]
+        assert csf_hamiltonian(basis, ham)[0, 0] == pytest.approx(
+            slater_condon(onv, onv, ints), abs=1e-14
         )
 
     def test_symmetry_and_dense_oracle(self):
@@ -316,39 +321,21 @@ class TestCsfMatrixElement:
         ham = HamiltonianOperator(ints, space)
         K = basis.dense()
         dense = K @ ham.matrix() @ K.T
-        for p in range(basis.n_csfs):
-            for q in range(basis.n_csfs):
-                el = csf_matrix_element(p, q, basis, ham)
-                assert el == pytest.approx(dense[p, q], abs=1e-11)
-                assert el == pytest.approx(
-                    csf_matrix_element(q, p, basis, ham), abs=1e-12
-                )
+        A = csf_hamiltonian(basis, ham)
+        assert A.shape == (basis.n_csfs, basis.n_csfs)
+        assert np.allclose(A, dense, rtol=0.0, atol=1e-11)
+        assert np.allclose(A, A.T, rtol=0.0, atol=1e-12)
 
-    def test_streamed_equals_cached(self):
-        h, g, e_core = random_integrals(3, 41)
-        ints = IntegralSet.from_dense(h, g, e_core=e_core)
-        space = enumerate_onvs(6, 3, 0.5)
-        basis = build_csf_basis(space, 0.5)
-        streamed = HamiltonianOperator(ints, space)
-        values = [
-            csf_matrix_element(p, q, basis, streamed)
-            for p in range(3)
-            for q in range(3)
-        ]
-        cached = HamiltonianOperator(ints, space)
-        cached.matrix()
-        for (p, q), v in zip([(p, q) for p in range(3) for q in range(3)], values):
-            assert v == pytest.approx(
-                csf_matrix_element(p, q, basis, cached), abs=1e-12
-            )
-
-    def test_index_guard(self):
-        ints = IntegralSet.zeros(1)
-        space = enumerate_onvs(2, 2, 0.0)
+    @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
+    def test_pinned_to_slater_condon_loop(self, name):
+        # K H K^T from the reference per-pair determinant matrix.
+        ints, space = fixture_problem(name)
         basis = build_csf_basis(space, 0.0)
-        ham = HamiltonianOperator(ints, space)
-        with pytest.raises(DimensionError):
-            csf_matrix_element(0, 5, basis, ham)
+        K = basis.dense()
+        ref = K @ slater_condon_matrix(ints, space) @ K.T
+        A = csf_hamiltonian(basis, HamiltonianOperator(ints, space))
+        assert np.max(np.abs(A - ref)) <= 1e-12
+        assert np.max(np.abs(A - A.T)) <= 1e-12
 
 
 class TestExactDiagonalize:

@@ -282,8 +282,11 @@ SYSTEMS = {
 }
 
 
-def main():
-    outdir = Path(__file__).resolve().parent.parent / "src" / "cgtns" / "fixtures"
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cgtns" / "fixtures"
+
+
+def main(outdir=FIXTURES):
+    outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     provenance = {
         "generator": "tools/make_fixtures.py",
