@@ -10,7 +10,6 @@ from .analysis import (
 from .correlators import (
     ANSATZ_KINDS,
     AnsatzSpec,
-    CorrelatorSet,
     param_count,
     select_sites,
 )

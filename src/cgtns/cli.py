@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .correlators import ANSATZ_KINDS, AnsatzSpec, CorrelatorSet, select_sites
+from .correlators import ANSATZ_KINDS, AnsatzSpec, select_sites
 from .energy import EnergyEvaluator
 from .errors import (
     CapacityError,
@@ -34,6 +34,7 @@ from .optimizer import (
     PtConfig,
     bfgs_refine,
     cold_start,
+    hybrid_from_pairs,
     reduced_gradient_sweep,
     run_parallel_tempering,
     save_checkpoint,
@@ -266,38 +267,32 @@ def cmd_run(cfg: RunConfig) -> Path:
     # in a later stage never costs earlier results.
     (outdir / "config.txt").write_text(dump_config(cfg))
 
-    if spec.kind in PAIR_KINDS:
-        init = cold_start(spec, m, init_rng)
-        ensemble = run_parallel_tempering(
-            _pt_config(cfg, cfg.seed), spec, basis, ham, init, screen=cfg.screen
+    if spec.kind not in PAIR_KINDS:
+        pair_ev = EnergyEvaluator(
+            AnsatzSpec(_pair_stage_kind(spec.kind)), m, basis, ham, screen=cfg.screen
         )
-    else:
-        pair_spec = AnsatzSpec(_pair_stage_kind(spec.kind))
-        pair_init = cold_start(pair_spec, m, init_rng)
         pair_ensemble = run_parallel_tempering(
-            _pt_config(cfg, cfg.seed), pair_spec, basis, ham, pair_init,
-            screen=cfg.screen,
+            _pt_config(cfg, cfg.seed), pair_ev, cold_start(pair_ev.engine, init_rng)
         )
         analysis.export_trace(pair_ensemble.trace, outdir / "stage1_trace.csv")
         save_checkpoint(pair_ensemble, outdir / "stage1_checkpoint.json")
-        pair_best = pair_ensemble.best_params()
-        del pair_ensemble  # frees the pair stage's evaluator and sweep tables
+        pair_x = pair_ensemble.best_x
+        del pair_ensemble, pair_ev  # frees the pair stage's evaluator and sweep tables
 
-        if spec.is_hybrid and spec.combine_mode == "sum":
-            start = sum_hybrid_start(spec, pair_best, init_rng)
-        elif spec.is_hybrid:
-            start = CorrelatorSet.hybrid_from_pairs(spec, pair_best)
-        elif cfg.init == "warm":
-            start = warm_start_triples_from_pairs(spec, pair_best)
-        else:
-            start = cold_start(spec, m, init_rng)
-        ensemble = run_parallel_tempering(
-            _pt_config(cfg, cfg.seed + 1), spec, basis, ham, start,
-            screen=cfg.screen,
-        )
+    evaluator = EnergyEvaluator(spec, m, basis, ham, screen=cfg.screen)
+    engine = evaluator.engine
+    if spec.kind in PAIR_KINDS or (cfg.init == "cold" and not spec.is_hybrid):
+        start = cold_start(engine, init_rng)
+    elif spec.combine_mode == "sum":
+        start = sum_hybrid_start(engine, pair_x, init_rng)
+    elif spec.is_hybrid:
+        start = hybrid_from_pairs(engine, pair_x)
+    else:
+        start = warm_start_triples_from_pairs(engine, pair_x)
+    stage_seed = cfg.seed if spec.kind in PAIR_KINDS else cfg.seed + 1
+    ensemble = run_parallel_tempering(_pt_config(cfg, stage_seed), evaluator, start)
     analysis.export_trace(ensemble.trace, outdir / "trace.csv")
     save_checkpoint(ensemble, outdir / "checkpoint.json")
-    evaluator = ensemble.evaluator
     final_x, final_energy = ensemble.best_x, ensemble.best_energy
 
     if cfg.refine in REFINERS:
@@ -307,14 +302,13 @@ def cmd_run(cfg: RunConfig) -> Path:
         result = REFINERS[cfg.refine](evaluator, final_x)
         final_x, final_energy = result.x, result.energy
 
-    final_params = evaluator.unflatten(final_x)
-    (outdir / "correlators.json").write_text(final_params.dumps())
+    (outdir / "correlators.json").write_text(engine.dumps(final_x))
 
-    n_active = final_params.n_active_parameters
+    n_active = len(engine.active_indices)
     record = analysis.RunRecord(
         kind=spec.kind,
         n_active_parameters=n_active,
-        n_frozen_parameters=final_params.n_parameters - n_active,
+        n_frozen_parameters=engine.n_params - n_active,
         reference_determinants=space.size,
         reference_csfs=basis.n_csfs,
         reduction_pct=analysis.reduction_percentage(n_active, space.size),

@@ -1,4 +1,4 @@
-"""Correlator ansatze: tensors, vectorized amplitudes, and site selection.
+"""Correlator ansatze: tensor layout, vectorized amplitudes, site selection.
 
 An amplitude is a product of small tensor factors, one per stored site pair
 (and/or site triple); which entry of each factor participates is dictated by
@@ -162,133 +162,17 @@ def param_count(
     return m * (m + 1) * (m + 2) // 6 * q**3
 
 
-@dataclass
-class CorrelatorSet:
-    """The variational parameters: one small tensor per stored site tuple."""
-
-    m: int
-    pairs: dict[tuple[int, int], np.ndarray]
-    triples: dict[tuple[int, int, int], np.ndarray]
-    frozen: frozenset = frozenset()
-
-    @classmethod
-    def identity(cls, spec: AnsatzSpec, m: int) -> "CorrelatorSet":
-        """All tensor entries equal to one; hybrid pair tensors come frozen."""
-        pairs = {k: np.ones((2, 2)) for k in spec.pair_keys(m)}
-        triples = {k: np.ones((2, 2, 2)) for k in spec.triple_keys(m)}
-        frozen = frozenset(pairs) if spec.pairs_frozen else frozenset()
-        return cls(m=m, pairs=pairs, triples=triples, frozen=frozen)
-
-    @classmethod
-    def hybrid_from_pairs(
-        cls, spec: AnsatzSpec, pair_source: "CorrelatorSet"
-    ) -> "CorrelatorSet":
-        """Freeze a converged pair set inside a hybrid ansatz, identity triples."""
-        if not spec.is_hybrid:
-            raise DimensionError(f"{spec.kind} is not a hybrid ansatz")
-        m = pair_source.m
-        expected = spec.pair_keys(m)
-        if tuple(sorted(pair_source.pairs)) != expected:
-            raise DimensionError(
-                "pair source does not carry the full self-interaction-"
-                "inclusive pair set the hybrid freezes"
-            )
-        pairs = {k: v.copy() for k, v in pair_source.pairs.items()}
-        triples = {k: np.ones((2, 2, 2)) for k in spec.triple_keys(m)}
-        return cls(m=m, pairs=pairs, triples=triples, frozen=frozenset(pairs))
-
-    def validate(self, spec: AnsatzSpec) -> None:
-        """Check the stored keys exactly match the ansatz definition."""
-        if tuple(sorted(self.pairs)) != spec.pair_keys(self.m):
-            raise DimensionError("pair tensor keys do not match the ansatz")
-        if tuple(sorted(self.triples)) != spec.triple_keys(self.m):
-            raise DimensionError("triple tensor keys do not match the ansatz")
-        for k, t in self.pairs.items():
-            if t.shape != (2, 2) or not np.all(np.isfinite(t)):
-                raise DimensionError(f"pair tensor {k} malformed or non-finite")
-        for k, t in self.triples.items():
-            if t.shape != (2, 2, 2) or not np.all(np.isfinite(t)):
-                raise DimensionError(f"triple tensor {k} malformed or non-finite")
-        if spec.pairs_frozen and self.frozen != frozenset(self.pairs):
-            raise DimensionError("hybrid ansatz requires all pair tensors frozen")
-
-    def copy(self) -> "CorrelatorSet":
-        return CorrelatorSet(
-            m=self.m,
-            pairs={k: v.copy() for k, v in self.pairs.items()},
-            triples={k: v.copy() for k, v in self.triples.items()},
-            frozen=self.frozen,
-        )
-
-    def tensor(self, key) -> np.ndarray:
-        if len(key) == 2:
-            return self.pairs[key]
-        return self.triples[key]
-
-    @property
-    def n_parameters(self) -> int:
-        return 4 * len(self.pairs) + 8 * len(self.triples)
-
-    @property
-    def n_active_parameters(self) -> int:
-        n = sum(4 for k in self.pairs if k not in self.frozen)
-        n += sum(8 for k in self.triples if k not in self.frozen)
-        return n
-
-    # -- checkpoint serialization ------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "format": "cgtns-correlator-set",
-            "version": 1,
-            "m": self.m,
-            "pairs": {
-                ",".join(map(str, k)): v.ravel().tolist()
-                for k, v in self.pairs.items()
-            },
-            "triples": {
-                ",".join(map(str, k)): v.ravel().tolist()
-                for k, v in self.triples.items()
-            },
-            "frozen": sorted(",".join(map(str, k)) for k in self.frozen),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CorrelatorSet":
-        if obj.get("format") != "cgtns-correlator-set" or obj.get("version") != 1:
-            raise DimensionError("unrecognized correlator-set document")
-
-        def parse_key(s):
-            return tuple(int(t) for t in s.split(","))
-
-        pairs = {
-            parse_key(k): np.asarray(v, dtype=float).reshape(2, 2)
-            for k, v in obj["pairs"].items()
-        }
-        triples = {
-            parse_key(k): np.asarray(v, dtype=float).reshape(2, 2, 2)
-            for k, v in obj["triples"].items()
-        }
-        frozen = frozenset(parse_key(k) for k in obj.get("frozen", ()))
-        return cls(m=obj["m"], pairs=pairs, triples=triples, frozen=frozen)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def loads(cls, text: str) -> "CorrelatorSet":
-        return cls.from_json_obj(json.loads(text))
-
-
 class AmplitudeEngine:
     """Vectorized amplitudes, cofactors, and sparse Jacobians over one space.
 
     The engine holds only structure (tensor keys, flat layout, and the
     entry-index table mapping every (tensor, determinant) cell to the flat
     parameter participating in it); all numeric state travels in the flat
-    vector ``x``.  Factor tables are evaluated for the whole space at once,
-    which subsumes caching per-determinant products within an energy
-    evaluation.
+    vector ``x``, the package's one parameter representation: the pair
+    tensors in ``spec.pair_keys(m)`` order, then the triples, 4 and 8 entries
+    each in C order, frozen where ``active_mask`` is False.  Factor tables
+    are evaluated for the whole space at once, which subsumes caching
+    per-determinant products within an energy evaluation.
     """
 
     def __init__(self, spec: AnsatzSpec, m: int, space: FockSubspace):
@@ -310,11 +194,9 @@ class AmplitudeEngine:
             spec.combine_mode == "sum" and self.pair_keys and self.triple_keys
         )
 
-        frozen_keys = frozenset(self.pair_keys) if spec.pairs_frozen else frozenset()
         active = np.ones(self.n_params, dtype=bool)
-        for t, key in enumerate(self.keys):
-            if key in frozen_keys:
-                active[self.offsets[t] : self.offsets[t] + self.sizes[t]] = False
+        if spec.pairs_frozen:
+            active[: 4 * self.n_pair_rows] = False
         self.active_mask = active
         self.active_indices = np.flatnonzero(active)
 
@@ -353,30 +235,37 @@ class AmplitudeEngine:
 
     # -- flat-vector plumbing ----------------------------------------------
 
-    def flatten(self, params: CorrelatorSet) -> np.ndarray:
-        params.validate(self.spec)
-        if params.m != self.m:
-            raise DimensionError("correlator set and engine site counts differ")
-        x = np.empty(self.n_params)
-        for t, key in enumerate(self.keys):
-            x[self.offsets[t] : self.offsets[t] + self.sizes[t]] = params.tensor(
-                key
-            ).ravel()
+    def checked(self, x) -> np.ndarray:
+        """``x`` as a float vector; DimensionError unless it has shape
+        ``(n_params,)`` and only finite entries."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_params,) or not np.all(np.isfinite(x)):
+            raise DimensionError(
+                f"parameter vector of shape {x.shape} is not {self.n_params} "
+                "finite entries"
+            )
         return x
 
-    def unflatten(self, x: np.ndarray) -> CorrelatorSet:
-        pairs = {}
-        triples = {}
-        for t, key in enumerate(self.keys):
-            block = np.asarray(
-                x[self.offsets[t] : self.offsets[t] + self.sizes[t]], dtype=float
-            )
-            if len(key) == 2:
-                pairs[key] = block.reshape(2, 2).copy()
-            else:
-                triples[key] = block.reshape(2, 2, 2).copy()
-        frozen = frozenset(pairs) if self.spec.pairs_frozen else frozenset()
-        return CorrelatorSet(m=self.m, pairs=pairs, triples=triples, frozen=frozen)
+    def dumps(self, x: np.ndarray) -> str:
+        """The ``correlators.json`` document of ``x``: every tensor's entries
+        in C order under its comma-joined sites, and the frozen tensors."""
+        tensors = {2: {}, 3: {}}
+        frozen = []
+        for key, start, size in zip(self.keys, self.offsets, self.sizes):
+            name = ",".join(map(str, key))
+            tensors[len(key)][name] = x[start : start + size].tolist()
+            if not self.active_mask[start]:
+                frozen.append(name)
+        return json.dumps(
+            {
+                "format": "cgtns-correlator-set",
+                "version": 1,
+                "m": self.m,
+                "pairs": tensors[2],
+                "triples": tensors[3],
+                "frozen": sorted(frozen),
+            }
+        )
 
     def active_rows(self, key) -> slice:
         """Gradient rows (positions in ``active_indices``) of tensor ``key``.
@@ -415,11 +304,17 @@ class AmplitudeEngine:
         return a, a
 
     def active_cofactor(self, x: np.ndarray, t: int, dets: np.ndarray) -> np.ndarray:
-        """Cofactor of tensor t within its addend, at determinants ``dets``."""
+        """Cofactor of tensor t within its addend, at determinants ``dets``,
+        in the prefix-times-suffix order of ``_block_cofactors``."""
         lo = self.n_pair_rows if self.sum_mode else 0
         f = x[self.entry_table[lo:, dets]]
-        f[t - lo] = 1.0
-        return np.prod(f, axis=0)
+        t -= lo
+        cof = np.ones(len(dets))
+        if t:
+            cof *= np.cumprod(f[:t], axis=0)[-1]
+        if t + 1 < len(f):
+            cof *= np.cumprod(f[:t:-1], axis=0)[-1]
+        return cof
 
     def _block_cofactors(self, f: np.ndarray) -> np.ndarray:
         """cof[t, n] = product of all rows of the block except t."""
@@ -449,6 +344,18 @@ class AmplitudeEngine:
         return sparse.csr_matrix(
             (data, self._jac_indices, self._jac_indptr),
             shape=(len(self.active_indices), self.space.size),
+        )
+
+    def jacobian_rows(self, x: np.ndarray, key) -> sparse.csr_matrix:
+        """Rows ``active_rows(key)`` of ``jacobian(x)``, bit for bit, from
+        tensor ``key``'s cofactors alone."""
+        rows = self.active_rows(key)
+        indptr = self._jac_indptr[rows.start : rows.stop + 1]
+        dets = self._jac_indices[indptr[0] : indptr[-1]]
+        data = self.active_cofactor(x, self.keys.index(key), dets)
+        return sparse.csr_matrix(
+            (data, dets, indptr - indptr[0]),
+            shape=(rows.stop - rows.start, self.space.size),
         )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import AmplitudeEngine, AnsatzSpec, CorrelatorSet
+from .correlators import AmplitudeEngine, AnsatzSpec
 from .errors import DegenerateStateError, DimensionError, EstimatorUndefinedError
 from .fock import CsfBasis
 from .hamiltonian import HamiltonianOperator, csf_hamiltonian
@@ -74,14 +74,6 @@ class EnergyEvaluator:
         self.overlap = basis.overlap()
         self.h_csf = csf_hamiltonian(basis, ham)
         self._projected = None
-
-    # -- parameter plumbing --------------------------------------------------
-
-    def flatten(self, params: CorrelatorSet) -> np.ndarray:
-        return self.engine.flatten(params)
-
-    def unflatten(self, x: np.ndarray) -> CorrelatorSet:
-        return self.engine.unflatten(x)
 
     # -- energy ---------------------------------------------------------------
 

@@ -67,12 +67,6 @@ class FockSubspace:
     onvs: tuple[int, ...]
     orb_irreps: tuple[int, ...] | None = None
     target_irrep: int | None = None
-    _index: dict = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {bits: i for i, bits in enumerate(self.onvs)}
-        )
 
     @property
     def size(self) -> int:
@@ -81,15 +75,6 @@ class FockSubspace:
     @property
     def ms(self) -> float:
         return self.ms2 / 2.0
-
-    def index_of(self, bits: int) -> int:
-        """Position of a bit pattern in the canonical ordering."""
-        try:
-            return self._index[bits]
-        except KeyError:
-            raise DimensionError(
-                f"determinant {bits:#x} is not a member of this space"
-            ) from None
 
 
 def occupations(space: FockSubspace) -> np.ndarray:
@@ -291,10 +276,6 @@ class CsfBasis:
     @property
     def n_csfs(self) -> int:
         return self.K.shape[0]
-
-    def row(self, p: int) -> np.ndarray:
-        """Dense determinant-expansion coefficients of CSF p."""
-        return self.K.getrow(p).toarray().ravel()
 
     def dense(self) -> np.ndarray:
         return self.K.toarray()

@@ -101,10 +101,6 @@ class IntegralSet:
     def g(self, p: int, q: int, r: int, s: int) -> float:
         return self.g_flat[_tri(_tri(p, q), _tri(r, s))]
 
-    def set_g(self, p: int, q: int, r: int, s: int, value: float) -> None:
-        self.g_flat[_tri(_tri(p, q), _tri(r, s))] = value
-        self._g_dense.clear()
-
     def g_dense(self) -> np.ndarray:
         """Full chemists' array with all eight permutation partners filled."""
         if not self._g_dense:

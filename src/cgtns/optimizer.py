@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import linalg
 
-from .correlators import AnsatzSpec, CorrelatorSet
+from .correlators import AmplitudeEngine, AnsatzSpec
 from .energy import EnergyEvaluator
 from .errors import (
     ConfigError,
@@ -160,9 +160,6 @@ class ReplicaEnsemble:
     swap_attempts: int = 0
     swap_rng: np.random.Generator = None
 
-    def best_params(self) -> CorrelatorSet:
-        return self.evaluator.unflatten(self.best_x)
-
 
 def _replica_rng(seed: int, index: int) -> np.random.Generator:
     """Stream split: the base seed spawns one child sequence per replica.
@@ -276,23 +273,16 @@ def metropolis_sweep(
 
 
 def run_parallel_tempering(
-    config: PtConfig,
-    spec: AnsatzSpec,
-    basis: CsfBasis,
-    ham: HamiltonianOperator,
-    init: CorrelatorSet,
-    screen: float = 0.0,
+    config: PtConfig, evaluator: EnergyEvaluator, x0: np.ndarray
 ) -> ReplicaEnsemble:
-    """Minimize the variational energy with replica-exchange Metropolis.
+    """Minimize the evaluator's energy with replica-exchange Metropolis.
 
-    All replicas start from ``init``; frozen tensors never move.  Swap
-    attempts run every ``swap_interval`` sweeps over adjacent temperature
-    pairs with alternating even/odd pairing.
+    All replicas start from the flat vector ``x0``; frozen entries never
+    move.  Swap attempts run every ``swap_interval`` sweeps over adjacent
+    temperature pairs with alternating even/odd pairing.
     """
-    init.validate(spec)
+    x0 = evaluator.engine.checked(x0)
     temperatures = config.temperatures()
-    evaluator = EnergyEvaluator(spec, init.m, basis, ham, screen=screen)
-    x0 = evaluator.flatten(init)
     e0 = evaluator.energy(x0).e
     replicas = [
         ReplicaState(
@@ -370,27 +360,38 @@ def continue_parallel_tempering(ensemble: ReplicaEnsemble, sweeps: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cold_start(spec: AnsatzSpec, m: int, rng: np.random.Generator) -> CorrelatorSet:
-    """Identity-biased start: every entry 1 + uniform noise in [-0.1, 0.1]."""
-    cset = CorrelatorSet.identity(spec, m)
-    for key in sorted(cset.pairs):
-        if key not in cset.frozen:
-            cset.pairs[key] += rng.uniform(-0.1, 0.1, (2, 2))
-    for key in sorted(cset.triples):
-        cset.triples[key] += rng.uniform(-0.1, 0.1, (2, 2, 2))
-    return cset
+def cold_start(engine: AmplitudeEngine, rng: np.random.Generator) -> np.ndarray:
+    """Identity-biased start: every active entry 1 + uniform noise in
+    [-0.1, 0.1], drawn in layout order; frozen entries are one."""
+    x = np.ones(engine.n_params)
+    x[engine.active_indices] += rng.uniform(-0.1, 0.1, len(engine.active_indices))
+    return x
+
+
+def hybrid_from_pairs(engine: AmplitudeEngine, pair_x: np.ndarray) -> np.ndarray:
+    """Freeze a converged pair vector inside a hybrid ansatz, identity triples."""
+    if not engine.spec.is_hybrid:
+        raise DimensionError(f"{engine.spec.kind} is not a hybrid ansatz")
+    n_pair = 4 * engine.n_pair_rows
+    if np.shape(pair_x) != (n_pair,):
+        raise DimensionError(
+            "pair source does not carry the full self-interaction-"
+            "inclusive pair set the hybrid freezes"
+        )
+    x = np.ones(engine.n_params)
+    x[:n_pair] = pair_x
+    return x
 
 
 def sum_hybrid_start(
-    spec: AnsatzSpec, pair_source: CorrelatorSet, rng: np.random.Generator
-) -> CorrelatorSet:
+    engine: AmplitudeEngine, pair_x: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
     """Frozen pairs plus near-zero triples, so the added product term is tiny."""
-    if spec.combine_mode != "sum":
-        raise DimensionError(f"{spec.kind} is not an additive hybrid")
-    cset = CorrelatorSet.hybrid_from_pairs(spec, pair_source)
-    for key in sorted(cset.triples):
-        cset.triples[key][:] = rng.uniform(-1e-3, 1e-3, (2, 2, 2))
-    return cset
+    if engine.spec.combine_mode != "sum":
+        raise DimensionError(f"{engine.spec.kind} is not an additive hybrid")
+    x = hybrid_from_pairs(engine, pair_x)
+    x[engine.active_indices] = rng.uniform(-1e-3, 1e-3, len(engine.active_indices))
+    return x
 
 
 def _slot_pairs(key: tuple[int, int, int]):
@@ -403,10 +404,12 @@ def _slot_pairs(key: tuple[int, int, int]):
 
 
 def warm_start_triples_from_pairs(
-    spec: AnsatzSpec, pair_source: CorrelatorSet
-) -> CorrelatorSet:
+    engine: AmplitudeEngine, pair_x: np.ndarray
+) -> np.ndarray:
     """Pure-triple parameters that reproduce the pair-product amplitudes.
 
+    ``pair_x`` holds the pair tensors the triples share sites with: the
+    ``2s`` layout for self-interaction triples, else the ``2s/si`` one.
     Every triple entry takes the geometric mean |C_ij C_ik C_jk|**(1/n) of its
     slot pair factors, with n the number of slot appearances of a pair across
     the triple set (m+2 with self-interaction triples, m-2 without), so that
@@ -414,28 +417,23 @@ def warm_start_triples_from_pairs(
     The sign of each pair factor is applied once, at its lexicographically
     first slot appearance.
     """
+    spec, m = engine.spec, engine.m
     if not spec.has_triples or spec.has_pairs:
         raise DimensionError(f"{spec.kind} is not a pure triple ansatz")
-    m = pair_source.m
-    triple_keys = spec.triple_keys(m)
-    need_si_pairs = spec.triples_si
-    expected_pairs = (
-        tuple((i, j) for i in range(m) for j in range(i, m))
-        if need_si_pairs
-        else tuple((i, j) for i in range(m) for j in range(i + 1, m))
-    )
-    if tuple(sorted(pair_source.pairs)) != expected_pairs:
+    pair_keys = AnsatzSpec("2s" if spec.triples_si else "2s/si").pair_keys(m)
+    if np.shape(pair_x) != (4 * len(pair_keys),):
         raise DimensionError(
             "pair source must carry exactly the pair set matching the "
             "triple ansatz (self-interaction pairs only with si triples)"
         )
+    pairs = dict(zip(pair_keys, np.reshape(pair_x, (-1, 2, 2))))
     exponent = 1.0 / (m + 2) if spec.triples_si else 1.0 / (m - 2)
 
-    triples: dict[tuple, np.ndarray] = {}
-    for key in triple_keys:
-        tensor = np.ones((2, 2, 2))
+    x = np.ones(engine.n_params)
+    triples = dict(zip(engine.triple_keys, x.reshape(-1, 2, 2, 2)))
+    for key, tensor in triples.items():
         for pair, layout in _slot_pairs(key):
-            source = pair_source.pairs[pair]
+            source = pairs[pair]
             for a in range(2):
                 for b in range(2):
                     magnitude = abs(source[a, b]) ** exponent
@@ -443,15 +441,13 @@ def warm_start_triples_from_pairs(
                     idx[layout.index(0)] = a
                     idx[layout.index(1)] = b
                     tensor[tuple(idx)] *= magnitude
-        triples[key] = tensor
     # Assign each pair-entry sign once, at the first slot appearance.
     assigned: set[tuple[int, int]] = set()
-    for key in triple_keys:
+    for key, tensor in triples.items():
         for pair, layout in _slot_pairs(key):
             if pair in assigned:
                 continue
-            source = pair_source.pairs[pair]
-            tensor = triples[key]
+            source = pairs[pair]
             for a in range(2):
                 for b in range(2):
                     if source[a, b] < 0:
@@ -460,7 +456,7 @@ def warm_start_triples_from_pairs(
                         idx[layout.index(1)] = b
                         tensor[tuple(idx)] *= -1.0
             assigned.add(pair)
-    return CorrelatorSet(m=m, pairs={}, triples=triples, frozen=frozenset())
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +619,7 @@ def gradient_subspace_solve(
         raise DimensionError(
             "subspace update requires the state to be linear in the tensor"
         )
-    jac = evaluator.engine.jacobian(x)
-    V = np.asarray(jac[rows] @ evaluator.K.T)
+    V = np.asarray(evaluator.engine.jacobian_rows(x, key) @ evaluator.K.T)
     h_sub = V @ evaluator.h_csf @ V.T
     s_sub = V @ evaluator.overlap @ V.T
     h_sub = 0.5 * (h_sub + h_sub.T)
@@ -740,7 +735,7 @@ def load_checkpoint(
     evaluator = EnergyEvaluator(spec, doc["m"], basis, ham, screen=screen)
     replicas = [
         ReplicaState(
-            x=np.asarray(r["x"], dtype=float),
+            x=evaluator.engine.checked(r["x"]),
             energy=float(r["energy"]),
             step=float(r["step"]),
             rng=_restore_rng(r["rng_state"]),
@@ -762,7 +757,7 @@ def load_checkpoint(
         config=config,
         temperatures=[float(t) for t in doc["temperatures"]],
         replicas=replicas,
-        best_x=np.asarray(doc["best_x"], dtype=float),
+        best_x=evaluator.engine.checked(doc["best_x"]),
         best_energy=float(doc["best_energy"]),
         trace=trace,
         sweeps_done=int(doc["sweeps_done"]),

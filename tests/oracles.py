@@ -12,6 +12,8 @@ the Slater-Condon rules, which ``hamiltonian_matrix_brute`` checks).  The
 per-determinant loops ``amplitude``, ``amplitude_partial_derivative`` and
 ``orbital_occupations_loop`` are the references for ``AmplitudeEngine`` and
 ``orbital_occupations``, and ``jacobian_loop`` for ``AmplitudeEngine.jacobian``.
+``tensors`` restates the flat parameter layout from the ansatz definition
+alone, so the amplitude references read the tensors without the engine.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from cgtns.correlators import AnsatzSpec, CorrelatorSet
+from cgtns.correlators import AnsatzSpec
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
 from cgtns.hamiltonian import slater_condon
 from cgtns.optimizer import STEP_BOUNDS, STEP_FACTOR_CAP, _renormalize_product_scale
@@ -293,18 +295,53 @@ def _occ(bits: int, site: int) -> int:
     return (bits >> site) & 1
 
 
-def amplitude(params: CorrelatorSet, spec: AnsatzSpec, onv) -> float:
+def identity(spec: AnsatzSpec, m: int) -> np.ndarray:
+    """Flat vector of ``spec`` over ``m`` sites with every tensor entry one."""
+    return np.ones(4 * len(spec.pair_keys(m)) + 8 * len(spec.triple_keys(m)))
+
+
+def tensors(spec: AnsatzSpec, m: int, x: np.ndarray):
+    """(pairs, triples): views of the flat vector ``x`` keyed by sites.
+
+    The layout: pair tensors in ``spec.pair_keys(m)`` order, then triple
+    tensors in ``spec.triple_keys(m)`` order, 4 and 8 entries each in C
+    order.  Writing to a view writes to ``x``.
+    """
+    pair_keys, triple_keys = spec.pair_keys(m), spec.triple_keys(m)
+    n_pair = 4 * len(pair_keys)
+    if x.shape != (n_pair + 8 * len(triple_keys),):
+        raise DimensionError(f"vector of shape {x.shape} does not fit the ansatz")
+    pairs = dict(zip(pair_keys, x[:n_pair].reshape(-1, 2, 2)))
+    triples = dict(zip(triple_keys, x[n_pair:].reshape(-1, 2, 2, 2)))
+    return pairs, triples
+
+
+def randomize(spec: AnsatzSpec, m: int, rng, scale: float = 0.6) -> np.ndarray:
+    """``identity`` plus uniform noise in [-scale, scale] on every active
+    tensor, drawn tensor by tensor in layout order."""
+    x = identity(spec, m)
+    pairs, triples = tensors(spec, m, x)
+    if not spec.pairs_frozen:
+        for tensor in pairs.values():
+            tensor += rng.uniform(-scale, scale, size=(2, 2))
+    for tensor in triples.values():
+        tensor += rng.uniform(-scale, scale, size=(2, 2, 2))
+    return x
+
+
+def amplitude(spec: AnsatzSpec, m: int, x: np.ndarray, onv) -> float:
     """Reference amplitude of one determinant (plain loops over the tensors)."""
+    pairs, triples = tensors(spec, m, x)
     bits = int(onv)
     pair_product = 1.0
-    for (i, j), tensor in params.pairs.items():
+    for (i, j), tensor in pairs.items():
         pair_product *= tensor[_occ(bits, i), _occ(bits, j)]
     triple_product = 1.0
-    for (i, j, k), tensor in params.triples.items():
+    for (i, j, k), tensor in triples.items():
         triple_product *= tensor[_occ(bits, i), _occ(bits, j), _occ(bits, k)]
-    if not params.pairs:
+    if not pairs:
         return triple_product
-    if not params.triples:
+    if not triples:
         return pair_product
     if spec.combine_mode == "sum":
         return pair_product + triple_product
@@ -312,7 +349,7 @@ def amplitude(params: CorrelatorSet, spec: AnsatzSpec, onv) -> float:
 
 
 def amplitude_partial_derivative(
-    params: CorrelatorSet, spec: AnsatzSpec, onv, key, element
+    spec: AnsatzSpec, m: int, x: np.ndarray, onv, key, element
 ) -> float:
     """d(amplitude)/d(one tensor entry), recomputing the co-factor product.
 
@@ -320,27 +357,28 @@ def amplitude_partial_derivative(
     entry's index pattern; the surviving factor product is rebuilt without the
     differentiated tensor rather than divided out.
     """
-    if key in params.frozen:
+    pairs, triples = tensors(spec, m, x)
+    if len(key) == 2 and spec.pairs_frozen:
         raise FrozenTensorError(f"tensor {key} is frozen")
-    if len(key) == 2 and key not in params.pairs:
+    if len(key) == 2 and key not in pairs:
         raise DimensionError(f"no pair tensor {key}")
-    if len(key) == 3 and key not in params.triples:
+    if len(key) == 3 and key not in triples:
         raise DimensionError(f"no triple tensor {key}")
     bits = int(onv)
     occs = tuple(_occ(bits, site) for site in key)
     if occs != tuple(element):
         return 0.0
     pair_product = 1.0
-    for k, tensor in params.pairs.items():
+    for k, tensor in pairs.items():
         if k == key:
             continue
         pair_product *= tensor[_occ(bits, k[0]), _occ(bits, k[1])]
     triple_product = 1.0
-    for k, tensor in params.triples.items():
+    for k, tensor in triples.items():
         if k == key:
             continue
         triple_product *= tensor[_occ(bits, k[0]), _occ(bits, k[1]), _occ(bits, k[2])]
-    if spec.combine_mode == "sum" and params.pairs and params.triples:
+    if spec.combine_mode == "sum" and pairs and triples:
         # The differentiated entry lives in exactly one of the two addends.
         return triple_product if len(key) == 3 else pair_product
     return pair_product * triple_product

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from cgtns.analysis import reduction_report, spin_splitting
-from cgtns.correlators import AnsatzSpec, CorrelatorSet, param_count
+from cgtns.correlators import AnsatzSpec, param_count
 from cgtns.energy import EnergyEvaluator
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import (
@@ -31,6 +31,7 @@ from cgtns.optimizer import (
     ReplicaState,
     cold_start,
     continue_parallel_tempering,
+    hybrid_from_pairs,
     load_checkpoint,
     metropolis_sweep,
     run_parallel_tempering,
@@ -40,7 +41,7 @@ from cgtns.optimizer import (
     warm_start_triples_from_pairs,
 )
 
-from oracles import s2_matrix_brute
+from oracles import identity, s2_matrix_brute, tensors
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 
@@ -170,7 +171,7 @@ def test_criterion_04_oracle_equivalence(problems, provenance):
         )
         s2 = s2_matrix_brute(list(space.onvs), space.m, space.ms)
         for p in range(basis.n_csfs):
-            row = basis.row(p)
+            row = basis.K[p].toarray().ravel()
             resid = s2 @ row - basis.s * (basis.s + 1) * row
             assert np.max(np.abs(resid)) <= 1e-10
     report(4, "determinant and CSF diagonalization agree to 1e-10 on "
@@ -186,7 +187,7 @@ def test_criterion_05_variational_bound(problems):
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, space.m, basis, ham)
         e0_csf, _ = exact_diagonalize(ham, basis)
-        x_id = ev.flatten(CorrelatorSet.identity(spec, space.m))
+        x_id = identity(spec, space.m)
         for _ in range(1000):
             x = x_id + rng.uniform(-0.5, 0.5, x_id.size)
             e = ev.energy(x).e
@@ -217,7 +218,7 @@ def test_criterion_06_gradient_suite(problems):
                 else AnsatzSpec(kind)
             )
             ev = EnergyEvaluator(spec, m, basis, ham)
-            x_id = ev.flatten(CorrelatorSet.identity(spec, m))
+            x_id = identity(spec, m)
             for _ in range(8):
                 x = x_id.copy()
                 x[ev.engine.active_indices] += rng.uniform(
@@ -252,7 +253,7 @@ def test_criterion_07_estimator_identity(problems):
         space, basis, ham = problems[name]
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, space.m, basis, ham)
-        x_id = ev.flatten(CorrelatorSet.identity(spec, space.m))
+        x_id = identity(spec, space.m)
         for _ in range(50):
             x = x_id + rng.uniform(-0.4, 0.4, x_id.size)
             S = ev.weights(x)
@@ -280,8 +281,9 @@ def test_criterion_08_parallel_tempering_end_to_end(problems):
         t_first=0.0005, t_last=0.05, n_replicas=3, sweeps=200,
         swap_interval=5, step_size=0.1, seed=7,
     )
+    ev2 = EnergyEvaluator(spec2, 4, basis, ham)
     ensemble = run_parallel_tempering(
-        config, spec2, basis, ham, cold_start(spec2, 4, np.random.default_rng(7))
+        config, ev2, cold_start(ev2.engine, np.random.default_rng(7))
     )
     gap_h2 = ensemble.best_energy - e0
     assert -1e-12 <= gap_h2 <= 5e-3
@@ -293,17 +295,17 @@ def test_criterion_08_parallel_tempering_end_to_end(problems):
         t_first=0.0005, t_last=0.05, n_replicas=4, sweeps=250,
         swap_interval=5, step_size=0.1, seed=2024,
     )
+    ev2 = EnergyEvaluator(spec2, 8, basis, ham)
     stage1 = run_parallel_tempering(
-        stage1_cfg, spec2, basis, ham,
-        cold_start(spec2, 8, np.random.default_rng(2024)),
+        stage1_cfg, ev2, cold_start(ev2.engine, np.random.default_rng(2024))
     )
-    spec3 = AnsatzSpec("3s")
-    warm = warm_start_triples_from_pairs(spec3, stage1.best_params())
+    ev3 = EnergyEvaluator(AnsatzSpec("3s"), 8, basis, ham)
+    warm = warm_start_triples_from_pairs(ev3.engine, stage1.best_x)
     stage2_cfg = PtConfig(
         t_first=1e-4, t_last=5e-3, n_replicas=4, sweeps=120,
         swap_interval=5, step_size=0.01, seed=2025,
     )
-    stage2 = run_parallel_tempering(stage2_cfg, spec3, basis, ham, warm)
+    stage2 = run_parallel_tempering(stage2_cfg, ev3, warm)
     improvement = stage1.best_energy - stage2.best_energy
     assert stage2.best_energy >= e0_h4 - 1e-12
     assert improvement >= 1e-4
@@ -319,23 +321,23 @@ def test_criterion_09_hybrid_staging(problems):
         t_first=0.001, t_last=0.02, n_replicas=2, sweeps=40,
         swap_interval=4, step_size=0.1, seed=90,
     )
-    stage1 = run_parallel_tempering(
-        config, spec2, basis, ham, cold_start(spec2, 4, np.random.default_rng(90))
-    )
-    pair_best = stage1.best_params()
     ev2 = EnergyEvaluator(spec2, 4, basis, ham)
-    e2 = ev2.energy(ev2.flatten(pair_best)).e
+    stage1 = run_parallel_tempering(
+        config, ev2, cold_start(ev2.engine, np.random.default_rng(90))
+    )
+    pair_best = stage1.best_x
+    e2 = ev2.energy(pair_best).e
 
     spec_h = AnsatzSpec("3s[2s]")
-    hybrid = CorrelatorSet.hybrid_from_pairs(spec_h, pair_best)
     ev_h = EnergyEvaluator(spec_h, 4, basis, ham)
-    e_init = ev_h.energy(ev_h.flatten(hybrid)).e
+    hybrid = hybrid_from_pairs(ev_h.engine, pair_best)
+    e_init = ev_h.energy(hybrid).e
     assert e_init == e2  # bitwise: identity triples change nothing
 
-    stage2 = run_parallel_tempering(config, spec_h, basis, ham, hybrid)
-    final = stage2.best_params()
-    for key, tensor in pair_best.pairs.items():
-        assert np.array_equal(final.pairs[key], tensor)
+    stage2 = run_parallel_tempering(config, ev_h, hybrid)
+    final = tensors(spec_h, 4, stage2.best_x)[0]
+    for key, tensor in tensors(spec2, 4, pair_best)[0].items():
+        assert np.array_equal(final[key], tensor)
     assert stage2.best_energy <= e_init
     running = min(r.energy for r in stage2.trace)
     assert stage2.best_energy <= running
@@ -367,7 +369,7 @@ def test_criterion_10_swap_and_ladder_formulas(problems):
     space, basis, ham = problems["h2"]
     spec = AnsatzSpec("2s")
     ev = EnergyEvaluator(spec, 4, basis, ham)
-    x = ev.flatten(CorrelatorSet.identity(spec, 4))
+    x = identity(spec, 4)
     replica = ReplicaState(
         x=x, energy=ev.energy(x).e, step=0.05, rng=np.random.default_rng(3)
     )
@@ -390,16 +392,17 @@ def test_criterion_11_determinism_and_restart(problems, tmp_path):
         t_first=0.001, t_last=0.02, n_replicas=3, sweeps=30,
         swap_interval=4, step_size=0.1, seed=1111,
     )
-    init = cold_start(spec, 4, np.random.default_rng(1111))
-    run_a = run_parallel_tempering(config, spec, basis, ham, init.copy())
-    run_b = run_parallel_tempering(config, spec, basis, ham, init.copy())
+    ev = EnergyEvaluator(spec, 4, basis, ham)
+    init = cold_start(ev.engine, np.random.default_rng(1111))
+    run_a = run_parallel_tempering(config, ev, init)
+    run_b = run_parallel_tempering(config, EnergyEvaluator(spec, 4, basis, ham), init)
     assert [r.as_list() for r in run_a.trace] == [r.as_list() for r in run_b.trace]
 
     half_cfg = PtConfig(
         t_first=0.001, t_last=0.02, n_replicas=3, sweeps=15,
         swap_interval=4, step_size=0.1, seed=1111,
     )
-    half = run_parallel_tempering(half_cfg, spec, basis, ham, init.copy())
+    half = run_parallel_tempering(half_cfg, ev, init)
     ckpt = tmp_path / "ckpt.json"
     save_checkpoint(half, ckpt)
     resumed = load_checkpoint(ckpt, basis, ham)

@@ -1,5 +1,7 @@
 """Ansatz definitions, parameter counts, amplitudes, and weights."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from cgtns.correlators import (
     ANSATZ_KINDS,
     AmplitudeEngine,
     AnsatzSpec,
-    CorrelatorSet,
     param_count,
     select_sites,
 )
@@ -15,53 +16,46 @@ from cgtns.energy import EnergyEvaluator
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import HamiltonianOperator, IntegralSet
+from cgtns.optimizer import hybrid_from_pairs
 
 from oracles import (
     _occ,
     amplitude,
     amplitude_partial_derivative,
     bits_of,
+    identity,
     jacobian_loop,
+    randomize,
+    tensors,
 )
 
 
-def csf_weights(cset, spec, basis):
+def csf_weights(x, spec, m, basis):
     """EnergyEvaluator.weights; the (zero) Hamiltonian plays no part in them."""
     ham = HamiltonianOperator(IntegralSet.zeros(basis.space.m // 2), basis.space)
-    ev = EnergyEvaluator(spec, cset.m, basis, ham)
-    return ev.weights(ev.flatten(cset))
+    return EnergyEvaluator(spec, m, basis, ham).weights(x)
 
 
-def loop_amplitude_oracle(params, spec, bits):
+def loop_amplitude_oracle(spec, m, x, bits):
     """Independent nested-loop amplitude: reads tensors straight off the dicts."""
+    pairs, triples = tensors(spec, m, x)
 
     def occ(site):
         return (bits >> site) & 1
 
     p_prod = 1.0
-    for (i, j) in sorted(params.pairs):
-        p_prod = p_prod * params.pairs[(i, j)][occ(i)][occ(j)]
+    for (i, j) in sorted(pairs):
+        p_prod = p_prod * pairs[(i, j)][occ(i)][occ(j)]
     t_prod = 1.0
-    for (i, j, k) in sorted(params.triples):
-        t_prod = t_prod * params.triples[(i, j, k)][occ(i)][occ(j)][occ(k)]
-    if not params.pairs:
+    for (i, j, k) in sorted(triples):
+        t_prod = t_prod * triples[(i, j, k)][occ(i)][occ(j)][occ(k)]
+    if not pairs:
         return t_prod
-    if not params.triples:
+    if not triples:
         return p_prod
     if "+[2s]" in spec.kind:
         return p_prod + t_prod
     return p_prod * t_prod
-
-
-def randomize(cset, rng, scale=0.6):
-    out = cset.copy()
-    for k in out.pairs:
-        if k not in out.frozen:
-            out.pairs[k] += rng.uniform(-scale, scale, size=(2, 2))
-    for k in out.triples:
-        if k not in out.frozen:
-            out.triples[k] += rng.uniform(-scale, scale, size=(2, 2, 2))
-    return out
 
 
 def make_spec(kind, m=None):
@@ -103,9 +97,9 @@ class TestParamCount:
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
     def test_stored_entries_match_count(self, kind, m):
         spec = make_spec(kind, m)
-        cset = CorrelatorSet.identity(spec, m)
-        cset.validate(spec)
-        assert cset.n_active_parameters == param_count(spec, m)
+        engine = AmplitudeEngine(spec, m, enumerate_onvs(m, 2, 0.0))
+        assert engine.n_params == identity(spec, m).size
+        assert len(engine.active_indices) == param_count(spec, m)
 
 
 class TestAmplitude:
@@ -115,29 +109,29 @@ class TestAmplitude:
         # forms give amplitude 1 and the additive hybrids give 1 + 1 = 2.
         m = 6
         spec = make_spec(kind, m)
-        cset = CorrelatorSet.identity(spec, m)
+        x = identity(spec, m)
         space = enumerate_onvs(m, 3, 0.5)
         expected = 2.0 if spec.combine_mode == "sum" and spec.is_hybrid else 1.0
         for bits in space.onvs:
-            assert amplitude(cset, spec, bits) == expected
+            assert amplitude(spec, m, x, bits) == expected
 
     def test_single_deviating_pair_entry(self):
         spec = AnsatzSpec("2s/si")
-        cset = CorrelatorSet.identity(spec, 4)
-        cset.pairs[(0, 1)][1, 0] = 3.0
+        x = identity(spec, 4)
+        tensors(spec, 4, x)[0][(0, 1)][1, 0] = 3.0
         onv = bits_of("1000")
-        assert amplitude(cset, spec, onv) == 3.0
+        assert amplitude(spec, 4, x, onv) == 3.0
 
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
     def test_matches_independent_loop_oracle(self, kind):
         m = 6
         rng = np.random.default_rng(99)
         spec = make_spec(kind, m)
-        cset = randomize(CorrelatorSet.identity(spec, m), rng)
+        x = randomize(spec, m, rng)
         space = enumerate_onvs(m, 3, 0.5)
         for bits in space.onvs:
-            assert amplitude(cset, spec, bits) == pytest.approx(
-                loop_amplitude_oracle(cset, spec, bits), rel=1e-13
+            assert amplitude(spec, m, x, bits) == pytest.approx(
+                loop_amplitude_oracle(spec, m, x, bits), rel=1e-13
             )
 
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
@@ -145,25 +139,25 @@ class TestAmplitude:
         m = 6
         rng = np.random.default_rng(3)
         spec = make_spec(kind, m)
-        cset = randomize(CorrelatorSet.identity(spec, m), rng)
+        x = randomize(spec, m, rng)
         space = enumerate_onvs(m, 3, 0.5)
         engine = AmplitudeEngine(spec, m, space)
-        amps = engine.amplitudes(engine.flatten(cset))
+        amps = engine.amplitudes(x)
         for n, bits in enumerate(space.onvs):
-            assert amps[n] == pytest.approx(amplitude(cset, spec, bits), rel=1e-13)
+            assert amps[n] == pytest.approx(amplitude(spec, m, x, bits), rel=1e-13)
 
     def test_multilinearity_in_single_entry(self):
         m = 4
         spec = AnsatzSpec("2s")
         rng = np.random.default_rng(5)
-        cset = randomize(CorrelatorSet.identity(spec, m), rng)
+        x = randomize(spec, m, rng)
         onv = bits_of("1100")
         key, element = (0, 1), (1, 1)
 
         def amp_with(value):
-            trial = cset.copy()
-            trial.pairs[key][element] = value
-            return amplitude(trial, spec, onv)
+            trial = x.copy()
+            tensors(spec, m, trial)[0][key][element] = value
+            return amplitude(spec, m, trial, onv)
 
         a0, a1, a2 = amp_with(0.0), amp_with(1.0), amp_with(2.0)
         assert a2 - a1 == pytest.approx(a1 - a0, rel=1e-12, abs=1e-12)
@@ -172,12 +166,12 @@ class TestAmplitude:
         m = 6
         spec = AnsatzSpec("2s")
         rng = np.random.default_rng(8)
-        cset = randomize(CorrelatorSet.identity(spec, m), rng)
+        x = randomize(spec, m, rng)
         space = enumerate_onvs(m, 3, 0.5)
-        base = np.array([amplitude(cset, spec, b) for b in space.onvs])
-        scaled = cset.copy()
-        scaled.pairs[(1, 3)] *= 2.5
-        new = np.array([amplitude(scaled, spec, b) for b in space.onvs])
+        base = np.array([amplitude(spec, m, x, b) for b in space.onvs])
+        scaled = x.copy()
+        tensors(spec, m, scaled)[0][(1, 3)] *= 2.5
+        new = np.array([amplitude(spec, m, scaled, b) for b in space.onvs])
         assert np.allclose(new, 2.5 * base, rtol=1e-12)
 
     def test_si_reduction_equivalence(self):
@@ -186,27 +180,28 @@ class TestAmplitude:
         m = 6
         rng = np.random.default_rng(21)
         full_spec, si_spec = AnsatzSpec("2s"), AnsatzSpec("2s/si")
-        si_set = randomize(CorrelatorSet.identity(si_spec, m), rng)
-        full_set = CorrelatorSet.identity(full_spec, m)
-        for k, v in si_set.pairs.items():
-            full_set.pairs[k][:] = v
+        si_x = randomize(si_spec, m, rng)
+        full_x = identity(full_spec, m)
+        full_pairs = tensors(full_spec, m, full_x)[0]
+        for k, v in tensors(si_spec, m, si_x)[0].items():
+            full_pairs[k][:] = v
         space = enumerate_onvs(m, 3, 0.5)
         for bits in space.onvs:
-            assert amplitude(full_set, full_spec, bits) == pytest.approx(
-                amplitude(si_set, si_spec, bits), rel=1e-13
+            assert amplitude(full_spec, m, full_x, bits) == pytest.approx(
+                amplitude(si_spec, m, si_x, bits), rel=1e-13
             )
 
     def test_hybrid_identity_triples_reduce_to_pairs(self):
         m = 6
         rng = np.random.default_rng(2)
         spec2 = AnsatzSpec("2s")
-        pair_set = randomize(CorrelatorSet.identity(spec2, m), rng)
+        pair_x = randomize(spec2, m, rng)
         space = enumerate_onvs(m, 3, 0.5)
         spec_h = AnsatzSpec("3s[2s]")
-        hybrid = CorrelatorSet.hybrid_from_pairs(spec_h, pair_set)
+        hybrid = hybrid_from_pairs(AmplitudeEngine(spec_h, m, space), pair_x)
         for bits in space.onvs:
-            assert amplitude(hybrid, spec_h, bits) == amplitude(
-                pair_set, spec2, bits
+            assert amplitude(spec_h, m, hybrid, bits) == amplitude(
+                spec2, m, pair_x, bits
             )
 
 
@@ -215,27 +210,24 @@ class TestCsfWeights:
         space = enumerate_onvs(6, 3, 0.5)
         basis = build_csf_basis(space, 0.5)
         spec = AnsatzSpec("2s")
-        cset = CorrelatorSet.identity(spec, 6)
-        S = csf_weights(cset, spec, basis)
+        S = csf_weights(identity(spec, 6), spec, 6, basis)
         assert np.allclose(S, np.asarray(basis.K.sum(axis=1)).ravel(), atol=1e-14)
 
     def test_single_determinant_csf(self):
         space = enumerate_onvs(2, 2, 0.0)
         basis = build_csf_basis(space, 0.0)
         spec = AnsatzSpec("2s")
-        cset = randomize(CorrelatorSet.identity(spec, 2), np.random.default_rng(4))
-        S = csf_weights(cset, spec, basis)
-        assert S[0] == pytest.approx(
-            amplitude(cset, spec, space.onvs[0]), rel=1e-13
-        )
+        x = randomize(spec, 2, np.random.default_rng(4))
+        S = csf_weights(x, spec, 2, basis)
+        assert S[0] == pytest.approx(amplitude(spec, 2, x, space.onvs[0]), rel=1e-13)
 
     def test_matches_dense_matvec(self):
         space = enumerate_onvs(4, 2, 0.0)
         basis = build_csf_basis(space, 0.0)
         spec = AnsatzSpec("2s")
-        cset = randomize(CorrelatorSet.identity(spec, 4), np.random.default_rng(6))
-        amps = np.array([amplitude(cset, spec, b) for b in space.onvs])
-        S = csf_weights(cset, spec, basis)
+        x = randomize(spec, 4, np.random.default_rng(6))
+        amps = np.array([amplitude(spec, 4, x, b) for b in space.onvs])
+        S = csf_weights(x, spec, 4, basis)
         assert np.allclose(S, basis.dense() @ amps, atol=1e-13)
 
 
@@ -267,8 +259,7 @@ class TestNorm:
         space = enumerate_onvs(6, 3, 0.5)
         basis = build_csf_basis(space, 0.5)
         spec = AnsatzSpec("2s")
-        cset = randomize(CorrelatorSet.identity(spec, 6), np.random.default_rng(9))
-        S = csf_weights(cset, spec, basis)
+        S = csf_weights(randomize(spec, 6, np.random.default_rng(9)), spec, 6, basis)
         dense = basis.dense().T @ S  # determinant-space expansion
         report = self.evaluator(space, basis).energy_from_weights(S)
         assert report.norm == pytest.approx(float(dense @ dense), rel=1e-12)
@@ -299,43 +290,45 @@ class TestSelectSites:
 class TestPartialDerivative:
     def test_identity_matching_pattern(self):
         spec = AnsatzSpec("2s")
-        cset = CorrelatorSet.identity(spec, 4)
         onv = bits_of("1100")
-        val = amplitude_partial_derivative(cset, spec, onv, (0, 1), (1, 1))
+        val = amplitude_partial_derivative(
+            spec, 4, identity(spec, 4), onv, (0, 1), (1, 1)
+        )
         assert val == 1.0
 
     def test_non_matching_pattern_is_zero(self):
         spec = AnsatzSpec("2s")
-        cset = CorrelatorSet.identity(spec, 4)
+        x = identity(spec, 4)
         onv = bits_of("1100")
-        assert amplitude_partial_derivative(cset, spec, onv, (0, 1), (0, 0)) == 0.0
+        assert amplitude_partial_derivative(spec, 4, x, onv, (0, 1), (0, 0)) == 0.0
 
     def test_frozen_tensor_rejected(self):
         spec = AnsatzSpec("3s[2s]")
-        cset = CorrelatorSet.identity(spec, 4)
+        x = identity(spec, 4)
         onv = bits_of("1100")
         with pytest.raises(FrozenTensorError):
-            amplitude_partial_derivative(cset, spec, onv, (0, 1), (1, 1))
+            amplitude_partial_derivative(spec, 4, x, onv, (0, 1), (1, 1))
 
     @pytest.mark.parametrize("kind", ["2s", "3s", "3s[2s]", "3s+[2s]", "2s/si"])
     def test_matches_central_finite_difference(self, kind):
         m = 4
         rng = np.random.default_rng(12)
         spec = make_spec(kind, m)
-        cset = randomize(CorrelatorSet.identity(spec, m), rng)
+        x = randomize(spec, m, rng)
         onv = bits_of("1010")
-        keys = [k for k in list(cset.pairs) + list(cset.triples) if k not in cset.frozen]
+        pairs, triples = tensors(spec, m, x)
+        keys = list(triples) if spec.pairs_frozen else list(pairs) + list(triples)
         h = 1e-6
         for key in keys[:6]:
             shape = (2, 2) if len(key) == 2 else (2, 2, 2)
             for element in np.ndindex(*shape):
-                plus, minus = cset.copy(), cset.copy()
-                plus.tensor(key)[element] += h
-                minus.tensor(key)[element] -= h
+                plus, minus = x.copy(), x.copy()
+                tensors(spec, m, plus)[len(key) - 2][key][element] += h
+                tensors(spec, m, minus)[len(key) - 2][key][element] -= h
                 fd = (
-                    amplitude(plus, spec, onv) - amplitude(minus, spec, onv)
+                    amplitude(spec, m, plus, onv) - amplitude(spec, m, minus, onv)
                 ) / (2 * h)
-                an = amplitude_partial_derivative(cset, spec, onv, key, element)
+                an = amplitude_partial_derivative(spec, m, x, onv, key, element)
                 assert an == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["2s", "3s", "3s[2s]", "3s+[2s]"])
@@ -343,10 +336,9 @@ class TestPartialDerivative:
         m = 6
         rng = np.random.default_rng(15)
         spec = make_spec(kind, m)
-        cset = randomize(CorrelatorSet.identity(spec, m), rng)
+        x = randomize(spec, m, rng)
         space = enumerate_onvs(m, 3, 0.5)
         engine = AmplitudeEngine(spec, m, space)
-        x = engine.flatten(cset)
         jac = engine.jacobian(x).toarray()
         for row, e in enumerate(engine.active_indices):
             t = int(np.searchsorted(engine.offsets, e, side="right") - 1)
@@ -356,7 +348,7 @@ class TestPartialDerivative:
                 int(b) for b in np.unravel_index(local, (2, 2) if len(key) == 2 else (2, 2, 2))
             )
             for n, bits in enumerate(space.onvs):
-                ref = amplitude_partial_derivative(cset, spec, bits, key, element)
+                ref = amplitude_partial_derivative(spec, m, x, bits, key, element)
                 assert jac[row, n] == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
 
@@ -370,13 +362,29 @@ class TestEngineTables:
         sel = (2, 3, 4, 5) if kind.endswith("sel") else None
         spec = AnsatzSpec(kind, selected_sites=sel)
         engine = AmplitudeEngine(spec, 8, enumerate_onvs(8, 4, 0.0))
-        x = engine.flatten(randomize(CorrelatorSet.identity(spec, 8), rng))
+        x = randomize(spec, 8, rng)
         if seed:
             x[engine.active_indices[3]] = 0.0  # a zero factor as well
         fast, ref = engine.jacobian(x), jacobian_loop(engine, x)
         assert np.array_equal(fast.data, ref.data)
         assert np.array_equal(fast.indices, ref.indices)
         assert np.array_equal(fast.indptr, ref.indptr)
+
+    @pytest.mark.parametrize("kind", ["2s", "2s/si"])
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_jacobian_rows_match_full_jacobian_bitwise(self, kind, n, seed):
+        # The subspace solve's V from one tensor's cofactors equals the rows
+        # of the full Jacobian times K^T, bit for bit (H4 and H6 spaces).
+        space = enumerate_onvs(2 * n, n, 0.0)
+        K = build_csf_basis(space, 0.0).dense()
+        spec = AnsatzSpec(kind)
+        engine = AmplitudeEngine(spec, 2 * n, space)
+        x = randomize(spec, 2 * n, np.random.default_rng(seed))
+        jac = engine.jacobian(x)
+        for key in engine.pair_keys:
+            V = engine.jacobian_rows(x, key) @ K.T
+            assert np.array_equal(V, jac[engine.active_rows(key)] @ K.T)
 
     @pytest.mark.parametrize("kind", ["2s", "3s"])
     @pytest.mark.parametrize("m, n", [(8, 4), (12, 6)])
@@ -394,20 +402,30 @@ class TestEngineTables:
 
 
 class TestSerialization:
-    def test_round_trip_bitwise(self):
-        m = 6
-        spec = AnsatzSpec("3s[2s]")
-        cset = randomize(
-            CorrelatorSet.identity(spec, m), np.random.default_rng(31)
-        )
-        text = cset.dumps()
-        back = CorrelatorSet.loads(text)
-        assert back.m == cset.m
-        assert back.frozen == cset.frozen
-        for k in cset.pairs:
-            assert np.array_equal(back.pairs[k], cset.pairs[k])
-        for k in cset.triples:
-            assert np.array_equal(back.triples[k], cset.triples[k])
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    def test_correlators_json_bytes(self, kind):
+        # The document of the flat vector is byte for byte the tensor-dict
+        # format: each tensor's C-order entries under its comma-joined sites,
+        # pairs then triples in layout order, and the sorted frozen keys.
+        m = 8
+        sel = (0, 1, 2, 3) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        engine = AmplitudeEngine(spec, m, enumerate_onvs(m, 4, 0.0))
+        x = randomize(spec, m, np.random.default_rng(31))
+        pairs, triples = tensors(spec, m, x)
+
+        def name(key):
+            return ",".join(map(str, key))
+
+        doc = {
+            "format": "cgtns-correlator-set",
+            "version": 1,
+            "m": m,
+            "pairs": {name(k): v.ravel().tolist() for k, v in pairs.items()},
+            "triples": {name(k): v.ravel().tolist() for k, v in triples.items()},
+            "frozen": sorted(name(k) for k in pairs) if spec.pairs_frozen else [],
+        }
+        assert engine.dumps(x) == json.dumps(doc)
 
 
 class TestSpecValidation:

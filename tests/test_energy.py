@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgtns.correlators import AnsatzSpec, CorrelatorSet
+from cgtns.correlators import AnsatzSpec
 from cgtns.energy import EnergyEvaluator
 from cgtns.errors import (
     DegenerateStateError,
@@ -15,6 +15,8 @@ from cgtns.errors import (
 )
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import HamiltonianOperator, exact_diagonalize, parse_fcidump
+
+from oracles import fd_gradient, fd_noise_bound, identity, randomize, tensors
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 
@@ -44,15 +46,7 @@ def make_spec(kind, m):
 
 
 def random_params(spec, m, seed, scale=0.4):
-    rng = np.random.default_rng(seed)
-    cset = CorrelatorSet.identity(spec, m)
-    for k in cset.pairs:
-        if k not in cset.frozen:
-            cset.pairs[k] += rng.uniform(-scale, scale, (2, 2))
-    for k in cset.triples:
-        if k not in cset.frozen:
-            cset.triples[k] += rng.uniform(-scale, scale, (2, 2, 2))
-    return cset
+    return randomize(spec, m, np.random.default_rng(seed), scale)
 
 
 class TestVariationalEnergy:
@@ -60,16 +54,15 @@ class TestVariationalEnergy:
         # The doubly-occupied two-spin-orbital space holds exactly one CSF.
         from cgtns.hamiltonian import IntegralSet
 
-        ints = IntegralSet.zeros(1, e_core=0.5)
-        ints.h[0, 0] = -1.25
-        ints.set_g(0, 0, 0, 0, 0.7)
+        ints = IntegralSet.from_dense(
+            np.full((1, 1), -1.25), np.full((1, 1, 1, 1), 0.7), e_core=0.5
+        )
         space = enumerate_onvs(2, 2, 0.0)
         basis = build_csf_basis(space, 0.0)
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
-        cset = CorrelatorSet.identity(spec, 2)
         ev = EnergyEvaluator(spec, 2, basis, ham)
-        report = ev.energy(ev.flatten(cset))
+        report = ev.energy(identity(spec, 2))
         K = basis.dense()
         assert report.e == pytest.approx((K @ ham.matrix() @ K.T)[0, 0], abs=1e-12)
 
@@ -86,17 +79,15 @@ class TestVariationalEnergy:
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 4, basis, ham)
         for seed in range(50):
-            cset = random_params(spec, 4, seed)
-            report = ev.energy(ev.flatten(cset))
+            report = ev.energy(random_params(spec, 4, seed))
             assert report.e >= e0 - 1e-12
             assert report.norm > 0
 
     def test_screen_zero_is_bitwise_dense(self, h4):
         _, space, basis, ham = h4
         spec = AnsatzSpec("2s")
-        cset = random_params(spec, 8, 5)
+        x = random_params(spec, 8, 5)
         ev = EnergyEvaluator(spec, 8, basis, ham, screen=0.0)
-        x = ev.flatten(cset)
         S = ev.weights(x)
         dense = float(S @ ev.h_csf @ S) / float(S @ ev.overlap @ S)
         assert ev.energy(x).e == dense  # bit-for-bit
@@ -104,8 +95,7 @@ class TestVariationalEnergy:
     def test_screening_drops_both_sides(self, h4):
         _, space, basis, ham = h4
         spec = AnsatzSpec("2s")
-        cset = random_params(spec, 8, 6)
-        x = EnergyEvaluator(spec, 8, basis, ham).flatten(cset)
+        x = random_params(spec, 8, 6)
         exact = EnergyEvaluator(spec, 8, basis, ham, screen=0.0).energy(x)
         screened = EnergyEvaluator(spec, 8, basis, ham, screen=0.3).energy(x)
         assert screened.screened_csfs > 0
@@ -118,28 +108,28 @@ class TestVariationalEnergy:
     def test_degenerate_weights_raise(self, h2):
         _, space, basis, ham = h2
         spec = AnsatzSpec("2s")
-        cset = CorrelatorSet.identity(spec, 4)
-        cset.pairs[(0, 1)][:] = 0.0
+        x = identity(spec, 4)
+        tensors(spec, 4, x)[0][(0, 1)][:] = 0.0
         ev = EnergyEvaluator(spec, 4, basis, ham)
         with pytest.raises(DegenerateStateError):
-            ev.energy(ev.flatten(cset))
+            ev.energy(x)
 
 
 class TestEstimator:
     def test_single_csf_space(self):
         from cgtns.hamiltonian import IntegralSet
 
-        ints = IntegralSet.zeros(1, e_core=-0.2)
-        ints.h[0, 0] = -0.9
-        ints.set_g(0, 0, 0, 0, 0.4)
+        ints = IntegralSet.from_dense(
+            np.full((1, 1), -0.9), np.full((1, 1, 1, 1), 0.4), e_core=-0.2
+        )
         space = enumerate_onvs(2, 2, 0.0)
         basis = build_csf_basis(space, 0.0)
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
-        cset = random_params(spec, 2, 9)
+        x = random_params(spec, 2, 9)
         ev = EnergyEvaluator(spec, 2, basis, ham)
         K = basis.dense()
-        assert ev.estimator(0, ev.flatten(cset)) == pytest.approx(
+        assert ev.estimator(0, x) == pytest.approx(
             (K @ ham.matrix() @ K.T)[0, 0], abs=1e-12
         )
 
@@ -158,9 +148,8 @@ class TestEstimator:
     def test_weighted_identity(self, h4, seed):
         _, space, basis, ham = h4
         spec = AnsatzSpec("2s")
-        cset = random_params(spec, 8, seed)
+        x = random_params(spec, 8, seed)
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = ev.flatten(cset)
         S = ev.weights(x)
         num = 0.0
         den = 0.0
@@ -175,17 +164,13 @@ class TestEstimator:
     def test_undefined_below_floor(self, h2):
         _, space, basis, ham = h2
         spec = AnsatzSpec("2s")
-        cset = CorrelatorSet.identity(spec, 4)
+        x = identity(spec, 4)
         ev = EnergyEvaluator(spec, 4, basis, ham, screen=0.9)
-        x = ev.flatten(cset)
         S = ev.weights(x)
         small = int(np.argmin(np.abs(S)))
         if abs(S[small]) < 0.9 * np.max(np.abs(S)):
             with pytest.raises(EstimatorUndefinedError):
                 ev.estimator(small, x)
-
-
-from oracles import fd_gradient, fd_noise_bound
 
 
 def finite_difference(ev, x, idx):
@@ -199,9 +184,8 @@ class TestGradient:
     def test_matches_finite_differences(self, h2, kind):
         _, space, basis, ham = h2
         spec = make_spec(kind, 4)
-        cset = random_params(spec, 4, seed=hash(kind) % 2**31)
+        x = random_params(spec, 4, seed=hash(kind) % 2**31)
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        x = ev.flatten(cset)
         grad = ev.gradient(x)
         noise = fd_noise_bound(ev.energy(x).e)
         for row, e_idx in enumerate(ev.engine.active_indices):
@@ -219,13 +203,13 @@ class TestGradient:
     def test_energy_invariant_under_tensor_rescaling(self, h4):
         _, space, basis, ham = h4
         spec = AnsatzSpec("2s")
-        cset = random_params(spec, 8, 27)
+        x = random_params(spec, 8, 27)
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        base = ev.energy(ev.flatten(cset)).e
+        base = ev.energy(x).e
         for lam in (2.0, -0.5, 1e3):
-            scaled = cset.copy()
-            scaled.pairs[(1, 4)] *= lam
-            e = ev.energy(ev.flatten(scaled)).e
+            scaled = x.copy()
+            tensors(spec, 8, scaled)[0][(1, 4)] *= lam
+            e = ev.energy(scaled).e
             assert e == pytest.approx(base, abs=1e-10)
 
     def test_scale_direction_is_flat(self, h4):
@@ -233,13 +217,12 @@ class TestGradient:
         # directional derivative along that mode vanishes.
         _, space, basis, ham = h4
         spec = AnsatzSpec("2s")
-        cset = random_params(spec, 8, 31)
+        x = random_params(spec, 8, 31)
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = ev.flatten(cset)
         grad = ev.gradient(x)
         key = (2, 5)
         direction = np.zeros_like(grad)
-        direction[ev.engine.active_rows(key)] = cset.pairs[key].ravel()
+        direction[ev.engine.active_rows(key)] = tensors(spec, 8, x)[0][key].ravel()
         assert abs(grad @ direction) < 1e-9
 
 
@@ -250,9 +233,8 @@ class TestSitePairGradient:
         cases = {"2s": [(0, 1), (2, 3), (1, 1)], "3s[2s]": [(0, 1, 2), (1, 1, 3)]}
         for kind, keys in cases.items():
             spec = AnsatzSpec(kind)
-            cset = random_params(spec, 4, 17)
             ev = EnergyEvaluator(spec, 4, basis, ham)
-            full = ev.gradient(ev.flatten(cset))
+            full = ev.gradient(random_params(spec, 4, 17))
             engine = ev.engine
             for key in keys:
                 t = engine.keys.index(key)
@@ -271,9 +253,8 @@ class TestSitePairGradient:
     def test_finite_difference_components(self, h2):
         _, space, basis, ham = h2
         spec = AnsatzSpec("2s")
-        cset = random_params(spec, 4, 23)
+        x = random_params(spec, 4, 23)
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        x = ev.flatten(cset)
         key = (1, 2)
         rows = ev.engine.active_rows(key)
         sliced = ev.gradient(x)[rows]

@@ -99,12 +99,6 @@ class TestIntegralSet:
             if p >= q and r >= s and p * (p + 1) // 2 + q >= r * (r + 1) // 2 + s:
                 assert ints.g(p, q, r, s) == g[p, q, r, s]
 
-    def test_set_g_invalidates_dense_cache(self):
-        ints = IntegralSet.zeros(2)
-        ints.g_dense()
-        ints.set_g(1, 0, 1, 1, 0.75)
-        assert ints.g_dense()[1, 1, 0, 1] == 0.75
-
 
 class TestParser:
     def test_h2_header_and_core(self, h2_integrals, provenance):
@@ -188,7 +182,7 @@ class TestSlaterCondon:
         space = enumerate_onvs(6, 2, 0.0)
         from cgtns.hamiltonian import slater_condon
 
-        closed = space.onvs[space.index_of(0b11)]  # doubly occupied orbital 0
+        closed = space.onvs[space.onvs.index(0b11)]  # doubly occupied orbital 0
         assert slater_condon(closed, closed, ints) == pytest.approx(
             -2.0 + 0.25, abs=1e-14
         )

@@ -10,7 +10,7 @@ import pytest
 from scipy import linalg, optimize, stats
 
 from cgtns import optimizer
-from cgtns.correlators import ANSATZ_KINDS, AnsatzSpec, CorrelatorSet
+from cgtns.correlators import ANSATZ_KINDS, AmplitudeEngine, AnsatzSpec
 from cgtns.energy import EnergyEvaluator, EnergyReport
 from cgtns.errors import ConfigError, DimensionError, FrozenTensorError
 from cgtns.fock import build_csf_basis, enumerate_onvs
@@ -27,6 +27,7 @@ from cgtns.optimizer import (
     cold_start,
     continue_parallel_tempering,
     gradient_subspace_solve,
+    hybrid_from_pairs,
     load_checkpoint,
     metropolis_sweep,
     reduced_gradient_sweep,
@@ -39,7 +40,7 @@ from cgtns.optimizer import (
     warm_start_triples_from_pairs,
 )
 
-from oracles import amplitude, metropolis_sweep_full
+from oracles import amplitude, identity, metropolis_sweep_full, randomize, tensors
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 
@@ -148,8 +149,7 @@ class TestMetropolis:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        cset = CorrelatorSet.identity(spec, 4)
-        x = ev.flatten(cset)
+        x = identity(spec, 4)
         replica = ReplicaState(
             x=x, energy=ev.energy(x).e, step=0.05,
             rng=np.random.default_rng(1),
@@ -161,8 +161,7 @@ class TestMetropolis:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        cset = CorrelatorSet.identity(spec, 4)
-        x = ev.flatten(cset)
+        x = identity(spec, 4)
         replica = ReplicaState(
             x=x, energy=ev.energy(x).e, step=0.05,
             rng=np.random.default_rng(2),
@@ -178,10 +177,9 @@ class TestMetropolis:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        cset = CorrelatorSet.identity(spec, 4)
 
         def run():
-            x = ev.flatten(cset)
+            x = identity(spec, 4)
             replica = ReplicaState(
                 x=x, energy=ev.energy(x).e, step=0.1,
                 rng=np.random.default_rng(42),
@@ -216,22 +214,23 @@ class TestMetropolis:
         assert stat < 0.05
 
 
-def _h4_start(spec, seed, cli_like):
+def _h4_start(engine, seed, cli_like):
     """A start as the CLI builds it (warm-started pure triples, identity or
     near-zero hybrid triples on cold pairs) or with noisy triples."""
+    spec = engine.spec
     rng = np.random.default_rng(seed)
     if not spec.has_triples or (not cli_like and not spec.is_hybrid):
-        return cold_start(spec, 8, rng)
-    pairs = cold_start(AnsatzSpec("2s/si" if spec.kind == "3s/si" else "2s"), 8, rng)
+        return cold_start(engine, rng)
+    pair_spec = AnsatzSpec("2s/si" if spec.kind == "3s/si" else "2s")
+    pairs = cold_start(AmplitudeEngine(pair_spec, 8, engine.space), rng)
     if not spec.is_hybrid:
-        return warm_start_triples_from_pairs(spec, pairs)
+        return warm_start_triples_from_pairs(engine, pairs)
     if cli_like and spec.combine_mode == "sum":
-        return sum_hybrid_start(spec, pairs, rng)
-    cset = CorrelatorSet.hybrid_from_pairs(spec, pairs)
+        return sum_hybrid_start(engine, pairs, rng)
+    x = hybrid_from_pairs(engine, pairs)
     if not cli_like:
-        for key in sorted(cset.triples):
-            cset.triples[key] += rng.uniform(-0.1, 0.1, (2, 2, 2))
-    return cset
+        x[engine.active_indices] += rng.uniform(-0.1, 0.1, len(engine.active_indices))
+    return x
 
 
 def _replica_pair(ev, x, seed, step=0.1):
@@ -263,7 +262,7 @@ class TestLocalMoves:
         sel = (2, 3, 4, 5) if kind.endswith("sel") else None
         spec = AnsatzSpec(kind, selected_sites=sel)
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = ev.flatten(_h4_start(spec, 5 if cli_like else 6, cli_like))
+        x = _h4_start(ev.engine, 5 if cli_like else 6, cli_like)
         fast, ref = _replica_pair(ev, x, seed=7)
         _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=4)
 
@@ -271,7 +270,7 @@ class TestLocalMoves:
         basis, ham = h4
         spec = AnsatzSpec("3s[2s]")
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = ev.flatten(_h4_start(spec, 7, cli_like=False))
+        x = _h4_start(ev.engine, 7, cli_like=False)
         moves = ev.local_moves(x)
         rng = np.random.default_rng(8)
         for k in rng.choice(len(ev.engine.active_indices), 40, replace=False):
@@ -286,7 +285,7 @@ class TestLocalMoves:
         basis, ham = h4
         spec = AnsatzSpec("3s[2s]")
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = ev.flatten(_h4_start(spec, 9, cli_like=False))
+        x = _h4_start(ev.engine, 9, cli_like=False)
         k = next(k for k, (_, dets) in enumerate(ev.engine.entry_cells) if len(dets))
         entry = ev.engine.active_indices[k]
         x[entry] = 0.0
@@ -363,7 +362,7 @@ class TestLocalMoves:
         basis, ham = h4
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 8, basis, ham, screen=0.3)
-        x = ev.flatten(_h4_start(spec, 12, cli_like=True))
+        x = _h4_start(ev.engine, 12, cli_like=True)
         assert ev.local_moves(x) is None
         calls = []
         full_energy = ev.energy
@@ -382,7 +381,7 @@ class TestLocalMoves:
         basis, ham = h4
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = ev.flatten(_h4_start(spec, 14, cli_like=True))
+        x = _h4_start(ev.engine, 14, cli_like=True)
         calls = []
         full_energy = ev.energy
 
@@ -406,8 +405,9 @@ class TestRunParallelTempering:
             t_first=0.0005, t_last=0.05, n_replicas=3, sweeps=120,
             swap_interval=5, step_size=0.1, seed=7,
         )
-        init = cold_start(spec, 4, np.random.default_rng(7))
-        ensemble = run_parallel_tempering(config, spec, basis, ham, init)
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        init = cold_start(ev.engine, np.random.default_rng(7))
+        ensemble = run_parallel_tempering(config, ev, init)
         assert ensemble.best_energy >= e0 - 1e-12
         assert ensemble.best_energy - e0 < 5e-3
 
@@ -415,8 +415,9 @@ class TestRunParallelTempering:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         config = PtConfig(n_replicas=2, sweeps=12, swap_interval=3, seed=3)
-        init = cold_start(spec, 4, np.random.default_rng(3))
-        ensemble = run_parallel_tempering(config, spec, basis, ham, init)
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        init = cold_start(ev.engine, np.random.default_rng(3))
+        ensemble = run_parallel_tempering(config, ev, init)
         assert len(ensemble.trace) == 12 * 2
         assert ensemble.best_energy <= min(r.energy for r in ensemble.trace)
 
@@ -426,9 +427,10 @@ class TestRunParallelTempering:
         config = PtConfig(
             t_first=0.01, t_last=0.01, n_replicas=3, sweeps=5, seed=1
         )
-        init = cold_start(spec, 4, np.random.default_rng(1))
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        init = cold_start(ev.engine, np.random.default_rng(1))
         with pytest.raises(ConfigError):
-            run_parallel_tempering(config, spec, basis, ham, init)
+            run_parallel_tempering(config, ev, init)
 
     def test_single_replica_has_no_swaps(self, h2):
         basis, ham = h2
@@ -436,36 +438,50 @@ class TestRunParallelTempering:
         config = PtConfig(
             t_first=0.01, t_last=0.01, n_replicas=1, sweeps=10, seed=5
         )
-        init = cold_start(spec, 4, np.random.default_rng(5))
-        ensemble = run_parallel_tempering(config, spec, basis, ham, init)
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        init = cold_start(ev.engine, np.random.default_rng(5))
+        ensemble = run_parallel_tempering(config, ev, init)
         assert not any(row.swapped for row in ensemble.trace)
+
+    def test_start_vector_must_fit_the_layout(self, h2):
+        basis, ham = h2
+        ev = EnergyEvaluator(AnsatzSpec("2s"), 4, basis, ham)
+        config = PtConfig(n_replicas=2, sweeps=1, seed=1)
+        x = cold_start(ev.engine, np.random.default_rng(1))
+        with pytest.raises(DimensionError):
+            run_parallel_tempering(config, ev, x[:-1])
+        x[3] = np.nan
+        with pytest.raises(DimensionError):
+            run_parallel_tempering(config, ev, x)
 
     def test_hybrid_staging_freezes_pairs(self, h2):
         basis, ham = h2
         spec2 = AnsatzSpec("2s")
-        pair_set = cold_start(spec2, 4, np.random.default_rng(11))
         ev2 = EnergyEvaluator(spec2, 4, basis, ham)
-        e2 = ev2.energy(ev2.flatten(pair_set)).e
+        pair_x = cold_start(ev2.engine, np.random.default_rng(11))
+        e2 = ev2.energy(pair_x).e
         spec_h = AnsatzSpec("3s[2s]")
-        hybrid = CorrelatorSet.hybrid_from_pairs(spec_h, pair_set)
-        # Identity triples leave the pair-product state untouched, bitwise.
         ev_h = EnergyEvaluator(spec_h, 4, basis, ham)
-        assert ev_h.energy(ev_h.flatten(hybrid)).e == e2
+        hybrid = hybrid_from_pairs(ev_h.engine, pair_x)
+        # Identity triples leave the pair-product state untouched, bitwise.
+        assert ev_h.energy(hybrid).e == e2
         config = PtConfig(n_replicas=2, sweeps=15, swap_interval=4, seed=13)
-        ensemble = run_parallel_tempering(config, spec_h, basis, ham, hybrid)
+        ensemble = run_parallel_tempering(config, ev_h, hybrid)
         assert ensemble.best_energy <= e2
-        final = ensemble.best_params()
-        for key, tensor in pair_set.pairs.items():
-            assert np.array_equal(final.pairs[key], tensor)
-        assert final.frozen == frozenset(final.pairs)
+        final = tensors(spec_h, 4, ensemble.best_x)[0]
+        for key, tensor in tensors(spec2, 4, pair_x)[0].items():
+            assert np.array_equal(final[key], tensor)
+        frozen = json.loads(ev_h.engine.dumps(ensemble.best_x))["frozen"]
+        assert frozen == sorted(",".join(map(str, key)) for key in final)
 
     def test_identical_seeds_identical_traces(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("2s")
         config = PtConfig(n_replicas=3, sweeps=20, swap_interval=4, seed=99)
-        init = cold_start(spec, 4, np.random.default_rng(99))
-        a = run_parallel_tempering(config, spec, basis, ham, init.copy())
-        b = run_parallel_tempering(config, spec, basis, ham, init.copy())
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        init = cold_start(ev.engine, np.random.default_rng(99))
+        a = run_parallel_tempering(config, ev, init)
+        b = run_parallel_tempering(config, EnergyEvaluator(spec, 4, basis, ham), init)
         assert [r.as_list() for r in a.trace] == [r.as_list() for r in b.trace]
         assert a.best_energy == b.best_energy
         assert np.array_equal(a.best_x, b.best_x)
@@ -474,9 +490,22 @@ class TestRunParallelTempering:
 class TestWarmStarts:
     def test_cold_start_range(self):
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 6, np.random.default_rng(1))
-        for tensor in cset.pairs.values():
-            assert np.all(np.abs(tensor - 1.0) <= 0.1)
+        engine = AmplitudeEngine(spec, 6, enumerate_onvs(6, 3, 0.5))
+        x = cold_start(engine, np.random.default_rng(1))
+        assert x.shape == (engine.n_params,)
+        assert np.all(np.abs(x - 1.0) <= 0.1)
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    def test_cold_start_draws_tensor_by_tensor(self, kind):
+        # One draw over the active entries in layout order is the per-tensor
+        # draw of identity plus noise, bit for bit; frozen pairs stay one.
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        engine = AmplitudeEngine(spec, 8, enumerate_onvs(8, 4, 0.0))
+        for seed in range(3):
+            x = cold_start(engine, np.random.default_rng(seed))
+            ref = randomize(spec, 8, np.random.default_rng(seed), scale=0.1)
+            assert np.array_equal(x, ref)
 
     @pytest.mark.parametrize(
         "pair_kind,triple_kind", [("2s", "3s"), ("2s/si", "3s/si")]
@@ -486,36 +515,54 @@ class TestWarmStarts:
     ):
         m = 6
         rng = np.random.default_rng(8)
-        pair_spec = AnsatzSpec(pair_kind)
-        pairs = cold_start(pair_spec, m, rng)
-        # Mix in negative entries to exercise the sign assignment.
-        pairs.pairs[(0, 1)][0, 1] *= -1.0
-        pairs.pairs[(2, 4)][1, 1] *= -1.0
-        triple_spec = AnsatzSpec(triple_kind)
-        warm = warm_start_triples_from_pairs(triple_spec, pairs)
         space = enumerate_onvs(m, 3, 0.5)
+        pair_spec = AnsatzSpec(pair_kind)
+        pairs = cold_start(AmplitudeEngine(pair_spec, m, space), rng)
+        # Mix in negative entries to exercise the sign assignment.
+        pair_tensors = tensors(pair_spec, m, pairs)[0]
+        pair_tensors[(0, 1)][0, 1] *= -1.0
+        pair_tensors[(2, 4)][1, 1] *= -1.0
+        triple_spec = AnsatzSpec(triple_kind)
+        warm = warm_start_triples_from_pairs(
+            AmplitudeEngine(triple_spec, m, space), pairs
+        )
         for bits in space.onvs:
-            assert amplitude(warm, triple_spec, bits) == pytest.approx(
-                amplitude(pairs, pair_spec, bits), rel=1e-12, abs=1e-14
+            assert amplitude(triple_spec, m, warm, bits) == pytest.approx(
+                amplitude(pair_spec, m, pairs, bits), rel=1e-12, abs=1e-14
             )
 
     def test_warm_start_rejects_mismatched_source(self):
-        pairs = cold_start(AnsatzSpec("2s/si"), 4, np.random.default_rng(2))
+        space = enumerate_onvs(4, 2, 0.0)
+        pair_engine = AmplitudeEngine(AnsatzSpec("2s/si"), 4, space)
+        pairs = cold_start(pair_engine, np.random.default_rng(2))
+        engine = AmplitudeEngine(AnsatzSpec("3s"), 4, space)
         with pytest.raises(DimensionError):
-            warm_start_triples_from_pairs(AnsatzSpec("3s"), pairs)
+            warm_start_triples_from_pairs(engine, pairs)
+
+    def test_hybrid_starts_reject_mismatched_source(self):
+        # The hybrids freeze the self-interaction-inclusive pair set.
+        space = enumerate_onvs(4, 2, 0.0)
+        pair_engine = AmplitudeEngine(AnsatzSpec("2s/si"), 4, space)
+        pairs = cold_start(pair_engine, np.random.default_rng(2))
+        product = AmplitudeEngine(AnsatzSpec("3s[2s]"), 4, space)
+        additive = AmplitudeEngine(AnsatzSpec("3s+[2s]"), 4, space)
+        with pytest.raises(DimensionError):
+            hybrid_from_pairs(product, pairs)
+        with pytest.raises(DimensionError):
+            sum_hybrid_start(additive, pairs, np.random.default_rng(3))
 
     def test_sum_hybrid_start_stays_near_pair_energy(self, h2):
         basis, ham = h2
         spec2 = AnsatzSpec("2s")
-        pairs = cold_start(spec2, 4, np.random.default_rng(3))
         ev2 = EnergyEvaluator(spec2, 4, basis, ham)
-        e2 = ev2.energy(ev2.flatten(pairs)).e
+        pairs = cold_start(ev2.engine, np.random.default_rng(3))
+        e2 = ev2.energy(pairs).e
         spec_s = AnsatzSpec("3s+[2s]")
-        hybrid = sum_hybrid_start(spec_s, pairs, np.random.default_rng(4))
         ev_s = EnergyEvaluator(spec_s, 4, basis, ham)
-        e_h = ev_s.energy(ev_s.flatten(hybrid)).e
+        hybrid = sum_hybrid_start(ev_s.engine, pairs, np.random.default_rng(4))
+        e_h = ev_s.energy(hybrid).e
         assert abs(e_h - e2) < 5e-2
-        for tensor in hybrid.triples.values():
+        for tensor in tensors(spec_s, 4, hybrid)[1].values():
             assert np.max(np.abs(tensor)) <= 1e-3
 
 
@@ -527,9 +574,8 @@ class TestBfgsRefine:
         basis = build_csf_basis(space, 0.0)
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 2, np.random.default_rng(5))
         ev = EnergyEvaluator(spec, 2, basis, ham)
-        result = bfgs_refine(ev, ev.flatten(cset))
+        result = bfgs_refine(ev, cold_start(ev.engine, np.random.default_rng(5)))
         assert result.n_iterations == 0
         assert result.converged
 
@@ -537,10 +583,10 @@ class TestBfgsRefine:
         basis, ham = h2
         e0, _ = exact_diagonalize(ham)
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 4, np.random.default_rng(6))
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        start = ev.energy(ev.flatten(cset)).e
-        result = bfgs_refine(ev, ev.flatten(cset), max_iter=300)
+        x = cold_start(ev.engine, np.random.default_rng(6))
+        start = ev.energy(x).e
+        result = bfgs_refine(ev, x, max_iter=300)
         assert result.energy <= start
         assert result.energy >= e0 - 1e-12
         assert result.energy - e0 < 1e-6
@@ -594,40 +640,36 @@ class TestReducedGradient:
         basis = build_csf_basis(space, 0.0)
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 2, np.random.default_rng(4))
         ev = EnergyEvaluator(spec, 2, basis, ham)
-        x = ev.flatten(cset)
+        x = cold_start(ev.engine, np.random.default_rng(4))
         result = reduced_gradient_sweep(ev, x, passes=2)
         assert result.x is not x
-        refined = ev.unflatten(result.x)
-        for key, tensor in cset.pairs.items():
-            assert np.array_equal(refined.pairs[key], tensor)
+        assert np.array_equal(result.x, x)
 
     def test_energy_never_increases(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 4, np.random.default_rng(10))
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        start = ev.energy(ev.flatten(cset)).e
-        result = reduced_gradient_sweep(ev, ev.flatten(cset), passes=4)
+        x = cold_start(ev.engine, np.random.default_rng(10))
+        start = ev.energy(x).e
+        result = reduced_gradient_sweep(ev, x, passes=4)
         assert result.energy <= start
 
     def test_agrees_with_bfgs_at_stationary_point(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 4, np.random.default_rng(12))
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        refined = bfgs_refine(ev, ev.flatten(cset), max_iter=400, tol=1e-10)
+        x = cold_start(ev.engine, np.random.default_rng(12))
+        refined = bfgs_refine(ev, x, max_iter=400, tol=1e-10)
         touched = reduced_gradient_sweep(ev, refined.x, passes=2)
         assert abs(touched.energy - refined.energy) < 1e-8
 
     def test_requires_active_pairs(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("3s[2s]")
-        cset = CorrelatorSet.identity(spec, 4)
         ev = EnergyEvaluator(spec, 4, basis, ham)
         with pytest.raises(FrozenTensorError):
-            reduced_gradient_sweep(ev, ev.flatten(cset))
+            reduced_gradient_sweep(ev, identity(spec, 4))
 
 
 class TestGradientSubspace:
@@ -638,18 +680,17 @@ class TestGradientSubspace:
         basis = build_csf_basis(space, 0.0)
         ham = HamiltonianOperator(ints, space)
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 2, np.random.default_rng(3))
         ev = EnergyEvaluator(spec, 2, basis, ham)
-        _, e_sub = gradient_subspace_solve(ev, ev.flatten(cset), 0, 1)
+        x = cold_start(ev.engine, np.random.default_rng(3))
+        _, e_sub = gradient_subspace_solve(ev, x, 0, 1)
         K = basis.dense()
         assert e_sub == pytest.approx((K @ ham.matrix() @ K.T)[0, 0], abs=1e-10)
 
     def test_lowers_energy_and_matches_dense_oracle(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 4, np.random.default_rng(21))
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        x = ev.flatten(cset)
+        x = cold_start(ev.engine, np.random.default_rng(21))
         before = ev.energy(x).e
         key = (1, 2)
         x_new, e_sub = gradient_subspace_solve(ev, x, *key)
@@ -664,11 +705,12 @@ class TestGradientSubspace:
         states = []
         for a in range(2):
             for b in range(2):
-                probe = cset.copy()
-                probe.pairs[key][:] = 0.0
-                probe.pairs[key][a, b] = 1.0
+                probe = x.copy()
+                tensor = tensors(spec, 4, probe)[0][key]
+                tensor[:] = 0.0
+                tensor[a, b] = 1.0
                 amps = np.array(
-                    [amplitude(probe, spec, bits) for bits in basis.space.onvs]
+                    [amplitude(spec, 4, probe, bits) for bits in basis.space.onvs]
                 )
                 states.append(K @ amps)
         V = np.array(states)
@@ -678,11 +720,11 @@ class TestGradientSubspace:
     def test_cycling_reaches_fixed_point(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 4, np.random.default_rng(33))
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        result = subspace_refine(ev, ev.flatten(cset))
+        x = cold_start(ev.engine, np.random.default_rng(33))
+        result = subspace_refine(ev, x)
         assert result.converged, "pair cycling did not reach a fixed point"
-        assert result.energy <= ev.energy(ev.flatten(cset)).e
+        assert result.energy <= ev.energy(x).e
         assert result.energy == pytest.approx(ev.energy(result.x).e, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["2s", "2s/si"])
@@ -691,12 +733,13 @@ class TestGradientSubspace:
         # pair solve: sharing one evaluator must change no bit.
         basis, ham = h4
         spec = AnsatzSpec(kind)
-        cset = cold_start(spec, 8, np.random.default_rng(5))
-        x = EnergyEvaluator(spec, 8, basis, ham).flatten(cset)
+        ev = EnergyEvaluator(spec, 8, basis, ham)
+        start = cold_start(ev.engine, np.random.default_rng(5))
+        x = start
         energy = EnergyEvaluator(spec, 8, basis, ham).energy(x).e
         for passes in range(1, 51):
             improved = False
-            for key in sorted(cset.pairs):
+            for key in sorted(spec.pair_keys(8)):
                 fresh = EnergyEvaluator(spec, 8, basis, ham)
                 x, e_sub = gradient_subspace_solve(fresh, x, *key)
                 if energy - e_sub > 1e-10:
@@ -704,13 +747,8 @@ class TestGradientSubspace:
                 energy = e_sub
             if not improved:
                 break
-        ev = EnergyEvaluator(spec, 8, basis, ham)
-        result = subspace_refine(ev, ev.flatten(cset))
+        result = subspace_refine(ev, start)
         assert result.energy == energy
-        ref = EnergyEvaluator(spec, 8, basis, ham).unflatten(x)
-        refined = ev.unflatten(result.x)
-        for key, tensor in ref.pairs.items():
-            assert np.array_equal(refined.pairs[key], tensor)
         assert np.array_equal(result.x, x)
         assert result.n_iterations == passes
         assert result.converged == (not improved)
@@ -718,22 +756,21 @@ class TestGradientSubspace:
     def test_pass_cap_reports_not_converged(self, h2, monkeypatch):
         basis, ham = h2
         spec = AnsatzSpec("2s")
-        cset = cold_start(spec, 4, np.random.default_rng(33))
         monkeypatch.setattr(optimizer, "SUBSPACE_PASSES", 1)
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        result = subspace_refine(ev, ev.flatten(cset))
+        result = subspace_refine(ev, cold_start(ev.engine, np.random.default_rng(33)))
         assert result.n_iterations == 1
         assert not result.converged
 
     def test_rejects_frozen_pairs(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("3s[2s]")
-        cset = CorrelatorSet.identity(spec, 4)
+        x = identity(spec, 4)
         ev = EnergyEvaluator(spec, 4, basis, ham)
         with pytest.raises(FrozenTensorError):
-            gradient_subspace_solve(ev, ev.flatten(cset), 0, 1)
+            gradient_subspace_solve(ev, x, 0, 1)
         with pytest.raises(FrozenTensorError):
-            subspace_refine(ev, ev.flatten(cset))
+            subspace_refine(ev, x)
 
 
 class TestRefinerContract:
@@ -746,7 +783,7 @@ class TestRefinerContract:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 4, basis, ham, screen=0.05)
-        x = ev.flatten(cold_start(spec, 4, np.random.default_rng(8)))
+        x = cold_start(ev.engine, np.random.default_rng(8))
         before = x.copy()
         with pytest.raises(ConfigError):
             refiner(ev, x)
@@ -757,7 +794,7 @@ class TestRefinerContract:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 4, basis, ham)
-        x = ev.flatten(cold_start(spec, 4, np.random.default_rng(8)))
+        x = cold_start(ev.engine, np.random.default_rng(8))
         before = x.copy()
         result = refiner(ev, x)
         assert np.array_equal(x, before)
@@ -771,12 +808,13 @@ class TestCheckpoint:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         config = PtConfig(n_replicas=3, sweeps=30, swap_interval=4, seed=17)
-        init = cold_start(spec, 4, np.random.default_rng(17))
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        init = cold_start(ev.engine, np.random.default_rng(17))
 
-        full = run_parallel_tempering(config, spec, basis, ham, init.copy())
+        full = run_parallel_tempering(config, ev, init)
 
         half_config = PtConfig(n_replicas=3, sweeps=15, swap_interval=4, seed=17)
-        half = run_parallel_tempering(half_config, spec, basis, ham, init.copy())
+        half = run_parallel_tempering(half_config, ev, init)
         ckpt = tmp_path / "state.json"
         save_checkpoint(half, ckpt)
         resumed = load_checkpoint(ckpt, basis, ham)
@@ -795,13 +833,14 @@ class TestCheckpoint:
     def test_screened_restart_continues_bit_identically(self, h4, tmp_path):
         basis, ham = h4
         spec = AnsatzSpec("2s")
-        init = cold_start(spec, 8, np.random.default_rng(21))
+        ev = EnergyEvaluator(spec, 8, basis, ham, screen=0.3)
+        init = cold_start(ev.engine, np.random.default_rng(21))
 
         def config(sweeps):
             return PtConfig(n_replicas=2, sweeps=sweeps, swap_interval=2, seed=21)
 
-        full = run_parallel_tempering(config(6), spec, basis, ham, init.copy(), screen=0.3)
-        half = run_parallel_tempering(config(3), spec, basis, ham, init.copy(), screen=0.3)
+        full = run_parallel_tempering(config(6), ev, init)
+        half = run_parallel_tempering(config(3), ev, init)
         ckpt = tmp_path / "screened.json"
         save_checkpoint(half, ckpt)
         resumed = load_checkpoint(ckpt, basis, ham)
@@ -822,8 +861,9 @@ class TestCheckpoint:
         basis, ham = h2
         spec = AnsatzSpec("2s")
         config = PtConfig(n_replicas=2, sweeps=2, swap_interval=2, seed=3)
-        init = cold_start(spec, 4, np.random.default_rng(3))
-        ensemble = run_parallel_tempering(config, spec, basis, ham, init, screen=0.05)
+        ev = EnergyEvaluator(spec, 4, basis, ham, screen=0.05)
+        init = cold_start(ev.engine, np.random.default_rng(3))
+        ensemble = run_parallel_tempering(config, ev, init)
         ckpt = tmp_path / "v1.json"
         save_checkpoint(ensemble, ckpt)
         doc = json.loads(ckpt.read_text())
@@ -832,3 +872,22 @@ class TestCheckpoint:
         del doc["screen"]
         ckpt.write_text(json.dumps(doc))
         assert load_checkpoint(ckpt, basis, ham).evaluator.screen == 0.0
+
+    @pytest.mark.parametrize("cut", ["best_x", "replica"])
+    def test_cut_vectors_rejected_on_load(self, h2, tmp_path, cut):
+        basis, ham = h2
+        ev = EnergyEvaluator(AnsatzSpec("2s"), 4, basis, ham)
+        config = PtConfig(n_replicas=2, sweeps=2, swap_interval=2, seed=3)
+        ensemble = run_parallel_tempering(
+            config, ev, cold_start(ev.engine, np.random.default_rng(3))
+        )
+        ckpt = tmp_path / "cut.json"
+        save_checkpoint(ensemble, ckpt)
+        doc = json.loads(ckpt.read_text())
+        if cut == "best_x":
+            doc["best_x"] = doc["best_x"][:-4]
+        else:
+            doc["replicas"][1]["x"] = doc["replicas"][1]["x"][:-4]
+        ckpt.write_text(json.dumps(doc))
+        with pytest.raises(DimensionError):
+            load_checkpoint(ckpt, basis, ham)
