@@ -35,6 +35,7 @@ from .optimizer import (
     gradient_subspace_solve,
     reduced_gradient_sweep,
     run_parallel_tempering,
+    run_stages,
     subspace_refine,
     swap_probability,
     temperature_ladder,

@@ -12,8 +12,6 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis
 from .correlators import ANSATZ_KINDS, AnsatzSpec, select_sites
 from .energy import EnergyEvaluator
@@ -33,14 +31,10 @@ from .hamiltonian import (
 from .optimizer import (
     PtConfig,
     bfgs_refine,
-    cold_start,
-    hybrid_from_pairs,
     reduced_gradient_sweep,
-    run_parallel_tempering,
+    run_stages,
     save_checkpoint,
     subspace_refine,
-    sum_hybrid_start,
-    warm_start_triples_from_pairs,
 )
 
 EXIT_OK = 0
@@ -56,7 +50,7 @@ REFINERS = {
 REFINE_STAGES = ("none", *REFINERS)
 #: Refinements that update pair tensors.
 PAIR_REFINERS = ("reduced-gradient", "subspace")
-#: The ansatze optimized in one stage; only they keep their pair tensors
+#: The pair ansatze; only they keep their pair tensors
 #: active (the hybrids freeze theirs, the pure triples have none).
 PAIR_KINDS = ("2s", "2s/si")
 
@@ -108,7 +102,7 @@ class RunConfig:
         if self.screen < 0:
             raise ConfigError("screen must be >= 0")
         # Tempering values fail here, before any file is read or written.
-        _pt_config(self, self.seed).temperatures()
+        _pt_config(self).temperatures()
 
 
 def dump_config(cfg: RunConfig) -> str:
@@ -196,8 +190,9 @@ def _load_problem(cfg: RunConfig):
     return ints, space, basis, ham
 
 
-def _resolve_ansatz(cfg: RunConfig, ints, ham, oracle) -> AnsatzSpec:
-    """The run's ansatz; ``oracle`` is the ground eigenpair, if it was computed."""
+def _resolve_ansatz(cfg: RunConfig, ints, ham, basis, oracle) -> AnsatzSpec:
+    """The run's ansatz; ``oracle`` is the ground eigenpair in the CSF basis,
+    if it was computed."""
     if not cfg.ansatz.endswith("sel"):
         return AnsatzSpec(cfg.ansatz)
     if cfg.nat_occ != "auto":
@@ -211,15 +206,13 @@ def _resolve_ansatz(cfg: RunConfig, ints, ham, oracle) -> AnsatzSpec:
             raise ConfigError(
                 f"nat_occ lists {len(occ)} values for {ints.m_orb} orbitals"
             )
-    elif ints.nat_occ is not None:
-        occ = ints.nat_occ
     elif oracle is None:
         raise ConfigError(
             "selected ansatz needs occupation numbers: provide nat_occ, "
             "the space is too large for the oracle density"
         )
     else:
-        occ = orbital_occupations(ham, oracle[1])
+        occ = orbital_occupations(ham, basis.K.T @ oracle[1])
     sites = select_sites(occ, (cfg.window_lo, cfg.window_hi))
     if not sites:
         raise ConfigError(
@@ -228,77 +221,54 @@ def _resolve_ansatz(cfg: RunConfig, ints, ham, oracle) -> AnsatzSpec:
     return AnsatzSpec(cfg.ansatz, selected_sites=sites)
 
 
-def _pt_config(cfg: RunConfig, seed: int, stage_sweeps: int | None = None) -> PtConfig:
+def _pt_config(cfg: RunConfig) -> PtConfig:
     return PtConfig(
         t_first=cfg.t_first,
         t_last=cfg.t_last,
         n_replicas=cfg.replicas,
-        sweeps=cfg.sweeps if stage_sweeps is None else stage_sweeps,
+        sweeps=cfg.sweeps,
         swap_interval=cfg.swap_interval,
         step_size=cfg.step_size,
-        seed=seed,
+        seed=cfg.seed,
         target_acceptance=cfg.target_acceptance,
     )
 
 
-def _pair_stage_kind(kind: str) -> str:
-    """Pair ansatz whose converged tensors seed a triple-bearing run."""
-    if kind in ("3s/si",):
-        return "2s/si"
-    return "2s"
-
-
 def cmd_run(cfg: RunConfig) -> Path:
-    """Full pipeline: optional pair stage, main stage, refinement, reports."""
+    """Full pipeline: the tempering stages, refinement, reports."""
     cfg.validate()
     ints, space, basis, ham = _load_problem(cfg)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     oracle = None
     if space.size <= cfg.dense_limit:
-        oracle = exact_diagonalize(ham, dense_limit=cfg.dense_limit)
+        # The ground state of the target spin, in the run's CSF basis.
+        oracle = exact_diagonalize(ham, basis, dense_limit=cfg.dense_limit)
     e_oracle = None if oracle is None else oracle[0]
 
-    spec = _resolve_ansatz(cfg, ints, ham, oracle)
-    m = space.m
-    init_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(99,)))
-    # Checkpoints land on disk as soon as each stage completes, so a failure
-    # in a later stage never costs earlier results.
+    spec = _resolve_ansatz(cfg, ints, ham, basis, oracle)
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(dump_config(cfg))
 
-    if spec.kind not in PAIR_KINDS:
-        pair_ev = EnergyEvaluator(
-            AnsatzSpec(_pair_stage_kind(spec.kind)), m, basis, ham, screen=cfg.screen
-        )
-        pair_ensemble = run_parallel_tempering(
-            _pt_config(cfg, cfg.seed), pair_ev, cold_start(pair_ev.engine, init_rng)
-        )
-        analysis.export_trace(pair_ensemble.trace, outdir / "stage1_trace.csv")
-        save_checkpoint(pair_ensemble, outdir / "stage1_checkpoint.json")
-        pair_x = pair_ensemble.best_x
-        del pair_ensemble, pair_ev  # frees the pair stage's evaluator and sweep tables
-
-    evaluator = EnergyEvaluator(spec, m, basis, ham, screen=cfg.screen)
+    # Checkpoints land on disk as soon as each stage completes, so a failure
+    # in a later stage never costs earlier results.
+    stages = run_stages(
+        _pt_config(cfg), spec, basis, ham, screen=cfg.screen, cold=cfg.init == "cold"
+    )
+    for ensemble in stages:
+        prefix = "" if ensemble.evaluator.spec == spec else "stage1_"
+        analysis.export_trace(ensemble.trace, outdir / f"{prefix}trace.csv")
+        save_checkpoint(ensemble, outdir / f"{prefix}checkpoint.json")
+        if prefix:
+            del ensemble  # frees the pair stage's evaluator before stage 2's
+    evaluator = ensemble.evaluator
     engine = evaluator.engine
-    if spec.kind in PAIR_KINDS or (cfg.init == "cold" and not spec.is_hybrid):
-        start = cold_start(engine, init_rng)
-    elif spec.combine_mode == "sum":
-        start = sum_hybrid_start(engine, pair_x, init_rng)
-    elif spec.is_hybrid:
-        start = hybrid_from_pairs(engine, pair_x)
-    else:
-        start = warm_start_triples_from_pairs(engine, pair_x)
-    stage_seed = cfg.seed if spec.kind in PAIR_KINDS else cfg.seed + 1
-    ensemble = run_parallel_tempering(_pt_config(cfg, stage_seed), evaluator, start)
-    analysis.export_trace(ensemble.trace, outdir / "trace.csv")
-    save_checkpoint(ensemble, outdir / "checkpoint.json")
     final_x, final_energy = ensemble.best_x, ensemble.best_energy
 
     if cfg.refine in REFINERS:
         if evaluator.screen > 0.0:
             # Refinements are defined on the unscreened energy.
-            evaluator = EnergyEvaluator(spec, m, basis, ham)
+            evaluator = EnergyEvaluator(spec, space.m, basis, ham)
         result = REFINERS[cfg.refine](evaluator, final_x)
         final_x, final_energy = result.x, result.energy
 

@@ -101,6 +101,15 @@ class AnsatzSpec:
         """'product' for a single product, 'sum' for the additive hybrids."""
         return "sum" if "+[2s]" in self.kind else "product"
 
+    @property
+    def pair_stage(self) -> str | None:
+        """Pair ansatz optimized before this one (None for the pair kinds):
+        ``2s/si`` under ``3s/si``, else ``2s``, the pairs every hybrid
+        freezes."""
+        if not self.has_triples:
+            return None
+        return "2s/si" if self.kind == "3s/si" else "2s"
+
     def pair_keys(self, m: int) -> tuple[tuple[int, int], ...]:
         if not self.has_pairs:
             return ()

@@ -55,7 +55,6 @@ class IntegralSet:
     g_flat: np.ndarray
     e_core: float = 0.0
     orb_irreps: tuple[int, ...] | None = None
-    nat_occ: tuple[float, ...] | None = None
     n_electrons: int | None = None
     ms2: int | None = None
     _g_dense: list = field(default_factory=list, repr=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -356,7 +356,7 @@ def continue_parallel_tempering(ensemble: ReplicaEnsemble, sweeps: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Warm starts
+# Starts and stages
 # ---------------------------------------------------------------------------
 
 
@@ -365,32 +365,6 @@ def cold_start(engine: AmplitudeEngine, rng: np.random.Generator) -> np.ndarray:
     [-0.1, 0.1], drawn in layout order; frozen entries are one."""
     x = np.ones(engine.n_params)
     x[engine.active_indices] += rng.uniform(-0.1, 0.1, len(engine.active_indices))
-    return x
-
-
-def hybrid_from_pairs(engine: AmplitudeEngine, pair_x: np.ndarray) -> np.ndarray:
-    """Freeze a converged pair vector inside a hybrid ansatz, identity triples."""
-    if not engine.spec.is_hybrid:
-        raise DimensionError(f"{engine.spec.kind} is not a hybrid ansatz")
-    n_pair = 4 * engine.n_pair_rows
-    if np.shape(pair_x) != (n_pair,):
-        raise DimensionError(
-            "pair source does not carry the full self-interaction-"
-            "inclusive pair set the hybrid freezes"
-        )
-    x = np.ones(engine.n_params)
-    x[:n_pair] = pair_x
-    return x
-
-
-def sum_hybrid_start(
-    engine: AmplitudeEngine, pair_x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Frozen pairs plus near-zero triples, so the added product term is tiny."""
-    if engine.spec.combine_mode != "sum":
-        raise DimensionError(f"{engine.spec.kind} is not an additive hybrid")
-    x = hybrid_from_pairs(engine, pair_x)
-    x[engine.active_indices] = rng.uniform(-1e-3, 1e-3, len(engine.active_indices))
     return x
 
 
@@ -403,13 +377,10 @@ def _slot_pairs(key: tuple[int, int, int]):
     )
 
 
-def warm_start_triples_from_pairs(
-    engine: AmplitudeEngine, pair_x: np.ndarray
-) -> np.ndarray:
+def _warm_triples(engine: AmplitudeEngine, pair_x: np.ndarray) -> np.ndarray:
     """Pure-triple parameters that reproduce the pair-product amplitudes.
 
-    ``pair_x`` holds the pair tensors the triples share sites with: the
-    ``2s`` layout for self-interaction triples, else the ``2s/si`` one.
+    ``pair_x`` holds the tensors of the pair stage ``spec.pair_stage``.
     Every triple entry takes the geometric mean |C_ij C_ik C_jk|**(1/n) of its
     slot pair factors, with n the number of slot appearances of a pair across
     the triple set (m+2 with self-interaction triples, m-2 without), so that
@@ -418,14 +389,7 @@ def warm_start_triples_from_pairs(
     first slot appearance.
     """
     spec, m = engine.spec, engine.m
-    if not spec.has_triples or spec.has_pairs:
-        raise DimensionError(f"{spec.kind} is not a pure triple ansatz")
-    pair_keys = AnsatzSpec("2s" if spec.triples_si else "2s/si").pair_keys(m)
-    if np.shape(pair_x) != (4 * len(pair_keys),):
-        raise DimensionError(
-            "pair source must carry exactly the pair set matching the "
-            "triple ansatz (self-interaction pairs only with si triples)"
-        )
+    pair_keys = AnsatzSpec(spec.pair_stage).pair_keys(m)
     pairs = dict(zip(pair_keys, np.reshape(pair_x, (-1, 2, 2))))
     exponent = 1.0 / (m + 2) if spec.triples_si else 1.0 / (m - 2)
 
@@ -457,6 +421,51 @@ def warm_start_triples_from_pairs(
                         tensor[tuple(idx)] *= -1.0
             assigned.add(pair)
     return x
+
+
+def run_stages(
+    config: PtConfig,
+    spec: AnsatzSpec,
+    basis: CsfBasis,
+    ham: HamiltonianOperator,
+    screen: float = 0.0,
+    cold: bool = False,
+):
+    """Tempering stages of ``spec``; yields each stage's ensemble as it ends.
+
+    A triple-bearing ansatz first optimizes its pair stage
+    (``spec.pair_stage``).  The hybrids freeze that stage's best vector under
+    identity triples (near-zero triples for the sum hybrids); pure triples
+    are warm-started from it, or with ``cold`` run alone from a cold start.
+    Starts draw from ``SeedSequence(config.seed, spawn_key=(99,))`` and stage
+    i runs on seed ``config.seed + i``.  Each stage builds its own evaluator
+    and drops the previous one before it does.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(99,)))
+    stages = [spec]
+    if spec.pair_stage is not None and (spec.is_hybrid or not cold):
+        stages.insert(0, AnsatzSpec(spec.pair_stage))
+    pair_x = None
+    for i, stage_spec in enumerate(stages):
+        evaluator = EnergyEvaluator(
+            stage_spec, basis.space.m, basis, ham, screen=screen
+        )
+        if pair_x is None:
+            x0 = cold_start(evaluator.engine, rng)
+        elif spec.is_hybrid:
+            x0 = np.ones(evaluator.engine.n_params)
+            x0[: len(pair_x)] = pair_x
+            if spec.combine_mode == "sum":
+                active = evaluator.engine.active_indices
+                x0[active] = rng.uniform(-1e-3, 1e-3, len(active))
+        else:
+            x0 = _warm_triples(evaluator.engine, pair_x)
+        ensemble = run_parallel_tempering(
+            replace(config, seed=config.seed + i), evaluator, x0
+        )
+        pair_x = ensemble.best_x
+        yield ensemble
+        del ensemble, evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +577,9 @@ def reduced_gradient_sweep(
     active_pairs = () if evaluator.spec.pairs_frozen else evaluator.engine.pair_keys
     if not active_pairs:
         raise FrozenTensorError("reduced-gradient sweep needs active pair tensors")
-    rows_of = {key: evaluator.engine.active_rows(key) for key in active_pairs}
+    engine = evaluator.engine
     flat_of = {
-        key: evaluator.engine.active_indices[rows] for key, rows in rows_of.items()
+        key: engine.active_indices[engine.active_rows(key)] for key in active_pairs
     }
     x = x.copy()
     energy = evaluator.energy(x).e
@@ -578,7 +587,9 @@ def reduced_gradient_sweep(
     for _ in range(passes):
         improved = False
         for key in active_pairs:
-            grad = evaluator.gradient(x)[rows_of[key]]
+            # This pair's rows of the full gradient, bit for bit.
+            dS = engine.jacobian_rows(x, key) @ evaluator.K.T
+            grad = evaluator.gradient_from_weights(evaluator.weights(x), dS)
             norm = float(np.max(np.abs(grad), initial=0.0))
             if norm < tol:
                 continue
@@ -615,10 +626,6 @@ def gradient_subspace_solve(
     """
     key = (i, j) if i <= j else (j, i)
     rows = evaluator.engine.active_rows(key)
-    if evaluator.spec.combine_mode != "product":
-        raise DimensionError(
-            "subspace update requires the state to be linear in the tensor"
-        )
     V = np.asarray(evaluator.engine.jacobian_rows(x, key) @ evaluator.K.T)
     h_sub = V @ evaluator.h_csf @ V.T
     s_sub = V @ evaluator.overlap @ V.T

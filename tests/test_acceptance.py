@@ -26,19 +26,19 @@ from cgtns.hamiltonian import (
     exact_diagonalize,
     parse_fcidump,
 )
+from cgtns import optimizer
 from cgtns.optimizer import (
     PtConfig,
     ReplicaState,
     cold_start,
     continue_parallel_tempering,
-    hybrid_from_pairs,
     load_checkpoint,
     metropolis_sweep,
     run_parallel_tempering,
+    run_stages,
     save_checkpoint,
     swap_probability,
     temperature_ladder,
-    warm_start_triples_from_pairs,
 )
 
 from oracles import identity, s2_matrix_brute, tensors
@@ -300,7 +300,7 @@ def test_criterion_08_parallel_tempering_end_to_end(problems):
         stage1_cfg, ev2, cold_start(ev2.engine, np.random.default_rng(2024))
     )
     ev3 = EnergyEvaluator(AnsatzSpec("3s"), 8, basis, ham)
-    warm = warm_start_triples_from_pairs(ev3.engine, stage1.best_x)
+    warm = optimizer._warm_triples(ev3.engine, stage1.best_x)
     stage2_cfg = PtConfig(
         t_first=1e-4, t_last=5e-3, n_replicas=4, sweeps=120,
         swap_interval=5, step_size=0.01, seed=2025,
@@ -321,20 +321,17 @@ def test_criterion_09_hybrid_staging(problems):
         t_first=0.001, t_last=0.02, n_replicas=2, sweeps=40,
         swap_interval=4, step_size=0.1, seed=90,
     )
-    ev2 = EnergyEvaluator(spec2, 4, basis, ham)
-    stage1 = run_parallel_tempering(
-        config, ev2, cold_start(ev2.engine, np.random.default_rng(90))
-    )
-    pair_best = stage1.best_x
-    e2 = ev2.energy(pair_best).e
-
     spec_h = AnsatzSpec("3s[2s]")
-    ev_h = EnergyEvaluator(spec_h, 4, basis, ham)
-    hybrid = hybrid_from_pairs(ev_h.engine, pair_best)
-    e_init = ev_h.energy(hybrid).e
+    stage1, stage2 = run_stages(config, spec_h, basis, ham)
+    pair_best = stage1.best_x
+    e2 = stage1.best_energy
+
+    # The hybrid start: the pair vector in front, identity triples.
+    hybrid = np.ones(stage2.evaluator.engine.n_params)
+    hybrid[: len(pair_best)] = pair_best
+    e_init = stage2.evaluator.energy(hybrid).e
     assert e_init == e2  # bitwise: identity triples change nothing
 
-    stage2 = run_parallel_tempering(config, ev_h, hybrid)
     final = tensors(spec_h, 4, stage2.best_x)[0]
     for key, tensor in tensors(spec2, 4, pair_best)[0].items():
         assert np.array_equal(final[key], tensor)

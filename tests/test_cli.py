@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,15 @@ from cgtns.cli import (
     main,
     parse_config,
 )
-from cgtns.correlators import param_count
+from cgtns.correlators import AnsatzSpec, param_count
+from cgtns.energy import EnergyEvaluator
+from cgtns.fock import build_csf_basis, enumerate_onvs
+from cgtns.hamiltonian import HamiltonianOperator, exact_diagonalize, parse_fcidump
+from cgtns.optimizer import PtConfig, run_stages, save_checkpoint
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 H2 = str(FIXTURES / "h2.fcidump")
+H4 = str(FIXTURES / "h4.fcidump")
 
 
 def quick_cfg(**overrides):
@@ -303,9 +309,11 @@ class TestRun:
         cfg_file.write_text(
             f"integrals = {H2}\nansatz = 3s[2s]sel\nnat_occ = 1.9,abc\n"
         )
-        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert "nat_occ" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "spins,key",
@@ -333,9 +341,23 @@ class TestRun:
         cfg_file.write_text(
             f"integrals = {H2}\nansatz = 3s[2s]sel\nnat_occ = 2.5,0.1\n"
         )
-        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert "nat_occ" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_window_exits_2_before_any_output(self, tmp_path, capsys):
+        # Both H2 orbitals are singly occupied on average, outside [1.5, 1.98].
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"integrals = {H2}\nansatz = 3s[2s]sel\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_file), "--window", "1.5,1.98"]
+        argv += ["--out", str(out)]
+        with pytest.warns(UserWarning):
+            assert main(argv) == EXIT_CONFIG
+        assert "selected no sites" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "values",
@@ -377,6 +399,78 @@ class TestRun:
         assert record.n_active_parameters == param_count("2s", 12)
         assert record.error_vs_oracle >= -1e-12
         assert record.error_vs_oracle < 0.2  # seed 6 lands near 0.09 Ha
+
+
+def h4_problem(spin2=0):
+    ints = parse_fcidump(H4)
+    space = enumerate_onvs(8, 4, 0.0)
+    return build_csf_basis(space, spin2 / 2.0), HamiltonianOperator(ints, space)
+
+
+def track_evaluators(monkeypatch):
+    """Weak references to every EnergyEvaluator built from now on, and for
+    each build, which of the earlier evaluators were still alive."""
+    built, alive = [], []
+    init = EnergyEvaluator.__init__
+
+    def tracked(self, *args, **kwargs):
+        alive.append([ref() is not None for ref in built])
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(EnergyEvaluator, "__init__", tracked)
+    return alive
+
+
+class TestStagePlan:
+    """cmd_run writes each ensemble that optimizer.run_stages yields."""
+
+    @pytest.mark.parametrize("ansatz", ["2s", "3s", "3s[2s]", "3s+[2s]"])
+    def test_checkpoints_match_run_stages(self, tmp_path, ansatz):
+        cfg = quick_cfg(integrals=H4, ansatz=ansatz, sweeps=3, seed=1)
+        cfg.out = str(tmp_path / "run")
+        outdir = cmd_run(cfg)
+        basis, ham = h4_problem()
+        config = PtConfig(
+            t_first=0.001, t_last=0.02, n_replicas=2, sweeps=3, swap_interval=3, seed=1
+        )
+        names = ["checkpoint.json"]
+        if ansatz != "2s":
+            names.insert(0, "stage1_checkpoint.json")
+        stages = list(run_stages(config, AnsatzSpec(ansatz), basis, ham))
+        assert len(stages) == len(names)
+        for name, ensemble in zip(names, stages):
+            save_checkpoint(ensemble, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (outdir / name).read_bytes()
+
+    def test_pair_stage_evaluator_freed_before_stage_2(self, tmp_path, monkeypatch):
+        alive = track_evaluators(monkeypatch)
+        cfg = quick_cfg(integrals=H4, ansatz="3s[2s]", sweeps=2, out=str(tmp_path / "r"))
+        cmd_run(cfg)
+        assert alive == [[], [False]]
+
+    def test_cold_pure_triples_run_one_stage(self, tmp_path, monkeypatch):
+        alive = track_evaluators(monkeypatch)
+        cfg = quick_cfg(integrals=H4, ansatz="3s", init="cold", sweeps=2)
+        cfg.out = str(tmp_path / "cold")
+        outdir = cmd_run(cfg)
+        assert len(alive) == 1
+        assert not (outdir / "stage1_trace.csv").exists()
+        assert not (outdir / "stage1_checkpoint.json").exists()
+        assert (outdir / "checkpoint.json").exists()
+
+    def test_oracle_is_the_ground_state_of_the_target_spin(self, tmp_path):
+        # The H4 ground state is a singlet; a triplet run is measured
+        # against the lowest triplet, not against the determinant-basis E0.
+        cfg = quick_cfg(integrals=H4, spin2="2", sweeps=2, out=str(tmp_path / "t"))
+        record = RunRecord.from_json((cmd_run(cfg) / "record.json").read_text())
+        basis, ham = h4_problem(spin2=2)
+        e_triplet, _ = exact_diagonalize(ham, basis)
+        e_singlet, _ = exact_diagonalize(ham)
+        assert e_triplet > e_singlet + 0.1
+        assert record.e_oracle == e_triplet
+        assert record.error_vs_oracle == record.final_energy - e_triplet
+        assert record.error_vs_oracle >= -1e-12
 
 
 class TestCompare:

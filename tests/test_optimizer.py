@@ -27,17 +27,15 @@ from cgtns.optimizer import (
     cold_start,
     continue_parallel_tempering,
     gradient_subspace_solve,
-    hybrid_from_pairs,
     load_checkpoint,
     metropolis_sweep,
     reduced_gradient_sweep,
     run_parallel_tempering,
+    run_stages,
     save_checkpoint,
     subspace_refine,
-    sum_hybrid_start,
     swap_probability,
     temperature_ladder,
-    warm_start_triples_from_pairs,
 )
 
 from oracles import amplitude, identity, metropolis_sweep_full, randomize, tensors
@@ -221,15 +219,17 @@ def _h4_start(engine, seed, cli_like):
     rng = np.random.default_rng(seed)
     if not spec.has_triples or (not cli_like and not spec.is_hybrid):
         return cold_start(engine, rng)
-    pair_spec = AnsatzSpec("2s/si" if spec.kind == "3s/si" else "2s")
+    pair_spec = AnsatzSpec(spec.pair_stage)
     pairs = cold_start(AmplitudeEngine(pair_spec, 8, engine.space), rng)
     if not spec.is_hybrid:
-        return warm_start_triples_from_pairs(engine, pairs)
+        return optimizer._warm_triples(engine, pairs)
+    x = np.ones(engine.n_params)
+    x[: len(pairs)] = pairs
+    active = engine.active_indices
     if cli_like and spec.combine_mode == "sum":
-        return sum_hybrid_start(engine, pairs, rng)
-    x = hybrid_from_pairs(engine, pairs)
-    if not cli_like:
-        x[engine.active_indices] += rng.uniform(-0.1, 0.1, len(engine.active_indices))
+        x[active] = rng.uniform(-1e-3, 1e-3, len(active))
+    elif not cli_like:
+        x[active] += rng.uniform(-0.1, 0.1, len(active))
     return x
 
 
@@ -456,23 +456,16 @@ class TestRunParallelTempering:
 
     def test_hybrid_staging_freezes_pairs(self, h2):
         basis, ham = h2
-        spec2 = AnsatzSpec("2s")
-        ev2 = EnergyEvaluator(spec2, 4, basis, ham)
-        pair_x = cold_start(ev2.engine, np.random.default_rng(11))
-        e2 = ev2.energy(pair_x).e
         spec_h = AnsatzSpec("3s[2s]")
-        ev_h = EnergyEvaluator(spec_h, 4, basis, ham)
-        hybrid = hybrid_from_pairs(ev_h.engine, pair_x)
-        # Identity triples leave the pair-product state untouched, bitwise.
-        assert ev_h.energy(hybrid).e == e2
         config = PtConfig(n_replicas=2, sweeps=15, swap_interval=4, seed=13)
-        ensemble = run_parallel_tempering(config, ev_h, hybrid)
-        assert ensemble.best_energy <= e2
-        final = tensors(spec_h, 4, ensemble.best_x)[0]
-        for key, tensor in tensors(spec2, 4, pair_x)[0].items():
+        pair_stage, hybrid_stage = run_stages(config, spec_h, basis, ham)
+        pair_x = pair_stage.best_x
+        assert hybrid_stage.best_energy <= pair_stage.best_energy
+        final = tensors(spec_h, 4, hybrid_stage.best_x)[0]
+        for key, tensor in tensors(AnsatzSpec("2s"), 4, pair_x)[0].items():
             assert np.array_equal(final[key], tensor)
-        frozen = json.loads(ev_h.engine.dumps(ensemble.best_x))["frozen"]
-        assert frozen == sorted(",".join(map(str, key)) for key in final)
+        frozen = json.loads(hybrid_stage.evaluator.engine.dumps(hybrid_stage.best_x))
+        assert frozen["frozen"] == sorted(",".join(map(str, key)) for key in final)
 
     def test_identical_seeds_identical_traces(self, h2):
         basis, ham = h2
@@ -523,47 +516,73 @@ class TestWarmStarts:
         pair_tensors[(0, 1)][0, 1] *= -1.0
         pair_tensors[(2, 4)][1, 1] *= -1.0
         triple_spec = AnsatzSpec(triple_kind)
-        warm = warm_start_triples_from_pairs(
-            AmplitudeEngine(triple_spec, m, space), pairs
-        )
+        assert triple_spec.pair_stage == pair_kind
+        warm = optimizer._warm_triples(AmplitudeEngine(triple_spec, m, space), pairs)
         for bits in space.onvs:
             assert amplitude(triple_spec, m, warm, bits) == pytest.approx(
                 amplitude(pair_spec, m, pairs, bits), rel=1e-12, abs=1e-14
             )
 
-    def test_warm_start_rejects_mismatched_source(self):
-        space = enumerate_onvs(4, 2, 0.0)
-        pair_engine = AmplitudeEngine(AnsatzSpec("2s/si"), 4, space)
-        pairs = cold_start(pair_engine, np.random.default_rng(2))
-        engine = AmplitudeEngine(AnsatzSpec("3s"), 4, space)
-        with pytest.raises(DimensionError):
-            warm_start_triples_from_pairs(engine, pairs)
-
-    def test_hybrid_starts_reject_mismatched_source(self):
-        # The hybrids freeze the self-interaction-inclusive pair set.
-        space = enumerate_onvs(4, 2, 0.0)
-        pair_engine = AmplitudeEngine(AnsatzSpec("2s/si"), 4, space)
-        pairs = cold_start(pair_engine, np.random.default_rng(2))
-        product = AmplitudeEngine(AnsatzSpec("3s[2s]"), 4, space)
-        additive = AmplitudeEngine(AnsatzSpec("3s+[2s]"), 4, space)
-        with pytest.raises(DimensionError):
-            hybrid_from_pairs(product, pairs)
-        with pytest.raises(DimensionError):
-            sum_hybrid_start(additive, pairs, np.random.default_rng(3))
-
     def test_sum_hybrid_start_stays_near_pair_energy(self, h2):
         basis, ham = h2
-        spec2 = AnsatzSpec("2s")
-        ev2 = EnergyEvaluator(spec2, 4, basis, ham)
-        pairs = cold_start(ev2.engine, np.random.default_rng(3))
-        e2 = ev2.energy(pairs).e
         spec_s = AnsatzSpec("3s+[2s]")
-        ev_s = EnergyEvaluator(spec_s, 4, basis, ham)
-        hybrid = sum_hybrid_start(ev_s.engine, pairs, np.random.default_rng(4))
-        e_h = ev_s.energy(hybrid).e
-        assert abs(e_h - e2) < 5e-2
-        for tensor in tensors(spec_s, 4, hybrid)[1].values():
+        config = PtConfig(n_replicas=2, sweeps=0, seed=3)
+        pair_stage, hybrid_stage = run_stages(config, spec_s, basis, ham)
+        start = hybrid_stage.best_x
+        assert np.array_equal(start[: len(pair_stage.best_x)], pair_stage.best_x)
+        assert abs(hybrid_stage.best_energy - pair_stage.best_energy) < 5e-2
+        for tensor in tensors(spec_s, 4, start)[1].values():
             assert np.max(np.abs(tensor)) <= 1e-3
+
+
+class TestRunStages:
+    """The stage plan: pair stage, starts, and per-stage seeds."""
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    def test_stage_plan(self, h4, kind):
+        basis, ham = h4
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        config = PtConfig(n_replicas=2, sweeps=0, seed=5)
+        stages = list(run_stages(config, spec, basis, ham))
+        kinds = [stage.evaluator.spec.kind for stage in stages]
+        assert kinds == [k for k in (spec.pair_stage, kind) if k is not None]
+        seeds = [stage.config.seed for stage in stages]
+        assert seeds == list(range(5, 5 + len(stages)))
+        assert stages[-1].evaluator.spec == spec
+
+    @pytest.mark.parametrize("kind", ["3s[2s]", "3s/si[2s]", "3s[2s]sel"])
+    def test_hybrid_start_is_pair_vector_with_identity_triples(self, h4, kind):
+        basis, ham = h4
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        config = PtConfig(n_replicas=2, sweeps=0, seed=2)
+        pair_stage, hybrid_stage = run_stages(config, spec, basis, ham)
+        n_pair = len(pair_stage.best_x)
+        start = hybrid_stage.best_x
+        assert np.array_equal(start[:n_pair], pair_stage.best_x)
+        assert np.all(start[n_pair:] == 1.0)
+        assert hybrid_stage.best_energy == pair_stage.best_energy
+
+    def test_warm_pure_triples_reproduce_the_pair_stage(self, h4):
+        basis, ham = h4
+        config = PtConfig(n_replicas=2, sweeps=0, seed=4)
+        pair_stage, triple_stage = run_stages(config, AnsatzSpec("3s"), basis, ham)
+        e_pair = pair_stage.best_energy
+        assert triple_stage.best_energy == pytest.approx(e_pair, abs=1e-10)
+
+    @pytest.mark.parametrize("kind, n_stages", [("3s", 1), ("3s/si", 1), ("3s[2s]", 2)])
+    def test_cold_pure_triples_run_alone(self, h4, kind, n_stages):
+        # A cold pure-triple run needs no pair vector; hybrids ignore ``cold``.
+        basis, ham = h4
+        config = PtConfig(n_replicas=2, sweeps=0, seed=3)
+        stages = list(run_stages(config, AnsatzSpec(kind), basis, ham, cold=True))
+        assert len(stages) == n_stages
+        if n_stages == 1:
+            engine = stages[0].evaluator.engine
+            rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(99,)))
+            assert np.array_equal(stages[0].best_x, cold_start(engine, rng))
+            assert stages[0].config.seed == 3
 
 
 class TestBfgsRefine:
@@ -671,6 +690,24 @@ class TestReducedGradient:
         with pytest.raises(FrozenTensorError):
             reduced_gradient_sweep(ev, identity(spec, 4))
 
+    @pytest.mark.parametrize("kind", ["2s", "2s/si"])
+    @pytest.mark.parametrize("name", ["h4", "h6"])
+    def test_pair_rows_match_full_gradient(self, name, kind):
+        # The sweep prices each pair from that tensor's Jacobian rows alone;
+        # they must be the pair's rows of the full gradient, bit for bit.
+        ints = parse_fcidump(FIXTURES / f"{name}.fcidump")
+        space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
+        basis = build_csf_basis(space, ints.ms2 / 2.0)
+        ham = HamiltonianOperator(ints, space)
+        ev = EnergyEvaluator(AnsatzSpec(kind), space.m, basis, ham)
+        engine = ev.engine
+        x = cold_start(engine, np.random.default_rng(1))
+        full = ev.gradient(x)
+        for key in engine.pair_keys:
+            dS = engine.jacobian_rows(x, key) @ ev.K.T
+            rows = ev.gradient_from_weights(ev.weights(x), dS)
+            assert np.array_equal(rows, full[engine.active_rows(key)])
+
 
 class TestGradientSubspace:
     def test_single_csf_space_energy(self):
@@ -764,13 +801,14 @@ class TestGradientSubspace:
 
     def test_rejects_frozen_pairs(self, h2):
         basis, ham = h2
-        spec = AnsatzSpec("3s[2s]")
-        x = identity(spec, 4)
-        ev = EnergyEvaluator(spec, 4, basis, ham)
-        with pytest.raises(FrozenTensorError):
-            gradient_subspace_solve(ev, x, 0, 1)
-        with pytest.raises(FrozenTensorError):
-            subspace_refine(ev, x)
+        for kind in ("3s[2s]", "3s+[2s]"):
+            spec = AnsatzSpec(kind)
+            x = identity(spec, 4)
+            ev = EnergyEvaluator(spec, 4, basis, ham)
+            with pytest.raises(FrozenTensorError):
+                gradient_subspace_solve(ev, x, 0, 1)
+            with pytest.raises(FrozenTensorError):
+                subspace_refine(ev, x)
 
 
 class TestRefinerContract:
