@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass
 
 from .correlators import AnsatzSpec, param_count
-from .errors import DimensionError
-from .optimizer import TraceRow
+from .errors import DimensionError, ParseError
+from .optimizer import TraceRow, write_atomic
 
 #: Hartree to kcal/mol (CODATA-consistent at the displayed precision).
 HARTREE_TO_KCAL_PER_MOL = 627.5095
@@ -71,14 +72,26 @@ class RunRecord:
         return json.dumps(doc, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        doc = json.loads(text)
-        if doc.get("format") != "cgtns-run-record" or doc.get("version") != 1:
-            raise DimensionError("unrecognized run-record document")
+    def from_json(cls, text: str | bytes, path=None) -> "RunRecord":
+        """Parse a record written by ``to_json``; ``path`` names the source
+        in the ``ParseError`` raised for anything else."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # also undecodable bytes
+            raise ParseError(f"not a JSON document: {exc}", path) from None
+        if (
+            not isinstance(doc, dict)
+            or doc.get("format") != "cgtns-run-record"
+            or doc.get("version") != 1
+        ):
+            raise ParseError("unrecognized run-record document", path)
         doc.pop("format")
         doc.pop("version")
         doc.pop("reduction_pct_display", None)
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except TypeError as exc:  # a missing or an unknown key
+            raise ParseError(f"malformed run record: {exc}", path) from None
 
 
 def reduction_report(
@@ -122,7 +135,7 @@ def export_trace(trace: list[TraceRow], path) -> None:
     """
     if not trace:
         raise DimensionError("refusing to export an empty trace")
-    with open(path, "w", newline="") as handle:
+    with io.StringIO() as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_COLUMNS)
         for row in trace:
@@ -136,6 +149,7 @@ def export_trace(trace: list[TraceRow], path) -> None:
                     int(row.swapped),
                 ]
             )
+        write_atomic(path, handle.getvalue())
 
 
 def read_trace_csv(path) -> list[TraceRow]:

@@ -35,6 +35,7 @@ from .optimizer import (
     run_stages,
     save_checkpoint,
     subspace_refine,
+    write_atomic,
 )
 
 EXIT_OK = 0
@@ -248,7 +249,7 @@ def cmd_run(cfg: RunConfig) -> Path:
     spec = _resolve_ansatz(cfg, ints, ham, basis, oracle)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.txt").write_text(dump_config(cfg))
+    write_atomic(outdir / "config.txt", dump_config(cfg))
 
     # Checkpoints land on disk as soon as each stage completes, so a failure
     # in a later stage never costs earlier results.
@@ -272,7 +273,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         result = REFINERS[cfg.refine](evaluator, final_x)
         final_x, final_energy = result.x, result.energy
 
-    (outdir / "correlators.json").write_text(engine.dumps(final_x))
+    write_atomic(outdir / "correlators.json", engine.dumps(final_x))
 
     n_active = len(engine.active_indices)
     record = analysis.RunRecord(
@@ -288,7 +289,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         error_vs_oracle=None if e_oracle is None else final_energy - e_oracle,
         seed=cfg.seed,
     )
-    (outdir / "record.json").write_text(record.to_json() + "\n")
+    write_atomic(outdir / "record.json", record.to_json() + "\n")
 
     print(f"ansatz {spec.kind}: E = {final_energy:.10f} Ha")
     if e_oracle is not None:
@@ -314,7 +315,7 @@ def cmd_oracle(cfg: RunConfig, out: str | None = None) -> dict:
     print(f"E0 (determinant basis) = {e_det:.10f} Ha")
     print(f"E0 (CSF basis)         = {e_csf:.10f} Ha")
     if out:
-        Path(out).write_text(json.dumps(doc, indent=2) + "\n")
+        write_atomic(out, json.dumps(doc, indent=2) + "\n")
     return doc
 
 
@@ -328,8 +329,8 @@ def cmd_count(kind: str, m: int, reference_dim: int, n_selected: int | None) -> 
 
 
 def cmd_compare(path_a: str, path_b: str) -> dict:
-    rec_a = analysis.RunRecord.from_json(Path(path_a).read_text())
-    rec_b = analysis.RunRecord.from_json(Path(path_b).read_text())
+    rec_a = analysis.RunRecord.from_json(Path(path_a).read_bytes(), path_a)
+    rec_b = analysis.RunRecord.from_json(Path(path_b).read_bytes(), path_b)
     hartree, kcal = analysis.spin_splitting(rec_a.final_energy, rec_b.final_energy)
     print(f"E(A) - E(B) = {hartree:.6f} Ha = {kcal:.2f} kcal/mol")
     print(

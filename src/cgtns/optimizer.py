@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -676,6 +677,23 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
 # ---------------------------------------------------------------------------
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in its directory.
+
+    ``os.replace`` swaps the finished file in, so ``path`` holds its old or
+    its new content, never a part; a failed write leaves no temporary file.
+    Newlines are written as given.
+    """
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(ensemble: ReplicaEnsemble, path) -> None:
     """Write the full ensemble state (tensors, RNG streams, trace tail)."""
     spec = ensemble.evaluator.spec
@@ -709,7 +727,7 @@ def save_checkpoint(ensemble: ReplicaEnsemble, path) -> None:
         "swap_rng_state": ensemble.swap_rng.bit_generator.state,
         "trace_tail": [row.as_list() for row in ensemble.trace[-TRACE_TAIL:]],
     }
-    Path(path).write_text(json.dumps(doc))
+    write_atomic(path, json.dumps(doc))
 
 
 def _restore_rng(state: dict) -> np.random.Generator:

@@ -14,6 +14,9 @@ per-determinant loops ``amplitude``, ``amplitude_partial_derivative`` and
 ``orbital_occupations``, and ``jacobian_loop`` for ``AmplitudeEngine.jacobian``.
 ``tensors`` restates the flat parameter layout from the ansatz definition
 alone, so the amplitude references read the tensors without the engine.
+``exact_diagonalize_full`` keeps the full-spectrum dense solve that
+``exact_diagonalize`` replaced by a lowest-eigenpair solve; it reuses the
+library's matrices, so it checks the eigensolver, not the Hamiltonian.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from cgtns.correlators import AnsatzSpec
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
-from cgtns.hamiltonian import slater_condon
+from cgtns.hamiltonian import csf_hamiltonian, slater_condon
 from cgtns.optimizer import STEP_BOUNDS, STEP_FACTOR_CAP, _renormalize_product_scale
 
 
@@ -187,6 +190,18 @@ def slater_condon_matrix(ints, space) -> np.ndarray:
             mat[i, j] = el
             mat[j, i] = el
     return mat
+
+
+def exact_diagonalize_full(ham, basis=None) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair taken from every eigenpair of the dense problem."""
+    if basis is None:
+        evals, evecs = linalg.eigh(ham.matrix())
+    else:
+        evals, evecs = linalg.eigh(csf_hamiltonian(basis, ham), basis.overlap())
+    vec = evecs[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
+    return float(evals[0]), vec
 
 
 def orbital_occupations_loop(ham, coeffs) -> tuple[float, ...]:

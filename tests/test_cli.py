@@ -148,6 +148,14 @@ class TestOracle:
     def test_missing_file_exits_2(self, capsys):
         assert main(["oracle", "--integrals", "/nonexistent.fcidump"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("target", [".", "out"])
+    def test_oracle_out_onto_a_directory_exits_2(self, tmp_path, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        assert main(["oracle", "--integrals", H2, "--oracle-out", target]) == EXIT_CONFIG
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert not any((tmp_path / "out").iterdir())
+
 
 class TestRun:
     def test_pair_run_writes_artifacts(self, tmp_path):
@@ -514,6 +522,38 @@ class TestCompare:
 
     def test_missing_record_exits_2(self, tmp_path):
         assert main(["compare", str(tmp_path / "no.json"), str(tmp_path / "no.json")]) == EXIT_CONFIG
+
+    def compare_bad_record(self, tmp_path, capsys, content):
+        """Compare a good record with ``content``; the bad one is an input error."""
+        good, bad = tmp_path / "a.json", tmp_path / "b.json"
+        self.make_record(good, "2s", -1.0)
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+        assert main(["compare", str(good), str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "content", ['{"format": "cgtns-run-record", "version": 1,', b'{"kind": "\xff"}']
+    )
+    def test_malformed_json_exits_2(self, tmp_path, capsys, content):
+        assert "not a JSON document" in self.compare_bad_record(tmp_path, capsys, content)
+
+    @pytest.mark.parametrize("key", ["final_energy", "kind"])
+    def test_missing_key_exits_2(self, tmp_path, capsys, key):
+        self.make_record(tmp_path / "full.json", "2s", -1.0)
+        doc = json.loads((tmp_path / "full.json").read_text())
+        del doc[key]
+        err = self.compare_bad_record(tmp_path, capsys, json.dumps(doc))
+        assert "malformed run record" in err and key in err
+
+    @pytest.mark.parametrize(
+        "content", ['{"format": "cgtns-checkpoint", "version": 2}', "[1, 2]", "null"]
+    )
+    def test_other_json_document_exits_2(self, tmp_path, capsys, content):
+        err = self.compare_bad_record(tmp_path, capsys, content)
+        assert "unrecognized run-record document" in err
 
 
 def test_import_leaves_scipy_optimize_unloaded():

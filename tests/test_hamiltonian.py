@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cgtns.correlators import select_sites
 from cgtns.errors import CapacityError, ParseError
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import (
@@ -18,6 +19,7 @@ from cgtns.hamiltonian import (
 )
 
 from oracles import (
+    exact_diagonalize_full,
     hamiltonian_matrix_brute,
     orbital_occupations_loop,
     slater_condon_matrix,
@@ -389,3 +391,60 @@ class TestExactDiagonalize:
         ham = HamiltonianOperator(h2_integrals, space)
         with pytest.raises(CapacityError):
             exact_diagonalize(ham, dense_limit=2)
+
+
+def assert_same_ground_state(ham, basis=None):
+    """The lowest-eigenpair solve against the full-spectrum reference: the
+    energy, the vector up to its sign, and the sites the run would select."""
+    e0, vec = exact_diagonalize(ham, basis)
+    e_ref, ref = exact_diagonalize_full(ham, basis)
+    assert abs(e0 - e_ref) <= 1e-12
+    if basis is None:
+        overlap = vec @ ref
+    else:
+        overlap = vec @ basis.overlap() @ ref
+        vec, ref = basis.K.T @ vec, basis.K.T @ ref
+    assert abs(abs(overlap) - 1.0) <= 1e-12
+    assert select_sites(orbital_occupations(ham, vec)) == select_sites(
+        orbital_occupations(ham, ref)
+    )
+
+
+@pytest.mark.filterwarnings("ignore:no orbital occupation")
+class TestLowestEigenpair:
+    """``exact_diagonalize`` against ``oracles.exact_diagonalize_full``."""
+
+    @pytest.mark.parametrize("spin2", [0, 2])
+    @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
+    def test_fixtures(self, name, spin2):
+        ints, space = fixture_problem(name)
+        ham = HamiltonianOperator(ints, space)
+        assert_same_ground_state(ham)
+        assert_same_ground_state(ham, build_csf_basis(space, spin2 / 2.0))
+
+    @pytest.mark.parametrize(
+        "m_orb,n_electrons,ms,seed",
+        [(3, 3, 0.5, 5), (3, 2, 0.0, 17), (4, 4, 0.0, 23), (5, 5, 0.5, 40), (6, 5, 0.5, 47)],
+    )
+    def test_random_integrals_every_spin(self, m_orb, n_electrons, ms, seed):
+        h, g, e_core = random_integrals(m_orb, seed)
+        ints = IntegralSet.from_dense(h, g, e_core=e_core)
+        space = enumerate_onvs(2 * m_orb, n_electrons, ms)
+        ham = HamiltonianOperator(ints, space)
+        assert_same_ground_state(ham)
+        highest = min(n_electrons, 2 * m_orb - n_electrons) / 2.0
+        for s in np.arange(abs(ms), highest + 0.5):
+            assert_same_ground_state(ham, build_csf_basis(space, float(s)))
+
+    def test_one_determinant_one_csf(self):
+        h, g, e_core = random_integrals(1, 3)
+        ints = IntegralSet.from_dense(h, g, e_core=e_core)
+        space = enumerate_onvs(2, 2, 0.0)
+        basis = build_csf_basis(space, 0.0)
+        assert (space.size, basis.n_csfs) == (1, 1)
+        ham = HamiltonianOperator(ints, space)
+        assert_same_ground_state(ham)
+        assert_same_ground_state(ham, basis)
+        e0, vec = exact_diagonalize(ham, basis)
+        assert e0 == ham.matrix()[0, 0]
+        assert vec.tolist() == [1.0]

@@ -1,5 +1,6 @@
 """Parallel tempering, refinement stages, warm starts, and checkpointing."""
 
+import errno
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import linalg, optimize, stats
 
-from cgtns import optimizer
+from cgtns import analysis, optimizer
 from cgtns.correlators import ANSATZ_KINDS, AmplitudeEngine, AnsatzSpec
 from cgtns.energy import EnergyEvaluator, EnergyReport
 from cgtns.errors import ConfigError, DimensionError, FrozenTensorError
@@ -929,3 +930,50 @@ class TestCheckpoint:
         ckpt.write_text(json.dumps(doc))
         with pytest.raises(DimensionError):
             load_checkpoint(ckpt, basis, ham)
+
+    @pytest.mark.parametrize(
+        "write",
+        [save_checkpoint, lambda ens, path: analysis.export_trace(ens.trace, path)],
+        ids=["checkpoint", "trace"],
+    )
+    def test_failed_write_keeps_the_previous_file(self, h2, tmp_path, monkeypatch, write):
+        basis, ham = h2
+        ev = EnergyEvaluator(AnsatzSpec("2s"), 4, basis, ham)
+        config = PtConfig(n_replicas=2, sweeps=2, swap_interval=2, seed=3)
+        ensemble = run_parallel_tempering(
+            config, ev, cold_start(ev.engine, np.random.default_rng(3))
+        )
+        path = tmp_path / "artifact"
+        write(ensemble, path)
+        before = path.read_bytes()
+        continue_parallel_tempering(ensemble, 2)
+
+        class DiskFull:
+            """A file that takes half of the text written to it, then fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = open
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                optimizer, "open", lambda *a, **k: DiskFull(real_open(*a, **k)), raising=False
+            )
+            with pytest.raises(OSError, match="No space"):
+                write(ensemble, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        write(ensemble, path)
+        assert path.read_bytes() != before
+        assert list(tmp_path.iterdir()) == [path]
