@@ -33,7 +33,6 @@ from .optimizer import (
     ReplicaEnsemble,
     bfgs_refine,
     gradient_subspace_solve,
-    reduced_gradient_sweep,
     run_parallel_tempering,
     run_stages,
     subspace_refine,

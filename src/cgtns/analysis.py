@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .correlators import AnsatzSpec, param_count
 from .errors import DimensionError, ParseError
 from .optimizer import TraceRow, write_atomic
 
+#: JSON value types of the ``RunRecord`` field annotations (bools excluded).
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float)}
 #: Hartree to kcal/mol (CODATA-consistent at the displayed precision).
 HARTREE_TO_KCAL_PER_MOL = 627.5095
 
@@ -89,9 +91,18 @@ class RunRecord:
         doc.pop("version")
         doc.pop("reduction_pct_display", None)
         try:
-            return cls(**doc)
+            record = cls(**doc)
         except TypeError as exc:  # a missing or an unknown key
             raise ParseError(f"malformed run record: {exc}", path) from None
+        for f in fields(cls):
+            value = getattr(record, f.name)
+            base, _, optional = f.type.partition(" | ")
+            if not (value is None and optional) and (
+                isinstance(value, bool) or not isinstance(value, _JSON_TYPES[base])
+            ):
+                message = f"{f.name} = {value!r} is not {f.type}"
+                raise ParseError(f"malformed run record: {message}", path)
+        return record
 
 
 def reduction_report(

@@ -31,7 +31,6 @@ from .hamiltonian import (
 from .optimizer import (
     PtConfig,
     bfgs_refine,
-    reduced_gradient_sweep,
     run_stages,
     save_checkpoint,
     subspace_refine,
@@ -45,15 +44,9 @@ EXIT_NUMERICAL = 4
 
 REFINERS = {
     "bfgs": bfgs_refine,
-    "reduced-gradient": reduced_gradient_sweep,
     "subspace": subspace_refine,
 }
 REFINE_STAGES = ("none", *REFINERS)
-#: Refinements that update pair tensors.
-PAIR_REFINERS = ("reduced-gradient", "subspace")
-#: The pair ansatze; only they keep their pair tensors
-#: active (the hybrids freeze theirs, the pure triples have none).
-PAIR_KINDS = ("2s", "2s/si")
 
 
 @dataclass
@@ -90,11 +83,6 @@ class RunConfig:
         if self.refine not in REFINE_STAGES:
             raise ConfigError(
                 f"unknown refinement stage {self.refine!r}; choose from {REFINE_STAGES}"
-            )
-        if self.refine in PAIR_REFINERS and self.ansatz not in PAIR_KINDS:
-            raise ConfigError(
-                f"refine = {self.refine} needs active pair tensors, which only "
-                f"the {' and '.join(PAIR_KINDS)} ansatze have (ansatz = {self.ansatz})"
             )
         if self.init not in ("warm", "cold"):
             raise ConfigError("init must be 'warm' or 'cold'")

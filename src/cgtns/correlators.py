@@ -208,6 +208,8 @@ class AmplitudeEngine:
             active[: 4 * self.n_pair_rows] = False
         self.active_mask = active
         self.active_indices = np.flatnonzero(active)
+        if not self.active_indices.size:
+            raise FrozenTensorError("every tensor of this ansatz is frozen")
 
         # entry_table[t, n] = flat index of the entry of tensor t picked by
         # determinant n's occupations.

@@ -1,9 +1,9 @@
 """Energy minimization over correlator space.
 
-A parallel-tempering Metropolis walk does the global search; quasi-Newton,
-per-pair reduced-gradient sweeps, and a local generalized-eigenvalue update
-refine locally.  Every entry point is deterministic for a fixed seed and
-keeps the best-so-far energy non-increasing.
+A parallel-tempering Metropolis walk does the global search; quasi-Newton
+descent and tensor-wise generalized-eigenvalue solves refine locally.
+Every entry point is deterministic for a fixed seed and keeps the
+best-so-far energy non-increasing.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from scipy import linalg
 
 from .correlators import AmplitudeEngine, AnsatzSpec
 from .energy import EnergyEvaluator
-from .errors import (
-    ConfigError,
-    DegenerateStateError,
-    DimensionError,
-    FrozenTensorError,
-)
+from .errors import ConfigError, DegenerateStateError, DimensionError
 from .fock import CsfBasis
 from .hamiltonian import HamiltonianOperator
 
@@ -196,8 +191,6 @@ def _renormalize_product_scale(engine, x: np.ndarray) -> np.ndarray:
         sl = slice(engine.offsets[t], engine.offsets[t] + engine.sizes[t])
         if engine.active_mask[sl].any():
             active_tensors.append(sl)
-    if not active_tensors:
-        return x
     n = len(active_tensors)
     q, r = divmod(k, n)
     x = x.copy()
@@ -228,8 +221,6 @@ def metropolis_sweep(
     full-recompute sweep.
     """
     active = evaluator.engine.active_indices
-    if len(active) == 0:
-        raise FrozenTensorError("no active parameters to optimize")
     rng = replica.rng
     x = replica.x.copy()
     moves = evaluator.local_moves(x) if isinstance(evaluator, EnergyEvaluator) else None
@@ -512,8 +503,6 @@ def bfgs_refine(
 
     _check_unscreened(evaluator)
     active = evaluator.engine.active_indices
-    if len(active) == 0:
-        raise FrozenTensorError("no active parameters to refine")
     best = {"y": x[active].copy(), "e": evaluator.energy(x).e}
 
     def assemble(y):
@@ -562,72 +551,32 @@ def bfgs_refine(
     )
 
 
-def reduced_gradient_sweep(
-    evaluator: EnergyEvaluator,
-    x: np.ndarray,
-    passes: int = 3,
-    initial_step: float = 0.5,
-    tol: float = 1e-10,
-) -> RefineResult:
-    """Cycle over pair tensors, line-searching along each local 4-gradient.
-
-    Each accepted step strictly lowers the energy; the sweep stops after
-    ``passes`` full cycles or as soon as a cycle brings no improvement.
-    """
-    _check_unscreened(evaluator)
-    active_pairs = () if evaluator.spec.pairs_frozen else evaluator.engine.pair_keys
-    if not active_pairs:
-        raise FrozenTensorError("reduced-gradient sweep needs active pair tensors")
-    engine = evaluator.engine
-    flat_of = {
-        key: engine.active_indices[engine.active_rows(key)] for key in active_pairs
-    }
-    x = x.copy()
-    energy = evaluator.energy(x).e
-    done = 0
-    for _ in range(passes):
-        improved = False
-        for key in active_pairs:
-            # This pair's rows of the full gradient, bit for bit.
-            dS = engine.jacobian_rows(x, key) @ evaluator.K.T
-            grad = evaluator.gradient_from_weights(evaluator.weights(x), dS)
-            norm = float(np.max(np.abs(grad), initial=0.0))
-            if norm < tol:
-                continue
-            step = initial_step
-            for _ in range(40):
-                x_trial = x.copy()
-                x_trial[flat_of[key]] -= step * grad
-                try:
-                    e_trial = evaluator.energy(x_trial).e
-                except DegenerateStateError:
-                    e_trial = np.inf
-                if e_trial < energy - 1e-14:
-                    x, energy = x_trial, e_trial
-                    improved = True
-                    break
-                step *= 0.5
-        done += 1
-        if not improved:
-            break
-    return RefineResult(x=x, energy=energy, n_iterations=done, converged=True)
-
-
 def gradient_subspace_solve(
-    evaluator: EnergyEvaluator, x: np.ndarray, i: int, j: int
+    evaluator: EnergyEvaluator, x: np.ndarray, key: tuple[int, ...]
 ) -> tuple[np.ndarray, float]:
-    """Optimal pair tensor (i, j) from a 4-dimensional eigenvalue problem.
+    """Optimal entries of the active tensor ``key`` from one small pencil.
 
-    The state is linear in the chosen tensor's entries, so the partial
-    derivative states span a subspace containing it; the lowest eigenpair of
-    the Hamiltonian/overlap pencil in that subspace gives the replacement
-    entries and the new energy.  Near-singular overlaps are rank-reduced at
-    a relative eigenvalue floor of 1e-10.  Returns the updated copy of ``x``
-    and its energy; the evaluator's screening is ignored.
+    A determinant picks one entry of each tensor, so the state is linear in
+    the 4 or 8 entries of ``key``: the lowest eigenpair of the
+    Hamiltonian/overlap pencil of their derivative states gives the new
+    entries and energy.  A sum hybrid's state is affine in a triple, so the
+    frozen pair addend joins as a ninth state (every row scaled to unit
+    peak) and the entries are divided by its coefficient; the solve is
+    declined, returning a copy of ``x`` and its energy, when the addend's
+    share of the new state is 1e-10 or less.  Overlaps are rank-reduced at a
+    relative eigenvalue floor of 1e-10; screening is ignored.
     """
-    key = (i, j) if i <= j else (j, i)
-    rows = evaluator.engine.active_rows(key)
-    V = np.asarray(evaluator.engine.jacobian_rows(x, key) @ evaluator.K.T)
+    engine = evaluator.engine
+    rows = engine.active_rows(key)
+    V = np.asarray(engine.jacobian_rows(x, key) @ evaluator.K.T)
+    if engine.sum_mode:
+        # The addend and the derivative states can differ by many orders of
+        # magnitude, and the rank floor is relative to the largest.
+        addend = np.prod(engine.factors(x)[: engine.n_pair_rows], axis=0)
+        V = np.vstack((evaluator.K @ addend, V))
+        peaks = np.max(np.abs(V), axis=1)
+        scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
+        V *= scale[:, None]
     h_sub = V @ evaluator.h_csf @ V.T
     s_sub = V @ evaluator.overlap @ V.T
     h_sub = 0.5 * (h_sub + h_sub.T)
@@ -642,13 +591,19 @@ def gradient_subspace_solve(
     X = U[:, keep] / np.sqrt(w[keep])
     evals, Y = linalg.eigh(X.T @ h_sub @ X)
     coeff = X @ Y[:, 0]
+    if engine.sum_mode:
+        # Of the unit-norm state, the addend carries |coeff[0]| sqrt(s_00).
+        if not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
+            return x.copy(), evaluator.energy(x).e
+        coeff = coeff[1:] * scale[1:] / (coeff[0] * scale[0])
     x_new = x.copy()
-    x_new[evaluator.engine.active_indices[rows]] = coeff
+    x_new[engine.active_indices[rows]] = coeff
     return x_new, float(evals[0])
 
 
 def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
-    """Cycle ``gradient_subspace_solve`` over the active pairs in sorted order.
+    """Cycle ``gradient_subspace_solve`` over the active tensors in layout
+    order (``engine.keys``): an alternating linear scheme.
 
     A pass improves when some solve lowers the energy by more than
     ``SUBSPACE_GAIN``; the cycle stops after the first pass that does not,
@@ -656,14 +611,16 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     returned is that of the last solve.
     """
     _check_unscreened(evaluator)
-    active_pairs = () if evaluator.spec.pairs_frozen else evaluator.engine.pair_keys
-    if not active_pairs:
-        raise FrozenTensorError("subspace refinement needs active pair tensors")
+    engine = evaluator.engine
+    active = [
+        key for key, start in zip(engine.keys, engine.offsets)
+        if engine.active_mask[start]
+    ]
     energy = evaluator.energy(x).e
     for done in range(1, SUBSPACE_PASSES + 1):
         improved = False
-        for key in active_pairs:
-            x, e_sub = gradient_subspace_solve(evaluator, x, *key)
+        for key in active:
+            x, e_sub = gradient_subspace_solve(evaluator, x, key)
             if energy - e_sub > SUBSPACE_GAIN:
                 improved = True
             energy = e_sub

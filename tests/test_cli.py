@@ -14,7 +14,7 @@ from cgtns.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
     EXIT_OK,
-    PAIR_REFINERS,
+    REFINE_STAGES,
     REFINERS,
     RunConfig,
     cmd_run,
@@ -291,16 +291,32 @@ class TestRun:
         assert screens == built
 
     @pytest.mark.parametrize("ansatz", ["3s", "3s[2s]"])
-    @pytest.mark.parametrize("stage", PAIR_REFINERS)
+    @pytest.mark.parametrize("stage", ["reduced-gradient"])
     def test_pair_refinement_needs_active_pairs(self, tmp_path, capsys, stage, ansatz):
+        # The pair-only reduced-gradient refiner is gone: asking for it on a
+        # triple ansatz is refused as an unknown refinement before any
+        # stage runs or any file is written.
         outdir = tmp_path / "out"
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"integrals = {H2}\nansatz = {ansatz}\nrefine = {stage}\n")
         argv = ["run", "--config", str(cfg_file), "--out", str(outdir)]
         assert main(argv) == EXIT_CONFIG
-        assert "refine" in capsys.readouterr().err
-        assert not (outdir / "trace.csv").exists()
-        assert not (outdir / "stage1_trace.csv").exists()
+        err = capsys.readouterr().err
+        assert f"{stage!r}" in err
+        assert str(REFINE_STAGES) in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("ansatz", ["3s", "3s[2s]", "3s+[2s]"])
+    def test_subspace_refines_triple_kinds(self, tmp_path, ansatz):
+        cfg_file = tmp_path / "run.cfg"
+        cfg = quick_cfg(ansatz=ansatz, sweeps=4, refine="subspace")
+        cfg_file.write_text(dump_config(cfg))
+        outdir = tmp_path / "ref"
+        assert main(["run", "--config", str(cfg_file), "--out", str(outdir)]) == EXIT_OK
+        record = RunRecord.from_json((outdir / "record.json").read_text())
+        checkpoint = json.loads((outdir / "checkpoint.json").read_text())
+        assert record.final_energy <= checkpoint["best_energy"]
+        assert record.final_energy >= record.e_oracle - 1e-9
 
     def test_run_without_integrals_exits_2(self):
         assert main(["run"]) == EXIT_CONFIG
@@ -547,6 +563,39 @@ class TestCompare:
         del doc[key]
         err = self.compare_bad_record(tmp_path, capsys, json.dumps(doc))
         assert "malformed run record" in err and key in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("final_energy", "x"),
+            ("final_energy", None),
+            ("reduction_pct", None),
+            ("reduction_pct", True),
+            ("n_active_parameters", True),
+            ("n_active_parameters", 1.5),
+            ("reference_csfs", "3"),
+            ("kind", 2),
+            ("e_oracle", "y"),
+            ("error_vs_oracle", "0.1"),
+            ("seed", 1.0),
+            ("seed", False),
+        ],
+    )
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, key, value):
+        self.make_record(tmp_path / "full.json", "2s", -1.0)
+        doc = json.loads((tmp_path / "full.json").read_text())
+        doc[key] = value
+        err = self.compare_bad_record(tmp_path, capsys, json.dumps(doc))
+        assert "malformed run record" in err and key in err
+
+    @pytest.mark.parametrize("key, value", [("final_energy", -2), ("e_oracle", None)])
+    def test_integral_energy_and_null_oracle_are_valid(self, tmp_path, key, value):
+        self.make_record(tmp_path / "a.json", "2s", -1.0)
+        doc = json.loads((tmp_path / "a.json").read_text())
+        doc[key] = value
+        (tmp_path / "b.json").write_text(json.dumps(doc))
+        argv = ["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert main(argv) == EXIT_OK
 
     @pytest.mark.parametrize(
         "content", ['{"format": "cgtns-checkpoint", "version": 2}', "[1, 2]", "null"]

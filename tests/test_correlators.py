@@ -1,6 +1,7 @@
 """Ansatz definitions, parameter counts, amplitudes, and weights."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from cgtns.correlators import (
 from cgtns.energy import EnergyEvaluator
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
 from cgtns.fock import build_csf_basis, enumerate_onvs
-from cgtns.hamiltonian import HamiltonianOperator, IntegralSet
+from cgtns.hamiltonian import HamiltonianOperator, IntegralSet, parse_fcidump
+from cgtns.optimizer import cold_start
 
 from oracles import (
     _occ,
@@ -27,6 +29,9 @@ from oracles import (
     randomize,
     tensors,
 )
+
+
+FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 
 
 def csf_weights(x, spec, m, basis):
@@ -385,6 +390,36 @@ class TestEngineTables:
         for key in engine.pair_keys:
             V = engine.jacobian_rows(x, key) @ K.T
             assert np.array_equal(V, jac[engine.active_rows(key)] @ K.T)
+
+    def test_all_frozen_ansatz_refused(self):
+        # Strict triples over one spatial orbital (two sites) do not exist,
+        # so this hybrid would hold frozen pairs only.
+        spec = AnsatzSpec("3s[2s]sel", selected_sites=(2, 3), si_selected_triples=False)
+        with pytest.raises(FrozenTensorError):
+            AmplitudeEngine(spec, 8, enumerate_onvs(8, 4, 0.0))
+
+    @pytest.mark.parametrize("kind", ["2s", "2s/si", "3s[2s]", "3s+[2s]"])
+    @pytest.mark.parametrize("name", ["h4", "h6"])
+    def test_tensor_rows_match_full_gradient(self, name, kind):
+        # Subspace solves price one tensor from its Jacobian rows alone; with
+        # gradient_from_weights they give that tensor's rows of the full
+        # gradient, bit for bit.  The hybrids' frozen pairs are set off one.
+        ints = parse_fcidump(FIXTURES / f"{name}.fcidump")
+        space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
+        basis = build_csf_basis(space, ints.ms2 / 2.0)
+        ham = HamiltonianOperator(ints, space)
+        ev = EnergyEvaluator(AnsatzSpec(kind), space.m, basis, ham)
+        engine = ev.engine
+        rng = np.random.default_rng(1)
+        x = cold_start(engine, rng)
+        frozen = ~engine.active_mask
+        x[frozen] = rng.uniform(0.5, 1.5, np.count_nonzero(frozen))
+        full = ev.gradient(x)
+        for key, start in zip(engine.keys, engine.offsets):
+            if engine.active_mask[start]:
+                dS = engine.jacobian_rows(x, key) @ ev.K.T
+                rows = ev.gradient_from_weights(ev.weights(x), dS)
+                assert np.array_equal(rows, full[engine.active_rows(key)])
 
     @pytest.mark.parametrize("kind", ["2s", "3s"])
     @pytest.mark.parametrize("m, n", [(8, 4), (12, 6)])

@@ -11,7 +11,7 @@ import pytest
 from scipy import linalg, optimize, stats
 
 from cgtns import analysis, optimizer
-from cgtns.correlators import ANSATZ_KINDS, AmplitudeEngine, AnsatzSpec
+from cgtns.correlators import ANSATZ_KINDS, AmplitudeEngine, AnsatzSpec, select_sites
 from cgtns.energy import EnergyEvaluator, EnergyReport
 from cgtns.errors import ConfigError, DimensionError, FrozenTensorError
 from cgtns.fock import build_csf_basis, enumerate_onvs
@@ -19,6 +19,7 @@ from cgtns.hamiltonian import (
     HamiltonianOperator,
     IntegralSet,
     exact_diagonalize,
+    orbital_occupations,
     parse_fcidump,
 )
 from cgtns.optimizer import (
@@ -30,7 +31,6 @@ from cgtns.optimizer import (
     gradient_subspace_solve,
     load_checkpoint,
     metropolis_sweep,
-    reduced_gradient_sweep,
     run_parallel_tempering,
     run_stages,
     save_checkpoint,
@@ -653,63 +653,6 @@ class TestBfgsRefine:
         assert line_energy(t_num) == pytest.approx(min(energies), abs=1e-12)
 
 
-class TestReducedGradient:
-    def test_zero_gradient_leaves_params(self):
-        ints = IntegralSet.zeros(1, e_core=0.1)
-        space = enumerate_onvs(2, 2, 0.0)
-        basis = build_csf_basis(space, 0.0)
-        ham = HamiltonianOperator(ints, space)
-        spec = AnsatzSpec("2s")
-        ev = EnergyEvaluator(spec, 2, basis, ham)
-        x = cold_start(ev.engine, np.random.default_rng(4))
-        result = reduced_gradient_sweep(ev, x, passes=2)
-        assert result.x is not x
-        assert np.array_equal(result.x, x)
-
-    def test_energy_never_increases(self, h2):
-        basis, ham = h2
-        spec = AnsatzSpec("2s")
-        ev = EnergyEvaluator(spec, 4, basis, ham)
-        x = cold_start(ev.engine, np.random.default_rng(10))
-        start = ev.energy(x).e
-        result = reduced_gradient_sweep(ev, x, passes=4)
-        assert result.energy <= start
-
-    def test_agrees_with_bfgs_at_stationary_point(self, h2):
-        basis, ham = h2
-        spec = AnsatzSpec("2s")
-        ev = EnergyEvaluator(spec, 4, basis, ham)
-        x = cold_start(ev.engine, np.random.default_rng(12))
-        refined = bfgs_refine(ev, x, max_iter=400, tol=1e-10)
-        touched = reduced_gradient_sweep(ev, refined.x, passes=2)
-        assert abs(touched.energy - refined.energy) < 1e-8
-
-    def test_requires_active_pairs(self, h2):
-        basis, ham = h2
-        spec = AnsatzSpec("3s[2s]")
-        ev = EnergyEvaluator(spec, 4, basis, ham)
-        with pytest.raises(FrozenTensorError):
-            reduced_gradient_sweep(ev, identity(spec, 4))
-
-    @pytest.mark.parametrize("kind", ["2s", "2s/si"])
-    @pytest.mark.parametrize("name", ["h4", "h6"])
-    def test_pair_rows_match_full_gradient(self, name, kind):
-        # The sweep prices each pair from that tensor's Jacobian rows alone;
-        # they must be the pair's rows of the full gradient, bit for bit.
-        ints = parse_fcidump(FIXTURES / f"{name}.fcidump")
-        space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
-        basis = build_csf_basis(space, ints.ms2 / 2.0)
-        ham = HamiltonianOperator(ints, space)
-        ev = EnergyEvaluator(AnsatzSpec(kind), space.m, basis, ham)
-        engine = ev.engine
-        x = cold_start(engine, np.random.default_rng(1))
-        full = ev.gradient(x)
-        for key in engine.pair_keys:
-            dS = engine.jacobian_rows(x, key) @ ev.K.T
-            rows = ev.gradient_from_weights(ev.weights(x), dS)
-            assert np.array_equal(rows, full[engine.active_rows(key)])
-
-
 class TestGradientSubspace:
     def test_single_csf_space_energy(self):
         ints = IntegralSet.zeros(1, e_core=0.3)
@@ -720,7 +663,7 @@ class TestGradientSubspace:
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 2, basis, ham)
         x = cold_start(ev.engine, np.random.default_rng(3))
-        _, e_sub = gradient_subspace_solve(ev, x, 0, 1)
+        _, e_sub = gradient_subspace_solve(ev, x, (0, 1))
         K = basis.dense()
         assert e_sub == pytest.approx((K @ ham.matrix() @ K.T)[0, 0], abs=1e-10)
 
@@ -731,7 +674,7 @@ class TestGradientSubspace:
         x = cold_start(ev.engine, np.random.default_rng(21))
         before = ev.energy(x).e
         key = (1, 2)
-        x_new, e_sub = gradient_subspace_solve(ev, x, *key)
+        x_new, e_sub = gradient_subspace_solve(ev, x, key)
         after = ev.energy(x_new).e
         assert after <= before + 1e-12
         assert after == pytest.approx(e_sub, abs=1e-9)
@@ -779,7 +722,7 @@ class TestGradientSubspace:
             improved = False
             for key in sorted(spec.pair_keys(8)):
                 fresh = EnergyEvaluator(spec, 8, basis, ham)
-                x, e_sub = gradient_subspace_solve(fresh, x, *key)
+                x, e_sub = gradient_subspace_solve(fresh, x, key)
                 if energy - e_sub > 1e-10:
                     improved = True
                 energy = e_sub
@@ -801,21 +744,92 @@ class TestGradientSubspace:
         assert not result.converged
 
     def test_rejects_frozen_pairs(self, h2):
+        # A hybrid's pairs are frozen: a solve on one is refused, and the
+        # refinement cycles over the triples only.
         basis, ham = h2
         for kind in ("3s[2s]", "3s+[2s]"):
             spec = AnsatzSpec(kind)
             x = identity(spec, 4)
             ev = EnergyEvaluator(spec, 4, basis, ham)
             with pytest.raises(FrozenTensorError):
-                gradient_subspace_solve(ev, x, 0, 1)
-            with pytest.raises(FrozenTensorError):
-                subspace_refine(ev, x)
+                gradient_subspace_solve(ev, x, (0, 1))
+            frozen = ~ev.engine.active_mask
+            assert np.array_equal(subspace_refine(ev, x).x[frozen], x[frozen])
+
+
+class TestTensorWiseRefine:
+    """``subspace_refine`` on every kind: H4, ``run_stages`` with seed 1 and
+    2 replicas x 10 sweeps, then solves over every active tensor."""
+
+    @pytest.fixture(scope="class", params=ANSATZ_KINDS)
+    def refined(self, request, h4):
+        basis, ham = h4
+        e0, c0 = exact_diagonalize(ham, basis)
+        sites = None
+        if request.param.endswith("sel"):
+            sites = select_sites(orbital_occupations(ham, basis.K.T @ c0))
+        spec = AnsatzSpec(request.param, selected_sites=sites)
+        config = PtConfig(n_replicas=2, sweeps=10, seed=1)
+        *_, ensemble = run_stages(config, spec, basis, ham)
+        steps = []
+
+        def solve(evaluator, x, key):
+            x_new, e_sub = gradient_subspace_solve(evaluator, x, key)
+            steps.append((evaluator.energy(x).e, evaluator.energy(x_new).e, e_sub))
+            return x_new, e_sub
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "gradient_subspace_solve", solve)
+            result = subspace_refine(ensemble.evaluator, ensemble.best_x)
+        return SimpleNamespace(
+            e0=e0, ensemble=ensemble, result=result, steps=np.array(steps)
+        )
+
+    def test_no_solve_raises_the_energy(self, refined):
+        engine = refined.ensemble.evaluator.engine
+        before, after, e_sub = refined.steps.T
+        assert len(before) >= np.count_nonzero(engine.active_mask[engine.offsets])
+        assert np.max(after - before) <= 1e-9
+        assert np.max(np.abs(after - e_sub)) <= 1e-9
+
+    def test_result_between_oracle_and_search_best(self, refined):
+        result, evaluator = refined.result, refined.ensemble.evaluator
+        assert refined.e0 - 1e-9 <= result.energy <= refined.ensemble.best_energy
+        assert result.energy == pytest.approx(evaluator.energy(result.x).e, abs=1e-9)
+        frozen = ~evaluator.engine.active_mask
+        assert np.array_equal(result.x[frozen], refined.ensemble.best_x[frozen])
+
+    def test_pair_solve_needs_an_active_pair(self, refined):
+        # The hybrids freeze their pairs, and the pure triples have none.
+        evaluator, x = refined.ensemble.evaluator, refined.result.x
+        spec = evaluator.spec
+        if not spec.has_triples:
+            gradient_subspace_solve(evaluator, x, (0, 1))
+            return
+        error = FrozenTensorError if spec.pairs_frozen else DimensionError
+        with pytest.raises(error):
+            gradient_subspace_solve(evaluator, x, (0, 1))
+
+    def test_zero_pair_addend_declines(self, h4):
+        # With an all-zero pair tensor the sum hybrid's pair addend vanishes,
+        # so every triple solve is declined: x and its energy come back.
+        basis, ham = h4
+        ev = EnergyEvaluator(AnsatzSpec("3s+[2s]"), 8, basis, ham)
+        x = cold_start(ev.engine, np.random.default_rng(2))
+        x[:4] = 0.0
+        x_new, e_sub = gradient_subspace_solve(ev, x, ev.engine.triple_keys[0])
+        assert x_new is not x and np.array_equal(x_new, x)
+        assert e_sub == ev.energy(x).e
+        result = subspace_refine(ev, x)
+        assert np.array_equal(result.x, x)
+        assert result.n_iterations == 1 and result.converged
+        assert np.isfinite(result.energy) and result.energy == ev.energy(x).e
 
 
 class TestRefinerContract:
     """Every refinement runs on the caller's evaluator and flat vector."""
 
-    REFINERS = [bfgs_refine, reduced_gradient_sweep, subspace_refine]
+    REFINERS = [bfgs_refine, subspace_refine]
 
     @pytest.mark.parametrize("refiner", REFINERS)
     def test_screened_evaluator_refused(self, h2, refiner):
