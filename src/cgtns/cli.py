@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,6 +20,7 @@ from .errors import (
     CapacityError,
     CgtnsError,
     ConfigError,
+    DimensionError,
     ParseError,
 )
 from .fock import build_csf_basis, enumerate_onvs
@@ -86,10 +88,16 @@ class RunConfig:
             )
         if self.init not in ("warm", "cold"):
             raise ConfigError("init must be 'warm' or 'cold'")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} = {value} is not finite")
         if not self.window_lo < self.window_hi:
             raise ConfigError("window_lo must be below window_hi")
-        if self.screen < 0:
-            raise ConfigError("screen must be >= 0")
+        if not 0.0 <= self.screen <= 1.0:
+            raise ConfigError(f"screen = {self.screen} is outside [0, 1]")
+        if self.sweeps < 1:
+            raise ConfigError(f"sweeps = {self.sweeps}; a run needs at least one")
         # Tempering values fail here, before any file is read or written.
         _pt_config(self).temperatures()
 
@@ -308,9 +316,14 @@ def cmd_oracle(cfg: RunConfig, out: str | None = None) -> dict:
 
 
 def cmd_count(kind: str, m: int, reference_dim: int, n_selected: int | None) -> str:
-    n, pct, shown = analysis.reduction_report(
-        kind, m, reference_dim, n_selected=n_selected
-    )
+    if kind.endswith("sel") and not 1 <= (n_selected or 0) <= m:
+        raise ConfigError(f"{kind} needs --selected between 1 and m = {m}")
+    try:
+        n, pct, shown = analysis.reduction_report(
+            kind, m, reference_dim, n_selected=n_selected
+        )
+    except DimensionError as exc:  # every count input comes from the user
+        raise ConfigError(str(exc)) from None
     line = f"{n}, {shown}%"
     print(line)
     return line

@@ -134,41 +134,20 @@ class AnsatzSpec:
 
 
 def param_count(
-    spec: AnsatzSpec | str, m: int, q: int = 2, n_selected: int | None = None
+    spec: AnsatzSpec | str, m: int, n_selected: int | None = None
 ) -> int:
-    """Number of active variational parameters of an ansatz over m sites.
+    """Number of active variational parameters of an ansatz over m sites:
+    4 per pair tensor unless the pairs are frozen, 8 per triple tensor.
 
-    Hybrids count only the active triple entries (the frozen pair tensors are
-    not variational).  ``q`` is the local dimension; entries scale as q**2 per
-    pair and q**3 per triple.
+    A selected kind given by name takes ``selected_sites`` 0..n_selected-1.
     """
     if m < 2:
         raise DimensionError(f"need at least two sites, got m={m}")
-    kind = spec.kind if isinstance(spec, AnsatzSpec) else spec
-    if kind not in ANSATZ_KINDS:
-        raise DimensionError(f"unknown ansatz kind {kind!r}")
-    if kind == "2s":
-        return m * (m + 1) // 2 * q**2
-    if kind == "2s/si":
-        return m * (m - 1) // 2 * q**2
-    if kind.endswith("sel"):
-        if isinstance(spec, AnsatzSpec) and spec.selected_sites:
-            t = len(spec.selected_sites)
-            si = spec.si_selected_triples
-        elif n_selected is not None:
-            t = n_selected
-            si = True
-        else:
-            raise DimensionError(
-                "selected ansatz needs selected_sites or n_selected"
-            )
-        if si:
-            return t * (t + 1) * (t + 2) // 6 * q**3
-        return t * (t - 1) * (t - 2) // 6 * q**3
-    # Pure and hybrid full-triple ansatze.
-    if "/si" in kind:
-        return m * (m - 1) * (m - 2) // 6 * q**3
-    return m * (m + 1) * (m + 2) // 6 * q**3
+    if not isinstance(spec, AnsatzSpec):
+        selected = n_selected is not None and spec.endswith("sel")
+        spec = AnsatzSpec(spec, tuple(range(n_selected)) if selected else None)
+    pairs = 0 if spec.pairs_frozen else len(spec.pair_keys(m))
+    return 4 * pairs + 8 * len(spec.triple_keys(m))
 
 
 class AmplitudeEngine:
@@ -179,7 +158,8 @@ class AmplitudeEngine:
     parameter participating in it); all numeric state travels in the flat
     vector ``x``, the package's one parameter representation: the pair
     tensors in ``spec.pair_keys(m)`` order, then the triples, 4 and 8 entries
-    each in C order, frozen where ``active_mask`` is False.  Factor tables
+    each in C order.  The first ``n_frozen_tensors`` tensors are frozen;
+    ``active_keys`` and ``active_indices`` hold the rest.  Factor tables
     are evaluated for the whole space at once, which subsumes caching
     per-determinant products within an energy evaluation.
     """
@@ -203,46 +183,41 @@ class AmplitudeEngine:
             spec.combine_mode == "sum" and self.pair_keys and self.triple_keys
         )
 
-        active = np.ones(self.n_params, dtype=bool)
-        if spec.pairs_frozen:
-            active[: 4 * self.n_pair_rows] = False
-        self.active_mask = active
-        self.active_indices = np.flatnonzero(active)
-        if not self.active_indices.size:
+        # Frozen tensors (a hybrid's pairs) lead the layout.
+        self.n_frozen_tensors = self.n_pair_rows if spec.pairs_frozen else 0
+        self.active_keys = self.keys[self.n_frozen_tensors :]
+        if not self.active_keys:
             raise FrozenTensorError("every tensor of this ansatz is frozen")
+        self.active_indices = np.arange(
+            self.offsets[self.n_frozen_tensors], self.n_params
+        )
+        self._tensor_rows = {key: t for t, key in enumerate(self.keys)}
 
         # entry_table[t, n] = flat index of the entry of tensor t picked by
-        # determinant n's occupations.
-        table = np.empty((len(self.keys), space.size), dtype=np.int64)
+        # determinant n's occupations, the first site the most significant.
         occ = occupations(space).T.astype(np.int64)
-        for t, key in enumerate(self.keys):
-            if len(key) == 2:
-                i, j = key
-                local = 2 * occ[i] + occ[j]
-            else:
-                i, j, k = key
-                local = 4 * occ[i] + 2 * occ[j] + occ[k]
-            table[t] = self.offsets[t] + local
-        self.entry_table = table
+        i, j = np.array(self.pair_keys, dtype=np.intp).reshape(-1, 2).T
+        p, q, r = np.array(self.triple_keys, dtype=np.intp).reshape(-1, 3).T
+        local = (2 * occ[i] + occ[j], 4 * occ[p] + 2 * occ[q] + occ[r])
+        self.entry_table = table = self.offsets[:, None] + np.concatenate(local)
 
         # Sparse-Jacobian structure: row e (active entry), columns = the
-        # determinants whose occupations select that entry; _jac_rows holds
-        # the tensor row of each stored element, so one gather fills them.
-        rows = []
-        cols = []
-        indptr = [0]
-        self.entry_cells = []  # (tensor row, determinant columns) per active entry
-        for e in self.active_indices:
-            t = int(np.searchsorted(self.offsets, e, side="right") - 1)
-            dets = np.flatnonzero(table[t] == e)
-            rows.append(np.full(len(dets), t))
-            cols.append(dets)
-            self.entry_cells.append((t, dets))
-            indptr.append(indptr[-1] + len(dets))
-        empty = np.empty(0, dtype=np.int64)
-        self._jac_rows = np.concatenate(rows) if rows else empty
-        self._jac_indices = np.concatenate(cols) if cols else empty
-        self._jac_indptr = np.asarray(indptr, dtype=np.int64)
+        # determinants that select it, ascending, as a stable sort of the
+        # table orders its cells (the frozen tensors' cells come first);
+        # _jac_rows holds the tensor row of each cell, so one gather fills it.
+        cells = np.argsort(table, axis=None, kind="stable")
+        cells = cells[self.n_frozen_tensors * space.size :]
+        self._jac_rows, self._jac_indices = np.divmod(cells, space.size)
+        per_entry = np.bincount(table.ravel(), minlength=self.n_params)
+        self._jac_indptr = np.concatenate(
+            ([0], np.cumsum(per_entry[self.active_indices]))
+        )
+        # (tensor row, determinant columns) per active entry.
+        tensor_of = np.repeat(np.arange(len(self.keys)), self.sizes)
+        self.entry_cells = list(zip(
+            tensor_of[self.active_indices].tolist(),
+            np.split(self._jac_indices, self._jac_indptr[1:-1]),
+        ))
 
     # -- flat-vector plumbing ----------------------------------------------
 
@@ -260,13 +235,10 @@ class AmplitudeEngine:
     def dumps(self, x: np.ndarray) -> str:
         """The ``correlators.json`` document of ``x``: every tensor's entries
         in C order under its comma-joined sites, and the frozen tensors."""
+        names = [",".join(map(str, key)) for key in self.keys]
         tensors = {2: {}, 3: {}}
-        frozen = []
-        for key, start, size in zip(self.keys, self.offsets, self.sizes):
-            name = ",".join(map(str, key))
-            tensors[len(key)][name] = x[start : start + size].tolist()
-            if not self.active_mask[start]:
-                frozen.append(name)
+        for key, name, block in zip(self.keys, names, np.split(x, self.offsets[1:])):
+            tensors[len(key)][name] = block.tolist()
         return json.dumps(
             {
                 "format": "cgtns-correlator-set",
@@ -274,7 +246,7 @@ class AmplitudeEngine:
                 "m": self.m,
                 "pairs": tensors[2],
                 "triples": tensors[3],
-                "frozen": sorted(frozen),
+                "frozen": sorted(names[: self.n_frozen_tensors]),
             }
         )
 
@@ -284,12 +256,12 @@ class AmplitudeEngine:
         A tensor is active or frozen as a whole, so its rows form one
         contiguous block in the tensor's element order.
         """
-        if key not in self.keys:
+        t = self._tensor_rows.get(key)
+        if t is None:
             raise DimensionError(f"no tensor {key} in this ansatz")
-        t = self.keys.index(key)
-        if not self.active_mask[self.offsets[t]]:
+        if t < self.n_frozen_tensors:
             raise FrozenTensorError(f"tensor {key} is frozen")
-        start = int(np.count_nonzero(self.active_mask[: self.offsets[t]]))
+        start = int(self.offsets[t] - self.active_indices[0])
         return slice(start, start + self.sizes[t])
 
     # -- evaluation ---------------------------------------------------------
@@ -363,7 +335,7 @@ class AmplitudeEngine:
         rows = self.active_rows(key)
         indptr = self._jac_indptr[rows.start : rows.stop + 1]
         dets = self._jac_indices[indptr[0] : indptr[-1]]
-        data = self.active_cofactor(x, self.keys.index(key), dets)
+        data = self.active_cofactor(x, self._tensor_rows[key], dets)
         return sparse.csr_matrix(
             (data, dets, indptr - indptr[0]),
             shape=(rows.stop - rows.start, self.space.size),

@@ -9,7 +9,7 @@ Gradients are exact, assembled from the multilinear amplitude derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,16 @@ LOCAL_NORM_DROP = 1e-3
 #: least) are left to a full evaluation: near such a tie the sign of a
 #: roundoff-level change decides whether a random number is drawn.
 LOCAL_TIE = 1e-10
+
+
+def _peak_scale(peak: float) -> float:
+    """Divisor of weights with this peak: 1 inside ``UNSCALED_PEAK`` (or for
+    a zero peak), else a power of two near it, which keeps the quadratic
+    forms in float range and shifts only exponents, so a state and its
+    power-of-two rescaling get bit-identical energies."""
+    if peak > UNSCALED_PEAK[1] or 0.0 < peak < UNSCALED_PEAK[0]:
+        return 2.0 ** (math.frexp(peak)[1] - 1)
+    return 1.0
 
 
 @dataclass
@@ -90,14 +100,13 @@ class EnergyEvaluator:
             raise DegenerateStateError(
                 "CSF weights overflowed; the energy is numerically undefined"
             )
-        if peak > UNSCALED_PEAK[1] or 0.0 < peak < UNSCALED_PEAK[0]:
-            # The quotient is invariant under rescaling; normalizing extreme
-            # weight scales keeps the quadratic forms inside float range.  A
-            # power of two shifts only exponents, so a state and its
-            # power-of-two rescaling (the sweep's scale renormalization)
-            # get bit-identical energies.
-            scale = 2.0 ** (math.frexp(peak)[1] - 1)
-            return self._energy_from_normalized(S / scale, scale)
+        scale = _peak_scale(peak)
+        if scale != 1.0:
+            # The restored norm may saturate to inf; one that underflows is
+            # reported as the smallest normal float, as the state is valid.
+            inner = self.energy_from_weights(S / scale)
+            norm = float(inner.norm * scale * scale) or float(np.finfo(float).tiny)
+            return replace(inner, norm=norm)
         if self.screen > 0.0 and peak > 0.0:
             keep = np.abs(S) >= self.screen * peak
             dropped = int(S.size - np.count_nonzero(keep))
@@ -119,18 +128,6 @@ class EnergyEvaluator:
                 "quadratic forms overflowed; the energy is numerically undefined"
             )
         return EnergyReport(e=float(num / den), norm=float(den), screened_csfs=dropped)
-
-    def _energy_from_normalized(self, Sn, scale):
-        """Energy of rescaled weights; reported norm restores the true scale.
-
-        The restored norm may saturate to inf for extreme scales while the
-        energy itself stays finite and exact.
-        """
-        inner = self.energy_from_weights(Sn)
-        norm = float(inner.norm * scale * scale)
-        if norm == 0.0:  # underflowed scale restoration; the state is valid
-            norm = float(np.finfo(float).tiny)
-        return EnergyReport(e=inner.e, norm=norm, screened_csfs=inner.screened_csfs)
 
     def energy(self, x: np.ndarray) -> EnergyReport:
         """Rayleigh quotient of the correlator state over the CSF basis.
@@ -159,16 +156,17 @@ class EnergyEvaluator:
         return self._projected
 
     def local_moves(self, x: np.ndarray) -> LocalMoves | None:
-        """Incremental proposal state at ``x``, or None where a sweep must
-        evaluate every proposal in full: screened energies, and weights the
-        full path would rescale (or that vanished or overflowed)."""
+        """Incremental proposal state at ``x``, on the amplitudes rescaled as
+        ``energy_from_weights`` rescales their weights; None where a sweep
+        must evaluate every proposal in full: screened energies, and weights
+        that vanished or overflowed."""
         if self.screen > 0.0:
             return None
         a, active = self.engine.amplitude_parts(x)
         peak = np.max(np.abs(self.K @ a))
-        if not UNSCALED_PEAK[0] <= peak <= UNSCALED_PEAK[1]:
+        if not (np.isfinite(peak) and peak > 0.0):
             return None
-        return LocalMoves(self, a, active)
+        return LocalMoves(self, a, active, _peak_scale(peak))
 
     # -- estimators -------------------------------------------------------------
 
@@ -220,12 +218,18 @@ class LocalMoves:
 
     A zero x_e regathers the cofactor instead of dividing by it.  The rows
     d.Hd_D and d.Od_D computed for a proposal update u and w on acceptance.
+    All amplitudes are held divided by the power of two ``scale``, which
+    leaves every energy unchanged.
     """
 
-    def __init__(self, evaluator: EnergyEvaluator, a: np.ndarray, active: np.ndarray):
+    def __init__(
+        self, evaluator: EnergyEvaluator, a: np.ndarray, active: np.ndarray, scale: float
+    ):
         self.engine = evaluator.engine
         self.tables = evaluator.projected_operators()
-        self.active = active.copy()
+        self.scale = scale
+        self.active = active / scale
+        a = a / scale
         self.uw = (a @ self.tables).reshape(2, -1)  # rows u and w
         self.nd = self.uw @ a  # (num, den)
         self.energy = float(self.nd[0] / self.nd[1])
@@ -245,7 +249,7 @@ class LocalMoves:
         if x_e != 0.0:
             d = self.active[dets] * (delta / x_e)
         else:
-            d = self.engine.active_cofactor(x, t, dets) * delta
+            d = self.engine.active_cofactor(x, t, dets) * delta / self.scale
         rows = (d @ self.tables.take(dets, axis=0)).reshape(2, -1)
         nd = self.nd + 2.0 * (self.uw[:, dets] @ d) + rows[:, dets] @ d
         num, den = nd.tolist()

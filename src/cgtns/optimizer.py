@@ -186,16 +186,11 @@ def _renormalize_product_scale(engine, x: np.ndarray) -> np.ndarray:
     if 2.0**-50 < peak < 2.0**50:
         return x
     k = -int(math.floor(math.log2(peak)))
-    active_tensors = []
-    for t, key in enumerate(engine.keys):
-        sl = slice(engine.offsets[t], engine.offsets[t] + engine.sizes[t])
-        if engine.active_mask[sl].any():
-            active_tensors.append(sl)
-    n = len(active_tensors)
-    q, r = divmod(k, n)
+    q, r = divmod(k, len(engine.active_keys))
     x = x.copy()
-    for i, sl in enumerate(active_tensors):
-        x[sl] *= 2.0 ** (q + 1 if i < r else q)
+    for i, t in enumerate(range(engine.n_frozen_tensors, len(engine.keys))):
+        start = engine.offsets[t]
+        x[start : start + engine.sizes[t]] *= 2.0 ** (q + 1 if i < r else q)
     return x
 
 
@@ -603,7 +598,7 @@ def gradient_subspace_solve(
 
 def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     """Cycle ``gradient_subspace_solve`` over the active tensors in layout
-    order (``engine.keys``): an alternating linear scheme.
+    order (``engine.active_keys``): an alternating linear scheme.
 
     A pass improves when some solve lowers the energy by more than
     ``SUBSPACE_GAIN``; the cycle stops after the first pass that does not,
@@ -611,15 +606,10 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     returned is that of the last solve.
     """
     _check_unscreened(evaluator)
-    engine = evaluator.engine
-    active = [
-        key for key, start in zip(engine.keys, engine.offsets)
-        if engine.active_mask[start]
-    ]
     energy = evaluator.energy(x).e
     for done in range(1, SUBSPACE_PASSES + 1):
         improved = False
-        for key in active:
+        for key in evaluator.engine.active_keys:
             x, e_sub = gradient_subspace_solve(evaluator, x, key)
             if energy - e_sub > SUBSPACE_GAIN:
                 improved = True

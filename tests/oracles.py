@@ -284,19 +284,27 @@ def metropolis_sweep_full(replica, temperature, evaluator, target_acceptance=Non
     return ratio
 
 
+def entry_cells_loop(engine) -> list[tuple[int, np.ndarray]]:
+    """Reference ``AmplitudeEngine.entry_cells``: the per-entry loop it
+    replaced, (tensor row, selecting determinants) from the entry table."""
+    cells = []
+    for e in engine.active_indices:
+        t = int(np.searchsorted(engine.offsets, e, side="right") - 1)
+        cells.append((t, np.flatnonzero(engine.entry_table[t] == e)))
+    return cells
+
+
 def jacobian_loop(engine, x: np.ndarray) -> sparse.csr_matrix:
     """Reference ``AmplitudeEngine.jacobian``: the per-entry loop it replaced,
     its sparsity structure rebuilt from the entry table."""
     cof = engine.cofactors(x)
-    data, indices, indptr = [], [], [0]
-    for e in engine.active_indices:
-        t = int(np.searchsorted(engine.offsets, e, side="right") - 1)
-        dets = np.flatnonzero(engine.entry_table[t] == e)
-        data.append(cof[t, dets])
-        indices.append(dets)
-        indptr.append(indptr[-1] + len(dets))
+    cells = entry_cells_loop(engine)
     return sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.asarray(indptr)),
+        (
+            np.concatenate([cof[t, dets] for t, dets in cells]),
+            np.concatenate([dets for _, dets in cells]),
+            np.cumsum([0] + [len(dets) for _, dets in cells]),
+        ),
         shape=(len(engine.active_indices), engine.space.size),
     )
 

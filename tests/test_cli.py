@@ -113,15 +113,52 @@ class TestCount:
         assert main(["count", "3s[2s]sel", "24", "13108", "--selected", "14"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "4480, 66%"
 
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["2s"], "1200, 91%"),
+            (["2s/si"], "1104, 92%"),
+            (["3s"], "20800, -59%"),
+            (["3s/si"], "16192, -24%"),
+            (["3s[2s]"], "20800, -59%"),
+            (["3s/si[2s]"], "16192, -24%"),
+            (["3s+[2s]"], "20800, -59%"),
+            (["3s/si+[2s]"], "16192, -24%"),
+            *(
+                ([kind, "--selected", n], line)
+                for kind in ("3s[2s]sel", "3s+[2s]sel")
+                for n, line in (
+                    ("10", "1760, 87%"), ("14", "4480, 66%"), ("18", "9120, 30%")
+                )
+            ),
+        ],
+    )
+    def test_every_kind(self, capsys, args, line):
+        # Every kind's row at M = 24 and the 13 108-dimensional reference.
+        kind, *selected = args
+        assert main(["count", kind, "24", "13108", *selected]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == line
+
     def test_unknown_kind_is_config_error(self, capsys):
-        assert main(["count", "9s", "24", "13108"]) == EXIT_NUMERICAL_OR_CONFIG()
+        assert main(["count", "9s", "24", "13108"]) == EXIT_CONFIG
 
-
-def EXIT_NUMERICAL_OR_CONFIG():
-    # Unknown ansatz kinds surface as DimensionError -> numerical exit.
-    from cgtns.cli import EXIT_NUMERICAL
-
-    return EXIT_NUMERICAL
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["2s", "1", "13108"],
+            ["2s", "24", "0"],
+            ["2s", "24", "-5"],
+            ["3s[2s]sel", "24", "13108"],
+            ["3s[2s]sel", "24", "13108", "--selected", "30"],
+            ["3s[2s]sel", "24", "13108", "--selected", "0"],
+            ["3s+[2s]sel", "24", "13108", "--selected", "-5"],
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, args):
+        assert main(["count", *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestOracle:
@@ -396,6 +433,29 @@ class TestRun:
         ],
     )
     def test_bad_tempering_values_exit_2_before_any_output(self, tmp_path, values):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"integrals = {H2}\n{values}\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            "step_size = inf",
+            "t_last = inf",
+            "t_first = nan",
+            "window_hi = inf",
+            "screen = nan",
+            "screen = 1.5",
+            "screen = -0.1",
+            "sweeps = 0",
+        ],
+    )
+    def test_non_finite_or_out_of_range_values_exit_2_before_any_output(
+        self, tmp_path, values
+    ):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"integrals = {H2}\n{values}\n")
         out = tmp_path / "out"

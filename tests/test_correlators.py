@@ -24,6 +24,7 @@ from oracles import (
     amplitude,
     amplitude_partial_derivative,
     bits_of,
+    entry_cells_loop,
     identity,
     jacobian_loop,
     randomize,
@@ -94,16 +95,24 @@ class TestParamCount:
         )
         assert param_count(excl, 24) == 120 * 8
 
-    def test_q4_variant(self):
-        assert param_count("2s", 12, q=4) == 12 * 13 // 2 * 16
-
-    @pytest.mark.parametrize("m", [4, 6, 8, 10, 24])
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12, 24])
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
     def test_stored_entries_match_count(self, kind, m):
         spec = make_spec(kind, m)
         engine = AmplitudeEngine(spec, m, enumerate_onvs(m, 2, 0.0))
         assert engine.n_params == identity(spec, m).size
         assert len(engine.active_indices) == param_count(spec, m)
+
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    @pytest.mark.parametrize("kind", [k for k in ANSATZ_KINDS if k.endswith("sel")])
+    def test_selected_count_matches_engine(self, kind, m):
+        # Two selection sizes, given as sites and as a count alike.
+        space = enumerate_onvs(m, 2, 0.0)
+        for n_selected in (2, m // 2 + 1):
+            spec = AnsatzSpec(kind, selected_sites=tuple(range(n_selected)))
+            n_active = len(AmplitudeEngine(spec, m, space).active_indices)
+            assert param_count(spec, m) == n_active
+            assert param_count(kind, m, n_selected=n_selected) == n_active
 
 
 class TestAmplitude:
@@ -375,6 +384,19 @@ class TestEngineTables:
         assert np.array_equal(fast.indices, ref.indices)
         assert np.array_equal(fast.indptr, ref.indptr)
 
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_entry_cells_match_loop(self, kind, n):
+        # The stable-sort entry index against the per-entry scan (H4, H6).
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        engine = AmplitudeEngine(spec, 2 * n, enumerate_onvs(2 * n, n, 0.0))
+        ref = entry_cells_loop(engine)
+        assert len(engine.entry_cells) == len(ref)
+        for (t, dets), (t_ref, dets_ref) in zip(engine.entry_cells, ref):
+            assert t == t_ref
+            assert np.array_equal(dets, dets_ref)
+
     @pytest.mark.parametrize("kind", ["2s", "2s/si"])
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -412,14 +434,13 @@ class TestEngineTables:
         engine = ev.engine
         rng = np.random.default_rng(1)
         x = cold_start(engine, rng)
-        frozen = ~engine.active_mask
-        x[frozen] = rng.uniform(0.5, 1.5, np.count_nonzero(frozen))
+        frozen = slice(None, engine.active_indices[0])
+        x[frozen] = rng.uniform(0.5, 1.5, len(x[frozen]))
         full = ev.gradient(x)
-        for key, start in zip(engine.keys, engine.offsets):
-            if engine.active_mask[start]:
-                dS = engine.jacobian_rows(x, key) @ ev.K.T
-                rows = ev.gradient_from_weights(ev.weights(x), dS)
-                assert np.array_equal(rows, full[engine.active_rows(key)])
+        for key in engine.active_keys:
+            dS = engine.jacobian_rows(x, key) @ ev.K.T
+            rows = ev.gradient_from_weights(ev.weights(x), dS)
+            assert np.array_equal(rows, full[engine.active_rows(key)])
 
     @pytest.mark.parametrize("kind", ["2s", "3s"])
     @pytest.mark.parametrize("m, n", [(8, 4), (12, 6)])

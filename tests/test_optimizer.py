@@ -303,6 +303,25 @@ class TestLocalMoves:
         fast, ref = _replica_pair(ev, x, seed=10)
         _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
 
+    def test_weights_outside_the_unscaled_range_stay_local(self, h4):
+        # A frozen pair tensor scaled by 1e120 lifts every weight above
+        # 1e100: the local state holds the amplitudes divided by a power of
+        # two, and the zero-entry cofactor path divides by the same one.
+        basis, ham = h4
+        ev = EnergyEvaluator(AnsatzSpec("3s[2s]"), 8, basis, ham)
+        x = _h4_start(ev.engine, 9, cli_like=False)
+        x[:4] *= 1e120
+        k = next(k for k, (_, dets) in enumerate(ev.engine.entry_cells) if len(dets))
+        entry = ev.engine.active_indices[k]
+        x[entry] = 0.0
+        moves = ev.local_moves(x)
+        assert moves.scale > 1e100
+        x_new = x.copy()
+        x_new[entry] = 0.3
+        assert moves.propose(x, k, 0.3) == pytest.approx(ev.energy(x_new).e, rel=1e-12)
+        fast, ref = _replica_pair(ev, x, seed=10)
+        _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
+
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_degenerate_proposals_abort_and_keep_the_state(self, h2, caplog):
         basis, ham = h2
@@ -328,7 +347,7 @@ class TestLocalMoves:
         assert np.array_equal(fast.x, ref.x)
         assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
 
-    @pytest.mark.parametrize("kind,seed", [("3s[2s]", 2), ("3s", 2)])
+    @pytest.mark.parametrize("kind,seed", [("3s[2s]", 2), ("3s", 2), ("3s+[2s]", 1)])
     def test_cli_run_matches_full_recompute_at_extreme_scales(
         self, tmp_path, monkeypatch, kind, seed
     ):
@@ -337,7 +356,9 @@ class TestLocalMoves:
         # absolute error of order eps times the peak, so the trusted norm
         # floor must follow the accepted peak.  3s seed 2 renormalizes
         # weights above 1e100, whose energy must equal the one recomputed
-        # after the sweep's power-of-two scale renormalization.
+        # after the sweep's power-of-two scale renormalization.  3s+[2s]
+        # seed 1 is never scale-renormalized, and its hot replica's weights
+        # leave [1e-100, 1e100]; its sweeps still start from local moves.
         from cgtns.cli import main
 
         def run(name):
@@ -351,7 +372,18 @@ class TestLocalMoves:
             assert main([*argv, "--config", str(cfg)]) == 0
             return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
+        declined = []
+        local_moves = EnergyEvaluator.local_moves
+
+        def counted(evaluator, x):
+            moves = local_moves(evaluator, x)
+            declined.append(moves is None)
+            return moves
+
+        monkeypatch.setattr(EnergyEvaluator, "local_moves", counted)
         fast = run("fast")
+        # Two stages, 2 replicas x 30 sweeps each, and no sweep declined.
+        assert (len(declined), declined.count(True)) == (120, 0)
         monkeypatch.setattr(optimizer, "metropolis_sweep", metropolis_sweep_full)
         full = run("full")
         assert sorted(fast) == sorted(full)
@@ -753,7 +785,7 @@ class TestGradientSubspace:
             ev = EnergyEvaluator(spec, 4, basis, ham)
             with pytest.raises(FrozenTensorError):
                 gradient_subspace_solve(ev, x, (0, 1))
-            frozen = ~ev.engine.active_mask
+            frozen = slice(None, ev.engine.active_indices[0])
             assert np.array_equal(subspace_refine(ev, x).x[frozen], x[frozen])
 
 
@@ -788,7 +820,7 @@ class TestTensorWiseRefine:
     def test_no_solve_raises_the_energy(self, refined):
         engine = refined.ensemble.evaluator.engine
         before, after, e_sub = refined.steps.T
-        assert len(before) >= np.count_nonzero(engine.active_mask[engine.offsets])
+        assert len(before) >= len(engine.active_keys)
         assert np.max(after - before) <= 1e-9
         assert np.max(np.abs(after - e_sub)) <= 1e-9
 
@@ -796,7 +828,7 @@ class TestTensorWiseRefine:
         result, evaluator = refined.result, refined.ensemble.evaluator
         assert refined.e0 - 1e-9 <= result.energy <= refined.ensemble.best_energy
         assert result.energy == pytest.approx(evaluator.energy(result.x).e, abs=1e-9)
-        frozen = ~evaluator.engine.active_mask
+        frozen = slice(None, evaluator.engine.active_indices[0])
         assert np.array_equal(result.x[frozen], refined.ensemble.best_x[frozen])
 
     def test_pair_solve_needs_an_active_pair(self, refined):
