@@ -21,6 +21,7 @@ from .errors import (
     CgtnsError,
     ConfigError,
     DimensionError,
+    FrozenTensorError,
     ParseError,
 )
 from .fock import build_csf_basis, enumerate_onvs
@@ -322,7 +323,7 @@ def cmd_count(kind: str, m: int, reference_dim: int, n_selected: int | None) -> 
         n, pct, shown = analysis.reduction_report(
             kind, m, reference_dim, n_selected=n_selected
         )
-    except DimensionError as exc:  # every count input comes from the user
+    except (DimensionError, FrozenTensorError) as exc:  # all user input
         raise ConfigError(str(exc)) from None
     line = f"{n}, {shown}%"
     print(line)

@@ -132,6 +132,17 @@ class AnsatzSpec:
             return tuple(combinations_with_replacement(sites, 3))
         return tuple(combinations(sites, 3))
 
+    def tensor_keys(self, m: int) -> tuple[tuple, tuple]:
+        """(pair keys, triple keys) over m sites, for an ansatz with an
+        active tensor: DimensionError when it stores no tensor, and
+        FrozenTensorError when every tensor it stores is frozen."""
+        pairs, triples = self.pair_keys(m), self.triple_keys(m)
+        if not pairs and not triples:
+            raise DimensionError("ansatz stores no tensors")
+        if self.pairs_frozen and not triples:
+            raise FrozenTensorError("every tensor of this ansatz is frozen")
+        return pairs, triples
+
 
 def param_count(
     spec: AnsatzSpec | str, m: int, n_selected: int | None = None
@@ -139,15 +150,17 @@ def param_count(
     """Number of active variational parameters of an ansatz over m sites:
     4 per pair tensor unless the pairs are frozen, 8 per triple tensor.
 
-    A selected kind given by name takes ``selected_sites`` 0..n_selected-1.
+    A kind given by name with ``n_selected`` takes ``selected_sites``
+    0..n_selected-1, which only the selected kinds accept.  An ansatz that
+    ``AmplitudeEngine`` refuses (``AnsatzSpec.tensor_keys``) is refused here.
     """
     if m < 2:
         raise DimensionError(f"need at least two sites, got m={m}")
     if not isinstance(spec, AnsatzSpec):
-        selected = n_selected is not None and spec.endswith("sel")
-        spec = AnsatzSpec(spec, tuple(range(n_selected)) if selected else None)
-    pairs = 0 if spec.pairs_frozen else len(spec.pair_keys(m))
-    return 4 * pairs + 8 * len(spec.triple_keys(m))
+        sites = None if n_selected is None else tuple(range(n_selected))
+        spec = AnsatzSpec(spec, sites)
+    pairs, triples = spec.tensor_keys(m)
+    return 4 * (0 if spec.pairs_frozen else len(pairs)) + 8 * len(triples)
 
 
 class AmplitudeEngine:
@@ -170,11 +183,8 @@ class AmplitudeEngine:
         self.spec = spec
         self.m = m
         self.space = space
-        self.pair_keys = spec.pair_keys(m)
-        self.triple_keys = spec.triple_keys(m)
+        self.pair_keys, self.triple_keys = spec.tensor_keys(m)
         self.keys = list(self.pair_keys) + list(self.triple_keys)
-        if not self.keys:
-            raise DimensionError("ansatz stores no tensors")
         self.sizes = [4] * len(self.pair_keys) + [8] * len(self.triple_keys)
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))[:-1]
         self.n_params = int(sum(self.sizes))
@@ -186,8 +196,6 @@ class AmplitudeEngine:
         # Frozen tensors (a hybrid's pairs) lead the layout.
         self.n_frozen_tensors = self.n_pair_rows if spec.pairs_frozen else 0
         self.active_keys = self.keys[self.n_frozen_tensors :]
-        if not self.active_keys:
-            raise FrozenTensorError("every tensor of this ansatz is frozen")
         self.active_indices = np.arange(
             self.offsets[self.n_frozen_tensors], self.n_params
         )
@@ -250,17 +258,24 @@ class AmplitudeEngine:
             }
         )
 
+    def tensor_row(self, key) -> int:
+        """Row of the active tensor ``key`` in ``entry_table``;
+        DimensionError for a key the ansatz lacks, FrozenTensorError for a
+        frozen tensor."""
+        t = self._tensor_rows.get(key)
+        if t is None:
+            raise DimensionError(f"no tensor {key} in this ansatz")
+        if t < self.n_frozen_tensors:
+            raise FrozenTensorError(f"tensor {key} is frozen")
+        return t
+
     def active_rows(self, key) -> slice:
         """Gradient rows (positions in ``active_indices``) of tensor ``key``.
 
         A tensor is active or frozen as a whole, so its rows form one
         contiguous block in the tensor's element order.
         """
-        t = self._tensor_rows.get(key)
-        if t is None:
-            raise DimensionError(f"no tensor {key} in this ansatz")
-        if t < self.n_frozen_tensors:
-            raise FrozenTensorError(f"tensor {key} is frozen")
+        t = self.tensor_row(key)
         start = int(self.offsets[t] - self.active_indices[0])
         return slice(start, start + self.sizes[t])
 
@@ -327,18 +342,6 @@ class AmplitudeEngine:
         return sparse.csr_matrix(
             (data, self._jac_indices, self._jac_indptr),
             shape=(len(self.active_indices), self.space.size),
-        )
-
-    def jacobian_rows(self, x: np.ndarray, key) -> sparse.csr_matrix:
-        """Rows ``active_rows(key)`` of ``jacobian(x)``, bit for bit, from
-        tensor ``key``'s cofactors alone."""
-        rows = self.active_rows(key)
-        indptr = self._jac_indptr[rows.start : rows.stop + 1]
-        dets = self._jac_indices[indptr[0] : indptr[-1]]
-        data = self.active_cofactor(x, self._tensor_rows[key], dets)
-        return sparse.csr_matrix(
-            (data, dets, indptr - indptr[0]),
-            shape=(rows.stop - rows.start, self.space.size),
         )
 
 

@@ -57,6 +57,9 @@ class PtConfig:
     target_acceptance: float | None = 0.4
 
     def __post_init__(self):
+        for name in ("t_first", "t_last", "step_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.t_first <= self.t_last:
             raise ConfigError(
                 f"need 0 < t_first <= t_last, got ({self.t_first}, {self.t_last})"
@@ -546,8 +549,113 @@ def bfgs_refine(
     )
 
 
+#: LAPACK workspace sizes of ``_eigh``, by matrix order.
+_SYEVR_WORK: dict[int, dict[str, int]] = {}
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.eigh(a)``, bit for bit, without its wrapper: LAPACK
+    ``dsyevr`` on the lower triangle with the workspace sizes that eigh
+    queries, cached per order.  A non-finite entry raises
+    DegenerateStateError."""
+    if not np.isfinite(a).all():
+        raise DegenerateStateError(
+            "the subspace pencil is not finite; cannot update this tensor"
+        )
+    n = a.shape[0]
+    work = _SYEVR_WORK.get(n)
+    if work is None:
+        lwork, liwork, _ = linalg.lapack.dsyevr_lwork(n, lower=True)
+        work = _SYEVR_WORK[n] = {"lwork": int(lwork), "liwork": int(liwork)}
+    w, v, _, _, info = linalg.lapack.dsyevr(a, compute_v=1, lower=True, **work)
+    if info != 0:
+        raise linalg.LinAlgError(f"dsyevr failed: info = {info}")
+    return w, v
+
+
+class SweepEnvironment:
+    """Cofactor environments of a pass of tensor solves, as a DMRG sweep
+    keeps them.
+
+    The cofactor of tensor t (the derivative of its addend with respect to
+    t's factor) is the product of the factors of the block's tensors before
+    t, the left product, times the product of those after t, the right
+    product, each in the order of ``AmplitudeEngine.active_cofactor``.  The
+    block is every tensor in product mode and the triples in sum mode.  A
+    pass solves the active tensors in layout order, so its right products
+    come from the vector it starts on, computed once at its first solve,
+    and the left product grows by each solved tensor's new factors.  A solve
+    of any tensor but the one after the last solved starts a pass there.
+
+    One environment serves one vector's refinement: it keeps K's nonzeros
+    in ascending determinant order, and the sum hybrids' frozen pair addend
+    once it is computed.
+    """
+
+    def __init__(self, evaluator: EnergyEvaluator):
+        self.evaluator = evaluator
+        engine = evaluator.engine
+        self.table = engine.entry_table
+        self.lo = engine.n_pair_rows if engine.sum_mode else 0
+        self.next = None  # the tensor row whose solve continues the pass
+        self.left = None  # None for an empty product
+        self.right = None
+        dets, csfs = np.nonzero(evaluator.K.T)
+        self.k_entries = dets, csfs, evaluator.K.T[dets, csfs]
+        self._pair_weights = None
+
+    def _cofactor(self, x: np.ndarray, t: int) -> np.ndarray:
+        if t != self.next:
+            f = x[self.table[self.lo : t]]
+            self.left = np.cumprod(f, axis=0)[-1] if len(f) else None
+            # right[k] = product of rows T-1 down to T-1-k.
+            self.right = np.cumprod(x[self.table[:t:-1]], axis=0)
+        self.next = None
+        k = len(self.table) - 2 - t
+        if k < 0:
+            return np.ones(self.table.shape[1]) if self.left is None else self.left
+        return self.right[k] if self.left is None else self.left * self.right[k]
+
+    def derivative_states(self, x: np.ndarray, t: int) -> np.ndarray:
+        """CSF weights of tensor t's derivative states, one row per entry:
+        rows ``active_rows`` of ``jacobian(x) @ K.T``, bit for bit.
+
+        The rows are scattered from K's nonzeros in ascending determinant
+        order, so every element is the sum the sparse-times-dense product
+        forms, less its terms with a zero K entry, which add nothing while
+        the cofactors are finite.
+        """
+        dets, csfs, values = self.k_entries
+        cof = self._cofactor(x, t)
+        engine = self.evaluator.engine
+        n_csf = self.evaluator.K.shape[0]
+        local = self.table[t, dets] - engine.offsets[t]
+        V = np.bincount(
+            local * n_csf + csfs,
+            weights=cof[dets] * values,
+            minlength=engine.sizes[t] * n_csf,
+        )
+        return V.reshape(engine.sizes[t], n_csf)
+
+    def pair_weights(self, x: np.ndarray) -> np.ndarray:
+        """CSF weights of a sum hybrid's frozen pair addend."""
+        if self._pair_weights is None:
+            addend = np.prod(x[self.table[: self.lo]], axis=0)
+            self._pair_weights = self.evaluator.K @ addend
+        return self._pair_weights
+
+    def advance(self, x: np.ndarray, t: int) -> None:
+        """Record that tensor t of the pass now holds its entries in ``x``."""
+        f = x[self.table[t]]
+        self.left = f if self.left is None else self.left * f
+        self.next = t + 1
+
+
 def gradient_subspace_solve(
-    evaluator: EnergyEvaluator, x: np.ndarray, key: tuple[int, ...]
+    evaluator: EnergyEvaluator,
+    x: np.ndarray,
+    key: tuple[int, ...],
+    sweep: SweepEnvironment | None = None,
 ) -> tuple[np.ndarray, float]:
     """Optimal entries of the active tensor ``key`` from one small pencil.
 
@@ -559,16 +667,25 @@ def gradient_subspace_solve(
     peak) and the entries are divided by its coefficient; the solve is
     declined, returning a copy of ``x`` and its energy, when the addend's
     share of the new state is 1e-10 or less.  Overlaps are rank-reduced at a
-    relative eigenvalue floor of 1e-10; screening is ignored.
+    relative eigenvalue floor of 1e-10; screening is ignored.  A pencil
+    that vanishes or is not finite raises DegenerateStateError.
+
+    ``sweep`` holds the cofactor environments of the pass this solve
+    continues (``subspace_refine`` passes its own), whose previous solve
+    returned ``x``; without it they are computed from ``x``, at O(T n_det)
+    for T tensors.  With them a solve
+    costs O(n_det + nnz K) to build its derivative states, two products
+    with the dense CSF matrices and two LAPACK calls of order 9 at most.
     """
     engine = evaluator.engine
-    rows = engine.active_rows(key)
-    V = np.asarray(engine.jacobian_rows(x, key) @ evaluator.K.T)
+    t = engine.tensor_row(key)
+    if sweep is None:
+        sweep = SweepEnvironment(evaluator)
+    V = sweep.derivative_states(x, t)
     if engine.sum_mode:
         # The addend and the derivative states can differ by many orders of
         # magnitude, and the rank floor is relative to the largest.
-        addend = np.prod(engine.factors(x)[: engine.n_pair_rows], axis=0)
-        V = np.vstack((evaluator.K @ addend, V))
+        V = np.vstack((sweep.pair_weights(x), V))
         peaks = np.max(np.abs(V), axis=1)
         scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
         V *= scale[:, None]
@@ -576,7 +693,7 @@ def gradient_subspace_solve(
     s_sub = V @ evaluator.overlap @ V.T
     h_sub = 0.5 * (h_sub + h_sub.T)
     s_sub = 0.5 * (s_sub + s_sub.T)
-    w, U = linalg.eigh(s_sub)
+    w, U = _eigh(s_sub)
     w_max = float(w[-1])
     if w_max <= 0.0:
         raise DegenerateStateError(
@@ -584,15 +701,17 @@ def gradient_subspace_solve(
         )
     keep = w > 1e-10 * w_max
     X = U[:, keep] / np.sqrt(w[keep])
-    evals, Y = linalg.eigh(X.T @ h_sub @ X)
+    evals, Y = _eigh(X.T @ h_sub @ X)
     coeff = X @ Y[:, 0]
+    x_new = x.copy()
     if engine.sum_mode:
         # Of the unit-norm state, the addend carries |coeff[0]| sqrt(s_00).
         if not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
-            return x.copy(), evaluator.energy(x).e
+            sweep.advance(x_new, t)
+            return x_new, evaluator.energy(x).e
         coeff = coeff[1:] * scale[1:] / (coeff[0] * scale[0])
-    x_new = x.copy()
-    x_new[engine.active_indices[rows]] = coeff
+    x_new[engine.offsets[t] : engine.offsets[t] + engine.sizes[t]] = coeff
+    sweep.advance(x_new, t)
     return x_new, float(evals[0])
 
 
@@ -600,17 +719,21 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     """Cycle ``gradient_subspace_solve`` over the active tensors in layout
     order (``engine.active_keys``): an alternating linear scheme.
 
-    A pass improves when some solve lowers the energy by more than
+    The solves share one ``SweepEnvironment``: a pass computes its right
+    cofactor products once, O(T n_det) for T tensors, and each solve then
+    costs O(n_det + nnz K) plus two LAPACK calls of order 9 at most.  A pass
+    improves when some solve lowers the energy by more than
     ``SUBSPACE_GAIN``; the cycle stops after the first pass that does not,
     or after ``SUBSPACE_PASSES`` passes (``converged=False``).  The energy
     returned is that of the last solve.
     """
     _check_unscreened(evaluator)
     energy = evaluator.energy(x).e
+    sweep = SweepEnvironment(evaluator)
     for done in range(1, SUBSPACE_PASSES + 1):
         improved = False
         for key in evaluator.engine.active_keys:
-            x, e_sub = gradient_subspace_solve(evaluator, x, key)
+            x, e_sub = gradient_subspace_solve(evaluator, x, key, sweep)
             if energy - e_sub > SUBSPACE_GAIN:
                 improved = True
             energy = e_sub

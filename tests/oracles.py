@@ -12,6 +12,11 @@ the Slater-Condon rules, which ``hamiltonian_matrix_brute`` checks).  The
 per-determinant loops ``amplitude``, ``amplitude_partial_derivative`` and
 ``orbital_occupations_loop`` are the references for ``AmplitudeEngine`` and
 ``orbital_occupations``, and ``jacobian_loop`` for ``AmplitudeEngine.jacobian``.
+``jacobian_rows``, ``subspace_solve_reference`` and
+``subspace_refine_reference`` keep the tensor solve that
+``gradient_subspace_solve`` replaced by cached cofactor environments: each
+solve regathers every tensor's factors, builds a sparse matrix of the
+tensor's Jacobian rows and calls ``scipy.linalg.eigh``.
 ``tensors`` restates the flat parameter layout from the ansatz definition
 alone, so the amplitude references read the tensors without the engine.
 ``exact_diagonalize_full`` keeps the full-spectrum dense solve that
@@ -26,6 +31,7 @@ import math
 import numpy as np
 from scipy import linalg, sparse
 
+from cgtns import optimizer
 from cgtns.correlators import AnsatzSpec
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
 from cgtns.hamiltonian import csf_hamiltonian, slater_condon
@@ -307,6 +313,68 @@ def jacobian_loop(engine, x: np.ndarray) -> sparse.csr_matrix:
         ),
         shape=(len(engine.active_indices), engine.space.size),
     )
+
+
+def jacobian_rows(engine, x: np.ndarray, key) -> sparse.csr_matrix:
+    """Rows ``active_rows(key)`` of ``engine.jacobian(x)``, bit for bit, from
+    tensor ``key``'s cofactors alone."""
+    rows = engine.active_rows(key)
+    indptr = engine._jac_indptr[rows.start : rows.stop + 1]
+    dets = engine._jac_indices[indptr[0] : indptr[-1]]
+    data = engine.active_cofactor(x, engine.tensor_row(key), dets)
+    return sparse.csr_matrix(
+        (data, dets, indptr - indptr[0]),
+        shape=(rows.stop - rows.start, engine.space.size),
+    )
+
+
+def subspace_solve_reference(evaluator, x: np.ndarray, key):
+    """Reference ``gradient_subspace_solve``: the solve from the tensor's
+    Jacobian rows and ``scipy.linalg.eigh``."""
+    engine = evaluator.engine
+    rows = engine.active_rows(key)
+    V = np.asarray(jacobian_rows(engine, x, key) @ evaluator.K.T)
+    if engine.sum_mode:
+        addend = np.prod(engine.factors(x)[: engine.n_pair_rows], axis=0)
+        V = np.vstack((evaluator.K @ addend, V))
+        peaks = np.max(np.abs(V), axis=1)
+        scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
+        V *= scale[:, None]
+    h_sub = V @ evaluator.h_csf @ V.T
+    s_sub = V @ evaluator.overlap @ V.T
+    h_sub = 0.5 * (h_sub + h_sub.T)
+    s_sub = 0.5 * (s_sub + s_sub.T)
+    w, U = linalg.eigh(s_sub)
+    w_max = float(w[-1])
+    if w_max <= 0.0:
+        raise DegenerateStateError("all subspace states vanish")
+    keep = w > 1e-10 * w_max
+    X = U[:, keep] / np.sqrt(w[keep])
+    evals, Y = linalg.eigh(X.T @ h_sub @ X)
+    coeff = X @ Y[:, 0]
+    if engine.sum_mode:
+        if not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
+            return x.copy(), evaluator.energy(x).e
+        coeff = coeff[1:] * scale[1:] / (coeff[0] * scale[0])
+    x_new = x.copy()
+    x_new[engine.active_indices[rows]] = coeff
+    return x_new, float(evals[0])
+
+
+def subspace_refine_reference(evaluator, x: np.ndarray):
+    """Reference ``subspace_refine``: passes of independent reference solves
+    under the library's pass cap and gain; (x, energy, passes, converged)."""
+    energy = evaluator.energy(x).e
+    for done in range(1, optimizer.SUBSPACE_PASSES + 1):
+        improved = False
+        for key in evaluator.engine.active_keys:
+            x, e_sub = subspace_solve_reference(evaluator, x, key)
+            if energy - e_sub > optimizer.SUBSPACE_GAIN:
+                improved = True
+            energy = e_sub
+        if not improved:
+            break
+    return x, energy, done, not improved
 
 
 def bits_of(pattern: str) -> int:

@@ -152,6 +152,12 @@ class TestCount:
             ["3s[2s]sel", "24", "13108", "--selected", "30"],
             ["3s[2s]sel", "24", "13108", "--selected", "0"],
             ["3s+[2s]sel", "24", "13108", "--selected", "-5"],
+            # No tensor, and only frozen ones, as AmplitudeEngine refuses.
+            ["3s/si", "2", "10"],
+            ["3s/si[2s]", "2", "10"],
+            # --selected has no effect on a kind that is not sel.
+            ["2s", "24", "13108", "--selected", "5"],
+            ["3s[2s]", "24", "13108", "--selected", "14"],
         ],
     )
     def test_bad_input_exits_2(self, capsys, args):

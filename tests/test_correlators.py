@@ -17,7 +17,7 @@ from cgtns.energy import EnergyEvaluator
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import HamiltonianOperator, IntegralSet, parse_fcidump
-from cgtns.optimizer import cold_start
+from cgtns.optimizer import SweepEnvironment, cold_start
 
 from oracles import (
     _occ,
@@ -27,6 +27,7 @@ from oracles import (
     entry_cells_loop,
     identity,
     jacobian_loop,
+    jacobian_rows,
     randomize,
     tensors,
 )
@@ -113,6 +114,26 @@ class TestParamCount:
             n_active = len(AmplitudeEngine(spec, m, space).active_indices)
             assert param_count(spec, m) == n_active
             assert param_count(kind, m, n_selected=n_selected) == n_active
+
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    def test_refused_exactly_where_the_engine_refuses(self, kind):
+        # m = 2 stores no strict triple: 3s/si has no tensor and 3s/si[2s]
+        # only frozen pairs.  Both functions raise the same error.
+        space = enumerate_onvs(2, 1, 0.5)
+        spec = make_spec(kind, 2)
+        try:
+            n_active = len(AmplitudeEngine(spec, 2, space).active_indices)
+        except (DimensionError, FrozenTensorError) as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                param_count(spec, 2)
+        else:
+            assert param_count(spec, 2) == n_active
+
+    def test_selection_only_for_selected_kinds(self):
+        with pytest.raises(DimensionError, match="selected_sites"):
+            param_count("2s", 24, n_selected=5)
+        assert param_count("3s[2s]sel", 24, n_selected=14) == 4480
 
 
 class TestAmplitude:
@@ -401,17 +422,22 @@ class TestEngineTables:
     @pytest.mark.parametrize("n", [4, 6])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_jacobian_rows_match_full_jacobian_bitwise(self, kind, n, seed):
-        # The subspace solve's V from one tensor's cofactors equals the rows
-        # of the full Jacobian times K^T, bit for bit (H4 and H6 spaces).
+        # The subspace solve's V, scattered from one tensor's cofactors over
+        # K's nonzeros, equals the rows of the full Jacobian times K^T and
+        # the reference rows times K^T, bit for bit (H4 and H6 spaces).
         space = enumerate_onvs(2 * n, n, 0.0)
-        K = build_csf_basis(space, 0.0).dense()
+        basis = build_csf_basis(space, 0.0)
+        ham = HamiltonianOperator(IntegralSet.zeros(n), space)
         spec = AnsatzSpec(kind)
-        engine = AmplitudeEngine(spec, 2 * n, space)
+        ev = EnergyEvaluator(spec, 2 * n, basis, ham)
+        engine, K = ev.engine, ev.K
         x = randomize(spec, 2 * n, np.random.default_rng(seed))
         jac = engine.jacobian(x)
         for key in engine.pair_keys:
-            V = engine.jacobian_rows(x, key) @ K.T
-            assert np.array_equal(V, jac[engine.active_rows(key)] @ K.T)
+            t = engine.tensor_row(key)
+            V = SweepEnvironment(ev).derivative_states(x, t)
+            assert V.tobytes() == (jac[engine.active_rows(key)] @ K.T).tobytes()
+            assert V.tobytes() == (jacobian_rows(engine, x, key) @ K.T).tobytes()
 
     def test_all_frozen_ansatz_refused(self):
         # Strict triples over one spatial orbital (two sites) do not exist,
@@ -423,8 +449,8 @@ class TestEngineTables:
     @pytest.mark.parametrize("kind", ["2s", "2s/si", "3s[2s]", "3s+[2s]"])
     @pytest.mark.parametrize("name", ["h4", "h6"])
     def test_tensor_rows_match_full_gradient(self, name, kind):
-        # Subspace solves price one tensor from its Jacobian rows alone; with
-        # gradient_from_weights they give that tensor's rows of the full
+        # Subspace solves price one tensor from its derivative states alone;
+        # with gradient_from_weights they give that tensor's rows of the full
         # gradient, bit for bit.  The hybrids' frozen pairs are set off one.
         ints = parse_fcidump(FIXTURES / f"{name}.fcidump")
         space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
@@ -437,8 +463,9 @@ class TestEngineTables:
         frozen = slice(None, engine.active_indices[0])
         x[frozen] = rng.uniform(0.5, 1.5, len(x[frozen]))
         full = ev.gradient(x)
+        sweep = SweepEnvironment(ev)
         for key in engine.active_keys:
-            dS = engine.jacobian_rows(x, key) @ ev.K.T
+            dS = sweep.derivative_states(x, engine.tensor_row(key))
             rows = ev.gradient_from_weights(ev.weights(x), dS)
             assert np.array_equal(rows, full[engine.active_rows(key)])
 

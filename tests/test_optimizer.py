@@ -13,7 +13,12 @@ from scipy import linalg, optimize, stats
 from cgtns import analysis, optimizer
 from cgtns.correlators import ANSATZ_KINDS, AmplitudeEngine, AnsatzSpec, select_sites
 from cgtns.energy import EnergyEvaluator, EnergyReport
-from cgtns.errors import ConfigError, DimensionError, FrozenTensorError
+from cgtns.errors import (
+    ConfigError,
+    DegenerateStateError,
+    DimensionError,
+    FrozenTensorError,
+)
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import (
     HamiltonianOperator,
@@ -25,6 +30,7 @@ from cgtns.hamiltonian import (
 from cgtns.optimizer import (
     PtConfig,
     ReplicaState,
+    SweepEnvironment,
     bfgs_refine,
     cold_start,
     continue_parallel_tempering,
@@ -39,7 +45,15 @@ from cgtns.optimizer import (
     temperature_ladder,
 )
 
-from oracles import amplitude, identity, metropolis_sweep_full, randomize, tensors
+from oracles import (
+    amplitude,
+    identity,
+    metropolis_sweep_full,
+    randomize,
+    subspace_refine_reference,
+    subspace_solve_reference,
+    tensors,
+)
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 
@@ -465,6 +479,15 @@ class TestRunParallelTempering:
         with pytest.raises(ConfigError):
             run_parallel_tempering(config, ev, init)
 
+    def test_non_finite_values_refused(self):
+        # Library callers get the check RunConfig.validate makes for the CLI.
+        for field in ("t_first", "t_last", "step_size"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ConfigError, match=field):
+                    PtConfig(**{field: value})
+        with pytest.raises(ConfigError):
+            PtConfig(step_size=math.inf, t_last=math.inf)
+
     def test_single_replica_has_no_swaps(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("2s")
@@ -805,8 +828,8 @@ class TestTensorWiseRefine:
         *_, ensemble = run_stages(config, spec, basis, ham)
         steps = []
 
-        def solve(evaluator, x, key):
-            x_new, e_sub = gradient_subspace_solve(evaluator, x, key)
+        def solve(evaluator, x, key, *args):
+            x_new, e_sub = gradient_subspace_solve(evaluator, x, key, *args)
             steps.append((evaluator.energy(x).e, evaluator.energy(x_new).e, e_sub))
             return x_new, e_sub
 
@@ -816,6 +839,24 @@ class TestTensorWiseRefine:
         return SimpleNamespace(
             e0=e0, ensemble=ensemble, result=result, steps=np.array(steps)
         )
+
+    def test_refine_matches_reference_bitwise(self, refined):
+        # The cached environments change no bit of the refinement.
+        evaluator, start = refined.ensemble.evaluator, refined.ensemble.best_x
+        x, energy, passes, converged = subspace_refine_reference(evaluator, start)
+        result = refined.result
+        assert result.x.tobytes() == x.tobytes()
+        assert result.energy == energy
+        assert (result.n_iterations, result.converged) == (passes, converged)
+
+    def test_single_solves_match_reference_bitwise(self, refined):
+        # One solve without a sweep, at the search's best vector.
+        evaluator, x = refined.ensemble.evaluator, refined.ensemble.best_x
+        for key in evaluator.engine.active_keys:
+            x_new, e_sub = gradient_subspace_solve(evaluator, x, key)
+            x_ref, e_ref = subspace_solve_reference(evaluator, x, key)
+            assert x_new.tobytes() == x_ref.tobytes()
+            assert e_sub == e_ref
 
     def test_no_solve_raises_the_energy(self, refined):
         engine = refined.ensemble.evaluator.engine
@@ -856,6 +897,79 @@ class TestTensorWiseRefine:
         assert np.array_equal(result.x, x)
         assert result.n_iterations == 1 and result.converged
         assert np.isfinite(result.energy) and result.energy == ev.energy(x).e
+
+
+class TestSweepEnvironment:
+    """The cached cofactor environments, the direct LAPACK call and the
+    pencil's finiteness check."""
+
+    @pytest.mark.parametrize("kind", ["3s[2s]", "3s+[2s]"])
+    def test_h6_hybrid_refine_matches_reference_bitwise(self, kind, monkeypatch):
+        # Two passes cover a pass restart; frozen pairs are set off one.
+        ints = parse_fcidump(FIXTURES / "h6.fcidump")
+        space = enumerate_onvs(12, 6, 0.0)
+        basis = build_csf_basis(space, 0.0)
+        ev = EnergyEvaluator(AnsatzSpec(kind), 12, basis, HamiltonianOperator(ints, space))
+        rng = np.random.default_rng(1)
+        x = cold_start(ev.engine, rng)
+        frozen = slice(None, ev.engine.active_indices[0])
+        x[frozen] = rng.uniform(0.5, 1.5, len(x[frozen]))
+        monkeypatch.setattr(optimizer, "SUBSPACE_PASSES", 2)
+        result = subspace_refine(ev, x)
+        x_ref, energy, passes, converged = subspace_refine_reference(ev, x)
+        assert result.n_iterations == passes == 2
+        assert result.x.tobytes() == x_ref.tobytes()
+        assert result.energy == energy
+        assert result.converged == converged
+
+    @pytest.mark.parametrize("n", [4, 8, 9])
+    def test_eigh_matches_scipy_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a = rng.standard_normal((n, n))
+            a = 0.5 * (a + a.T)
+            w, v = optimizer._eigh(a)
+            w_ref, v_ref = linalg.eigh(a)
+            assert w.tobytes() == w_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+
+    def test_non_finite_pencil_is_degenerate(self, h4):
+        # The product of two 1e200 entries overflows in the cofactors of a
+        # later tensor; scipy's eigh raised ValueError here.
+        basis, ham = h4
+        ev = EnergyEvaluator(AnsatzSpec("2s"), 8, basis, ham)
+        x = np.ones(ev.engine.n_params)
+        x[5] = x[9] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateStateError, match="not finite"):
+                gradient_subspace_solve(ev, x, ev.engine.active_keys[3])
+        with pytest.raises(DegenerateStateError):
+            optimizer._eigh(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_a_solve_off_the_pass_order_restarts(self, h4):
+        # A sweep continued at any tensor but the next one recomputes its
+        # environments from the vector it is given.
+        basis, ham = h4
+        ev = EnergyEvaluator(AnsatzSpec("3s"), 8, basis, ham)
+        x = cold_start(ev.engine, np.random.default_rng(4))
+        sweep = SweepEnvironment(ev)
+        keys = ev.engine.active_keys
+        x1, _ = gradient_subspace_solve(ev, x, keys[5], sweep)
+        for key in (keys[2], keys[6], keys[-1], keys[0]):
+            x_new, e_sub = gradient_subspace_solve(ev, x1, key, sweep)
+            x_ref, e_ref = subspace_solve_reference(ev, x1, key)
+            assert x_new.tobytes() == x_ref.tobytes() and e_sub == e_ref
+
+    def test_unknown_and_frozen_keys_raise_before_any_work(self, h4):
+        basis, ham = h4
+        ev = EnergyEvaluator(AnsatzSpec("3s[2s]"), 8, basis, ham)
+        sweep = SweepEnvironment(ev)
+        x = np.full(ev.engine.n_params, np.nan)
+        with pytest.raises(FrozenTensorError):
+            gradient_subspace_solve(ev, x, (0, 1), sweep)
+        with pytest.raises(DimensionError):
+            gradient_subspace_solve(ev, x, (0, 9, 9), sweep)
+        assert sweep.next is None and sweep.left is None and sweep.right is None
 
 
 class TestRefinerContract:
