@@ -358,14 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_problem(p):
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--integrals", help="FCIDUMP integral file")
-        p.add_argument("--seed", type=int, help="optimizer seed")
-        p.add_argument("--ansatz", help="ansatz kind")
-        p.add_argument("--window", help="occupation window LO,HI")
-        p.add_argument("--screen", type=float, help="CSF screening threshold")
-        p.add_argument("--out", help="output directory")
         p.add_argument(
             "--dump-config",
             action="store_true",
@@ -373,10 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     run_p = sub.add_parser("run", help="optimize an ansatz")
-    add_common(run_p)
+    add_problem(run_p)
+    run_p.add_argument("--seed", type=int, help="optimizer seed")
+    run_p.add_argument("--ansatz", help="ansatz kind")
+    run_p.add_argument("--window", help="occupation window LO,HI")
+    run_p.add_argument("--screen", type=float, help="CSF screening threshold")
+    run_p.add_argument("--out", help="output directory")
 
     oracle_p = sub.add_parser("oracle", help="exact diagonalization summary")
-    add_common(oracle_p)
+    add_problem(oracle_p)
     oracle_p.add_argument("--oracle-out", help="write the report as JSON")
 
     count_p = sub.add_parser("count", help="parameter count and reduction")
@@ -403,6 +403,8 @@ def _config_from_args(args) -> RunConfig:
         cfg = RunConfig()
     if args.integrals:
         cfg.integrals = args.integrals
+    if args.command != "run":
+        return cfg
     if args.seed is not None:
         cfg.seed = args.seed
     if args.ansatz:
@@ -431,7 +433,7 @@ def main(argv=None) -> int:
             if args.command == "run":
                 cmd_run(cfg)
             else:
-                cmd_oracle(cfg, out=getattr(args, "oracle_out", None))
+                cmd_oracle(cfg, out=args.oracle_out)
         elif args.command == "count":
             cmd_count(args.kind, args.m, args.reference_dim, args.selected)
         elif args.command == "compare":

@@ -269,16 +269,6 @@ class AmplitudeEngine:
             raise FrozenTensorError(f"tensor {key} is frozen")
         return t
 
-    def active_rows(self, key) -> slice:
-        """Gradient rows (positions in ``active_indices``) of tensor ``key``.
-
-        A tensor is active or frozen as a whole, so its rows form one
-        contiguous block in the tensor's element order.
-        """
-        t = self.tensor_row(key)
-        start = int(self.offsets[t] - self.active_indices[0])
-        return slice(start, start + self.sizes[t])
-
     # -- evaluation ---------------------------------------------------------
 
     def factors(self, x: np.ndarray) -> np.ndarray:
@@ -300,19 +290,6 @@ class AmplitudeEngine:
             return np.prod(f[: self.n_pair_rows], axis=0) + active, active
         a = np.prod(f, axis=0)
         return a, a
-
-    def active_cofactor(self, x: np.ndarray, t: int, dets: np.ndarray) -> np.ndarray:
-        """Cofactor of tensor t within its addend, at determinants ``dets``,
-        in the prefix-times-suffix order of ``_block_cofactors``."""
-        lo = self.n_pair_rows if self.sum_mode else 0
-        f = x[self.entry_table[lo:, dets]]
-        t -= lo
-        cof = np.ones(len(dets))
-        if t:
-            cof *= np.cumprod(f[:t], axis=0)[-1]
-        if t + 1 < len(f):
-            cof *= np.cumprod(f[:t:-1], axis=0)[-1]
-        return cof
 
     def _block_cofactors(self, f: np.ndarray) -> np.ndarray:
         """cof[t, n] = product of all rows of the block except t."""

@@ -34,24 +34,6 @@ def spin_orbital(spatial: int, spin: int) -> int:
     return 2 * spatial + spin
 
 
-def annihilate(bits: int, so: int) -> tuple[int, int] | None:
-    """Apply an annihilation operator; returns (new_bits, phase) or None."""
-    mask = 1 << so
-    if not bits & mask:
-        return None
-    phase = -1 if (bits & (mask - 1)).bit_count() & 1 else 1
-    return bits ^ mask, phase
-
-
-def create(bits: int, so: int) -> tuple[int, int] | None:
-    """Apply a creation operator; returns (new_bits, phase) or None."""
-    mask = 1 << so
-    if bits & mask:
-        return None
-    phase = -1 if (bits & (mask - 1)).bit_count() & 1 else 1
-    return bits | mask, phase
-
-
 @dataclass(frozen=True)
 class FockSubspace:
     """All ONVs with fixed electron count and spin projection, canonically ordered.

@@ -4,12 +4,13 @@ Two-electron integrals are handled in chemists' notation (pq|rs) with the
 8-fold permutational symmetry folded into a non-redundant triangular store.
 Spatial orbitals are 0-based internally; FCIDUMP files are 1-based.
 
-``slater_condon`` evaluates one determinant pair.  ``HamiltonianOperator``
-assembles the whole determinant matrix without it: blocks of rows are
-classified by the spin orbitals each pair shares, and the diagonal, the
-single and the double excitations are evaluated class by class in whole-array
-steps that add the integrals in ``slater_condon``'s order, so the matrix is
-bit-identical to the per-pair loop.
+One kernel, ``_pair_elements``, applies the Slater-Condon rules to arrays
+of determinant pairs of one excitation level in whole-array steps.
+``slater_condon`` calls it on one pair.  ``HamiltonianOperator`` calls it
+once for the diagonal and once per block of rows for the singles and the
+doubles, after classifying each pair by the spin orbitals it shares.  The
+kernel adds the integrals in the order of the per-pair loop kept as the test
+reference, so the matrix is bit-identical to that loop.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import CapacityError, DimensionError, ParseError
-from .fock import CsfBasis, FockSubspace, annihilate, create, occupations
+from .fock import CsfBasis, FockSubspace, occupations
 
 #: Default cap on the determinant dimension of the dense eigensolver.
 DENSE_LIMIT = 20_000
@@ -266,103 +267,93 @@ def parse_fcidump(path) -> IntegralSet:
 # ---------------------------------------------------------------------------
 
 
-def _excitation_phase(ket: int, holes: tuple[int, ...], parts: tuple[int, ...]):
-    """Phase of a+_{p1} a+_{p2} .. a_{q2} a_{q1} |ket> (holes/parts ascending).
-
-    Operators act right to left: annihilations in ascending hole order, then
-    creations in descending part order, matching the pairing used for the
-    direct two-electron term.
-    """
-    bits = ket
-    sign = 1
-    for q in holes:
-        step = annihilate(bits, q)
-        if step is None:
-            return None
-        bits, ph = step
-        sign *= ph
-    for p in reversed(parts):
-        step = create(bits, p)
-        if step is None:
-            return None
-        bits, ph = step
-        sign *= ph
-    return bits, sign
-
-
 def slater_condon(bra: int, ket: int, ints: IntegralSet) -> float:
     """<bra|H|ket> between two determinants over the same integral set.
 
     Spin orbitals interleave alpha/beta; the diagonal includes the core
-    energy; determinants differing in more than two spin orbitals give zero.
+    energy.  Determinants of different electron count, or differing in more
+    than two spin orbitals, give zero.
     """
-    diff = bra ^ ket
-    ndiff = diff.bit_count()
-    if ndiff > 4 or ndiff & 1:
+    level = (bra ^ ket).bit_count() // 2
+    if bra.bit_count() != ket.bit_count() or level > 2:
         return 0.0
-    g = ints.g
-    h = ints.h
+    pair = np.array([bra, ket], dtype=np.uint64)
+    return float(_pair_elements(ints, pair[:1], pair[1:], level)[0])
 
-    if ndiff == 0:
-        occ = []
-        bits = ket
-        so = 0
-        while bits:
-            if bits & 1:
-                occ.append(so)
-            bits >>= 1
-            so += 1
-        val = ints.e_core
-        for a, p in enumerate(occ):
-            P, sp = p >> 1, p & 1
-            val += h[P, P]
-            for q in occ[:a]:
-                Q, sq = q >> 1, q & 1
-                val += g(P, P, Q, Q)
-                if sp == sq:
-                    val -= g(P, Q, Q, P)
+
+def _set_bits(bits: np.ndarray, count: int) -> np.ndarray:
+    """(len(bits), count) ascending positions of the set bits of uint64 words."""
+    positions = np.empty((len(bits), count), dtype=np.int64)
+    for k in range(count):
+        lowest = bits & (~bits + np.uint64(1))
+        positions[:, k] = np.frexp(lowest.astype(float))[1] - 1  # exact: 2**k
+        bits = bits ^ lowest
+    return positions
+
+
+def _pair_elements(
+    ints: IntegralSet, bra: np.ndarray, ket: np.ndarray, level: int
+) -> np.ndarray:
+    """<bra|H|ket> for uint64 arrays of determinant pairs of one electron
+    count, all ``level`` (0, 1 or 2) excitations apart.
+
+    The Slater-Condon rules in whole-array steps: every element adds the
+    integrals in the order of the per-pair loop, the ket's occupied spin
+    orbitals ascending, and a term the loop skips is skipped through
+    ``np.where``, never added as zero.  A single that flips a spin gives
+    +0.0, applied after the phase as the loop returns it.
+    """
+    if not len(ket):
+        return np.zeros(0)
+    h, g = ints.h, ints.g_dense()
+    if level < 2:  # the sums over the ket's occupied spin orbitals
+        occ = _set_bits(ket, int(ket[0]).bit_count())
+        orb, spin = occ >> 1, occ & 1
+    if level == 0:
+        val = np.full(len(ket), ints.e_core, dtype=float)
+        for a in range(occ.shape[1]):
+            P = orb[:, a]
+            val = val + h[P, P]
+            for b in range(a):
+                Q = orb[:, b]
+                val = val + g[P, P, Q, Q]
+                val = np.where(spin[:, a] == spin[:, b], val - g[P, Q, Q, P], val)
         return val
 
-    holes = tuple(so for so in range(ket.bit_length()) if (diff >> so) & 1 and (ket >> so) & 1)
-    parts = tuple(so for so in range(bra.bit_length()) if (diff >> so) & 1 and (bra >> so) & 1)
-
-    if ndiff == 2:
-        (q,) = holes
-        (p,) = parts
-        if (p & 1) != (q & 1):
-            return 0.0
-        result = _excitation_phase(ket, holes, parts)
-        assert result is not None and result[0] == bra
-        phase = result[1]
-        P, Q, sp = p >> 1, q >> 1, p & 1
+    diff = bra ^ ket
+    holes = _set_bits(diff & ket, level)
+    parts = _set_bits(diff & bra, level)
+    p, q = parts[:, 0], holes[:, 0]
+    if level == 1:
+        P, Q = p >> 1, q >> 1
         val = h[P, Q]
-        common = ket & ~(1 << q)
-        so = 0
-        bits = common
-        while bits:
-            if bits & 1:
-                R, sr = so >> 1, so & 1
-                val += g(P, Q, R, R)
-                if sr == sp:
-                    val -= g(P, R, R, Q)
-            bits >>= 1
-            so += 1
-        return phase * val
+        for r, R, sr in zip(occ.T, orb.T, spin.T):
+            val = np.where(r != q, val + g[P, Q, R, R], val)
+            val = np.where((r != q) & (sr == (p & 1)), val - g[P, R, R, Q], val)
+    else:
+        (q1, q2), (p1, p2) = holes.T, parts.T
+        val = np.zeros(len(ket))
+        direct = ((p1 & 1) == (q1 & 1)) & ((p2 & 1) == (q2 & 1))
+        val = np.where(direct, val + g[p1 >> 1, q1 >> 1, p2 >> 1, q2 >> 1], val)
+        exchange = ((p1 & 1) == (q2 & 1)) & ((p2 & 1) == (q1 & 1))
+        val = np.where(exchange, val - g[p1 >> 1, q2 >> 1, p2 >> 1, q1 >> 1], val)
 
-    # ndiff == 4: double excitation.
-    q1, q2 = holes
-    p1, p2 = parts
-    result = _excitation_phase(ket, holes, parts)
-    if result is None:
-        return 0.0
-    assert result[0] == bra
-    phase = result[1]
-    val = 0.0
-    if (p1 & 1) == (q1 & 1) and (p2 & 1) == (q2 & 1):
-        val += g(p1 >> 1, q1 >> 1, p2 >> 1, q2 >> 1)
-    if (p1 & 1) == (q2 & 1) and (p2 & 1) == (q1 & 1):
-        val -= g(p1 >> 1, q2 >> 1, p2 >> 1, q1 >> 1)
-    return phase * val
+    # Phase of a+_{p1}..a+_{pk} a_{qk}..a_{q1} |ket>: annihilate the holes in
+    # ascending order, then create the parts in descending order.  Each
+    # operator passes the ket's set bits below it less the holes already
+    # annihilated below it (the parts created before it lie above it).  Only
+    # the parity counts, so the masked words are folded by XOR.
+    passed = np.zeros_like(ket)
+    for s in np.hstack([holes, parts]).T.astype(np.uint64):
+        passed ^= ket & ((np.uint64(1) << s) - np.uint64(1))
+    for shift in (32, 16, 8, 4, 2, 1):
+        passed ^= passed >> np.uint64(shift)
+    parity = (passed & np.uint64(1)).astype(np.int64) + level * (level - 1) // 2
+    parity += (holes[:, None, :] < parts[:, :, None]).sum((1, 2))
+    val = np.where(parity & 1, -val, val)
+    if level == 1:
+        val = np.where((p & 1) == (q & 1), val, 0.0)
+    return val
 
 
 #: Rows of the determinant matrix classified per block; the block's
@@ -370,48 +361,20 @@ def slater_condon(bra: int, ket: int, ints: IntegralSet) -> float:
 _BLOCK_ROWS = 256
 
 
-def _set_bits(bits: np.ndarray, count: int) -> np.ndarray:
-    """(len(bits), count) ascending positions of the set bits of uint64 words."""
-    positions = []
-    for _ in range(count):
-        lowest = bits & (~bits + np.uint64(1))
-        positions.append(np.frexp(lowest.astype(float))[1] - 1)  # exact: 2**k
-        bits = bits ^ lowest
-    return np.stack(positions, axis=1)
-
-
 def _determinant_matrix(ints: IntegralSet, space: FockSubspace) -> np.ndarray:
-    """Dense H over ``space``, built per excitation class in whole-array steps.
+    """Dense H over ``space``, built per excitation class by ``_pair_elements``.
 
-    Every element repeats the operand order of ``slater_condon(onvs[i],
-    onvs[j])`` for the bra row ``i`` and the ket column ``j <= i``, so the
-    matrix is bit-identical to the per-pair loop; a term ``slater_condon``
-    skips is skipped here through ``np.where``, never added as zero.  The
-    classification counts the spin orbitals each pair shares, one block of
-    rows at a time, and drops the pairs beyond a double excitation.
+    Element (i, j <= i) is ``slater_condon(onvs[i], onvs[j])``, mirrored to
+    (j, i).  The classification counts the spin orbitals each pair shares,
+    one block of rows at a time, and drops the pairs beyond a double
+    excitation.
     """
     n, n_el = space.size, space.n_electrons
-    h, g = ints.h, ints.g_dense()
     onvs = np.array(space.onvs, dtype=np.uint64)
-    occupied = occupations(space)
-    occ = np.nonzero(occupied)[1].reshape(n, n_el)  # ascending per row
-    orb, spin = occ >> 1, occ & 1
-    # below[d, s]: occupied spin orbitals of determinant d with index < s.
-    below = np.zeros((n, space.m + 1), dtype=np.int64)
-    np.cumsum(occupied, axis=1, out=below[:, 1:])
-
     mat = np.zeros((n, n))
-    diag = np.full(n, ints.e_core, dtype=float)
-    for a in range(n_el):
-        P = orb[:, a]
-        diag = diag + h[P, P]
-        for b in range(a):
-            Q = orb[:, b]
-            diag = diag + g[P, P, Q, Q]
-            diag = np.where(spin[:, a] == spin[:, b], diag - g[P, Q, Q, P], diag)
-    mat[np.arange(n), np.arange(n)] = diag
+    mat[np.arange(n), np.arange(n)] = _pair_elements(ints, onvs, onvs, 0)
 
-    counts = occupied.astype(np.float32)  # exact for these small integers
+    counts = occupations(space).astype(np.float32)  # exact for these small integers
     for i0 in range(0, n, _BLOCK_ROWS):
         i1 = min(i0 + _BLOCK_ROWS, n)
         shared = counts[i0:i1] @ counts[:i1].T
@@ -421,47 +384,10 @@ def _determinant_matrix(ints: IntegralSet, space: FockSubspace) -> np.ndarray:
         levels = n_el - shared[rows, cols].astype(np.int64)
         for level in (1, 2):
             bra, ket = rows[levels == level] + i0, cols[levels == level]
-            diff = onvs[bra] ^ onvs[ket]
-            holes = _set_bits(diff & onvs[ket], level)
-            parts = _set_bits(diff & onvs[bra], level)
-            # Parity of a+_{p1}..a+_{pk} a_{qk}..a_{q1} |ket>: annihilate the
-            # holes in ascending order, then create the parts in descending.
-            parity = below[ket[:, None], np.hstack([holes, parts])].sum(1)
-            parity -= level * (level - 1) // 2
-            parity -= (holes[:, None, :] < parts[:, :, None]).sum((1, 2))
-            if level == 1:
-                val = _single_elements(h, g, occ[ket], holes[:, 0], parts[:, 0])
-            else:
-                val = _double_elements(g, holes, parts)
-            val = np.where(parity & 1, -val, val)
+            val = _pair_elements(ints, onvs[bra], onvs[ket], level)
             mat[bra, ket] = val
             mat[ket, bra] = val
     return mat
-
-
-def _single_elements(h, g, ket_occ, q, p) -> np.ndarray:
-    """``slater_condon``'s single-excitation sum before the phase.
-
-    Every determinant of a space has the same alpha count, so ``p`` and ``q``
-    always share their spin.
-    """
-    P, Q, sp = p >> 1, q >> 1, p & 1
-    val = h[P, Q]
-    for r in ket_occ.T:
-        R, other = r >> 1, r != q
-        val = np.where(other, val + g[P, Q, R, R], val)
-        val = np.where(other & ((r & 1) == sp), val - g[P, R, R, Q], val)
-    return val
-
-
-def _double_elements(g, holes, parts) -> np.ndarray:
-    """``slater_condon``'s direct minus exchange term before the phase."""
-    (q1, q2), (p1, p2) = holes.T, parts.T
-    val = np.zeros(len(holes))
-    direct = ((p1 & 1) == (q1 & 1)) & ((p2 & 1) == (q2 & 1))
-    val = np.where(direct, val + g[p1 >> 1, q1 >> 1, p2 >> 1, q2 >> 1], val)
-    exchange = ((p1 & 1) == (q2 & 1)) & ((p2 & 1) == (q1 & 1))
-    return np.where(exchange, val - g[p1 >> 1, q2 >> 1, p2 >> 1, q1 >> 1], val)
 
 
 @dataclass

@@ -413,6 +413,30 @@ def _warm_triples(engine: AmplitudeEngine, pair_x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _hybrid_start(
+    engine: AmplitudeEngine, pair_x: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Frozen pairs ``pair_x`` under identity triples, or for a sum hybrid
+    under triples whose addend is small next to the pair addend P.
+
+    A sum hybrid's triple entries share one magnitude (1e-3 max|P|)**(1/T),
+    with T the number of triples, each times 1 + uniform noise in
+    [-0.1, 0.1] drawn in layout order: their product, the triple addend, is
+    then about 1e-3 max|P| at every determinant.  Near-zero entries would
+    make it underflow to zero with tens of triples, and a zero addend has no
+    gradient for the search or the subspace solves to follow.
+    """
+    x = np.ones(engine.n_params)
+    x[: len(pair_x)] = pair_x
+    if engine.sum_mode:
+        pair_addend = np.prod(engine.factors(x)[: engine.n_pair_rows], axis=0)
+        peak = np.max(np.abs(pair_addend))
+        scale = (1e-3 * peak) ** (1.0 / len(engine.triple_keys))
+        active = engine.active_indices
+        x[active] = scale * (1.0 + rng.uniform(-0.1, 0.1, len(active)))
+    return x
+
+
 def run_stages(
     config: PtConfig,
     spec: AnsatzSpec,
@@ -425,7 +449,7 @@ def run_stages(
 
     A triple-bearing ansatz first optimizes its pair stage
     (``spec.pair_stage``).  The hybrids freeze that stage's best vector under
-    identity triples (near-zero triples for the sum hybrids); pure triples
+    identity triples (small triples for the sum hybrids); pure triples
     are warm-started from it, or with ``cold`` run alone from a cold start.
     Starts draw from ``SeedSequence(config.seed, spawn_key=(99,))`` and stage
     i runs on seed ``config.seed + i``.  Each stage builds its own evaluator
@@ -443,11 +467,7 @@ def run_stages(
         if pair_x is None:
             x0 = cold_start(evaluator.engine, rng)
         elif spec.is_hybrid:
-            x0 = np.ones(evaluator.engine.n_params)
-            x0[: len(pair_x)] = pair_x
-            if spec.combine_mode == "sum":
-                active = evaluator.engine.active_indices
-                x0[active] = rng.uniform(-1e-3, 1e-3, len(active))
+            x0 = _hybrid_start(evaluator.engine, pair_x, rng)
         else:
             x0 = _warm_triples(evaluator.engine, pair_x)
         ensemble = run_parallel_tempering(
@@ -580,7 +600,7 @@ class SweepEnvironment:
     The cofactor of tensor t (the derivative of its addend with respect to
     t's factor) is the product of the factors of the block's tensors before
     t, the left product, times the product of those after t, the right
-    product, each in the order of ``AmplitudeEngine.active_cofactor``.  The
+    product, each in the order of ``AmplitudeEngine.cofactors``.  The
     block is every tensor in product mode and the triples in sum mode.  A
     pass solves the active tensors in layout order, so its right products
     come from the vector it starts on, computed once at its first solve,
@@ -618,7 +638,7 @@ class SweepEnvironment:
 
     def derivative_states(self, x: np.ndarray, t: int) -> np.ndarray:
         """CSF weights of tensor t's derivative states, one row per entry:
-        rows ``active_rows`` of ``jacobian(x) @ K.T``, bit for bit.
+        tensor t's rows of ``jacobian(x) @ K.T``, bit for bit.
 
         The rows are scattered from K's nonzeros in ascending determinant
         order, so every element is the sum the sparse-times-dense product

@@ -5,11 +5,13 @@ as the library (interleaved spin orbitals, ascending-index operator strings)
 but shares no code with it, so agreement is meaningful.  The exceptions are
 the references for vectorized library code, which keep the loops that code
 replaced: the reference Metropolis sweep reuses the library's step bounds and
-scale renormalization (it checks how proposals are priced, not those), and
-``slater_condon_matrix`` calls the library's per-pair ``slater_condon`` (it
-checks the excitation-class assembly of ``HamiltonianOperator.matrix``, not
-the Slater-Condon rules, which ``hamiltonian_matrix_brute`` checks).  The
-per-determinant loops ``amplitude``, ``amplitude_partial_derivative`` and
+scale renormalization (it checks how proposals are priced, not those).
+``slater_condon_loop`` is the per-pair Slater-Condon loop that the library's
+whole-array kernel replaced, and ``slater_condon_matrix`` assembles it pair
+by pair: the references, bit for bit, for ``slater_condon`` and
+``HamiltonianOperator.matrix`` (``hamiltonian_matrix_brute`` checks the
+rules themselves by operator application).  The per-determinant loops
+``amplitude``, ``amplitude_partial_derivative`` and
 ``orbital_occupations_loop`` are the references for ``AmplitudeEngine`` and
 ``orbital_occupations``, and ``jacobian_loop`` for ``AmplitudeEngine.jacobian``.
 ``jacobian_rows``, ``subspace_solve_reference`` and
@@ -34,7 +36,7 @@ from scipy import linalg, sparse
 from cgtns import optimizer
 from cgtns.correlators import AnsatzSpec
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
-from cgtns.hamiltonian import csf_hamiltonian, slater_condon
+from cgtns.hamiltonian import csf_hamiltonian
 from cgtns.optimizer import STEP_BOUNDS, STEP_FACTOR_CAP, _renormalize_product_scale
 
 
@@ -185,14 +187,74 @@ def hamiltonian_matrix_brute(
     return mat
 
 
+def slater_condon_loop(bra: int, ket: int, ints) -> float:
+    """<bra|H|ket> by the Slater-Condon rules, one determinant pair at a time.
+
+    The phase comes from applying the excitation operators, annihilations in
+    ascending hole order, then creations in descending part order.  The sums
+    run over the ket's occupied spin orbitals in ascending order and read the
+    integrals through ``IntegralSet.g``.
+    """
+    diff = bra ^ ket
+    ndiff = diff.bit_count()
+    if ndiff > 4 or bra.bit_count() != ket.bit_count():
+        return 0.0
+    g, h = ints.g, ints.h
+
+    if ndiff == 0:
+        occ = [so for so in range(ket.bit_length()) if (ket >> so) & 1]
+        val = ints.e_core
+        for a, p in enumerate(occ):
+            P, sp = p >> 1, p & 1
+            val += h[P, P]
+            for q in occ[:a]:
+                Q, sq = q >> 1, q & 1
+                val += g(P, P, Q, Q)
+                if sp == sq:
+                    val -= g(P, Q, Q, P)
+        return val
+
+    holes = [so for so in range(ket.bit_length()) if (diff & ket) >> so & 1]
+    parts = [so for so in range(bra.bit_length()) if (diff & bra) >> so & 1]
+    bits, phase = ket, 1.0
+    for so, op in [(q, op_annihilate) for q in holes] + [
+        (p, op_create) for p in reversed(parts)
+    ]:
+        bits, sign = op(bits, so)
+        phase *= sign
+    assert bits == bra
+
+    if ndiff == 2:
+        (q,), (p,) = holes, parts
+        if (p & 1) != (q & 1):
+            return 0.0
+        P, Q, sp = p >> 1, q >> 1, p & 1
+        val = h[P, Q]
+        for r in range(ket.bit_length()):
+            if r != q and (ket >> r) & 1:
+                R = r >> 1
+                val += g(P, Q, R, R)
+                if r & 1 == sp:
+                    val -= g(P, R, R, Q)
+        return phase * val
+
+    (q1, q2), (p1, p2) = holes, parts
+    val = 0.0
+    if (p1 & 1) == (q1 & 1) and (p2 & 1) == (q2 & 1):
+        val += g(p1 >> 1, q1 >> 1, p2 >> 1, q2 >> 1)
+    if (p1 & 1) == (q2 & 1) and (p2 & 1) == (q1 & 1):
+        val -= g(p1 >> 1, q2 >> 1, p2 >> 1, q1 >> 1)
+    return phase * val
+
+
 def slater_condon_matrix(ints, space) -> np.ndarray:
-    """Dense determinant H from one ``slater_condon`` call per pair j <= i."""
+    """Dense determinant H from one ``slater_condon_loop`` call per pair j <= i."""
     n = space.size
     mat = np.zeros((n, n))
     onvs = space.onvs
     for i in range(n):
         for j in range(i + 1):
-            el = slater_condon(onvs[i], onvs[j], ints)
+            el = slater_condon_loop(onvs[i], onvs[j], ints)
             mat[i, j] = el
             mat[j, i] = el
     return mat
@@ -315,13 +377,21 @@ def jacobian_loop(engine, x: np.ndarray) -> sparse.csr_matrix:
     )
 
 
+def active_rows(engine, key) -> slice:
+    """Gradient rows (positions in ``engine.active_indices``) of the active
+    tensor ``key``: one contiguous block in the tensor's element order."""
+    t = engine.tensor_row(key)
+    start = int(engine.offsets[t] - engine.active_indices[0])
+    return slice(start, start + engine.sizes[t])
+
+
 def jacobian_rows(engine, x: np.ndarray, key) -> sparse.csr_matrix:
-    """Rows ``active_rows(key)`` of ``engine.jacobian(x)``, bit for bit, from
-    tensor ``key``'s cofactors alone."""
-    rows = engine.active_rows(key)
+    """Rows ``active_rows(engine, key)`` of ``engine.jacobian(x)``, bit for
+    bit, from tensor ``key``'s row of the cofactor table."""
+    rows = active_rows(engine, key)
     indptr = engine._jac_indptr[rows.start : rows.stop + 1]
     dets = engine._jac_indices[indptr[0] : indptr[-1]]
-    data = engine.active_cofactor(x, engine.tensor_row(key), dets)
+    data = engine.cofactors(x)[engine.tensor_row(key), dets]
     return sparse.csr_matrix(
         (data, dets, indptr - indptr[0]),
         shape=(rows.stop - rows.start, engine.space.size),
@@ -332,7 +402,7 @@ def subspace_solve_reference(evaluator, x: np.ndarray, key):
     """Reference ``gradient_subspace_solve``: the solve from the tensor's
     Jacobian rows and ``scipy.linalg.eigh``."""
     engine = evaluator.engine
-    rows = engine.active_rows(key)
+    rows = active_rows(engine, key)
     V = np.asarray(jacobian_rows(engine, x, key) @ evaluator.K.T)
     if engine.sum_mode:
         addend = np.prod(engine.factors(x)[: engine.n_pair_rows], axis=0)

@@ -191,6 +191,20 @@ class TestOracle:
     def test_missing_file_exits_2(self, capsys):
         assert main(["oracle", "--integrals", "/nonexistent.fcidump"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--out", "oo"], ["--seed", "3"], ["--ansatz", "3s"], ["--screen", "0.5"],
+         ["--window", "0.1,0.2"]],
+    )
+    def test_run_only_flags_exit_2(self, tmp_path, monkeypatch, capsys, flag):
+        # The oracle would ignore these, so it refuses them.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--integrals", H2, *flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("target", [".", "out"])
     def test_oracle_out_onto_a_directory_exits_2(self, tmp_path, monkeypatch, target):
         monkeypatch.chdir(tmp_path)
@@ -237,6 +251,19 @@ class TestRun:
         record = RunRecord.from_json((outdir / "record.json").read_text())
         assert record.kind == "3s/si+[2s]"
         assert record.n_active_parameters == param_count("3s/si", 4)
+        assert record.error_vs_oracle >= -1e-12
+
+    def test_sum_hybrid_subspace_refine_leaves_the_pair_stage(self, tmp_path):
+        # The triple addend starts nonzero, so the tempering and the subspace
+        # solves can move the state below the frozen pair stage's energy.
+        cfg = quick_cfg(
+            integrals=H4, ansatz="3s+[2s]", sweeps=5, seed=1, refine="subspace",
+            out=str(tmp_path / "sum"),
+        )
+        outdir = cmd_run(cfg)
+        record = RunRecord.from_json((outdir / "record.json").read_text())
+        stage1 = json.loads((outdir / "stage1_checkpoint.json").read_text())
+        assert record.final_energy < stage1["best_energy"] - 0.1
         assert record.error_vs_oracle >= -1e-12
 
     def test_pure_triple_warm_and_cold_inits(self, tmp_path):

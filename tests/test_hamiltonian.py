@@ -16,12 +16,14 @@ from cgtns.hamiltonian import (
     exact_diagonalize,
     orbital_occupations,
     parse_fcidump,
+    slater_condon,
 )
 
 from oracles import (
     exact_diagonalize_full,
     hamiltonian_matrix_brute,
     orbital_occupations_loop,
+    slater_condon_loop,
     slater_condon_matrix,
 )
 
@@ -182,8 +184,6 @@ class TestSlaterCondon:
         ints = IntegralSet.zeros(3, e_core=0.25)
         ints.h[:] = np.diag([-1.0, -0.5, -0.25])
         space = enumerate_onvs(6, 2, 0.0)
-        from cgtns.hamiltonian import slater_condon
-
         closed = space.onvs[space.onvs.index(0b11)]  # doubly occupied orbital 0
         assert slater_condon(closed, closed, ints) == pytest.approx(
             -2.0 + 0.25, abs=1e-14
@@ -191,8 +191,6 @@ class TestSlaterCondon:
 
     def test_rank_rule(self):
         ints = IntegralSet.zeros(3)
-        from cgtns.hamiltonian import slater_condon
-
         # 111000 vs 000111 differ in six spin orbitals.
         assert slater_condon(0b000111, 0b111000, ints) == 0.0
 
@@ -213,8 +211,6 @@ class TestSlaterCondon:
         assert np.max(np.abs(mat - mat.T)) <= 1e-12
 
     def test_hermiticity_h6_element_pairs(self):
-        from cgtns.hamiltonian import slater_condon
-
         ints = parse_fcidump(FIXTURES / "h6.fcidump")
         space = enumerate_onvs(12, 6, 0.0)
         rng = np.random.default_rng(29)
@@ -223,6 +219,23 @@ class TestSlaterCondon:
             a = slater_condon(space.onvs[i], space.onvs[j], ints)
             b = slater_condon(space.onvs[j], space.onvs[i], ints)
             assert abs(a - b) <= 1e-12
+
+    def test_every_h4_pair_bit_identical_to_loop(self):
+        # Both operand orders, and the spin-flip singles between sectors.
+        ints = parse_fcidump(FIXTURES / "h4.fcidump")
+        onvs = [b for ms in (-1.0, 0.0, 1.0) for b in enumerate_onvs(8, 4, ms).onvs]
+        for bra in onvs:
+            got = np.array([slater_condon(bra, ket, ints) for ket in onvs])
+            ref = np.array([slater_condon_loop(bra, ket, ints) for ket in onvs])
+            assert_bit_identical(got, ref)
+
+    @pytest.mark.parametrize(
+        "bra, ket", [(0b0011, 0b1111), (0b1111, 0b0011), (0b0011, 0b0111)]
+    )
+    def test_different_electron_counts_give_zero(self, bra, ket):
+        h, g, e_core = random_integrals(2, 13)
+        ints = IntegralSet.from_dense(h, g, e_core=e_core)
+        assert slater_condon(bra, ket, ints) == 0.0
 
     def test_particle_hole_relabeling_diagonal(self):
         # A symmetric integral set (all h_pp equal, uniform g) gives identical
@@ -235,14 +248,12 @@ class TestSlaterCondon:
                 g[p, p, q, q] = 0.3
         ints = IntegralSet.from_dense(h, g)
         space = enumerate_onvs(6, 2, 1.0)
-        from cgtns.hamiltonian import slater_condon
-
         diags = [slater_condon(b, b, ints) for b in space.onvs]
         assert np.ptp(diags) < 1e-14
 
 
 class TestMatrixAssembly:
-    """The excitation-class build against the per-pair ``slater_condon`` loop."""
+    """The excitation-class build against the per-pair ``slater_condon_loop``."""
 
     @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
     def test_fixture_matrix_bit_identical(self, name):
@@ -297,8 +308,6 @@ class TestCsfMatrixElement:
     """Elements of the CSF Hamiltonian K H K^T from ``csf_hamiltonian``."""
 
     def test_single_csf_closed_shell(self):
-        from cgtns.hamiltonian import slater_condon
-
         h, g, e_core = random_integrals(1, 3)
         ints = IntegralSet.from_dense(h, g, e_core=e_core)
         space = enumerate_onvs(2, 2, 0.0)

@@ -229,7 +229,7 @@ class TestMetropolis:
 
 def _h4_start(engine, seed, cli_like):
     """A start as the CLI builds it (warm-started pure triples, identity or
-    near-zero hybrid triples on cold pairs) or with noisy triples."""
+    small hybrid triples on cold pairs) or with noisy triples."""
     spec = engine.spec
     rng = np.random.default_rng(seed)
     if not spec.has_triples or (not cli_like and not spec.is_hybrid):
@@ -238,13 +238,11 @@ def _h4_start(engine, seed, cli_like):
     pairs = cold_start(AmplitudeEngine(pair_spec, 8, engine.space), rng)
     if not spec.is_hybrid:
         return optimizer._warm_triples(engine, pairs)
+    if cli_like:
+        return optimizer._hybrid_start(engine, pairs, rng)
     x = np.ones(engine.n_params)
     x[: len(pairs)] = pairs
-    active = engine.active_indices
-    if cli_like and spec.combine_mode == "sum":
-        x[active] = rng.uniform(-1e-3, 1e-3, len(active))
-    elif not cli_like:
-        x[active] += rng.uniform(-0.1, 0.1, len(active))
+    x[engine.active_indices] += rng.uniform(-0.1, 0.1, len(engine.active_indices))
     return x
 
 
@@ -587,12 +585,38 @@ class TestWarmStarts:
         start = hybrid_stage.best_x
         assert np.array_equal(start[: len(pair_stage.best_x)], pair_stage.best_x)
         assert abs(hybrid_stage.best_energy - pair_stage.best_energy) < 5e-2
-        for tensor in tensors(spec_s, 4, start)[1].values():
-            assert np.max(np.abs(tensor)) <= 1e-3
+        # Every triple entry is (1e-3 max|P|)**(1/T) times 1 + U(-0.1, 0.1),
+        # so the triple addend is at most 1.1**T * 1e-3 max|P|.
+        engine = hybrid_stage.evaluator.engine
+        f = engine.factors(start)
+        pair_peak = np.max(np.abs(np.prod(f[: engine.n_pair_rows], axis=0)))
+        triple = np.prod(f[engine.n_pair_rows :], axis=0)
+        bound = 1.1 ** len(engine.triple_keys) * 1e-3 * pair_peak
+        assert np.all(triple != 0.0) and np.max(np.abs(triple)) <= bound
 
 
 class TestRunStages:
     """The stage plan: pair stage, starts, and per-stage seeds."""
+
+    @pytest.mark.parametrize("kind", ["3s+[2s]", "3s/si+[2s]", "3s+[2s]sel"])
+    @pytest.mark.parametrize("name", ["h4", "h6"])
+    def test_sum_hybrid_start_has_a_nonzero_triple_addend(self, name, kind):
+        # Near-zero triple entries used to underflow the product of 56-364
+        # triples to exactly zero, which froze the run at its pair stage.
+        ints = parse_fcidump(FIXTURES / f"{name}.fcidump")
+        space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
+        basis = build_csf_basis(space, ints.ms2 / 2.0)
+        ham = HamiltonianOperator(ints, space)
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        config = PtConfig(n_replicas=2, sweeps=0, seed=1)
+        _, hybrid_stage = run_stages(config, spec, basis, ham)
+        engine = hybrid_stage.evaluator.engine
+        f = engine.factors(hybrid_stage.best_x)
+        pair = np.prod(f[: engine.n_pair_rows], axis=0)
+        triple = np.prod(f[engine.n_pair_rows :], axis=0)
+        assert np.all(np.isfinite(triple)) and np.all(triple != 0.0)
+        assert np.max(np.abs(triple)) < 0.1 * np.max(np.abs(pair))
 
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
     def test_stage_plan(self, h4, kind):
