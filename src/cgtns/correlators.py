@@ -10,6 +10,7 @@ products.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -17,8 +18,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 from scipy import sparse
 
-from .errors import DimensionError, FrozenTensorError
-from .fock import FockSubspace, occupations
+from .errors import CapacityError, DimensionError, FrozenTensorError
+from .fock import MAX_SPIN_ORBITALS, FockSubspace, occupations
 
 ANSATZ_KINDS = (
     "2s",
@@ -152,10 +153,14 @@ def param_count(
 
     A kind given by name with ``n_selected`` takes ``selected_sites``
     0..n_selected-1, which only the selected kinds accept.  An ansatz that
-    ``AmplitudeEngine`` refuses (``AnsatzSpec.tensor_keys``) is refused here.
+    ``AmplitudeEngine`` refuses (``AnsatzSpec.tensor_keys``) is refused here,
+    and m above ``MAX_SPIN_ORBITALS`` raises CapacityError before any key
+    is built.
     """
     if m < 2:
         raise DimensionError(f"need at least two sites, got m={m}")
+    if m > MAX_SPIN_ORBITALS:
+        raise CapacityError(f"m = {m} exceeds the {MAX_SPIN_ORBITALS}-site limit")
     if not isinstance(spec, AnsatzSpec):
         sites = None if n_selected is None else tuple(range(n_selected))
         spec = AnsatzSpec(spec, sites)
@@ -172,7 +177,10 @@ class AmplitudeEngine:
     vector ``x``, the package's one parameter representation: the pair
     tensors in ``spec.pair_keys(m)`` order, then the triples, 4 and 8 entries
     each in C order.  The first ``n_frozen_tensors`` tensors are frozen;
-    ``active_keys`` and ``active_indices`` hold the rest.  Factor tables
+    ``active_keys`` and ``active_indices`` hold the rest.  Only the engine
+    knows how factors combine: the active entries live in the addend of
+    tensor rows ``addend_start:``, after the frozen pairs of a sum hybrid
+    (``pair_addend``) and from row 0 otherwise.  Factor tables
     are evaluated for the whole space at once, which subsumes caching
     per-determinant products within an energy evaluation.
     """
@@ -189,9 +197,8 @@ class AmplitudeEngine:
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))[:-1]
         self.n_params = int(sum(self.sizes))
         self.n_pair_rows = len(self.pair_keys)
-        self.sum_mode = bool(
-            spec.combine_mode == "sum" and self.pair_keys and self.triple_keys
-        )
+        self.sum_mode = spec.combine_mode == "sum"
+        self.addend_start = self.n_pair_rows if self.sum_mode else 0
 
         # Frozen tensors (a hybrid's pairs) lead the layout.
         self.n_frozen_tensors = self.n_pair_rows if spec.pairs_frozen else 0
@@ -212,10 +219,11 @@ class AmplitudeEngine:
         # Sparse-Jacobian structure: row e (active entry), columns = the
         # determinants that select it, ascending, as a stable sort of the
         # table orders its cells (the frozen tensors' cells come first);
-        # _jac_rows holds the tensor row of each cell, so one gather fills it.
+        # _jac_rows holds the cofactor row of each cell, so one gather fills it.
         cells = np.argsort(table, axis=None, kind="stable")
         cells = cells[self.n_frozen_tensors * space.size :]
-        self._jac_rows, self._jac_indices = np.divmod(cells, space.size)
+        rows, self._jac_indices = np.divmod(cells, space.size)
+        self._jac_rows = rows - self.addend_start
         per_entry = np.bincount(table.ravel(), minlength=self.n_params)
         self._jac_indptr = np.concatenate(
             ([0], np.cumsum(per_entry[self.active_indices]))
@@ -271,12 +279,13 @@ class AmplitudeEngine:
 
     # -- evaluation ---------------------------------------------------------
 
-    def factors(self, x: np.ndarray) -> np.ndarray:
-        """Factor table f[t, n] = participating entry of tensor t for det n."""
-        return x[self.entry_table]
-
     def amplitudes(self, x: np.ndarray) -> np.ndarray:
         return self.amplitude_parts(x)[0]
+
+    def pair_addend(self, x: np.ndarray) -> np.ndarray:
+        """Product of the pair tensors' factors per determinant: a sum
+        hybrid's frozen addend."""
+        return np.prod(x[self.entry_table[: self.n_pair_rows]], axis=0)
 
     def amplitude_parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(amplitudes, the addend that holds the active entries).
@@ -284,34 +293,22 @@ class AmplitudeEngine:
         The two coincide in product mode; in sum mode the second is the
         triple product alone.
         """
-        f = self.factors(x)
+        active = np.prod(x[self.entry_table[self.addend_start :]], axis=0)
         if self.sum_mode:
-            active = np.prod(f[self.n_pair_rows :], axis=0)
-            return np.prod(f[: self.n_pair_rows], axis=0) + active, active
-        a = np.prod(f, axis=0)
-        return a, a
+            return self.pair_addend(x) + active, active
+        return active, active
 
-    def _block_cofactors(self, f: np.ndarray) -> np.ndarray:
-        """cof[t, n] = product of all rows of the block except t."""
-        T = f.shape[0]
+    def cofactors(self, x: np.ndarray) -> np.ndarray:
+        """Cofactors within the active addend: row t - ``addend_start`` is
+        d(addend_n)/d(factor of tensor t at n), for every tensor t from
+        ``addend_start`` on, the product of the addend's factors before t
+        times the product of those after it."""
+        f = x[self.entry_table[self.addend_start :]]
         pref = np.ones_like(f)
         suf = np.ones_like(f)
         np.cumprod(f[:-1], axis=0, out=pref[1:])
         np.cumprod(f[:0:-1], axis=0, out=suf[-2::-1])
         return pref * suf
-
-    def cofactors(self, x: np.ndarray) -> np.ndarray:
-        """Per-tensor cofactors: d(amplitude_n)/d(factor of tensor t at n).
-
-        In sum mode the cofactor of a tensor is taken within its own addend.
-        """
-        f = self.factors(x)
-        if self.sum_mode:
-            out = np.empty_like(f)
-            out[: self.n_pair_rows] = self._block_cofactors(f[: self.n_pair_rows])
-            out[self.n_pair_rows :] = self._block_cofactors(f[self.n_pair_rows :])
-            return out
-        return self._block_cofactors(f)
 
     def jacobian(self, x: np.ndarray) -> sparse.csr_matrix:
         """Sparse d(amplitudes)/d(active entries), shape (n_active, n_det)."""
@@ -320,6 +317,32 @@ class AmplitudeEngine:
             (data, self._jac_indices, self._jac_indptr),
             shape=(len(self.active_indices), self.space.size),
         )
+
+    def renormalized(self, x: np.ndarray) -> np.ndarray:
+        """``x`` with its amplitudes pulled back toward unit scale, bit-exactly.
+
+        A product ansatz has a flat direction (rescaling active tensors
+        rescales every amplitude, not the energy), so a long walk can drift
+        toward float overflow or underflow.  A peak |amplitude| outside
+        2**±50 is scaled by 2**k, k = -floor(log2(peak)), spread over the T
+        active tensors (the first k mod T take one power more) by
+        ``np.ldexp``: it shifts only exponents, and it needs no float 2.0**q,
+        which overflows for q > 1023 (one tensor under a subnormal peak).
+        Sum hybrids come back unchanged (their addend scale is physical).
+        """
+        if self.sum_mode:
+            return x
+        peak = float(np.max(np.abs(self.amplitudes(x))))
+        if not np.isfinite(peak) or peak == 0.0 or 2.0**-50 < peak < 2.0**50:
+            return x
+        n_active = len(self.active_keys)
+        q, r = divmod(-math.floor(math.log2(peak)), n_active)
+        exponents = np.repeat(
+            [q + 1] * r + [q] * (n_active - r), self.sizes[self.n_frozen_tensors :]
+        )
+        x = x.copy()
+        x[self.active_indices] = np.ldexp(x[self.active_indices], exponents)
+        return x
 
 
 def select_sites(

@@ -249,7 +249,8 @@ class LocalMoves:
         if x_e != 0.0:
             d = self.active[dets] * (delta / x_e)
         else:
-            d = self.engine.cofactors(x)[t, dets] * delta / self.scale
+            cof = self.engine.cofactors(x)[t - self.engine.addend_start, dets]
+            d = cof * delta / self.scale
         rows = (d @ self.tables.take(dets, axis=0)).reshape(2, -1)
         nd = self.nd + 2.0 * (self.uw[:, dets] @ d) + rows[:, dets] @ d
         num, den = nd.tolist()

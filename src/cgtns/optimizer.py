@@ -72,6 +72,8 @@ class PtConfig:
             raise ConfigError("sweeps must be >= 0")
         if self.swap_interval < 1:
             raise ConfigError("swap_interval must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.target_acceptance is not None and not 0 < self.target_acceptance < 1:
             raise ConfigError("target_acceptance must lie in (0, 1)")
 
@@ -170,33 +172,6 @@ def _replica_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _renormalize_product_scale(engine, x: np.ndarray) -> np.ndarray:
-    """Pull product-form amplitudes back toward unit scale, bit-exactly.
-
-    Product ansatze have a flat direction (rescaling active tensors rescales
-    every amplitude without changing the energy), so a long walk can drift
-    the amplitude scale toward float overflow or underflow.  Multiplying
-    active tensors by powers of two shifts only exponents: amplitudes, and
-    hence the energy quotient, are unchanged except for the removed scale.
-    Sum hybrids are left alone (their addend scale is physical).
-    """
-    if engine.sum_mode:
-        return x
-    amps = np.abs(engine.amplitudes(x))
-    peak = float(np.max(amps))
-    if not np.isfinite(peak) or peak == 0.0:
-        return x
-    if 2.0**-50 < peak < 2.0**50:
-        return x
-    k = -int(math.floor(math.log2(peak)))
-    q, r = divmod(k, len(engine.active_keys))
-    x = x.copy()
-    for i, t in enumerate(range(engine.n_frozen_tensors, len(engine.keys))):
-        start = engine.offsets[t]
-        x[start : start + engine.sizes[t]] *= 2.0 ** (q + 1 if i < r else q)
-    return x
-
-
 def metropolis_sweep(
     replica: ReplicaState,
     temperature: float,
@@ -258,7 +233,7 @@ def metropolis_sweep(
         factor = min(max(factor, 1.0 / STEP_FACTOR_CAP), STEP_FACTOR_CAP)
         replica.step = min(max(replica.step * factor, STEP_BOUNDS[0]), STEP_BOUNDS[1])
     if isinstance(evaluator, EnergyEvaluator):
-        replica.x = _renormalize_product_scale(evaluator.engine, replica.x)
+        replica.x = evaluator.engine.renormalized(replica.x)
     return ratio
 
 
@@ -358,59 +333,35 @@ def cold_start(engine: AmplitudeEngine, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _slot_pairs(key: tuple[int, int, int]):
-    i, j, k = key
-    return (
-        ((i, j), (0, 1, None)),
-        ((i, k), (0, None, 1)),
-        ((j, k), (None, 0, 1)),
-    )
-
-
 def _warm_triples(engine: AmplitudeEngine, pair_x: np.ndarray) -> np.ndarray:
     """Pure-triple parameters that reproduce the pair-product amplitudes.
 
     ``pair_x`` holds the tensors of the pair stage ``spec.pair_stage``.
-    Every triple entry takes the geometric mean |C_ij C_ik C_jk|**(1/n) of its
-    slot pair factors, with n the number of slot appearances of a pair across
-    the triple set (m+2 with self-interaction triples, m-2 without), so that
-    the full triple product recovers each pair factor to the first power.
-    The sign of each pair factor is applied once, at its lexicographically
-    first slot appearance.
+    Every triple entry (a, b, c) of (i, j, k) takes the geometric mean
+    |C_ij[a, b] C_ik[a, c] C_jk[b, c]|**(1/n) of its slot pair factors,
+    multiplied in that slot order, with n the number of slot appearances of
+    a pair across the triple set (m+2 with self-interaction triples, m-2
+    without), so that the full triple product recovers each pair factor to
+    the first power.  The sign of each pair factor is applied once, at its
+    first slot appearance in (triple, slot) order.
     """
     spec, m = engine.spec, engine.m
     pair_keys = AnsatzSpec(spec.pair_stage).pair_keys(m)
-    pairs = dict(zip(pair_keys, np.reshape(pair_x, (-1, 2, 2))))
     exponent = 1.0 / (m + 2) if spec.triples_si else 1.0 / (m - 2)
+    # Scalar powers: an array power may differ from them by an ulp.
+    magnitude = np.array([abs(v) ** exponent for v in pair_x.tolist()])
+    signed = np.where(pair_x < 0, -magnitude, magnitude).reshape(-1, 2, 2)
+    magnitude = magnitude.reshape(-1, 2, 2)
 
-    x = np.ones(engine.n_params)
-    triples = dict(zip(engine.triple_keys, x.reshape(-1, 2, 2, 2)))
-    for key, tensor in triples.items():
-        for pair, layout in _slot_pairs(key):
-            source = pairs[pair]
-            for a in range(2):
-                for b in range(2):
-                    magnitude = abs(source[a, b]) ** exponent
-                    idx = [slice(None)] * 3
-                    idx[layout.index(0)] = a
-                    idx[layout.index(1)] = b
-                    tensor[tuple(idx)] *= magnitude
-    # Assign each pair-entry sign once, at the first slot appearance.
-    assigned: set[tuple[int, int]] = set()
-    for key, tensor in triples.items():
-        for pair, layout in _slot_pairs(key):
-            if pair in assigned:
-                continue
-            source = pairs[pair]
-            for a in range(2):
-                for b in range(2):
-                    if source[a, b] < 0:
-                        idx = [slice(None)] * 3
-                        idx[layout.index(0)] = a
-                        idx[layout.index(1)] = b
-                        tensor[tuple(idx)] *= -1.0
-            assigned.add(pair)
-    return x
+    pair_row = np.zeros((m, m), dtype=np.intp)
+    pair_row[tuple(np.array(pair_keys).T)] = np.arange(len(pair_keys))
+    i, j, k = np.array(engine.triple_keys).T
+    slots = pair_row[[i, i, j], [j, k, k]].T  # (triple, slot): pair row
+    factors = magnitude[slots]
+    pairs, first = np.unique(slots, return_index=True)
+    factors.reshape(-1, 2, 2)[first] = signed[pairs]
+    x = factors[:, 0, :, :, None] * factors[:, 1, :, None, :]
+    return (x * factors[:, 2, None, :, :]).ravel()
 
 
 def _hybrid_start(
@@ -429,8 +380,7 @@ def _hybrid_start(
     x = np.ones(engine.n_params)
     x[: len(pair_x)] = pair_x
     if engine.sum_mode:
-        pair_addend = np.prod(engine.factors(x)[: engine.n_pair_rows], axis=0)
-        peak = np.max(np.abs(pair_addend))
+        peak = np.max(np.abs(engine.pair_addend(x)))
         scale = (1e-3 * peak) ** (1.0 / len(engine.triple_keys))
         active = engine.active_indices
         x[active] = scale * (1.0 + rng.uniform(-0.1, 0.1, len(active)))
@@ -601,7 +551,7 @@ class SweepEnvironment:
     t's factor) is the product of the factors of the block's tensors before
     t, the left product, times the product of those after t, the right
     product, each in the order of ``AmplitudeEngine.cofactors``.  The
-    block is every tensor in product mode and the triples in sum mode.  A
+    block is the engine's active addend, tensor rows ``addend_start:``.  A
     pass solves the active tensors in layout order, so its right products
     come from the vector it starts on, computed once at its first solve,
     and the left product grows by each solved tensor's new factors.  A solve
@@ -616,7 +566,7 @@ class SweepEnvironment:
         self.evaluator = evaluator
         engine = evaluator.engine
         self.table = engine.entry_table
-        self.lo = engine.n_pair_rows if engine.sum_mode else 0
+        self.lo = engine.addend_start
         self.next = None  # the tensor row whose solve continues the pass
         self.left = None  # None for an empty product
         self.right = None
@@ -660,8 +610,7 @@ class SweepEnvironment:
     def pair_weights(self, x: np.ndarray) -> np.ndarray:
         """CSF weights of a sum hybrid's frozen pair addend."""
         if self._pair_weights is None:
-            addend = np.prod(x[self.table[: self.lo]], axis=0)
-            self._pair_weights = self.evaluator.K @ addend
+            self._pair_weights = self.evaluator.K @ self.evaluator.engine.pair_addend(x)
         return self._pair_weights
 
     def advance(self, x: np.ndarray, t: int) -> None:

@@ -5,7 +5,10 @@ as the library (interleaved spin orbitals, ascending-index operator strings)
 but shares no code with it, so agreement is meaningful.  The exceptions are
 the references for vectorized library code, which keep the loops that code
 replaced: the reference Metropolis sweep reuses the library's step bounds and
-scale renormalization (it checks how proposals are priced, not those).
+scale renormalization (it checks how proposals are priced, not those), and
+``renormalized_loop`` and ``warm_triples_loop`` keep the per-tensor and
+per-entry loops of ``AmplitudeEngine.renormalized`` and
+``optimizer._warm_triples``.
 ``slater_condon_loop`` is the per-pair Slater-Condon loop that the library's
 whole-array kernel replaced, and ``slater_condon_matrix`` assembles it pair
 by pair: the references, bit for bit, for ``slater_condon`` and
@@ -37,7 +40,7 @@ from cgtns import optimizer
 from cgtns.correlators import AnsatzSpec
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
 from cgtns.hamiltonian import csf_hamiltonian
-from cgtns.optimizer import STEP_BOUNDS, STEP_FACTOR_CAP, _renormalize_product_scale
+from cgtns.optimizer import STEP_BOUNDS, STEP_FACTOR_CAP
 
 
 def popcount_below(bits: int, pos: int) -> int:
@@ -348,8 +351,75 @@ def metropolis_sweep_full(replica, temperature, evaluator, target_acceptance=Non
         factor = math.exp(ratio - target_acceptance)
         factor = min(max(factor, 1.0 / STEP_FACTOR_CAP), STEP_FACTOR_CAP)
         replica.step = min(max(replica.step * factor, STEP_BOUNDS[0]), STEP_BOUNDS[1])
-    replica.x = _renormalize_product_scale(evaluator.engine, replica.x)
+    replica.x = evaluator.engine.renormalized(replica.x)
     return ratio
+
+
+def renormalized_loop(engine, x: np.ndarray) -> np.ndarray:
+    """Reference ``AmplitudeEngine.renormalized``: the per-tensor loop it
+    replaced, one power of two multiplied into each active tensor's slice."""
+    if engine.spec.combine_mode == "sum":
+        return x
+    peak = float(np.max(np.abs(engine.amplitudes(x))))
+    if not np.isfinite(peak) or peak == 0.0:
+        return x
+    if 2.0**-50 < peak < 2.0**50:
+        return x
+    k = -int(math.floor(math.log2(peak)))
+    q, r = divmod(k, len(engine.active_keys))
+    x = x.copy()
+    for i, t in enumerate(range(engine.n_frozen_tensors, len(engine.keys))):
+        start = engine.offsets[t]
+        x[start : start + engine.sizes[t]] *= 2.0 ** (q + 1 if i < r else q)
+    return x
+
+
+def _slot_pairs(key: tuple[int, int, int]):
+    i, j, k = key
+    return (
+        ((i, j), (0, 1, None)),
+        ((i, k), (0, None, 1)),
+        ((j, k), (None, 0, 1)),
+    )
+
+
+def warm_triples_loop(engine, pair_x: np.ndarray) -> np.ndarray:
+    """Reference ``optimizer._warm_triples``: the per-entry loop it replaced.
+    Each triple entry multiplies in |C|**(1/n) of its slot pair entries in
+    slot order; then, at each pair's first slot appearance, the entries of
+    a negative pair entry change sign."""
+    spec, m = engine.spec, engine.m
+    pair_keys = AnsatzSpec(spec.pair_stage).pair_keys(m)
+    pairs = dict(zip(pair_keys, np.reshape(pair_x, (-1, 2, 2))))
+    exponent = 1.0 / (m + 2) if spec.triples_si else 1.0 / (m - 2)
+
+    x = np.ones(engine.n_params)
+    triples = dict(zip(engine.triple_keys, x.reshape(-1, 2, 2, 2)))
+    for key, tensor in triples.items():
+        for pair, layout in _slot_pairs(key):
+            source = pairs[pair]
+            for a in range(2):
+                for b in range(2):
+                    magnitude = abs(source[a, b]) ** exponent
+                    idx = [slice(None)] * 3
+                    idx[layout.index(0)] = a
+                    idx[layout.index(1)] = b
+                    tensor[tuple(idx)] *= magnitude
+    assigned: set[tuple[int, int]] = set()
+    for key, tensor in triples.items():
+        for pair, layout in _slot_pairs(key):
+            if pair in assigned:
+                continue
+            source = pairs[pair]
+            for a in range(2):
+                for b in range(2):
+                    if source[a, b] < 0:
+                        idx = [slice(None)] * 3
+                        idx[layout.index(0)] = a
+                        idx[layout.index(1)] = b
+                        tensor[tuple(idx)] *= -1.0
+            assigned.add(pair)
+    return x
 
 
 def entry_cells_loop(engine) -> list[tuple[int, np.ndarray]]:
@@ -367,9 +437,10 @@ def jacobian_loop(engine, x: np.ndarray) -> sparse.csr_matrix:
     its sparsity structure rebuilt from the entry table."""
     cof = engine.cofactors(x)
     cells = entry_cells_loop(engine)
+    start = engine.addend_start
     return sparse.csr_matrix(
         (
-            np.concatenate([cof[t, dets] for t, dets in cells]),
+            np.concatenate([cof[t - start, dets] for t, dets in cells]),
             np.concatenate([dets for _, dets in cells]),
             np.cumsum([0] + [len(dets) for _, dets in cells]),
         ),
@@ -391,7 +462,7 @@ def jacobian_rows(engine, x: np.ndarray, key) -> sparse.csr_matrix:
     rows = active_rows(engine, key)
     indptr = engine._jac_indptr[rows.start : rows.stop + 1]
     dets = engine._jac_indices[indptr[0] : indptr[-1]]
-    data = engine.cofactors(x)[engine.tensor_row(key), dets]
+    data = engine.cofactors(x)[engine.tensor_row(key) - engine.addend_start, dets]
     return sparse.csr_matrix(
         (data, dets, indptr - indptr[0]),
         shape=(rows.stop - rows.start, engine.space.size),
@@ -405,7 +476,7 @@ def subspace_solve_reference(evaluator, x: np.ndarray, key):
     rows = active_rows(engine, key)
     V = np.asarray(jacobian_rows(engine, x, key) @ evaluator.K.T)
     if engine.sum_mode:
-        addend = np.prod(engine.factors(x)[: engine.n_pair_rows], axis=0)
+        addend = np.prod(x[engine.entry_table[: engine.n_pair_rows]], axis=0)
         V = np.vstack((evaluator.K @ addend, V))
         peaks = np.max(np.abs(V), axis=1)
         scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)

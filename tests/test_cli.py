@@ -142,6 +142,15 @@ class TestCount:
     def test_unknown_kind_is_config_error(self, capsys):
         assert main(["count", "9s", "24", "13108"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("m", ["65", "100"])
+    def test_more_sites_than_any_space_exits_3(self, capsys, m):
+        # No space has more than 64 spin orbitals; the count is refused
+        # before any tensor key is built.
+        assert main(["count", "2s", m, "100"]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -493,6 +502,20 @@ class TestRun:
         cfg_file.write_text(f"integrals = {H2}\n{values}\n")
         out = tmp_path / "out"
         argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path, how):
+        # SeedSequence refuses a negative seed; the tempering config refuses
+        # it first, before the output directory is made.
+        cfg_file = tmp_path / "run.cfg"
+        seed = "seed = -1\n" if how == "config" else ""
+        cfg_file.write_text(f"integrals = {H2}\nreplicas = 2\n{seed}")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+        if how == "flag":
+            argv += ["--seed", "-1"]
         assert main(argv) == EXIT_CONFIG
         assert not out.exists()
 

@@ -14,7 +14,12 @@ from cgtns.correlators import (
     select_sites,
 )
 from cgtns.energy import EnergyEvaluator
-from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
+from cgtns.errors import (
+    CapacityError,
+    DegenerateStateError,
+    DimensionError,
+    FrozenTensorError,
+)
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import HamiltonianOperator, IntegralSet, parse_fcidump
 from cgtns.optimizer import SweepEnvironment, cold_start
@@ -30,6 +35,7 @@ from oracles import (
     jacobian_loop,
     jacobian_rows,
     randomize,
+    renormalized_loop,
     tensors,
 )
 
@@ -130,6 +136,13 @@ class TestParamCount:
                 param_count(spec, 2)
         else:
             assert param_count(spec, 2) == n_active
+
+    @pytest.mark.parametrize("m", [65, 100])
+    def test_more_sites_than_any_space_refused(self, m):
+        with pytest.raises(CapacityError):
+            param_count("2s", m)
+        with pytest.raises(CapacityError):
+            param_count("3s[2s]sel", m, n_selected=4)
 
     def test_selection_only_for_selected_kinds(self):
         with pytest.raises(DimensionError, match="selected_sites"):
@@ -439,6 +452,54 @@ class TestEngineTables:
             V = SweepEnvironment(ev).derivative_states(x, t)
             assert V.tobytes() == (jac[active_rows(engine, key)] @ K.T).tobytes()
             assert V.tobytes() == (jacobian_rows(engine, x, key) @ K.T).tobytes()
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_renormalized_matches_loop_bitwise(self, kind, n):
+        # Every active entry takes one common factor, which puts the
+        # amplitude peak near 2**E for E in [-250, 250]: mostly outside
+        # 2**±50, where product ansatze are rescaled (H4 and H6 spaces).
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        engine = AmplitudeEngine(spec, 2 * n, enumerate_onvs(2 * n, n, 0.0))
+        rng = np.random.default_rng(n)
+        rescaled = 0
+        for _ in range(8):
+            x = randomize(spec, 2 * n, rng)
+            exponent = rng.uniform(-250, 250) / len(engine.active_keys)
+            x[engine.active_indices] *= 2.0**exponent
+            fast = engine.renormalized(x)
+            assert fast.tobytes() == renormalized_loop(engine, x).tobytes()
+            if spec.combine_mode == "sum":
+                assert fast is x
+            rescaled += not np.array_equal(fast, x)
+        assert rescaled > 0 or spec.combine_mode == "sum"
+
+    def test_renormalized_single_tensor_from_a_subnormal_peak(self):
+        # One active tensor takes the whole power 2**1030, which a float
+        # cannot hold; the exponent shift lands the peak in [1, 2).
+        engine = AmplitudeEngine(AnsatzSpec("2s/si"), 2, enumerate_onvs(2, 1, 0.5))
+        x = np.full(engine.n_params, 1e-310)
+        peak = np.max(np.abs(engine.amplitudes(engine.renormalized(x))))
+        assert 1.0 <= peak < 2.0
+
+    @pytest.mark.parametrize("kind", ["3s+[2s]", "3s/si+[2s]", "3s+[2s]sel"])
+    def test_sum_hybrid_addends(self, kind):
+        # The pair addend is the amplitude of the pair tensors alone, and the
+        # cofactor table covers the triple addend only.
+        spec = make_spec(kind, 8)
+        pair_spec = AnsatzSpec("2s")
+        space = enumerate_onvs(8, 4, 0.0)
+        engine = AmplitudeEngine(spec, 8, space)
+        rng = np.random.default_rng(3)
+        x = randomize(spec, 8, rng)
+        n_pair = 4 * engine.n_pair_rows
+        x[:n_pair] = randomize(pair_spec, 8, rng)
+        ref = [amplitude(pair_spec, 8, x[:n_pair], bits) for bits in space.onvs]
+        assert np.array_equal(engine.pair_addend(x), ref)
+        assert engine.addend_start == engine.n_pair_rows
+        cof = engine.cofactors(x)
+        assert cof.shape == (len(engine.triple_keys), space.size)
 
     def test_all_frozen_ansatz_refused(self):
         # Strict triples over one spatial orbital (two sites) do not exist,

@@ -53,6 +53,7 @@ from oracles import (
     subspace_refine_reference,
     subspace_solve_reference,
     tensors,
+    warm_triples_loop,
 )
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
@@ -486,6 +487,10 @@ class TestRunParallelTempering:
         with pytest.raises(ConfigError):
             PtConfig(step_size=math.inf, t_last=math.inf)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ConfigError, match="seed"):
+            PtConfig(seed=-1)
+
     def test_single_replica_has_no_swaps(self, h2):
         basis, ham = h2
         spec = AnsatzSpec("2s")
@@ -554,6 +559,22 @@ class TestWarmStarts:
             ref = randomize(spec, 8, np.random.default_rng(seed), scale=0.1)
             assert np.array_equal(x, ref)
 
+    @pytest.mark.parametrize("triple_kind", ["3s", "3s/si"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_warm_start_matches_loop_bitwise(self, triple_kind, n):
+        # The whole-array warm start against the per-entry loop (H4, H6), on
+        # pair vectors with negative entries and signed zeros.
+        m = 2 * n
+        space = enumerate_onvs(m, n, 0.0)
+        engine = AmplitudeEngine(AnsatzSpec(triple_kind), m, space)
+        n_pair = 4 * len(AnsatzSpec(engine.spec.pair_stage).pair_keys(m))
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            pairs = rng.uniform(-1.5, 1.5, n_pair)
+            pairs[rng.integers(n_pair, size=2)] = 0.0, -0.0
+            warm = optimizer._warm_triples(engine, pairs)
+            assert warm.tobytes() == warm_triples_loop(engine, pairs).tobytes()
+
     @pytest.mark.parametrize(
         "pair_kind,triple_kind", [("2s", "3s"), ("2s/si", "3s/si")]
     )
@@ -588,7 +609,7 @@ class TestWarmStarts:
         # Every triple entry is (1e-3 max|P|)**(1/T) times 1 + U(-0.1, 0.1),
         # so the triple addend is at most 1.1**T * 1e-3 max|P|.
         engine = hybrid_stage.evaluator.engine
-        f = engine.factors(start)
+        f = start[engine.entry_table]
         pair_peak = np.max(np.abs(np.prod(f[: engine.n_pair_rows], axis=0)))
         triple = np.prod(f[engine.n_pair_rows :], axis=0)
         bound = 1.1 ** len(engine.triple_keys) * 1e-3 * pair_peak
@@ -612,7 +633,7 @@ class TestRunStages:
         config = PtConfig(n_replicas=2, sweeps=0, seed=1)
         _, hybrid_stage = run_stages(config, spec, basis, ham)
         engine = hybrid_stage.evaluator.engine
-        f = engine.factors(hybrid_stage.best_x)
+        f = hybrid_stage.best_x[engine.entry_table]
         pair = np.prod(f[: engine.n_pair_rows], axis=0)
         triple = np.prod(f[engine.n_pair_rows :], axis=0)
         assert np.all(np.isfinite(triple)) and np.all(triple != 0.0)
