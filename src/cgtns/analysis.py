@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 
 from .correlators import AnsatzSpec, param_count
@@ -76,7 +77,9 @@ class RunRecord:
     @classmethod
     def from_json(cls, text: str | bytes, path=None) -> "RunRecord":
         """Parse a record written by ``to_json``; ``path`` names the source
-        in the ``ParseError`` raised for anything else."""
+        in the ``ParseError`` raised for anything else, a float field that
+        is not a finite float (NaN, infinite, or an integer beyond any float)
+        included."""
         try:
             doc = json.loads(text)
         except ValueError as exc:  # also undecodable bytes
@@ -98,7 +101,9 @@ class RunRecord:
             value = getattr(record, f.name)
             base, _, optional = f.type.partition(" | ")
             if not (value is None and optional) and (
-                isinstance(value, bool) or not isinstance(value, _JSON_TYPES[base])
+                isinstance(value, bool)
+                or not isinstance(value, _JSON_TYPES[base])
+                or (base == "float" and not abs(value) <= sys.float_info.max)
             ):
                 message = f"{f.name} = {value!r} is not {f.type}"
                 raise ParseError(f"malformed run record: {message}", path)

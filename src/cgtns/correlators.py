@@ -321,28 +321,24 @@ class AmplitudeEngine:
     def renormalized(self, x: np.ndarray) -> np.ndarray:
         """``x`` with its amplitudes pulled back toward unit scale, bit-exactly.
 
-        A product ansatz has a flat direction (rescaling active tensors
-        rescales every amplitude, not the energy), so a long walk can drift
-        toward float overflow or underflow.  A peak |amplitude| outside
-        2**±50 is scaled by 2**k, k = -floor(log2(peak)), spread over the T
-        active tensors (the first k mod T take one power more) by
-        ``np.ldexp``: it shifts only exponents, and it needs no float 2.0**q,
-        which overflows for q > 1023 (one tensor under a subnormal peak).
-        Sum hybrids come back unchanged (their addend scale is physical).
+        Rescaling every addend by one factor rescales every amplitude, not
+        the energy, so a long walk can drift toward float overflow or
+        underflow.  A peak |amplitude| outside 2**±50 is scaled by 2**k,
+        k = -floor(log2(peak)), spread over the T active tensors (the first
+        k mod T take one power more), and in a sum hybrid over its frozen
+        pairs too, so that its two addends keep their ratio.  ``np.ldexp``
+        shifts only exponents, and it needs no float 2.0**q, which overflows
+        for q > 1023 (one tensor under a subnormal peak).
         """
-        if self.sum_mode:
-            return x
         peak = float(np.max(np.abs(self.amplitudes(x))))
         if not np.isfinite(peak) or peak == 0.0 or 2.0**-50 < peak < 2.0**50:
             return x
-        n_active = len(self.active_keys)
-        q, r = divmod(-math.floor(math.log2(peak)), n_active)
-        exponents = np.repeat(
-            [q + 1] * r + [q] * (n_active - r), self.sizes[self.n_frozen_tensors :]
-        )
-        x = x.copy()
-        x[self.active_indices] = np.ldexp(x[self.active_indices], exponents)
-        return x
+        k = -math.floor(math.log2(peak))
+        exponents = np.zeros(len(self.keys), dtype=np.intp)
+        for lo, hi in ((0, self.addend_start), (self.n_frozen_tensors, len(self.keys))):
+            q, r = divmod(k, max(hi - lo, 1))
+            exponents[lo:hi] = q + (np.arange(hi - lo) < r)
+        return np.ldexp(x, np.repeat(exponents, self.sizes))
 
 
 def select_sites(

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import CapacityError, DimensionError, ParseError
-from .fock import CsfBasis, FockSubspace, occupations
+from .fock import MAX_SPIN_ORBITALS, CsfBasis, FockSubspace, occupations
 
 #: Default cap on the determinant dimension of the dense eigensolver.
 DENSE_LIMIT = 20_000
@@ -119,6 +119,8 @@ def parse_fcidump(path) -> IntegralSet:
     two-electron integral (ij|kl).  Fortran 'D' exponents are accepted.
     Symmetry-equivalent duplicates overwrite with last-wins and a warning;
     orbital-energy records (i > 0, j = k = l = 0) are ignored with a warning.
+    A NORB above ``MAX_SPIN_ORBITALS // 2`` raises CapacityError before any
+    integral store is sized.
     """
     path = Path(path)
     try:
@@ -173,6 +175,10 @@ def parse_fcidump(path) -> IntegralSet:
         raise ParseError(f"malformed header field: {exc}", path=str(path)) from exc
     if norb is None or norb < 1:
         raise ParseError("header lacks a valid NORB", path=str(path))
+    if 2 * norb > MAX_SPIN_ORBITALS:
+        raise CapacityError(
+            f"NORB={norb} exceeds the {MAX_SPIN_ORBITALS // 2}-orbital limit"
+        )
     if orbsym and len(orbsym) != norb:
         raise ParseError(
             f"ORBSYM lists {len(orbsym)} labels for NORB={norb}", path=str(path)

@@ -242,9 +242,11 @@ def run_parallel_tempering(
 ) -> ReplicaEnsemble:
     """Minimize the evaluator's energy with replica-exchange Metropolis.
 
-    All replicas start from the flat vector ``x0``; frozen entries never
-    move.  Swap attempts run every ``swap_interval`` sweeps over adjacent
-    temperature pairs with alternating even/odd pairing.
+    All replicas start from the flat vector ``x0``.  Moves change active
+    entries only; the scale renormalization after each sweep also moves a
+    sum hybrid's frozen pairs, by exact powers of two.  Swap attempts run
+    every ``swap_interval`` sweeps over adjacent temperature pairs with
+    alternating even/odd pairing.
     """
     x0 = evaluator.engine.checked(x0)
     temperatures = config.temperatures()
@@ -632,10 +634,10 @@ def gradient_subspace_solve(
     the 4 or 8 entries of ``key``: the lowest eigenpair of the
     Hamiltonian/overlap pencil of their derivative states gives the new
     entries and energy.  A sum hybrid's state is affine in a triple, so the
-    frozen pair addend joins as a ninth state (every row scaled to unit
-    peak) and the entries are divided by its coefficient; the solve is
-    declined, returning a copy of ``x`` and its energy, when the addend's
-    share of the new state is 1e-10 or less.  Overlaps are rank-reduced at a
+    frozen pair addend joins as a ninth state and the entries are divided by
+    its coefficient; the solve is declined, returning a copy of ``x`` and its
+    energy, when the addend's share of the new state is 1e-10 or less.
+    Every state is scaled to unit peak, and overlaps are rank-reduced at a
     relative eigenvalue floor of 1e-10; screening is ignored.  A pencil
     that vanishes or is not finite raises DegenerateStateError.
 
@@ -652,12 +654,12 @@ def gradient_subspace_solve(
         sweep = SweepEnvironment(evaluator)
     V = sweep.derivative_states(x, t)
     if engine.sum_mode:
-        # The addend and the derivative states can differ by many orders of
-        # magnitude, and the rank floor is relative to the largest.
         V = np.vstack((sweep.pair_weights(x), V))
-        peaks = np.max(np.abs(V), axis=1)
-        scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
-        V *= scale[:, None]
+    # The states can differ by many orders of magnitude, and the rank floor
+    # is relative to the largest.
+    peaks = np.abs(V).max(axis=1)
+    scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
+    V *= scale[:, None]
     h_sub = V @ evaluator.h_csf @ V.T
     s_sub = V @ evaluator.overlap @ V.T
     h_sub = 0.5 * (h_sub + h_sub.T)
@@ -673,12 +675,13 @@ def gradient_subspace_solve(
     evals, Y = _eigh(X.T @ h_sub @ X)
     coeff = X @ Y[:, 0]
     x_new = x.copy()
+    # Of the unit-norm state, a sum hybrid's addend carries |coeff[0]| sqrt(s_00).
+    if engine.sum_mode and not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
+        sweep.advance(x_new, t)
+        return x_new, evaluator.energy(x).e
+    coeff = coeff * scale
     if engine.sum_mode:
-        # Of the unit-norm state, the addend carries |coeff[0]| sqrt(s_00).
-        if not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
-            sweep.advance(x_new, t)
-            return x_new, evaluator.energy(x).e
-        coeff = coeff[1:] * scale[1:] / (coeff[0] * scale[0])
+        coeff = coeff[1:] / coeff[0]
     x_new[engine.offsets[t] : engine.offsets[t] + engine.sizes[t]] = coeff
     sweep.advance(x_new, t)
     return x_new, float(evals[0])

@@ -357,20 +357,24 @@ def metropolis_sweep_full(replica, temperature, evaluator, target_acceptance=Non
 
 def renormalized_loop(engine, x: np.ndarray) -> np.ndarray:
     """Reference ``AmplitudeEngine.renormalized``: the per-tensor loop it
-    replaced, one power of two multiplied into each active tensor's slice."""
-    if engine.spec.combine_mode == "sum":
-        return x
+    replaced, one power of two multiplied into each tensor's slice of every
+    addend that holds active entries (the active tensors, and a sum
+    hybrid's pairs)."""
     peak = float(np.max(np.abs(engine.amplitudes(x))))
     if not np.isfinite(peak) or peak == 0.0:
         return x
     if 2.0**-50 < peak < 2.0**50:
         return x
     k = -int(math.floor(math.log2(peak)))
-    q, r = divmod(k, len(engine.active_keys))
+    blocks = [range(engine.n_frozen_tensors, len(engine.keys))]
+    if engine.spec.combine_mode == "sum":
+        blocks.append(range(len(engine.pair_keys)))
     x = x.copy()
-    for i, t in enumerate(range(engine.n_frozen_tensors, len(engine.keys))):
-        start = engine.offsets[t]
-        x[start : start + engine.sizes[t]] *= 2.0 ** (q + 1 if i < r else q)
+    for block in blocks:
+        q, r = divmod(k, len(block))
+        for i, t in enumerate(block):
+            start = engine.offsets[t]
+            x[start : start + engine.sizes[t]] *= 2.0 ** (q + 1 if i < r else q)
     return x
 
 
@@ -478,9 +482,9 @@ def subspace_solve_reference(evaluator, x: np.ndarray, key):
     if engine.sum_mode:
         addend = np.prod(x[engine.entry_table[: engine.n_pair_rows]], axis=0)
         V = np.vstack((evaluator.K @ addend, V))
-        peaks = np.max(np.abs(V), axis=1)
-        scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
-        V *= scale[:, None]
+    peaks = np.max(np.abs(V), axis=1)
+    scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
+    V *= scale[:, None]
     h_sub = V @ evaluator.h_csf @ V.T
     s_sub = V @ evaluator.overlap @ V.T
     h_sub = 0.5 * (h_sub + h_sub.T)
@@ -493,10 +497,11 @@ def subspace_solve_reference(evaluator, x: np.ndarray, key):
     X = U[:, keep] / np.sqrt(w[keep])
     evals, Y = linalg.eigh(X.T @ h_sub @ X)
     coeff = X @ Y[:, 0]
+    if engine.sum_mode and not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
+        return x.copy(), evaluator.energy(x).e
+    coeff = coeff * scale
     if engine.sum_mode:
-        if not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
-            return x.copy(), evaluator.energy(x).e
-        coeff = coeff[1:] * scale[1:] / (coeff[0] * scale[0])
+        coeff = coeff[1:] / coeff[0]
     x_new = x.copy()
     x_new[engine.active_indices[rows]] = coeff
     return x_new, float(evals[0])

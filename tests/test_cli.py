@@ -197,6 +197,14 @@ class TestOracle:
         cfg.write_text(f"integrals = {H2}\ndense_limit = 2\n")
         assert main(["oracle", "--config", str(cfg)]) == EXIT_CAPACITY
 
+    @pytest.mark.parametrize("norb", [33, 20000])
+    def test_too_many_orbitals_exits_3(self, capsys, tmp_path, norb):
+        # Refused by the parser, before it sizes the integral store.
+        f = tmp_path / "wide.fcidump"
+        f.write_text(f"&FCI NORB={norb},NELEC=2,MS2=0,\n&END\n-7.5 0 0 0 0\n")
+        assert main(["oracle", "--integrals", str(f)]) == EXIT_CAPACITY
+        assert f"NORB={norb} exceeds the 32-orbital limit" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["oracle", "--integrals", "/nonexistent.fcidump"]) == EXIT_CONFIG
 
@@ -702,6 +710,17 @@ class TestCompare:
         doc = json.loads((tmp_path / "full.json").read_text())
         doc[key] = value
         err = self.compare_bad_record(tmp_path, capsys, json.dumps(doc))
+        assert "malformed run record" in err and key in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    @pytest.mark.parametrize("key", ["final_energy", "reduction_pct", "e_oracle"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
+        # Python's json reads these literals; a float field refuses them.
+        self.make_record(tmp_path / "full.json", "2s", -1.0)
+        doc = json.loads((tmp_path / "full.json").read_text())
+        doc[key] = "@"
+        content = json.dumps(doc).replace('"@"', value)
+        err = self.compare_bad_record(tmp_path, capsys, content)
         assert "malformed run record" in err and key in err
 
     @pytest.mark.parametrize("key, value", [("final_energy", -2), ("e_oracle", None)])

@@ -458,7 +458,8 @@ class TestEngineTables:
     def test_renormalized_matches_loop_bitwise(self, kind, n):
         # Every active entry takes one common factor, which puts the
         # amplitude peak near 2**E for E in [-250, 250]: mostly outside
-        # 2**±50, where product ansatze are rescaled (H4 and H6 spaces).
+        # 2**±50, where every kind is rescaled, a sum hybrid's pair addend
+        # with its triple addend (H4 and H6 spaces).
         sel = (2, 3, 4, 5) if kind.endswith("sel") else None
         spec = AnsatzSpec(kind, selected_sites=sel)
         engine = AmplitudeEngine(spec, 2 * n, enumerate_onvs(2 * n, n, 0.0))
@@ -470,10 +471,33 @@ class TestEngineTables:
             x[engine.active_indices] *= 2.0**exponent
             fast = engine.renormalized(x)
             assert fast.tobytes() == renormalized_loop(engine, x).tobytes()
-            if spec.combine_mode == "sum":
-                assert fast is x
             rescaled += not np.array_equal(fast, x)
-        assert rescaled > 0 or spec.combine_mode == "sum"
+        assert rescaled > 0
+
+    def test_renormalized_sum_hybrid_keeps_its_addend_ratio(self):
+        # A triple addend 2**900 times its pair addend comes back into range
+        # by one power of two over both addends: the energy and the ratio
+        # of the addends keep every bit (H4 3s+[2s]).
+        ints = parse_fcidump(FIXTURES / "h4.fcidump")
+        space = enumerate_onvs(8, 4, 0.0)
+        ham = HamiltonianOperator(ints, space)
+        ev = EnergyEvaluator(AnsatzSpec("3s+[2s]"), 8, build_csf_basis(space, 0.0), ham)
+        engine = ev.engine
+        x = np.random.default_rng(4).uniform(0.9, 1.1, engine.n_params)
+        n_triples = len(engine.triple_keys)
+        exponents = np.repeat([8] * 60 + [7] * (n_triples - 60), 8)
+        x[engine.active_indices] = np.ldexp(x[engine.active_indices], exponents)
+        y = engine.renormalized(x)
+
+        def ratio(v):
+            return engine.amplitude_parts(v)[1] / engine.pair_addend(v)
+
+        assert np.max(np.abs(ev.weights(x))) > 2.0**850
+        assert 1.0 <= np.max(np.abs(engine.amplitudes(y))) < 2.0
+        assert ev.energy(y).e == ev.energy(x).e
+        assert np.array_equal(ratio(y), ratio(x))
+        pairs = slice(None, engine.active_indices[0])
+        assert not np.array_equal(y[pairs], x[pairs])
 
     def test_renormalized_single_tensor_from_a_subnormal_peak(self):
         # One active tensor takes the whole power 2**1030, which a float
