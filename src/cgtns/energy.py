@@ -57,10 +57,12 @@ class EnergyReport:
 class EnergyEvaluator:
     """Caches the CSF-basis operators for repeated evaluations of one ansatz.
 
-    Builds the amplitude engine, the dense CSF Hamiltonian K H K^T, and the
-    generic overlap K K^T once; every energy/gradient call then costs a
-    handful of small dense products.  All heavy state is immutable, so one
-    evaluator may serve many parameter vectors.
+    Builds the amplitude engine, K and its transpose, the dense CSF
+    Hamiltonian K H K^T and the generic overlap K K^T once; ``operators``
+    stacks the last two, and ``h_csf`` and ``overlap`` are its halves.  Every
+    energy/gradient call then costs a handful of small dense products.  All
+    heavy state is immutable, so one evaluator may serve many parameter
+    vectors.
     """
 
     def __init__(
@@ -81,9 +83,9 @@ class EnergyEvaluator:
         self.ham = ham
         self.engine = AmplitudeEngine(spec, m, basis.space)
         self.K = basis.dense()
-        self.overlap = basis.overlap()
-        self.h_csf = csf_hamiltonian(basis, ham)
-        self._projected = None
+        self.KT = np.ascontiguousarray(self.K.T)
+        self.operators = np.stack((csf_hamiltonian(basis, ham), basis.overlap()))
+        self.h_csf, self.overlap = self.operators
 
     # -- energy ---------------------------------------------------------------
 
@@ -139,34 +141,20 @@ class EnergyEvaluator:
 
     # -- local moves --------------------------------------------------------------
 
-    def projected_operators(self) -> np.ndarray:
-        """[Hd | Od]: K^T h K and K^T O K, the CSF Hamiltonian and overlap on
-        determinants, side by side so that one row gather serves both.
-
-        Built on first use and cached; only Metropolis sweeps need them.  Both
-        halves are symmetric up to rounding, so a row serves as the matching
-        column.
-        """
-        if self._projected is None:
-            n = self.K.shape[1]
-            tables = np.empty((n, 2 * n))
-            np.matmul(self.K.T @ self.h_csf, self.K, out=tables[:, :n])
-            np.matmul(self.K.T @ self.overlap, self.K, out=tables[:, n:])
-            self._projected = tables
-        return self._projected
-
     def local_moves(self, x: np.ndarray) -> LocalMoves | None:
-        """Incremental proposal state at ``x``, on the amplitudes rescaled as
-        ``energy_from_weights`` rescales their weights; None where a sweep
-        must evaluate every proposal in full: screened energies, and weights
-        that vanished or overflowed."""
+        """Incremental proposal state at ``x``, built from the CSF weights
+        S = K a and the active addend, both divided by the power of two by
+        which ``energy_from_weights`` rescales S.  None where a sweep must
+        evaluate every proposal in full: screened energies, and weights that
+        vanished or overflowed."""
         if self.screen > 0.0:
             return None
         a, active = self.engine.amplitude_parts(x)
-        peak = np.max(np.abs(self.K @ a))
+        S = self.K @ a
+        peak = np.max(np.abs(S))
         if not (np.isfinite(peak) and peak > 0.0):
             return None
-        return LocalMoves(self, a, active, _peak_scale(peak))
+        return LocalMoves(self, S, active, _peak_scale(peak))
 
     # -- estimators -------------------------------------------------------------
 
@@ -207,31 +195,36 @@ class EnergyEvaluator:
 
 
 class LocalMoves:
-    """Energies of single-entry moves from one state, at O(|D|) per proposal.
+    """Energies of single-entry moves from one state, at O(|D| n_csf +
+    n_csf^2) per proposal.
 
     Moving active entry x_e by delta changes only the amplitudes of the
     determinants D that select it, by d = act_D * delta / x_e, where act is
     the addend holding the entry (the amplitude itself in product mode, the
-    triple product in sum mode).  With u = Hd a and w = Od a,
+    triple product in sum mode).  The CSF weights S = K a then change by
+    dS = d K^T_D, a gather of |D| columns of K.  With u = h S and w = O S
+    (``uw``, one row each),
 
-        num' = num + 2 d.u_D + d.Hd_DD d,   den' = den + 2 d.w_D + d.Od_DD d.
+        num' = num + 2 dS.u + dS.h dS,   den' = den + 2 dS.w + dS.O dS.
 
-    A zero x_e regathers the cofactor instead of dividing by it.  The rows
-    d.Hd_D and d.Od_D computed for a proposal update u and w on acceptance.
-    All amplitudes are held divided by the power of two ``scale``, which
-    leaves every energy unchanged.
+    One product of dS with the stacked ``operators`` gives the rows h dS and
+    O dS, which update u and w on acceptance.  A zero x_e regathers the
+    cofactor instead of dividing by it.  The weights and the active addend
+    are held divided by the power of two ``scale``, which leaves every
+    energy unchanged.
     """
 
     def __init__(
-        self, evaluator: EnergyEvaluator, a: np.ndarray, active: np.ndarray, scale: float
+        self, evaluator: EnergyEvaluator, S: np.ndarray, active: np.ndarray, scale: float
     ):
         self.engine = evaluator.engine
-        self.tables = evaluator.projected_operators()
+        self.KT = evaluator.KT
+        self.operators = evaluator.operators
         self.scale = scale
         self.active = active / scale
-        a = a / scale
-        self.uw = (a @ self.tables).reshape(2, -1)  # rows u and w
-        self.nd = self.uw @ a  # (num, den)
+        S = S / scale
+        self.uw = self.operators @ S  # rows u and w
+        self.nd = self.uw @ S  # (num, den)
         self.energy = float(self.nd[0] / self.nd[1])
         self._norm_floor = max(LOCAL_NORM_RANGE[0], LOCAL_NORM_DROP * self.nd[1])
         self._pending = None
@@ -251,8 +244,9 @@ class LocalMoves:
         else:
             cof = self.engine.cofactors(x)[t - self.engine.addend_start, dets]
             d = cof * delta / self.scale
-        rows = (d @ self.tables.take(dets, axis=0)).reshape(2, -1)
-        nd = self.nd + 2.0 * (self.uw[:, dets] @ d) + rows[:, dets] @ d
+        dS = d @ self.KT.take(dets, axis=0)
+        rows = self.operators @ dS
+        nd = self.nd + 2.0 * (self.uw @ dS) + rows @ dS
         num, den = nd.tolist()
         if not (math.isfinite(num) and self._norm_floor < den < LOCAL_NORM_RANGE[1]):
             self._pending = None
@@ -267,7 +261,8 @@ class LocalMoves:
 
     def accept(self) -> bool:
         """Move the state to the last proposal; False if it left the trusted
-        range, after which this state no longer describes the sweep."""
+        range, after which this state no longer describes the sweep and the
+        sweep builds a new one."""
         if self._pending is None:
             return False
         dets, d, rows, self.nd = self._pending

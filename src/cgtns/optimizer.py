@@ -188,10 +188,12 @@ def metropolis_sweep(
     ratio of the sweep.
 
     An unscreened ``EnergyEvaluator`` prices each proposal by a local update
-    (``LocalMoves``) and stores one full evaluation of the final state as
-    the replica energy.  Any other evaluator, and every proposal that
-    ``LocalMoves.propose`` declines, is evaluated in full, exactly as in the
-    full-recompute sweep.
+    in CSF space (``LocalMoves``) and stores one full evaluation of the final
+    state as the replica energy.  Any other evaluator, and every proposal
+    that ``LocalMoves.propose`` declines, is evaluated in full, exactly as in
+    the full-recompute sweep.  When a proposal declined for leaving the
+    trusted norm range is accepted, the local state is rebuilt at the new
+    vector, so the rest of the sweep runs on local moves again.
     """
     active = evaluator.engine.active_indices
     rng = replica.rng
@@ -223,7 +225,7 @@ def metropolis_sweep(
             accepted += 1
             e_full = full_new
             if moves is not None and not moves.accept():
-                moves = None
+                moves = evaluator.local_moves(x)
     if accepted:
         replica.x = x
         replica.energy = evaluator.energy(x).e if e_full is None else e_full

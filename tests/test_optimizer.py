@@ -77,6 +77,15 @@ def h4():
     return basis, ham
 
 
+@pytest.fixture(scope="module")
+def h6():
+    ints = parse_fcidump(FIXTURES / "h6.fcidump")
+    space = enumerate_onvs(12, 6, 0.0)
+    basis = build_csf_basis(space, 0.0)
+    ham = HamiltonianOperator(ints, space)
+    return basis, ham
+
+
 def ladder_closed_form(t1, tp, p):
     """Independent geometric interpolation T_1**(1-a) * T_P**a."""
     if p == 1:
@@ -335,6 +344,37 @@ class TestLocalMoves:
         fast, ref = _replica_pair(ev, x, seed=10)
         _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
 
+    def test_h6_local_state_after_accepts_matches_a_rebuild(self, h6):
+        # A sweep of local accepts keeps the CSF-space state u = h S,
+        # w = O S and the quotient those of a fresh build, and neither the
+        # evaluator nor the local state holds an n_det^2 array.
+        basis, ham = h6
+        ev = EnergyEvaluator(AnsatzSpec("3s[2s]"), 12, basis, ham)
+        rng = np.random.default_rng(16)
+        x = cold_start(ev.engine, rng)
+        frozen = slice(None, ev.engine.active_indices[0])
+        x[frozen] = rng.uniform(0.5, 1.5, len(x[frozen]))
+        moves = ev.local_moves(x)
+        accepted = 0
+        for k, entry in enumerate(ev.engine.active_indices):
+            delta = float(rng.uniform(-0.1, 0.1))
+            if moves.propose(x, k, delta) is not None:
+                assert moves.accept()
+                x[entry] += delta
+                accepted += 1
+        assert accepted > len(ev.engine.active_indices) // 2
+        rebuilt = ev.local_moves(x)
+        assert moves.scale == rebuilt.scale
+        assert moves.energy == pytest.approx(rebuilt.energy, rel=1e-12)
+        assert moves.nd == pytest.approx(rebuilt.nd, rel=1e-12)
+        peak = np.max(np.abs(rebuilt.uw))
+        assert np.max(np.abs(moves.uw - rebuilt.uw)) <= 1e-12 * peak
+        n_det = ev.K.shape[1]
+        for owner in (ev, moves):
+            for name, value in vars(owner).items():
+                if isinstance(value, np.ndarray):
+                    assert value.size < n_det**2, name
+
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_degenerate_proposals_abort_and_keep_the_state(self, h2, caplog):
         basis, ham = h2
@@ -385,18 +425,30 @@ class TestLocalMoves:
             assert main([*argv, "--config", str(cfg)]) == 0
             return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-        declined = []
+        sweeps, builds = [], []  # builds: (sweep number, declined)
         local_moves = EnergyEvaluator.local_moves
+        sweep = optimizer.metropolis_sweep
 
         def counted(evaluator, x):
             moves = local_moves(evaluator, x)
-            declined.append(moves is None)
+            builds.append((len(sweeps), moves is None))
             return moves
 
+        def counted_sweep(*args, **kwargs):
+            sweeps.append(1)
+            return sweep(*args, **kwargs)
+
         monkeypatch.setattr(EnergyEvaluator, "local_moves", counted)
+        monkeypatch.setattr(optimizer, "metropolis_sweep", counted_sweep)
         fast = run("fast")
-        # Two stages, 2 replicas x 30 sweeps each, and no sweep declined.
-        assert (len(declined), declined.count(True)) == (120, 0)
+        # Two stages, 2 replicas x 30 sweeps each: every sweep builds its
+        # local state at the start, and rebuilds it after a full-path
+        # acceptance (each case has some, so the comparison below covers
+        # them); no build declined.
+        assert len(sweeps) == 120
+        assert sorted({s for s, _ in builds}) == list(range(1, 121))
+        assert len(builds) > 120
+        assert not any(declined for _, declined in builds)
         monkeypatch.setattr(optimizer, "metropolis_sweep", metropolis_sweep_full)
         full = run("full")
         assert sorted(fast) == sorted(full)
@@ -934,6 +986,47 @@ class TestTensorWiseRefine:
         error = FrozenTensorError if spec.pairs_frozen else DimensionError
         with pytest.raises(error):
             gradient_subspace_solve(evaluator, x, (0, 1))
+
+    @pytest.mark.parametrize(
+        "system,kind",
+        [("h4", "2s"), ("h4", "3s"), ("h4", "3s[2s]"), ("h4", "3s+[2s]"), ("h6", "2s")],
+    )
+    def test_gauge_skewed_start_never_raises_the_energy(
+        self, request, monkeypatch, system, kind
+    ):
+        # Every other active tensor times 1e4 and the one after it times
+        # 1e-4 leave the amplitudes and the energy, but the pencil rows of
+        # neighbouring tensors then differ by 1e8.
+        basis, ham = request.getfixturevalue(system)
+        spec = AnsatzSpec(kind)
+        config = PtConfig(n_replicas=2, sweeps=5, seed=1)
+        *_, ensemble = run_stages(config, spec, basis, ham)
+        evaluator, x = ensemble.evaluator, ensemble.best_x
+        engine = evaluator.engine
+        skewed = x.copy()
+        active = range(engine.n_frozen_tensors, len(engine.keys))
+        factors = [1e4, 1e-4] * (len(active) // 2) + [1.0] * (len(active) % 2)
+        for t, factor in zip(active, factors):
+            skewed[engine.offsets[t] : engine.offsets[t] + engine.sizes[t]] *= factor
+        assert not np.array_equal(skewed, x)
+        assert np.allclose(
+            engine.amplitudes(skewed), engine.amplitudes(x), rtol=1e-12, atol=0
+        )
+        e_start = evaluator.energy(x).e
+        assert evaluator.energy(skewed).e == pytest.approx(e_start, abs=1e-12)
+        steps = []
+
+        def solve(evaluator, x, key, *args):
+            x_new, e_sub = gradient_subspace_solve(evaluator, x, key, *args)
+            steps.append((evaluator.energy(x).e, evaluator.energy(x_new).e))
+            return x_new, e_sub
+
+        monkeypatch.setattr(optimizer, "gradient_subspace_solve", solve)
+        monkeypatch.setattr(optimizer, "SUBSPACE_PASSES", 3)
+        subspace_refine(evaluator, skewed)
+        before, after = np.array(steps).T
+        assert len(before) >= len(engine.active_keys)
+        assert np.max(after - before) <= 1e-12
 
     def test_zero_pair_addend_declines(self, h4):
         # With an all-zero pair tensor the sum hybrid's pair addend vanishes,
