@@ -99,8 +99,22 @@ class RunConfig:
             raise ConfigError(f"screen = {self.screen} is outside [0, 1]")
         if self.sweeps < 1:
             raise ConfigError(f"sweeps = {self.sweeps}; a run needs at least one")
+        self.nat_occupations()
         # Tempering values fail here, before any file is read or written.
         _pt_config(self).temperatures()
+
+    def nat_occupations(self) -> tuple[float, ...] | None:
+        """The ``nat_occ`` values, None for ``auto``; ConfigError unless
+        every value parses and lies in [0, 2]."""
+        if self.nat_occ == "auto":
+            return None
+        try:
+            occ = tuple(float(tok) for tok in self.nat_occ.split(","))
+        except ValueError:
+            raise ConfigError(f"cannot parse nat_occ = {self.nat_occ!r}") from None
+        if not all(0.0 <= value <= 2.0 for value in occ):
+            raise ConfigError(f"nat_occ = {self.nat_occ!r} has a value outside [0, 2]")
+        return occ
 
 
 def dump_config(cfg: RunConfig) -> str:
@@ -161,7 +175,7 @@ def _resolve_spin_numbers(cfg: RunConfig, ints) -> tuple[int, int, int]:
 
     n_electrons = pick(cfg.n_electrons, ints.n_electrons, "n_electrons")
     ms2 = pick(cfg.ms2, ints.ms2, "ms2")
-    spin2 = pick(cfg.spin2, ms2, "spin2")
+    spin2 = pick(cfg.spin2, abs(ms2), "spin2")
     if not 0 <= n_electrons <= 2 * ints.m_orb:
         raise ConfigError(
             f"n_electrons = {n_electrons} does not fit {ints.m_orb} orbitals"
@@ -193,13 +207,8 @@ def _resolve_ansatz(cfg: RunConfig, ints, ham, basis, oracle) -> AnsatzSpec:
     if it was computed."""
     if not cfg.ansatz.endswith("sel"):
         return AnsatzSpec(cfg.ansatz)
-    if cfg.nat_occ != "auto":
-        try:
-            occ = tuple(float(tok) for tok in cfg.nat_occ.split(","))
-        except ValueError:
-            raise ConfigError(f"cannot parse nat_occ = {cfg.nat_occ!r}") from None
-        if not all(0.0 <= value <= 2.0 for value in occ):
-            raise ConfigError(f"nat_occ = {cfg.nat_occ!r} has a value outside [0, 2]")
+    occ = cfg.nat_occupations()
+    if occ is not None:
         if len(occ) != ints.m_orb:
             raise ConfigError(
                 f"nat_occ lists {len(occ)} values for {ints.m_orb} orbitals"

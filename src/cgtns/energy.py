@@ -57,12 +57,13 @@ class EnergyReport:
 class EnergyEvaluator:
     """Caches the CSF-basis operators for repeated evaluations of one ansatz.
 
-    Builds the amplitude engine, K and its transpose, the dense CSF
-    Hamiltonian K H K^T and the generic overlap K K^T once; ``operators``
-    stacks the last two, and ``h_csf`` and ``overlap`` are its halves.  Every
-    energy/gradient call then costs a handful of small dense products.  All
-    heavy state is immutable, so one evaluator may serve many parameter
-    vectors.
+    Builds the amplitude engine, K and its transpose, K's nonzeros as
+    (determinant, CSF, value) triplets in ascending determinant order, the
+    dense CSF Hamiltonian K H K^T and the generic overlap K K^T once;
+    ``operators`` stacks the last two, and ``h_csf`` and ``overlap`` are its
+    halves.  Every energy/gradient call then costs a handful of small dense
+    products.  All heavy state is immutable, so one evaluator may serve many
+    parameter vectors.
     """
 
     def __init__(
@@ -84,6 +85,10 @@ class EnergyEvaluator:
         self.engine = AmplitudeEngine(spec, m, basis.space)
         self.K = basis.dense()
         self.KT = np.ascontiguousarray(self.K.T)
+        by_det = basis.K.T.tocsr()
+        by_det.sort_indices()
+        dets = np.repeat(np.arange(by_det.shape[0]), np.diff(by_det.indptr))
+        self._k_entries = dets, by_det.indices, by_det.data
         self.operators = np.stack((csf_hamiltonian(basis, ham), basis.overlap()))
         self.h_csf, self.overlap = self.operators
 
@@ -192,6 +197,26 @@ class EnergyEvaluator:
         jac = self.engine.jacobian(x)          # (n_active, n_det)
         dS = jac @ self.K.T                    # (n_active, n_csf)
         return self.gradient_from_weights(S, dS)
+
+    def derivative_states(self, t: int, cofactor: np.ndarray) -> np.ndarray:
+        """CSF weights of tensor t's derivative states, one row per entry,
+        from ``cofactor``, row t - ``addend_start`` of the engine's
+        cofactors: tensor t's rows of ``jacobian(x) @ K.T``, bit for bit.
+
+        The rows are scattered from K's nonzeros in ascending determinant
+        order, so every element is the sum the sparse-times-dense product
+        forms, less its terms with a zero K entry, which add nothing while
+        the cofactors are finite.
+        """
+        dets, csfs, values = self._k_entries
+        engine, n_csf = self.engine, self.basis.n_csfs
+        local = engine.entry_table[t, dets] - engine.offsets[t]
+        V = np.bincount(
+            local * n_csf + csfs,
+            weights=cofactor[dets] * values,
+            minlength=engine.sizes[t] * n_csf,
+        )
+        return V.reshape(engine.sizes[t], n_csf)
 
 
 class LocalMoves:

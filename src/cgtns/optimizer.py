@@ -547,88 +547,12 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-class SweepEnvironment:
-    """Cofactor environments of a pass of tensor solves, as a DMRG sweep
-    keeps them.
-
-    The cofactor of tensor t (the derivative of its addend with respect to
-    t's factor) is the product of the factors of the block's tensors before
-    t, the left product, times the product of those after t, the right
-    product, each in the order of ``AmplitudeEngine.cofactors``.  The
-    block is the engine's active addend, tensor rows ``addend_start:``.  A
-    pass solves the active tensors in layout order, so its right products
-    come from the vector it starts on, computed once at its first solve,
-    and the left product grows by each solved tensor's new factors.  A solve
-    of any tensor but the one after the last solved starts a pass there.
-
-    One environment serves one vector's refinement: it keeps K's nonzeros
-    in ascending determinant order, and the sum hybrids' frozen pair addend
-    once it is computed.
-    """
-
-    def __init__(self, evaluator: EnergyEvaluator):
-        self.evaluator = evaluator
-        engine = evaluator.engine
-        self.table = engine.entry_table
-        self.lo = engine.addend_start
-        self.next = None  # the tensor row whose solve continues the pass
-        self.left = None  # None for an empty product
-        self.right = None
-        dets, csfs = np.nonzero(evaluator.K.T)
-        self.k_entries = dets, csfs, evaluator.K.T[dets, csfs]
-        self._pair_weights = None
-
-    def _cofactor(self, x: np.ndarray, t: int) -> np.ndarray:
-        if t != self.next:
-            f = x[self.table[self.lo : t]]
-            self.left = np.cumprod(f, axis=0)[-1] if len(f) else None
-            # right[k] = product of rows T-1 down to T-1-k.
-            self.right = np.cumprod(x[self.table[:t:-1]], axis=0)
-        self.next = None
-        k = len(self.table) - 2 - t
-        if k < 0:
-            return np.ones(self.table.shape[1]) if self.left is None else self.left
-        return self.right[k] if self.left is None else self.left * self.right[k]
-
-    def derivative_states(self, x: np.ndarray, t: int) -> np.ndarray:
-        """CSF weights of tensor t's derivative states, one row per entry:
-        tensor t's rows of ``jacobian(x) @ K.T``, bit for bit.
-
-        The rows are scattered from K's nonzeros in ascending determinant
-        order, so every element is the sum the sparse-times-dense product
-        forms, less its terms with a zero K entry, which add nothing while
-        the cofactors are finite.
-        """
-        dets, csfs, values = self.k_entries
-        cof = self._cofactor(x, t)
-        engine = self.evaluator.engine
-        n_csf = self.evaluator.K.shape[0]
-        local = self.table[t, dets] - engine.offsets[t]
-        V = np.bincount(
-            local * n_csf + csfs,
-            weights=cof[dets] * values,
-            minlength=engine.sizes[t] * n_csf,
-        )
-        return V.reshape(engine.sizes[t], n_csf)
-
-    def pair_weights(self, x: np.ndarray) -> np.ndarray:
-        """CSF weights of a sum hybrid's frozen pair addend."""
-        if self._pair_weights is None:
-            self._pair_weights = self.evaluator.K @ self.evaluator.engine.pair_addend(x)
-        return self._pair_weights
-
-    def advance(self, x: np.ndarray, t: int) -> None:
-        """Record that tensor t of the pass now holds its entries in ``x``."""
-        f = x[self.table[t]]
-        self.left = f if self.left is None else self.left * f
-        self.next = t + 1
-
-
 def gradient_subspace_solve(
     evaluator: EnergyEvaluator,
     x: np.ndarray,
     key: tuple[int, ...],
-    sweep: SweepEnvironment | None = None,
+    cofactor: np.ndarray | None = None,
+    pair_weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Optimal entries of the active tensor ``key`` from one small pencil.
 
@@ -643,20 +567,21 @@ def gradient_subspace_solve(
     relative eigenvalue floor of 1e-10; screening is ignored.  A pencil
     that vanishes or is not finite raises DegenerateStateError.
 
-    ``sweep`` holds the cofactor environments of the pass this solve
-    continues (``subspace_refine`` passes its own), whose previous solve
-    returned ``x``; without it they are computed from ``x``, at O(T n_det)
-    for T tensors.  With them a solve
-    costs O(n_det + nnz K) to build its derivative states, two products
-    with the dense CSF matrices and two LAPACK calls of order 9 at most.
+    ``cofactor``, the tensor's row of ``engine.cofactors(x)``, and a sum
+    hybrid's ``pair_weights``, ``K @ engine.pair_addend(x)``, are computed
+    from ``x`` when not given.  With both given, a solve costs
+    O(n_det + nnz K) for its derivative states, two products with the dense
+    CSF matrices and two LAPACK calls of order 9 at most.
     """
     engine = evaluator.engine
     t = engine.tensor_row(key)
-    if sweep is None:
-        sweep = SweepEnvironment(evaluator)
-    V = sweep.derivative_states(x, t)
+    if cofactor is None:
+        cofactor = engine.cofactors(x)[t - engine.addend_start]
+    V = evaluator.derivative_states(t, cofactor)
     if engine.sum_mode:
-        V = np.vstack((sweep.pair_weights(x), V))
+        if pair_weights is None:
+            pair_weights = evaluator.K @ engine.pair_addend(x)
+        V = np.vstack((pair_weights, V))
     # The states can differ by many orders of magnitude, and the rank floor
     # is relative to the largest.
     peaks = np.abs(V).max(axis=1)
@@ -679,13 +604,11 @@ def gradient_subspace_solve(
     x_new = x.copy()
     # Of the unit-norm state, a sum hybrid's addend carries |coeff[0]| sqrt(s_00).
     if engine.sum_mode and not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
-        sweep.advance(x_new, t)
         return x_new, evaluator.energy(x).e
     coeff = coeff * scale
     if engine.sum_mode:
         coeff = coeff[1:] / coeff[0]
     x_new[engine.offsets[t] : engine.offsets[t] + engine.sizes[t]] = coeff
-    sweep.advance(x_new, t)
     return x_new, float(evals[0])
 
 
@@ -693,21 +616,34 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     """Cycle ``gradient_subspace_solve`` over the active tensors in layout
     order (``engine.active_keys``): an alternating linear scheme.
 
-    The solves share one ``SweepEnvironment``: a pass computes its right
-    cofactor products once, O(T n_det) for T tensors, and each solve then
-    costs O(n_det + nnz K) plus two LAPACK calls of order 9 at most.  A pass
-    improves when some solve lowers the energy by more than
-    ``SUBSPACE_GAIN``; the cycle stops after the first pass that does not,
-    or after ``SUBSPACE_PASSES`` passes (``converged=False``).  The energy
-    returned is that of the last solve.
+    A pass hands each solve its cofactor as a DMRG sweep keeps environments:
+    the left product (a product hybrid's frozen factors, grown by each solved
+    tensor's new ones) times the right product, from one cumulative product
+    over the pass's start vector, O(T n_det) for T tensors, each in the order
+    of ``AmplitudeEngine.cofactors``.  A pass improves when some solve lowers
+    the energy by more than ``SUBSPACE_GAIN``; the cycle stops after the
+    first pass that does not, or after ``SUBSPACE_PASSES`` passes
+    (``converged=False``).  The energy returned is that of the last solve.
     """
     _check_unscreened(evaluator)
+    engine = evaluator.engine
+    active_rows = engine.entry_table[engine.n_frozen_tensors :]
+    frozen_rows = engine.entry_table[engine.addend_start : engine.n_frozen_tensors]
+    pair_weights = evaluator.K @ engine.pair_addend(x) if engine.sum_mode else None
     energy = evaluator.energy(x).e
-    sweep = SweepEnvironment(evaluator)
     for done in range(1, SUBSPACE_PASSES + 1):
         improved = False
-        for key in evaluator.engine.active_keys:
-            x, e_sub = gradient_subspace_solve(evaluator, x, key, sweep)
+        # right[i]: product of the factors after active tensor i, last first.
+        f = x[active_rows]
+        right = np.ones_like(f)
+        np.cumprod(f[:0:-1], axis=0, out=right[-2::-1])
+        left = np.prod(x[frozen_rows], axis=0)
+        for key, rows, right_t in zip(engine.active_keys, active_rows, right):
+            # The module global: tracing wraps gradient_subspace_solve by name.
+            x, e_sub = gradient_subspace_solve(
+                evaluator, x, key, left * right_t, pair_weights
+            )
+            left = left * x[rows]
             if energy - e_sub > SUBSPACE_GAIN:
                 improved = True
             energy = e_sub

@@ -19,9 +19,10 @@ rules themselves by operator application).  The per-determinant loops
 ``orbital_occupations``, and ``jacobian_loop`` for ``AmplitudeEngine.jacobian``.
 ``jacobian_rows``, ``subspace_solve_reference`` and
 ``subspace_refine_reference`` keep the tensor solve that
-``gradient_subspace_solve`` replaced by cached cofactor environments: each
-solve regathers every tensor's factors, builds a sparse matrix of the
-tensor's Jacobian rows and calls ``scipy.linalg.eigh``.
+``gradient_subspace_solve`` replaced by a cofactor handed in by its caller,
+``subspace_refine`` keeping each pass's left and right products: each
+reference solve regathers every tensor's factors, builds a sparse matrix of
+the tensor's Jacobian rows and calls ``scipy.linalg.eigh``.
 ``tensors`` restates the flat parameter layout from the ansatz definition
 alone, so the amplitude references read the tensors without the engine.
 ``exact_diagonalize_full`` keeps the full-spectrum dense solve that

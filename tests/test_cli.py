@@ -192,6 +192,21 @@ class TestOracle:
         assert main(["oracle", "--integrals", str(f)]) == EXIT_OK
         assert "-7.5000000000" in capsys.readouterr().out
 
+    def test_negative_ms2_takes_its_magnitude_as_spin2(self, tmp_path):
+        # spin2 = auto falls back to |ms2|: the Ms = -1 triplet of H4 has
+        # the energy of its Ms = +1 partner.
+        energies = []
+        for ms2 in (-2, 2):
+            cfg = tmp_path / f"ms{ms2}.cfg"
+            cfg.write_text(f"integrals = {H4}\nms2 = {ms2}\n")
+            out = tmp_path / f"ms{ms2}.json"
+            argv = ["oracle", "--config", str(cfg), "--oracle-out", str(out)]
+            assert main(argv) == EXIT_OK
+            doc = json.loads(out.read_text())
+            assert doc["spin2"] == 2
+            energies.append(doc["e0_csf_basis"])
+        assert energies[0] == energies[1]
+
     def test_oversized_space_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(f"integrals = {H2}\ndense_limit = 2\n")
@@ -416,15 +431,17 @@ class TestRun:
         assert "spin2" in capsys.readouterr().err
 
     def test_non_numeric_nat_occ_exits_2(self, tmp_path, capsys):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
-            f"integrals = {H2}\nansatz = 3s[2s]sel\nnat_occ = 1.9,abc\n"
-        )
-        out = tmp_path / "out"
-        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
-        assert "nat_occ" in capsys.readouterr().err
-        assert not out.exists()
+        # Every kind checks nat_occ, not only the selected ones.
+        for ansatz in ("3s[2s]sel", "2s"):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(
+                f"integrals = {H2}\nansatz = {ansatz}\nnat_occ = 1.9,abc\n"
+            )
+            out = tmp_path / "out"
+            argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+            assert main(argv) == EXIT_CONFIG
+            assert "nat_occ" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "spins,key",
@@ -448,15 +465,17 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {key} = ")
 
     def test_out_of_range_nat_occ_exits_2(self, tmp_path, capsys):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
-            f"integrals = {H2}\nansatz = 3s[2s]sel\nnat_occ = 2.5,0.1\n"
-        )
-        out = tmp_path / "out"
-        argv = ["run", "--config", str(cfg_file), "--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
-        assert "nat_occ" in capsys.readouterr().err
-        assert not out.exists()
+        # Every kind checks nat_occ, not only the selected ones.
+        for ansatz in ("3s[2s]sel", "2s"):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(
+                f"integrals = {H2}\nansatz = {ansatz}\nnat_occ = 2.5,0.1\n"
+            )
+            out = tmp_path / "out"
+            argv = ["run", "--config", str(cfg_file), "--out", str(out)]
+            assert main(argv) == EXIT_CONFIG
+            assert "nat_occ" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_empty_window_exits_2_before_any_output(self, tmp_path, capsys):
         # Both H2 orbitals are singly occupied on average, outside [1.5, 1.98].

@@ -22,7 +22,7 @@ from cgtns.errors import (
 )
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import HamiltonianOperator, IntegralSet, parse_fcidump
-from cgtns.optimizer import SweepEnvironment, cold_start
+from cgtns.optimizer import cold_start
 
 from oracles import (
     _occ,
@@ -449,7 +449,7 @@ class TestEngineTables:
         jac = engine.jacobian(x)
         for key in engine.pair_keys:
             t = engine.tensor_row(key)
-            V = SweepEnvironment(ev).derivative_states(x, t)
+            V = ev.derivative_states(t, engine.cofactors(x)[t - engine.addend_start])
             assert V.tobytes() == (jac[active_rows(engine, key)] @ K.T).tobytes()
             assert V.tobytes() == (jacobian_rows(engine, x, key) @ K.T).tobytes()
 
@@ -549,9 +549,9 @@ class TestEngineTables:
         frozen = slice(None, engine.active_indices[0])
         x[frozen] = rng.uniform(0.5, 1.5, len(x[frozen]))
         full = ev.gradient(x)
-        sweep = SweepEnvironment(ev)
         for key in engine.active_keys:
-            dS = sweep.derivative_states(x, engine.tensor_row(key))
+            t = engine.tensor_row(key)
+            dS = ev.derivative_states(t, engine.cofactors(x)[t - engine.addend_start])
             rows = ev.gradient_from_weights(ev.weights(x), dS)
             assert np.array_equal(rows, full[active_rows(engine, key)])
 

@@ -30,7 +30,6 @@ from cgtns.hamiltonian import (
 from cgtns.optimizer import (
     PtConfig,
     ReplicaState,
-    SweepEnvironment,
     bfgs_refine,
     cold_start,
     continue_parallel_tempering,
@@ -1045,12 +1044,14 @@ class TestTensorWiseRefine:
 
 
 class TestSweepEnvironment:
-    """The cached cofactor environments, the direct LAPACK call and the
-    pencil's finiteness check."""
+    """The sweep environments of a pass (the left and right cofactor
+    products it hands its solves), the direct LAPACK call and the pencil's
+    finiteness check."""
 
     @pytest.mark.parametrize("kind", ["3s[2s]", "3s+[2s]"])
     def test_h6_hybrid_refine_matches_reference_bitwise(self, kind, monkeypatch):
-        # Two passes cover a pass restart; frozen pairs are set off one.
+        # The second pass recomputes its right products from its start
+        # vector; frozen pairs are set off one.
         ints = parse_fcidump(FIXTURES / "h6.fcidump")
         space = enumerate_onvs(12, 6, 0.0)
         basis = build_csf_basis(space, 0.0)
@@ -1091,30 +1092,14 @@ class TestSweepEnvironment:
         with pytest.raises(DegenerateStateError):
             optimizer._eigh(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
-    def test_a_solve_off_the_pass_order_restarts(self, h4):
-        # A sweep continued at any tensor but the next one recomputes its
-        # environments from the vector it is given.
-        basis, ham = h4
-        ev = EnergyEvaluator(AnsatzSpec("3s"), 8, basis, ham)
-        x = cold_start(ev.engine, np.random.default_rng(4))
-        sweep = SweepEnvironment(ev)
-        keys = ev.engine.active_keys
-        x1, _ = gradient_subspace_solve(ev, x, keys[5], sweep)
-        for key in (keys[2], keys[6], keys[-1], keys[0]):
-            x_new, e_sub = gradient_subspace_solve(ev, x1, key, sweep)
-            x_ref, e_ref = subspace_solve_reference(ev, x1, key)
-            assert x_new.tobytes() == x_ref.tobytes() and e_sub == e_ref
-
     def test_unknown_and_frozen_keys_raise_before_any_work(self, h4):
         basis, ham = h4
         ev = EnergyEvaluator(AnsatzSpec("3s[2s]"), 8, basis, ham)
-        sweep = SweepEnvironment(ev)
         x = np.full(ev.engine.n_params, np.nan)
         with pytest.raises(FrozenTensorError):
-            gradient_subspace_solve(ev, x, (0, 1), sweep)
+            gradient_subspace_solve(ev, x, (0, 1))
         with pytest.raises(DimensionError):
-            gradient_subspace_solve(ev, x, (0, 9, 9), sweep)
-        assert sweep.next is None and sweep.left is None and sweep.right is None
+            gradient_subspace_solve(ev, x, (0, 9, 9))
 
 
 class TestRefinerContract:
