@@ -279,24 +279,16 @@ class AmplitudeEngine:
 
     # -- evaluation ---------------------------------------------------------
 
-    def amplitudes(self, x: np.ndarray) -> np.ndarray:
-        return self.amplitude_parts(x)[0]
-
     def pair_addend(self, x: np.ndarray) -> np.ndarray:
         """Product of the pair tensors' factors per determinant: a sum
         hybrid's frozen addend."""
         return np.prod(x[self.entry_table[: self.n_pair_rows]], axis=0)
 
-    def amplitude_parts(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(amplitudes, the addend that holds the active entries).
-
-        The two coincide in product mode; in sum mode the second is the
-        triple product alone.
-        """
+    def amplitudes(self, x: np.ndarray) -> np.ndarray:
+        """Product of the active addend's factors per determinant, plus the
+        pair addend in sum mode."""
         active = np.prod(x[self.entry_table[self.addend_start :]], axis=0)
-        if self.sum_mode:
-            return self.pair_addend(x) + active, active
-        return active, active
+        return self.pair_addend(x) + active if self.sum_mode else active
 
     def cofactors(self, x: np.ndarray) -> np.ndarray:
         """Cofactors within the active addend: row t - ``addend_start`` is

@@ -4,6 +4,8 @@ The energy is the deterministic Rayleigh quotient over all CSF weights (with
 optional relative screening); per-CSF estimators reproduce it identically
 when summed with squared-weight probabilities, which the tests enforce.
 Gradients are exact, assembled from the multilinear amplitude derivatives.
+A tensor's derivative states span every state that moves of that tensor
+reach: the tensor solves and the Metropolis sweep both use their pencil.
 """
 
 from __future__ import annotations
@@ -22,20 +24,9 @@ from .hamiltonian import HamiltonianOperator, csf_hamiltonian
 NORM_FLOOR = 1e-300
 #: Peak CSF weights that ``energy_from_weights`` uses without rescaling.
 UNSCALED_PEAK = (1e-100, 1e100)
-#: A local update is trusted while the squared norm stays inside this range
-#: (the square of ``UNSCALED_PEAK``) and above this fraction of the largest
-#: value accepted since the sweep start, as the incremental sums keep an
-#: absolute error of order eps times that peak; otherwise the proposal is
-#: evaluated in full.
-LOCAL_NORM_RANGE = (1e-200, 1e200)
-LOCAL_NORM_DROP = 1e-3
-#: Nonzero local energy changes within this fraction of |E| (of 1 Ha at
-#: least) are left to a full evaluation: near such a tie the sign of a
-#: roundoff-level change decides whether a random number is drawn.
-LOCAL_TIE = 1e-10
 
 
-def _peak_scale(peak: float) -> float:
+def peak_scale(peak: float) -> float:
     """Divisor of weights with this peak: 1 inside ``UNSCALED_PEAK`` (or for
     a zero peak), else a power of two near it, which keeps the quadratic
     forms in float range and shifts only exponents, so a state and its
@@ -57,13 +48,13 @@ class EnergyReport:
 class EnergyEvaluator:
     """Caches the CSF-basis operators for repeated evaluations of one ansatz.
 
-    Builds the amplitude engine, K and its transpose, K's nonzeros as
+    Builds the amplitude engine, the dense K, K's nonzeros as
     (determinant, CSF, value) triplets in ascending determinant order, the
     dense CSF Hamiltonian K H K^T and the generic overlap K K^T once;
     ``operators`` stacks the last two, and ``h_csf`` and ``overlap`` are its
     halves.  Every energy/gradient call then costs a handful of small dense
-    products.  All heavy state is immutable, so one evaluator may serve many
-    parameter vectors.
+    products.  No array of n_det^2 floats is kept.  All heavy state is
+    immutable, so one evaluator may serve many parameter vectors.
     """
 
     def __init__(
@@ -84,7 +75,6 @@ class EnergyEvaluator:
         self.ham = ham
         self.engine = AmplitudeEngine(spec, m, basis.space)
         self.K = basis.dense()
-        self.KT = np.ascontiguousarray(self.K.T)
         by_det = basis.K.T.tocsr()
         by_det.sort_indices()
         dets = np.repeat(np.arange(by_det.shape[0]), np.diff(by_det.indptr))
@@ -107,7 +97,7 @@ class EnergyEvaluator:
             raise DegenerateStateError(
                 "CSF weights overflowed; the energy is numerically undefined"
             )
-        scale = _peak_scale(peak)
+        scale = peak_scale(peak)
         if scale != 1.0:
             # The restored norm may saturate to inf; one that underflows is
             # reported as the smallest normal float, as the state is valid.
@@ -143,23 +133,6 @@ class EnergyEvaluator:
         from numerator and denominator alike.
         """
         return self.energy_from_weights(self.weights(x))
-
-    # -- local moves --------------------------------------------------------------
-
-    def local_moves(self, x: np.ndarray) -> LocalMoves | None:
-        """Incremental proposal state at ``x``, built from the CSF weights
-        S = K a and the active addend, both divided by the power of two by
-        which ``energy_from_weights`` rescales S.  None where a sweep must
-        evaluate every proposal in full: screened energies, and weights that
-        vanished or overflowed."""
-        if self.screen > 0.0:
-            return None
-        a, active = self.engine.amplitude_parts(x)
-        S = self.K @ a
-        peak = np.max(np.abs(S))
-        if not (np.isfinite(peak) and peak > 0.0):
-            return None
-        return LocalMoves(self, S, active, _peak_scale(peak))
 
     # -- estimators -------------------------------------------------------------
 
@@ -198,10 +171,14 @@ class EnergyEvaluator:
         dS = jac @ self.K.T                    # (n_active, n_csf)
         return self.gradient_from_weights(S, dS)
 
-    def derivative_states(self, t: int, cofactor: np.ndarray) -> np.ndarray:
+    def derivative_states(
+        self, t: int, cofactor: np.ndarray, pair_weights: np.ndarray | None = None
+    ) -> np.ndarray:
         """CSF weights of tensor t's derivative states, one row per entry,
         from ``cofactor``, row t - ``addend_start`` of the engine's
-        cofactors: tensor t's rows of ``jacobian(x) @ K.T``, bit for bit.
+        cofactors: tensor t's rows of ``jacobian(x) @ K.T``, bit for bit,
+        after a sum hybrid's ``pair_weights`` (``K @ pair_addend(x)``) as
+        row 0 when given.
 
         The rows are scattered from K's nonzeros in ascending determinant
         order, so every element is the sum the sparse-times-dense product
@@ -210,89 +187,13 @@ class EnergyEvaluator:
         """
         dets, csfs, values = self._k_entries
         engine, n_csf = self.engine, self.basis.n_csfs
-        local = engine.entry_table[t, dets] - engine.offsets[t]
+        first = 0 if pair_weights is None else 1
+        local = engine.entry_table[t][dets] - (engine.offsets[t] - first)
         V = np.bincount(
             local * n_csf + csfs,
             weights=cofactor[dets] * values,
-            minlength=engine.sizes[t] * n_csf,
-        )
-        return V.reshape(engine.sizes[t], n_csf)
-
-
-class LocalMoves:
-    """Energies of single-entry moves from one state, at O(|D| n_csf +
-    n_csf^2) per proposal.
-
-    Moving active entry x_e by delta changes only the amplitudes of the
-    determinants D that select it, by d = act_D * delta / x_e, where act is
-    the addend holding the entry (the amplitude itself in product mode, the
-    triple product in sum mode).  The CSF weights S = K a then change by
-    dS = d K^T_D, a gather of |D| columns of K.  With u = h S and w = O S
-    (``uw``, one row each),
-
-        num' = num + 2 dS.u + dS.h dS,   den' = den + 2 dS.w + dS.O dS.
-
-    One product of dS with the stacked ``operators`` gives the rows h dS and
-    O dS, which update u and w on acceptance.  A zero x_e regathers the
-    cofactor instead of dividing by it.  The weights and the active addend
-    are held divided by the power of two ``scale``, which leaves every
-    energy unchanged.
-    """
-
-    def __init__(
-        self, evaluator: EnergyEvaluator, S: np.ndarray, active: np.ndarray, scale: float
-    ):
-        self.engine = evaluator.engine
-        self.KT = evaluator.KT
-        self.operators = evaluator.operators
-        self.scale = scale
-        self.active = active / scale
-        S = S / scale
-        self.uw = self.operators @ S  # rows u and w
-        self.nd = self.uw @ S  # (num, den)
-        self.energy = float(self.nd[0] / self.nd[1])
-        self._norm_floor = max(LOCAL_NORM_RANGE[0], LOCAL_NORM_DROP * self.nd[1])
-        self._pending = None
-
-    def propose(self, x: np.ndarray, k: int, delta: float) -> float | None:
-        """Energy after adding ``delta`` to the k-th active entry of ``x``.
-
-        None when only a full evaluation decides the move as a full-recompute
-        sweep would: the update left the trusted norm range, or it moved the
-        energy by a nonzero amount within ``LOCAL_TIE`` (a roundoff-level
-        tie).  A move that changes no amplitude returns ``energy`` itself.
-        """
-        t, dets = self.engine.entry_cells[k]
-        x_e = x[self.engine.active_indices[k]]
-        if x_e != 0.0:
-            d = self.active[dets] * (delta / x_e)
-        else:
-            cof = self.engine.cofactors(x)[t - self.engine.addend_start, dets]
-            d = cof * delta / self.scale
-        dS = d @ self.KT.take(dets, axis=0)
-        rows = self.operators @ dS
-        nd = self.nd + 2.0 * (self.uw @ dS) + rows @ dS
-        num, den = nd.tolist()
-        if not (math.isfinite(num) and self._norm_floor < den < LOCAL_NORM_RANGE[1]):
-            self._pending = None
-            return None
-        self._pending = (dets, d, rows, nd)
-        if not np.count_nonzero(d):
-            return self.energy
-        e = num / den
-        if abs(e - self.energy) <= LOCAL_TIE * max(abs(self.energy), 1.0):
-            return None
-        return e
-
-    def accept(self) -> bool:
-        """Move the state to the last proposal; False if it left the trusted
-        range, after which this state no longer describes the sweep and the
-        sweep builds a new one."""
-        if self._pending is None:
-            return False
-        dets, d, rows, self.nd = self._pending
-        self.energy = float(self.nd[0] / self.nd[1])
-        self._norm_floor = max(self._norm_floor, LOCAL_NORM_DROP * self.nd[1])
-        self.active[dets] += d
-        self.uw += rows
-        return True
+            minlength=(engine.sizes[t] + first) * n_csf,
+        ).reshape(-1, n_csf)
+        if first:
+            V[0] = pair_weights
+        return V

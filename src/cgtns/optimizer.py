@@ -19,7 +19,7 @@ import numpy as np
 from scipy import linalg
 
 from .correlators import AmplitudeEngine, AnsatzSpec
-from .energy import EnergyEvaluator
+from .energy import EnergyEvaluator, peak_scale
 from .errors import ConfigError, DegenerateStateError, DimensionError
 from .fock import CsfBasis
 from .hamiltonian import HamiltonianOperator
@@ -172,6 +172,130 @@ def _replica_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+#: A move priced on its tensor's pencil is trusted while the squared norm
+#: stays inside this range (the square of ``energy.UNSCALED_PEAK``) and
+#: above this fraction of the largest value accepted since the pencil's
+#: sums were formed, as the incremental sums keep an absolute error of
+#: order eps times that peak; otherwise the proposal is evaluated in full.
+LOCAL_NORM_RANGE = (1e-200, 1e200)
+LOCAL_NORM_DROP = 1e-3
+#: Nonzero priced energy changes within this fraction of |E| (of 1 Ha at
+#: least) are left to a full evaluation: near such a tie the sign of a
+#: roundoff-level change decides whether a random number is drawn.
+LOCAL_TIE = 1e-10
+
+
+def _environments(engine: AmplitudeEngine, x: np.ndarray):
+    """Yield (t, cofactor) per active tensor in layout order, as DMRG keeps
+    environments: the left product (a product hybrid's frozen factors, then
+    each tensor's factors as the caller leaves them in ``x``) times the right
+    product, from one in-place cumulative product (one T x n_det array)."""
+    active_rows = engine.entry_table[engine.n_frozen_tensors :]
+    frozen_rows = engine.entry_table[engine.addend_start : engine.n_frozen_tensors]
+    # right[i]: product of the factors of active tensor i and those after it.
+    right = x[active_rows]
+    np.cumprod(right[::-1], axis=0, out=right[::-1])
+    left = np.prod(x[frozen_rows], axis=0)
+    tensors = range(engine.n_frozen_tensors, len(engine.keys))
+    for t, rows, right_t in zip(tensors, active_rows, [*right[1:], 1.0]):
+        yield t, left * right_t
+        left = left * x[rows]
+
+
+class TensorPencil:
+    """Energy changes of single-entry moves on one tensor, in O(1) each.
+
+    Every determinant selects one entry of the tensor, so while only it
+    moves the CSF weights are S = y V: V the tensor's derivative states (a
+    sum hybrid's pair weights first), y their coefficients (the entries,
+    after a fixed 1).  With the pencil ``HO`` = V [h, O] V^T, moving y_j by
+    delta changes num = y.H y to num + 2 delta (H y)_j + delta^2 H_jj, and
+    den = y.O y likewise; an accepted move adds delta times column j to H y
+    and O y.  ``moving[j]`` is False where y_j moves no amplitude (its
+    cofactor vanishes on every determinant that selects it).
+    """
+
+    def __init__(self, HO: np.ndarray, y: np.ndarray, moving: list[bool]):
+        self.HO = HO
+        self.columns = HO.transpose(2, 0, 1).tolist()  # [j]: columns j of H, O
+        self.y = y
+        self.moving = moving
+        self._form()
+
+    def _form(self) -> None:
+        """Form H y, O y and the quotient from the pencil, and restart the
+        trusted range from them; a quotient outside it trusts no move."""
+        hoy = self.HO @ self.y
+        self.hy, self.oy = hoy.tolist()
+        self.num, self.den = (hoy @ self.y).tolist()
+        lo, hi = LOCAL_NORM_RANGE
+        if math.isfinite(self.num) and lo < self.den < hi:
+            self.energy = self.num / self.den
+            self.floor = max(lo, LOCAL_NORM_DROP * self.den)
+        else:
+            self.energy, self.floor = math.nan, math.inf
+
+    def price(self, j: int, delta: float) -> float | None:
+        """Energy change of adding ``delta`` to y_j: 0.0 when no amplitude
+        changes, None when only a full evaluation decides the move as a
+        full-recompute sweep would (the quotient left the trusted range, or
+        it moved by a roundoff-level amount within ``LOCAL_TIE``)."""
+        self._pending = self.num, self.den, self.energy
+        if delta == 0.0 or not self.moving[j]:
+            return 0.0
+        h_j, o_j = self.columns[j]
+        num = self.num + delta * (2.0 * self.hy[j] + delta * h_j[j])
+        den = self.den + delta * (2.0 * self.oy[j] + delta * o_j[j])
+        if not (math.isfinite(num) and self.floor < den < LOCAL_NORM_RANGE[1]):
+            self._pending = None
+            return None
+        self._pending = num, den, num / den
+        de = num / den - self.energy
+        return None if abs(de) <= LOCAL_TIE * max(abs(self.energy), 1.0) else de
+
+    def accept(self, j: int, delta: float) -> None:
+        """Move y_j by ``delta``, the last move priced.  One that left the
+        trusted range was accepted by its full evaluation: the sums are
+        formed anew from the pencil, not from the incremental ones, whose
+        error follows the largest norm they held."""
+        self.y[j] += delta
+        if self._pending is None:
+            self._form()
+            return
+        h_j, o_j = self.columns[j]
+        self.hy = [a + delta * b for a, b in zip(self.hy, h_j)]
+        self.oy = [a + delta * b for a, b in zip(self.oy, o_j)]
+        self.num, self.den, self.energy = self._pending
+        self.floor = max(self.floor, LOCAL_NORM_DROP * self.den)
+
+
+def _tensor_pencils(evaluator, x: np.ndarray):
+    """Yield per active tensor its moves, (pencil row, flat index) pairs,
+    and its ``TensorPencil``, with V divided by the power of two by which
+    ``energy_from_weights`` would divide S; or None where its moves are
+    evaluated in full: S vanished or is not finite, or the evaluator is
+    screened or not an ``EnergyEvaluator`` (one block of every entry)."""
+    engine = evaluator.engine
+    if not isinstance(evaluator, EnergyEvaluator) or evaluator.screen > 0.0:
+        yield enumerate(engine.active_indices.tolist()), None
+        return
+    first = 1 if engine.sum_mode else 0
+    pair_weights = evaluator.K @ engine.pair_addend(x) if first else None
+    for t, cofactor in _environments(engine, x):
+        start = int(engine.offsets[t])
+        moves = enumerate(range(start, start + engine.sizes[t]), first)
+        V = evaluator.derivative_states(t, cofactor, pair_weights)
+        y = np.concatenate((np.ones(first), x[start : start + engine.sizes[t]]))
+        peak = float(np.abs(y @ V).max())
+        if not (math.isfinite(peak) and peak > 0.0):
+            yield moves, None
+            continue
+        V /= peak_scale(peak)
+        rows = engine.entry_table[t][cofactor != 0.0] - (start - first)
+        moving = np.bincount(rows, minlength=len(y)) > 0
+        yield moves, TensorPencil(V @ evaluator.operators @ V.T, y, moving.tolist())
+
+
 def metropolis_sweep(
     replica: ReplicaState,
     temperature: float,
@@ -187,49 +311,45 @@ def metropolis_sweep(
     afterwards (bounded per sweep and globally).  Returns the acceptance
     ratio of the sweep.
 
-    An unscreened ``EnergyEvaluator`` prices each proposal by a local update
-    in CSF space (``LocalMoves``) and stores one full evaluation of the final
-    state as the replica energy.  Any other evaluator, and every proposal
-    that ``LocalMoves.propose`` declines, is evaluated in full, exactly as in
-    the full-recompute sweep.  When a proposal declined for leaving the
-    trusted norm range is accepted, the local state is rebuilt at the new
-    vector, so the rest of the sweep runs on local moves again.
+    An unscreened ``EnergyEvaluator`` prices the moves on each active
+    tensor on its pencil (``TensorPencil``), built once per tensor, and
+    stores one full evaluation of the final state as the replica energy.
+    Every proposal the pencil declines is evaluated in full, exactly as in
+    the full-recompute sweep, and the pencil stays valid after it.
     """
-    active = evaluator.engine.active_indices
-    rng = replica.rng
     x = replica.x.copy()
-    moves = evaluator.local_moves(x) if isinstance(evaluator, EnergyEvaluator) else None
     # The full energy of x as a full-recompute sweep holds it; None while x
-    # is only known through local updates.
+    # is only known through pencil updates.
     e_full = replica.energy
     accepted = 0
-    for k, entry in enumerate(active):
-        delta = rng.uniform(-replica.step, replica.step)
-        e_new = None if moves is None else moves.propose(x, k, delta)
-        full_new = None
-        if e_new is None:
-            x_new = x.copy()
-            x_new[entry] += delta
-            try:
-                full_new = evaluator.energy(x_new).e
-                if e_full is None:
-                    e_full = evaluator.energy(x).e
-            except DegenerateStateError:
-                log.warning("energy evaluation failed; move on entry %d aborted", entry)
-                continue
-            de = full_new - e_full
-        else:
-            de = e_new - moves.energy
-        if de <= 0.0 or rng.random() < math.exp(-de / temperature):
-            x[entry] += delta
-            accepted += 1
-            e_full = full_new
-            if moves is not None and not moves.accept():
-                moves = evaluator.local_moves(x)
+    for moves, pencil in _tensor_pencils(evaluator, x):
+        for j, entry in moves:
+            delta = replica.rng.uniform(-replica.step, replica.step)
+            de = None if pencil is None else pencil.price(j, delta)
+            full_new = None
+            if de is None:
+                x_new = x.copy()
+                x_new[entry] += delta
+                try:
+                    full_new = evaluator.energy(x_new).e
+                    if e_full is None:
+                        e_full = evaluator.energy(x).e
+                except DegenerateStateError:
+                    log.warning(
+                        "energy evaluation failed; move on entry %d aborted", entry
+                    )
+                    continue
+                de = full_new - e_full
+            if de <= 0.0 or replica.rng.random() < math.exp(-de / temperature):
+                x[entry] += delta
+                accepted += 1
+                e_full = full_new
+                if pencil is not None:
+                    pencil.accept(j, delta)
     if accepted:
         replica.x = x
         replica.energy = evaluator.energy(x).e if e_full is None else e_full
-    ratio = accepted / len(active)
+    ratio = accepted / len(evaluator.engine.active_indices)
     if target_acceptance is not None:
         factor = math.exp(ratio - target_acceptance)
         factor = min(max(factor, 1.0 / STEP_FACTOR_CAP), STEP_FACTOR_CAP)
@@ -570,27 +690,23 @@ def gradient_subspace_solve(
     ``cofactor``, the tensor's row of ``engine.cofactors(x)``, and a sum
     hybrid's ``pair_weights``, ``K @ engine.pair_addend(x)``, are computed
     from ``x`` when not given.  With both given, a solve costs
-    O(n_det + nnz K) for its derivative states, two products with the dense
-    CSF matrices and two LAPACK calls of order 9 at most.
+    O(n_det + nnz K) for its derivative states, one product with the stacked
+    dense CSF matrices and two LAPACK calls of order 9 at most.
     """
     engine = evaluator.engine
     t = engine.tensor_row(key)
     if cofactor is None:
         cofactor = engine.cofactors(x)[t - engine.addend_start]
-    V = evaluator.derivative_states(t, cofactor)
-    if engine.sum_mode:
-        if pair_weights is None:
-            pair_weights = evaluator.K @ engine.pair_addend(x)
-        V = np.vstack((pair_weights, V))
+    if engine.sum_mode and pair_weights is None:
+        pair_weights = evaluator.K @ engine.pair_addend(x)
+    V = evaluator.derivative_states(t, cofactor, pair_weights)
     # The states can differ by many orders of magnitude, and the rank floor
     # is relative to the largest.
     peaks = np.abs(V).max(axis=1)
     scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
     V *= scale[:, None]
-    h_sub = V @ evaluator.h_csf @ V.T
-    s_sub = V @ evaluator.overlap @ V.T
-    h_sub = 0.5 * (h_sub + h_sub.T)
-    s_sub = 0.5 * (s_sub + s_sub.T)
+    pencil = V @ evaluator.operators @ V.T
+    h_sub, s_sub = 0.5 * (pencil + pencil.transpose(0, 2, 1))
     w, U = _eigh(s_sub)
     w_max = float(w[-1])
     if w_max <= 0.0:
@@ -616,34 +732,24 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     """Cycle ``gradient_subspace_solve`` over the active tensors in layout
     order (``engine.active_keys``): an alternating linear scheme.
 
-    A pass hands each solve its cofactor as a DMRG sweep keeps environments:
-    the left product (a product hybrid's frozen factors, grown by each solved
-    tensor's new ones) times the right product, from one cumulative product
-    over the pass's start vector, O(T n_det) for T tensors, each in the order
-    of ``AmplitudeEngine.cofactors``.  A pass improves when some solve lowers
+    A pass hands each solve its cofactor from ``_environments``, as the
+    Metropolis sweep does.  A pass improves when some solve lowers
     the energy by more than ``SUBSPACE_GAIN``; the cycle stops after the
     first pass that does not, or after ``SUBSPACE_PASSES`` passes
     (``converged=False``).  The energy returned is that of the last solve.
     """
     _check_unscreened(evaluator)
     engine = evaluator.engine
-    active_rows = engine.entry_table[engine.n_frozen_tensors :]
-    frozen_rows = engine.entry_table[engine.addend_start : engine.n_frozen_tensors]
     pair_weights = evaluator.K @ engine.pair_addend(x) if engine.sum_mode else None
     energy = evaluator.energy(x).e
+    x = x.copy()
     for done in range(1, SUBSPACE_PASSES + 1):
         improved = False
-        # right[i]: product of the factors after active tensor i, last first.
-        f = x[active_rows]
-        right = np.ones_like(f)
-        np.cumprod(f[:0:-1], axis=0, out=right[-2::-1])
-        left = np.prod(x[frozen_rows], axis=0)
-        for key, rows, right_t in zip(engine.active_keys, active_rows, right):
-            # The module global: tracing wraps gradient_subspace_solve by name.
-            x, e_sub = gradient_subspace_solve(
-                evaluator, x, key, left * right_t, pair_weights
+        for t, cofactor in _environments(engine, x):
+            # The module global, which tracing wraps; x is moved in place.
+            x[:], e_sub = gradient_subspace_solve(
+                evaluator, x, engine.keys[t], cofactor, pair_weights
             )
-            left = left * x[rows]
             if energy - e_sub > SUBSPACE_GAIN:
                 improved = True
             energy = e_sub

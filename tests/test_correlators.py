@@ -438,7 +438,8 @@ class TestEngineTables:
     def test_jacobian_rows_match_full_jacobian_bitwise(self, kind, n, seed):
         # The subspace solve's V, scattered from one tensor's cofactors over
         # K's nonzeros, equals the rows of the full Jacobian times K^T and
-        # the reference rows times K^T, bit for bit (H4 and H6 spaces).
+        # the reference rows times K^T, bit for bit (H4 and H6 spaces); a
+        # sum hybrid's pair weights, when given, are prepended as row 0.
         space = enumerate_onvs(2 * n, n, 0.0)
         basis = build_csf_basis(space, 0.0)
         ham = HamiltonianOperator(IntegralSet.zeros(n), space)
@@ -447,11 +448,15 @@ class TestEngineTables:
         engine, K = ev.engine, ev.K
         x = randomize(spec, 2 * n, np.random.default_rng(seed))
         jac = engine.jacobian(x)
+        weights = ev.weights(x)
         for key in engine.pair_keys:
             t = engine.tensor_row(key)
-            V = ev.derivative_states(t, engine.cofactors(x)[t - engine.addend_start])
+            cofactor = engine.cofactors(x)[t - engine.addend_start]
+            V = ev.derivative_states(t, cofactor)
             assert V.tobytes() == (jac[active_rows(engine, key)] @ K.T).tobytes()
             assert V.tobytes() == (jacobian_rows(engine, x, key) @ K.T).tobytes()
+            stacked = ev.derivative_states(t, cofactor, weights)
+            assert stacked.tobytes() == np.vstack((weights, V)).tobytes()
 
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
     @pytest.mark.parametrize("n", [4, 6])
@@ -490,7 +495,8 @@ class TestEngineTables:
         y = engine.renormalized(x)
 
         def ratio(v):
-            return engine.amplitude_parts(v)[1] / engine.pair_addend(v)
+            triples = np.prod(v[engine.entry_table[engine.addend_start :]], axis=0)
+            return triples / engine.pair_addend(v)
 
         assert np.max(np.abs(ev.weights(x))) > 2.0**850
         assert 1.0 <= np.max(np.abs(engine.amplitudes(y))) < 2.0

@@ -19,7 +19,7 @@ from cgtns.errors import (
     DimensionError,
     FrozenTensorError,
 )
-from cgtns.fock import build_csf_basis, enumerate_onvs
+from cgtns.fock import build_csf_basis, enumerate_onvs, occupations
 from cgtns.hamiltonian import (
     HamiltonianOperator,
     IntegralSet,
@@ -274,8 +274,33 @@ def _assert_sweeps_match(ev, fast, ref, temperature, sweeps, target=0.4):
         assert fast.energy == ref.energy
 
 
+def _pencil_rows(ev, x):
+    """(flat index, pencil, pencil row) of every active entry, each tensor's
+    pencil built at ``x`` as a sweep builds it."""
+    for moves, pencil in optimizer._tensor_pencils(ev, x):
+        for j, entry in moves:
+            yield entry, pencil, j
+
+
+def _assert_pencil_prices(ev, x, picks, delta):
+    """Every priced proposal of ``delta`` on the entries ``picks`` matches
+    the full evaluation of the moved vector to 1e-12."""
+    priced = 0
+    for entry, pencil, j in _pencil_rows(ev, x):
+        if entry not in picks:
+            continue
+        assert pencil.energy == pytest.approx(ev.energy(x).e, rel=1e-12)
+        de = pencil.price(j, delta)
+        if de is not None:
+            x_new = x.copy()
+            x_new[entry] += delta
+            assert pencil.energy + de == pytest.approx(ev.energy(x_new).e, rel=1e-12)
+            priced += 1
+    return priced
+
+
 class TestLocalMoves:
-    """The local-update sweep against the full-recompute reference sweep."""
+    """The pencil-priced sweep against the full-recompute reference sweep."""
 
     @pytest.mark.parametrize("cli_like", [True, False], ids=["cli-start", "noisy"])
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
@@ -293,86 +318,179 @@ class TestLocalMoves:
         spec = AnsatzSpec("3s[2s]")
         ev = EnergyEvaluator(spec, 8, basis, ham)
         x = _h4_start(ev.engine, 7, cli_like=False)
-        moves = ev.local_moves(x)
         rng = np.random.default_rng(8)
-        for k in rng.choice(len(ev.engine.active_indices), 40, replace=False):
-            delta = float(rng.uniform(-0.5, 0.5))
-            x_new = x.copy()
-            x_new[ev.engine.active_indices[k]] += delta
-            e_local = moves.propose(x, k, delta)
-            if e_local is not None:
-                assert e_local == pytest.approx(ev.energy(x_new).e, rel=1e-12)
+        picks = set(rng.choice(ev.engine.active_indices, 40, replace=False).tolist())
+        assert _assert_pencil_prices(ev, x, picks, 0.37) > 30
+
+    def test_fall_after_a_rise_forms_the_sums_anew(self, h4):
+        # A move that lifts the squared norm by 60 orders stays in the
+        # trusted range; the move back falls below its rising floor.  Once
+        # its full evaluation accepts it, H y, O y and the quotient are
+        # formed anew from the pencil: the incremental sums carry an error
+        # of order eps times the peak they held.
+        basis, ham = h4
+        ev = EnergyEvaluator(AnsatzSpec("3s[2s]"), 8, basis, ham)
+        x = _h4_start(ev.engine, 7, cli_like=False)
+        entry, pencil, j = next(r for r in _pencil_rows(ev, x) if r[1].moving[r[2]])
+        assert pencil.price(j, 1e30) is not None
+        pencil.accept(j, 1e30)
+        assert pencil.den > 1e50
+        assert pencil.price(j, -1e30) is None
+        pencil.accept(j, -1e30)
+        fresh = optimizer.TensorPencil(pencil.HO, pencil.y.copy(), pencil.moving)
+        sums = [pencil.num, pencil.den, pencil.hy, pencil.oy, pencil.floor]
+        assert sums == [fresh.num, fresh.den, fresh.hy, fresh.oy, fresh.floor]
+        x[entry] += 1e30
+        x[entry] -= 1e30
+        assert pencil.energy == pytest.approx(ev.energy(x).e, rel=1e-12)
 
     def test_zero_entry_uses_the_cofactor(self, h4):
+        # A tensor's derivative states come from its cofactor, not from its
+        # entries, so a zero entry is priced like any other.
         basis, ham = h4
         spec = AnsatzSpec("3s[2s]")
         ev = EnergyEvaluator(spec, 8, basis, ham)
         x = _h4_start(ev.engine, 9, cli_like=False)
         k = next(k for k, (_, dets) in enumerate(ev.engine.entry_cells) if len(dets))
-        entry = ev.engine.active_indices[k]
+        entry = int(ev.engine.active_indices[k])
         x[entry] = 0.0
-        moves = ev.local_moves(x)
-        x_new = x.copy()
-        x_new[entry] = 0.3
-        assert moves.propose(x, k, 0.3) == pytest.approx(ev.energy(x_new).e, rel=1e-12)
-        assert moves.accept()
-        # The accepted zero-entry move leaves a state that matches a rebuild.
-        rebuilt = ev.local_moves(x_new)
-        assert moves.energy == pytest.approx(rebuilt.energy, rel=1e-12)
-        assert np.allclose(moves.uw, rebuilt.uw, rtol=1e-12, atol=1e-14)
+        assert _assert_pencil_prices(ev, x, {entry}, 0.3) == 1
+        # The accepted zero-entry move leaves a pencil that matches one formed
+        # at the new entries.
+        entry_, pencil, j = next(_pencil_rows(ev, x))
+        assert entry_ == entry and j == 0
+        assert pencil.price(j, 0.3) is not None
+        pencil.accept(j, 0.3)
+        fresh = optimizer.TensorPencil(pencil.HO, pencil.y.copy(), pencil.moving)
+        assert pencil.energy == pytest.approx(fresh.energy, rel=1e-12)
+        incremental, formed = [pencil.hy, pencil.oy], [fresh.hy, fresh.oy]
+        assert np.allclose(incremental, formed, rtol=1e-12, atol=1e-14)
         # A sweep from a zero entry takes the same decisions as the reference.
         fast, ref = _replica_pair(ev, x, seed=10)
         _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
 
     def test_weights_outside_the_unscaled_range_stay_local(self, h4):
         # A frozen pair tensor scaled by 1e120 lifts every weight above
-        # 1e100: the local state holds the amplitudes divided by a power of
-        # two, and the zero-entry cofactor path divides by the same one.
+        # 1e100: each pencil's derivative states are divided by a power of
+        # two, and proposals are still priced on it.
         basis, ham = h4
         ev = EnergyEvaluator(AnsatzSpec("3s[2s]"), 8, basis, ham)
         x = _h4_start(ev.engine, 9, cli_like=False)
         x[:4] *= 1e120
+        assert np.max(np.abs(ev.weights(x))) > 1e100
         k = next(k for k, (_, dets) in enumerate(ev.engine.entry_cells) if len(dets))
-        entry = ev.engine.active_indices[k]
+        entry = int(ev.engine.active_indices[k])
         x[entry] = 0.0
-        moves = ev.local_moves(x)
-        assert moves.scale > 1e100
-        x_new = x.copy()
-        x_new[entry] = 0.3
-        assert moves.propose(x, k, 0.3) == pytest.approx(ev.energy(x_new).e, rel=1e-12)
+        for _, pencil, _ in _pencil_rows(ev, x):
+            assert 1e-6 < pencil.den < 1e6
+        picks = {entry, *ev.engine.active_indices[1::7].tolist()}
+        assert _assert_pencil_prices(ev, x, picks, 0.3) > len(picks) // 2
         fast, ref = _replica_pair(ev, x, seed=10)
         _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
 
     def test_h6_local_state_after_accepts_matches_a_rebuild(self, h6):
-        # A sweep of local accepts keeps the CSF-space state u = h S,
-        # w = O S and the quotient those of a fresh build, and neither the
-        # evaluator nor the local state holds an n_det^2 array.
+        # Accepting every priced move keeps each tensor's incremental sums
+        # H y, O y and the quotient those of a pencil formed at the final
+        # entries, whose quotient is the full energy; neither the evaluator
+        # nor a pencil holds an n_det^2 array.
         basis, ham = h6
         ev = EnergyEvaluator(AnsatzSpec("3s[2s]"), 12, basis, ham)
         rng = np.random.default_rng(16)
         x = cold_start(ev.engine, rng)
         frozen = slice(None, ev.engine.active_indices[0])
         x[frozen] = rng.uniform(0.5, 1.5, len(x[frozen]))
-        moves = ev.local_moves(x)
-        accepted = 0
-        for k, entry in enumerate(ev.engine.active_indices):
-            delta = float(rng.uniform(-0.1, 0.1))
-            if moves.propose(x, k, delta) is not None:
-                assert moves.accept()
-                x[entry] += delta
-                accepted += 1
-        assert accepted > len(ev.engine.active_indices) // 2
-        rebuilt = ev.local_moves(x)
-        assert moves.scale == rebuilt.scale
-        assert moves.energy == pytest.approx(rebuilt.energy, rel=1e-12)
-        assert moves.nd == pytest.approx(rebuilt.nd, rel=1e-12)
-        peak = np.max(np.abs(rebuilt.uw))
-        assert np.max(np.abs(moves.uw - rebuilt.uw)) <= 1e-12 * peak
         n_det = ev.K.shape[1]
-        for owner in (ev, moves):
-            for name, value in vars(owner).items():
+        accepted = 0
+        for moves, pencil in optimizer._tensor_pencils(ev, x):
+            entries = []
+            for j, entry in moves:
+                delta = float(rng.uniform(-0.1, 0.1))
+                if pencil.price(j, delta) is not None:
+                    pencil.accept(j, delta)
+                    x[entry] += delta
+                    accepted += 1
+                entries.append(entry)
+            fresh = optimizer.TensorPencil(pencil.HO, pencil.y.copy(), pencil.moving)
+            assert np.array_equal(pencil.y, x[entries])
+            assert pencil.energy == pytest.approx(fresh.energy, rel=1e-12)
+            nd = [pencil.num, pencil.den]
+            assert nd == pytest.approx([fresh.num, fresh.den], rel=1e-12)
+            incremental, formed = [pencil.hy, pencil.oy], [fresh.hy, fresh.oy]
+            peak = np.max(np.abs(formed))
+            assert np.max(np.abs(np.subtract(incremental, formed))) <= 1e-12 * peak
+            for name, value in vars(pencil).items():
                 if isinstance(value, np.ndarray):
                     assert value.size < n_det**2, name
+        assert accepted > len(ev.engine.active_indices) // 2
+        assert pencil.energy == pytest.approx(ev.energy(x).e, rel=1e-12)
+        for name, value in vars(ev).items():
+            if isinstance(value, np.ndarray):
+                assert value.size < n_det**2, name
+
+    def test_h6_sum_hybrid_matches_full_recompute(self, h6):
+        # A sum hybrid's pencils carry the frozen pair addend as row 0; H6
+        # from a start as the CLI builds it.
+        basis, ham = h6
+        ev = EnergyEvaluator(AnsatzSpec("3s+[2s]"), 12, basis, ham)
+        rng = np.random.default_rng(17)
+        pairs = cold_start(AmplitudeEngine(AnsatzSpec("2s"), 12, ev.engine.space), rng)
+        x = optimizer._hybrid_start(ev.engine, pairs, rng)
+        assert all(len(p.y) == 9 for _, p in optimizer._tensor_pencils(ev, x))
+        fast, ref = _replica_pair(ev, x, seed=18)
+        _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
+
+    def test_cancelling_derivative_state_takes_the_full_path(self, h4, monkeypatch):
+        # Entry (1, 1) of the pair tensor on spin orbitals (0, 1) selects the
+        # determinants with orbital 0 doubly occupied.  Zero factors leave a
+        # nonzero cofactor on two of them only, |0 1 2 5> and |0 1 3 4>,
+        # whose K columns are parallel; tensor (2, 2) tells them apart and
+        # sets the ratio that cancels.  The entry's derivative state then
+        # vanishes while its amplitudes change: such a move is a tie for the
+        # full evaluation to decide, not a move that changes nothing.
+        basis, ham = h4
+        ev = EnergyEvaluator(AnsatzSpec("2s"), 8, basis, ham)
+        engine = ev.engine
+
+        def entry(key, a, b):
+            return engine.offsets[engine.tensor_row(key)] + 2 * a + b
+
+        occ = occupations(engine.space)
+        n1, n2 = (int(np.flatnonzero((occ == np.isin(np.arange(8), d)).all(axis=1))[0])
+                  for d in ((0, 1, 2, 5), (0, 1, 3, 4)))
+        csf = int(np.flatnonzero(ev.K[:, n1])[0])
+        x = np.ones(engine.n_params)
+        for key in ((0, 6), (0, 7), (2, 3), (4, 5)):
+            x[entry(key, 1, 1)] = 0.0
+        x[entry((2, 2), 1, 1)] = ev.K[csf, n2]
+        x[entry((2, 2), 0, 0)] = -ev.K[csf, n1]
+        t = engine.tensor_row((0, 1))
+        cofactor = engine.cofactors(x)[t]
+        selecting = engine.entry_table[t] == entry((0, 1), 1, 1)
+        assert np.count_nonzero(cofactor[selecting]) == 2
+        assert not ev.derivative_states(t, cofactor)[3].any()
+
+        events = []
+        price = optimizer.TensorPencil.price
+        full_energy = ev.energy
+
+        def logged_price(pencil, j, delta):
+            de = price(pencil, j, delta)
+            h_j, o_j = pencil.columns[j]
+            events.append((pencil.moving[j] and h_j[j] == o_j[j] == 0.0, de))
+            return de
+
+        def logged_energy(x, *args, **kwargs):
+            events.append("energy")
+            return full_energy(x, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer.TensorPencil, "price", logged_price)
+        monkeypatch.setattr(ev, "energy", logged_energy)
+        fast, ref = _replica_pair(ev, x, seed=20)
+        _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=1)
+        cancelled = [i for i, e in enumerate(events) if e != "energy" and e[0]]
+        assert cancelled
+        for i in cancelled:
+            assert events[i][1] is None and events[i + 1] == "energy"
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_degenerate_proposals_abort_and_keep_the_state(self, h2, caplog):
@@ -384,7 +502,7 @@ class TestLocalMoves:
         # selects is degenerate.  The other entries move nothing and are
         # accepted at zero energy change.
         x = np.full(ev.engine.n_params, 30.0)
-        assert ev.local_moves(x) is not None
+        assert all(pencil is not None for _, pencil in optimizer._tensor_pencils(ev, x))
         selected = np.array([len(dets) > 0 for _, dets in ev.engine.entry_cells])
         assert 0 < selected.sum() < selected.size
         fast, ref = _replica_pair(ev, x, seed=11, step=1e300)
@@ -410,7 +528,7 @@ class TestLocalMoves:
         # weights above 1e100, whose energy must equal the one recomputed
         # after the sweep's power-of-two scale renormalization.  3s+[2s]
         # seed 1 renormalizes its two addends by one common power of two;
-        # its sweeps still start from local moves.
+        # its sweeps still price moves on the pencils.
         from cgtns.cli import main
 
         def run(name):
@@ -424,30 +542,38 @@ class TestLocalMoves:
             assert main([*argv, "--config", str(cfg)]) == 0
             return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-        sweeps, builds = [], []  # builds: (sweep number, declined)
-        local_moves = EnergyEvaluator.local_moves
+        sweeps, reformed = [], set()  # reformed: sweeps with a full-path accept
+        declined = []  # tensors whose moves all took the full path
+        accept = optimizer.TensorPencil.accept
+        pencils = optimizer._tensor_pencils
         sweep = optimizer.metropolis_sweep
 
-        def counted(evaluator, x):
-            moves = local_moves(evaluator, x)
-            builds.append((len(sweeps), moves is None))
-            return moves
+        def counted_pencils(evaluator, x):
+            for entries, pencil in pencils(evaluator, x):
+                if pencil is None:
+                    declined.append(len(sweeps))
+                yield entries, pencil
+
+        def counted(pencil, j, delta):
+            if pencil._pending is None:
+                reformed.add(len(sweeps))
+            return accept(pencil, j, delta)
 
         def counted_sweep(*args, **kwargs):
             sweeps.append(1)
             return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(EnergyEvaluator, "local_moves", counted)
+        monkeypatch.setattr(optimizer.TensorPencil, "accept", counted)
+        monkeypatch.setattr(optimizer, "_tensor_pencils", counted_pencils)
         monkeypatch.setattr(optimizer, "metropolis_sweep", counted_sweep)
         fast = run("fast")
-        # Two stages, 2 replicas x 30 sweeps each: every sweep builds its
-        # local state at the start, and rebuilds it after a full-path
-        # acceptance (each case has some, so the comparison below covers
-        # them); no build declined.
+        # Two stages, 2 replicas x 30 sweeps each, every tensor priced on
+        # its pencil.  Some sweeps accept a proposal that left the trusted
+        # norm range by its full evaluation and go on with the same pencil,
+        # its sums formed anew, so the comparison below covers that path.
         assert len(sweeps) == 120
-        assert sorted({s for s, _ in builds}) == list(range(1, 121))
-        assert len(builds) > 120
-        assert not any(declined for _, declined in builds)
+        assert not declined
+        assert reformed
         monkeypatch.setattr(optimizer, "metropolis_sweep", metropolis_sweep_full)
         full = run("full")
         assert sorted(fast) == sorted(full)
@@ -460,7 +586,7 @@ class TestLocalMoves:
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 8, basis, ham, screen=0.3)
         x = _h4_start(ev.engine, 12, cli_like=True)
-        assert ev.local_moves(x) is None
+        assert [pencil for _, pencil in optimizer._tensor_pencils(ev, x)] == [None]
         calls = []
         full_energy = ev.energy
 
