@@ -253,6 +253,10 @@ def cmd_run(cfg: RunConfig) -> Path:
     e_oracle = None if oracle is None else oracle[0]
 
     spec = _resolve_ansatz(cfg, ints, ham, basis, oracle)
+    try:  # an ansatz with no active tensor on these sites is user input
+        spec.tensor_keys(space.m)
+    except (DimensionError, FrozenTensorError) as exc:
+        raise ConfigError(str(exc)) from None
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_atomic(outdir / "config.txt", dump_config(cfg))

@@ -169,7 +169,7 @@ def param_count(
 
 
 class AmplitudeEngine:
-    """Vectorized amplitudes, cofactors, and sparse Jacobians over one space.
+    """Vectorized amplitudes, environments, and sparse Jacobians over one space.
 
     The engine holds only structure (tensor keys, flat layout, and the
     entry-index table mapping every (tensor, determinant) cell to the flat
@@ -180,9 +180,11 @@ class AmplitudeEngine:
     ``active_keys`` and ``active_indices`` hold the rest.  Only the engine
     knows how factors combine: the active entries live in the addend of
     tensor rows ``addend_start:``, after the frozen pairs of a sum hybrid
-    (``pair_addend``) and from row 0 otherwise.  Factor tables
-    are evaluated for the whole space at once, which subsumes caching
-    per-determinant products within an energy evaluation.
+    (``pair_addend``) and from row 0 otherwise, and every derivative is a
+    tensor's environment in that addend (``environments``), from which
+    ``jacobian`` is built per call.  Factor tables are evaluated for the
+    whole space at once, which subsumes caching per-determinant products
+    within an energy evaluation.
     """
 
     def __init__(self, spec: AnsatzSpec, m: int, space: FockSubspace):
@@ -214,26 +216,7 @@ class AmplitudeEngine:
         i, j = np.array(self.pair_keys, dtype=np.intp).reshape(-1, 2).T
         p, q, r = np.array(self.triple_keys, dtype=np.intp).reshape(-1, 3).T
         local = (2 * occ[i] + occ[j], 4 * occ[p] + 2 * occ[q] + occ[r])
-        self.entry_table = table = self.offsets[:, None] + np.concatenate(local)
-
-        # Sparse-Jacobian structure: row e (active entry), columns = the
-        # determinants that select it, ascending, as a stable sort of the
-        # table orders its cells (the frozen tensors' cells come first);
-        # _jac_rows holds the cofactor row of each cell, so one gather fills it.
-        cells = np.argsort(table, axis=None, kind="stable")
-        cells = cells[self.n_frozen_tensors * space.size :]
-        rows, self._jac_indices = np.divmod(cells, space.size)
-        self._jac_rows = rows - self.addend_start
-        per_entry = np.bincount(table.ravel(), minlength=self.n_params)
-        self._jac_indptr = np.concatenate(
-            ([0], np.cumsum(per_entry[self.active_indices]))
-        )
-        # (tensor row, determinant columns) per active entry.
-        tensor_of = np.repeat(np.arange(len(self.keys)), self.sizes)
-        self.entry_cells = list(zip(
-            tensor_of[self.active_indices].tolist(),
-            np.split(self._jac_indices, self._jac_indptr[1:-1]),
-        ))
+        self.entry_table = self.offsets[:, None] + np.concatenate(local)
 
     # -- flat-vector plumbing ----------------------------------------------
 
@@ -290,25 +273,38 @@ class AmplitudeEngine:
         active = np.prod(x[self.entry_table[self.addend_start :]], axis=0)
         return self.pair_addend(x) + active if self.sum_mode else active
 
-    def cofactors(self, x: np.ndarray) -> np.ndarray:
-        """Cofactors within the active addend: row t - ``addend_start`` is
-        d(addend_n)/d(factor of tensor t at n), for every tensor t from
-        ``addend_start`` on, the product of the addend's factors before t
-        times the product of those after it."""
-        f = x[self.entry_table[self.addend_start :]]
-        pref = np.ones_like(f)
-        suf = np.ones_like(f)
-        np.cumprod(f[:-1], axis=0, out=pref[1:])
-        np.cumprod(f[:0:-1], axis=0, out=suf[-2::-1])
-        return pref * suf
+    def environments(self, x: np.ndarray):
+        """Yield (t, cofactor) per active tensor t in layout order: the
+        product of every other factor of t's addend per determinant,
+        d(amplitudes)/d(factor of tensor t), which DMRG calls the tensor's
+        environment.  It is the left product (a product hybrid's frozen
+        factors, then each active tensor's factors as the caller leaves
+        them in ``x``) times the right product, from one in-place cumulative
+        product (one T x n_det array); a caller may move tensor t's entries
+        in ``x`` before it asks for the next tensor."""
+        active_rows = self.entry_table[self.n_frozen_tensors :]
+        frozen_rows = self.entry_table[self.addend_start : self.n_frozen_tensors]
+        # right[i]: product of the factors of active tensor i and those after it.
+        right = x[active_rows]
+        np.cumprod(right[::-1], axis=0, out=right[::-1])
+        left = np.prod(x[frozen_rows], axis=0)
+        tensors = range(self.n_frozen_tensors, len(self.keys))
+        for t, rows, right_t in zip(tensors, active_rows, [*right[1:], 1.0]):
+            yield t, left * right_t
+            left = left * x[rows]
 
     def jacobian(self, x: np.ndarray) -> sparse.csr_matrix:
-        """Sparse d(amplitudes)/d(active entries), shape (n_active, n_det)."""
-        data = self.cofactors(x)[self._jac_rows, self._jac_indices]
-        return sparse.csr_matrix(
-            (data, self._jac_indices, self._jac_indptr),
+        """Sparse d(amplitudes)/d(active entries), shape (n_active, n_det):
+        row e holds the environment of e's tensor at the determinants that
+        select e, in ascending order.  Built per call from the stacked
+        environments, as column n holds one entry of each active tensor."""
+        env = np.array([cofactor for _, cofactor in self.environments(x)])
+        entries = self.entry_table[self.n_frozen_tensors :] - self.active_indices[0]
+        by_det = sparse.csc_matrix(
+            (env.T.ravel(), entries.T.ravel(), np.arange(0, env.size + 1, len(env))),
             shape=(len(self.active_indices), self.space.size),
         )
+        return by_det.tocsr()
 
     def renormalized(self, x: np.ndarray) -> np.ndarray:
         """``x`` with its amplitudes pulled back toward unit scale, bit-exactly.

@@ -175,10 +175,10 @@ class EnergyEvaluator:
         self, t: int, cofactor: np.ndarray, pair_weights: np.ndarray | None = None
     ) -> np.ndarray:
         """CSF weights of tensor t's derivative states, one row per entry,
-        from ``cofactor``, row t - ``addend_start`` of the engine's
-        cofactors: tensor t's rows of ``jacobian(x) @ K.T``, bit for bit,
-        after a sum hybrid's ``pair_weights`` (``K @ pair_addend(x)``) as
-        row 0 when given.
+        from ``cofactor``, tensor t's environment from the engine's
+        ``environments(x)``: tensor t's rows of ``jacobian(x) @ K.T``, bit
+        for bit, after a sum hybrid's ``pair_weights``
+        (``K @ pair_addend(x)``) as row 0 when given.
 
         The rows are scattered from K's nonzeros in ascending determinant
         order, so every element is the sum the sparse-times-dense product

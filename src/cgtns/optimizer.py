@@ -185,23 +185,6 @@ LOCAL_NORM_DROP = 1e-3
 LOCAL_TIE = 1e-10
 
 
-def _environments(engine: AmplitudeEngine, x: np.ndarray):
-    """Yield (t, cofactor) per active tensor in layout order, as DMRG keeps
-    environments: the left product (a product hybrid's frozen factors, then
-    each tensor's factors as the caller leaves them in ``x``) times the right
-    product, from one in-place cumulative product (one T x n_det array)."""
-    active_rows = engine.entry_table[engine.n_frozen_tensors :]
-    frozen_rows = engine.entry_table[engine.addend_start : engine.n_frozen_tensors]
-    # right[i]: product of the factors of active tensor i and those after it.
-    right = x[active_rows]
-    np.cumprod(right[::-1], axis=0, out=right[::-1])
-    left = np.prod(x[frozen_rows], axis=0)
-    tensors = range(engine.n_frozen_tensors, len(engine.keys))
-    for t, rows, right_t in zip(tensors, active_rows, [*right[1:], 1.0]):
-        yield t, left * right_t
-        left = left * x[rows]
-
-
 class TensorPencil:
     """Energy changes of single-entry moves on one tensor, in O(1) each.
 
@@ -281,7 +264,7 @@ def _tensor_pencils(evaluator, x: np.ndarray):
         return
     first = 1 if engine.sum_mode else 0
     pair_weights = evaluator.K @ engine.pair_addend(x) if first else None
-    for t, cofactor in _environments(engine, x):
+    for t, cofactor in engine.environments(x):
         start = int(engine.offsets[t])
         moves = enumerate(range(start, start + engine.sizes[t]), first)
         V = evaluator.derivative_states(t, cofactor, pair_weights)
@@ -687,16 +670,16 @@ def gradient_subspace_solve(
     relative eigenvalue floor of 1e-10; screening is ignored.  A pencil
     that vanishes or is not finite raises DegenerateStateError.
 
-    ``cofactor``, the tensor's row of ``engine.cofactors(x)``, and a sum
-    hybrid's ``pair_weights``, ``K @ engine.pair_addend(x)``, are computed
-    from ``x`` when not given.  With both given, a solve costs
+    ``cofactor``, the tensor's environment from ``engine.environments(x)``,
+    and a sum hybrid's ``pair_weights``, ``K @ engine.pair_addend(x)``, are
+    computed from ``x`` when not given.  With both given, a solve costs
     O(n_det + nnz K) for its derivative states, one product with the stacked
     dense CSF matrices and two LAPACK calls of order 9 at most.
     """
     engine = evaluator.engine
     t = engine.tensor_row(key)
     if cofactor is None:
-        cofactor = engine.cofactors(x)[t - engine.addend_start]
+        cofactor = next(c for u, c in engine.environments(x) if u == t)
     if engine.sum_mode and pair_weights is None:
         pair_weights = evaluator.K @ engine.pair_addend(x)
     V = evaluator.derivative_states(t, cofactor, pair_weights)
@@ -732,11 +715,12 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     """Cycle ``gradient_subspace_solve`` over the active tensors in layout
     order (``engine.active_keys``): an alternating linear scheme.
 
-    A pass hands each solve its cofactor from ``_environments``, as the
-    Metropolis sweep does.  A pass improves when some solve lowers
-    the energy by more than ``SUBSPACE_GAIN``; the cycle stops after the
-    first pass that does not, or after ``SUBSPACE_PASSES`` passes
-    (``converged=False``).  The energy returned is that of the last solve.
+    A pass hands each solve its cofactor from ``engine.environments``, as
+    the Metropolis sweep does, and moves the tensor's entries in place
+    before the next tensor's environment is formed.  A pass improves when
+    some solve lowers the energy by more than ``SUBSPACE_GAIN``; the cycle
+    stops after the first pass that does not, or after ``SUBSPACE_PASSES``
+    passes (``converged=False``).  The energy returned is that of the last solve.
     """
     _check_unscreened(evaluator)
     engine = evaluator.engine
@@ -745,7 +729,7 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     x = x.copy()
     for done in range(1, SUBSPACE_PASSES + 1):
         improved = False
-        for t, cofactor in _environments(engine, x):
+        for t, cofactor in engine.environments(x):
             # The module global, which tracing wraps; x is moved in place.
             x[:], e_sub = gradient_subspace_solve(
                 evaluator, x, engine.keys[t], cofactor, pair_weights

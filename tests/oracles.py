@@ -16,7 +16,10 @@ by pair: the references, bit for bit, for ``slater_condon`` and
 rules themselves by operator application).  The per-determinant loops
 ``amplitude``, ``amplitude_partial_derivative`` and
 ``orbital_occupations_loop`` are the references for ``AmplitudeEngine`` and
-``orbital_occupations``, and ``jacobian_loop`` for ``AmplitudeEngine.jacobian``.
+``orbital_occupations``, ``cofactors_reference`` (the prefix and suffix
+products the engine's environments replaced) for
+``AmplitudeEngine.environments``, and ``jacobian_loop`` for
+``AmplitudeEngine.jacobian``.
 ``jacobian_rows``, ``subspace_solve_reference`` and
 ``subspace_refine_reference`` keep the tensor solve that
 ``gradient_subspace_solve`` replaced by a cofactor handed in by its caller,
@@ -427,20 +430,43 @@ def warm_triples_loop(engine, pair_x: np.ndarray) -> np.ndarray:
     return x
 
 
+def cofactors_reference(engine, x: np.ndarray) -> np.ndarray:
+    """Reference ``AmplitudeEngine.environments``: the prefix and suffix
+    cumulative products over the active addend that it replaced, one
+    O(T n_det) pass.  Row t - ``addend_start`` is tensor t's cofactor, for
+    every tensor t from ``addend_start`` on: the product of the addend's
+    factors before t times the product of those after it."""
+    f = x[engine.entry_table[engine.addend_start :]]
+    pref = np.ones_like(f)
+    suf = np.ones_like(f)
+    np.cumprod(f[:-1], axis=0, out=pref[1:])
+    np.cumprod(f[:0:-1], axis=0, out=suf[-2::-1])
+    return pref * suf
+
+
+def _tensor_cells(engine, t: int) -> list[np.ndarray]:
+    """The determinants that select each entry of tensor t, ascending."""
+    first = int(engine.offsets[t])
+    return [
+        np.flatnonzero(engine.entry_table[t] == e)
+        for e in range(first, first + engine.sizes[t])
+    ]
+
+
 def entry_cells_loop(engine) -> list[tuple[int, np.ndarray]]:
-    """Reference ``AmplitudeEngine.entry_cells``: the per-entry loop it
-    replaced, (tensor row, selecting determinants) from the entry table."""
-    cells = []
-    for e in engine.active_indices:
-        t = int(np.searchsorted(engine.offsets, e, side="right") - 1)
-        cells.append((t, np.flatnonzero(engine.entry_table[t] == e)))
-    return cells
+    """(tensor row, selecting determinants) per active entry, scanned from
+    the entry table entry by entry."""
+    return [
+        (t, dets)
+        for t in range(engine.n_frozen_tensors, len(engine.keys))
+        for dets in _tensor_cells(engine, t)
+    ]
 
 
 def jacobian_loop(engine, x: np.ndarray) -> sparse.csr_matrix:
-    """Reference ``AmplitudeEngine.jacobian``: the per-entry loop it replaced,
-    its sparsity structure rebuilt from the entry table."""
-    cof = engine.cofactors(x)
+    """Reference ``AmplitudeEngine.jacobian``: the per-entry loop over
+    ``entry_cells_loop`` and ``cofactors_reference``."""
+    cof = cofactors_reference(engine, x)
     cells = entry_cells_loop(engine)
     start = engine.addend_start
     return sparse.csr_matrix(
@@ -463,14 +489,14 @@ def active_rows(engine, key) -> slice:
 
 def jacobian_rows(engine, x: np.ndarray, key) -> sparse.csr_matrix:
     """Rows ``active_rows(engine, key)`` of ``engine.jacobian(x)``, bit for
-    bit, from tensor ``key``'s row of the cofactor table."""
-    rows = active_rows(engine, key)
-    indptr = engine._jac_indptr[rows.start : rows.stop + 1]
-    dets = engine._jac_indices[indptr[0] : indptr[-1]]
-    data = engine.cofactors(x)[engine.tensor_row(key) - engine.addend_start, dets]
+    bit, from tensor ``key``'s row of ``cofactors_reference``."""
+    t = engine.tensor_row(key)
+    cells = _tensor_cells(engine, t)
+    dets = np.concatenate(cells)
+    cofactor = cofactors_reference(engine, x)[t - engine.addend_start]
     return sparse.csr_matrix(
-        (data, dets, indptr - indptr[0]),
-        shape=(rows.stop - rows.start, engine.space.size),
+        (cofactor[dets], dets, np.cumsum([0] + [len(c) for c in cells])),
+        shape=(len(cells), engine.space.size),
     )
 
 

@@ -489,6 +489,18 @@ class TestRun:
         assert "selected no sites" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ansatz", ["3s/si", "3s/si[2s]", "3s/si+[2s]"])
+    def test_no_active_tensor_exits_2_before_any_output(self, tmp_path, capsys, ansatz):
+        # One spatial orbital has no strict triple: 3s/si stores no tensor,
+        # and the hybrids store frozen pairs only, as `cgtns count` reports.
+        f = tmp_path / "one.fcidump"
+        f.write_text("&FCI NORB=1,NELEC=2,MS2=0,\n&END\n-1.2528 1 1 0 0\n")
+        out = tmp_path / "out"
+        argv = ["run", "--integrals", str(f), "--ansatz", ansatz, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "tensor" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "values",
         [

@@ -30,6 +30,7 @@ from oracles import (
     amplitude,
     amplitude_partial_derivative,
     bits_of,
+    cofactors_reference,
     entry_cells_loop,
     identity,
     jacobian_loop,
@@ -422,15 +423,58 @@ class TestEngineTables:
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
     @pytest.mark.parametrize("n", [4, 6])
     def test_entry_cells_match_loop(self, kind, n):
-        # The stable-sort entry index against the per-entry scan (H4, H6).
+        # The Jacobian built per call holds in row e exactly the determinants
+        # that select active entry e, ascending, as the per-entry scan of
+        # the entry table finds them (H4, H6).
         sel = (2, 3, 4, 5) if kind.endswith("sel") else None
         spec = AnsatzSpec(kind, selected_sites=sel)
         engine = AmplitudeEngine(spec, 2 * n, enumerate_onvs(2 * n, n, 0.0))
+        jac = engine.jacobian(np.ones(engine.n_params))
         ref = entry_cells_loop(engine)
-        assert len(engine.entry_cells) == len(ref)
-        for (t, dets), (t_ref, dets_ref) in zip(engine.entry_cells, ref):
-            assert t == t_ref
-            assert np.array_equal(dets, dets_ref)
+        assert jac.shape[0] == len(ref)
+        for e, (_, dets) in enumerate(ref):
+            assert np.array_equal(jac.indices[jac.indptr[e] : jac.indptr[e + 1]], dets)
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_environments_match_reference_bitwise(self, kind, n):
+        # Each active tensor's environment against the prefix and suffix
+        # products, bit for bit (H4 and H6 spaces), from starts with zero
+        # entries; then for a caller that moves each tensor's entries in
+        # place after its environment, as a subspace pass does, against
+        # the reference at the entries as moved so far.
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        engine = AmplitudeEngine(spec, 2 * n, enumerate_onvs(2 * n, n, 0.0))
+        active = list(range(engine.n_frozen_tensors, len(engine.keys)))
+        rng = np.random.default_rng(n)
+        for zeros in (False, True):
+            x = randomize(spec, 2 * n, rng)
+            if zeros:
+                x[engine.active_indices[3::7]] = 0.0
+            ref = cofactors_reference(engine, x)
+            env = list(engine.environments(x))
+            assert [t for t, _ in env] == active
+            for t, cofactor in env:
+                assert cofactor.tobytes() == ref[t - engine.addend_start].tobytes()
+            for t, cofactor in engine.environments(x):
+                ref = cofactors_reference(engine, x)[t - engine.addend_start]
+                assert cofactor.tobytes() == ref.tobytes()
+                block = slice(engine.offsets[t], engine.offsets[t] + engine.sizes[t])
+                x[block] = rng.uniform(-1.5, 1.5, engine.sizes[t]) if t % 5 else 0.0
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_engine_holds_no_per_cell_tables(self, kind, n):
+        # entry_table is the engine's only array with a cell per active
+        # tensor and determinant; the Jacobian is built per call.
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        space = enumerate_onvs(2 * n, n, 0.0)
+        engine = AmplitudeEngine(AnsatzSpec(kind, selected_sites=sel), 2 * n, space)
+        cells = len(engine.active_keys) * space.size
+        for name, value in vars(engine).items():
+            if isinstance(value, np.ndarray) and name != "entry_table":
+                assert value.size < cells, name
 
     @pytest.mark.parametrize("kind", ["2s", "2s/si"])
     @pytest.mark.parametrize("n", [4, 6])
@@ -449,9 +493,8 @@ class TestEngineTables:
         x = randomize(spec, 2 * n, np.random.default_rng(seed))
         jac = engine.jacobian(x)
         weights = ev.weights(x)
-        for key in engine.pair_keys:
-            t = engine.tensor_row(key)
-            cofactor = engine.cofactors(x)[t - engine.addend_start]
+        for t, cofactor in engine.environments(x):
+            key = engine.keys[t]
             V = ev.derivative_states(t, cofactor)
             assert V.tobytes() == (jac[active_rows(engine, key)] @ K.T).tobytes()
             assert V.tobytes() == (jacobian_rows(engine, x, key) @ K.T).tobytes()
@@ -516,7 +559,7 @@ class TestEngineTables:
     @pytest.mark.parametrize("kind", ["3s+[2s]", "3s/si+[2s]", "3s+[2s]sel"])
     def test_sum_hybrid_addends(self, kind):
         # The pair addend is the amplitude of the pair tensors alone, and the
-        # cofactor table covers the triple addend only.
+        # environments cover the triple addend only.
         spec = make_spec(kind, 8)
         pair_spec = AnsatzSpec("2s")
         space = enumerate_onvs(8, 4, 0.0)
@@ -528,8 +571,8 @@ class TestEngineTables:
         ref = [amplitude(pair_spec, 8, x[:n_pair], bits) for bits in space.onvs]
         assert np.array_equal(engine.pair_addend(x), ref)
         assert engine.addend_start == engine.n_pair_rows
-        cof = engine.cofactors(x)
-        assert cof.shape == (len(engine.triple_keys), space.size)
+        env = [t for t, _ in engine.environments(x)]
+        assert env == list(range(engine.n_pair_rows, len(engine.keys)))
 
     def test_all_frozen_ansatz_refused(self):
         # Strict triples over one spatial orbital (two sites) do not exist,
@@ -555,11 +598,10 @@ class TestEngineTables:
         frozen = slice(None, engine.active_indices[0])
         x[frozen] = rng.uniform(0.5, 1.5, len(x[frozen]))
         full = ev.gradient(x)
-        for key in engine.active_keys:
-            t = engine.tensor_row(key)
-            dS = ev.derivative_states(t, engine.cofactors(x)[t - engine.addend_start])
+        for t, cofactor in engine.environments(x):
+            dS = ev.derivative_states(t, cofactor)
             rows = ev.gradient_from_weights(ev.weights(x), dS)
-            assert np.array_equal(rows, full[active_rows(engine, key)])
+            assert np.array_equal(rows, full[active_rows(engine, engine.keys[t])])
 
     @pytest.mark.parametrize("kind", ["2s", "3s"])
     @pytest.mark.parametrize("m, n", [(8, 4), (12, 6)])
