@@ -177,9 +177,10 @@ class AmplitudeEngine:
     vector ``x``, the package's one parameter representation: the pair
     tensors in ``spec.pair_keys(m)`` order, then the triples, 4 and 8 entries
     each in C order.  The first ``n_frozen_tensors`` tensors are frozen;
-    ``active_keys`` and ``active_indices`` hold the rest.  Only the engine
-    knows how factors combine: the active entries live in the addend of
-    tensor rows ``addend_start:``, after the frozen pairs of a sum hybrid
+    ``active_keys`` and ``active_indices`` hold the rest, ``live_indices``
+    (ascending) those that some determinant selects.  Only the engine knows
+    how factors combine: the active entries live in the addend of tensor
+    rows ``addend_start:``, after the frozen pairs of a sum hybrid
     (``pair_addend``) and from row 0 otherwise, and every derivative is a
     tensor's environment in that addend (``environments``), from which
     ``jacobian`` is built per call.  Factor tables are evaluated for the
@@ -217,6 +218,7 @@ class AmplitudeEngine:
         p, q, r = np.array(self.triple_keys, dtype=np.intp).reshape(-1, 3).T
         local = (2 * occ[i] + occ[j], 4 * occ[p] + 2 * occ[q] + occ[r])
         self.entry_table = self.offsets[:, None] + np.concatenate(local)
+        self.live_indices = np.unique(self.entry_table[self.n_frozen_tensors :])
 
     # -- flat-vector plumbing ----------------------------------------------
 

@@ -179,10 +179,6 @@ def _replica_rng(seed: int, index: int) -> np.random.Generator:
 #: order eps times that peak; otherwise the proposal is evaluated in full.
 LOCAL_NORM_RANGE = (1e-200, 1e200)
 LOCAL_NORM_DROP = 1e-3
-#: Nonzero priced energy changes within this fraction of |E| (of 1 Ha at
-#: least) are left to a full evaluation: near such a tie the sign of a
-#: roundoff-level change decides whether a random number is drawn.
-LOCAL_TIE = 1e-10
 
 
 class TensorPencil:
@@ -194,15 +190,14 @@ class TensorPencil:
     after a fixed 1).  With the pencil ``HO`` = V [h, O] V^T, moving y_j by
     delta changes num = y.H y to num + 2 delta (H y)_j + delta^2 H_jj, and
     den = y.O y likewise; an accepted move adds delta times column j to H y
-    and O y.  ``moving[j]`` is False where y_j moves no amplitude (its
-    cofactor vanishes on every determinant that selects it).
+    and O y.  Where V's row j is zero, so is column j, and every move of y_j
+    is priced exactly 0.0.
     """
 
-    def __init__(self, HO: np.ndarray, y: np.ndarray, moving: list[bool]):
+    def __init__(self, HO: np.ndarray, y: np.ndarray):
         self.HO = HO
         self.columns = HO.transpose(2, 0, 1).tolist()  # [j]: columns j of H, O
         self.y = y
-        self.moving = moving
         self._form()
 
     def _form(self) -> None:
@@ -219,13 +214,9 @@ class TensorPencil:
             self.energy, self.floor = math.nan, math.inf
 
     def price(self, j: int, delta: float) -> float | None:
-        """Energy change of adding ``delta`` to y_j: 0.0 when no amplitude
-        changes, None when only a full evaluation decides the move as a
-        full-recompute sweep would (the quotient left the trusted range, or
-        it moved by a roundoff-level amount within ``LOCAL_TIE``)."""
-        self._pending = self.num, self.den, self.energy
-        if delta == 0.0 or not self.moving[j]:
-            return 0.0
+        """Energy change of adding ``delta`` to y_j, or None when the
+        quotient left the trusted range and only a full evaluation decides
+        the move as a full-recompute sweep would."""
         h_j, o_j = self.columns[j]
         num = self.num + delta * (2.0 * self.hy[j] + delta * h_j[j])
         den = self.den + delta * (2.0 * self.oy[j] + delta * o_j[j])
@@ -233,8 +224,7 @@ class TensorPencil:
             self._pending = None
             return None
         self._pending = num, den, num / den
-        de = num / den - self.energy
-        return None if abs(de) <= LOCAL_TIE * max(abs(self.energy), 1.0) else de
+        return num / den - self.energy
 
     def accept(self, j: int, delta: float) -> None:
         """Move y_j by ``delta``, the last move priced.  One that left the
@@ -253,20 +243,22 @@ class TensorPencil:
 
 
 def _tensor_pencils(evaluator, x: np.ndarray):
-    """Yield per active tensor its moves, (pencil row, flat index) pairs,
-    and its ``TensorPencil``, with V divided by the power of two by which
-    ``energy_from_weights`` would divide S; or None where its moves are
-    evaluated in full: S vanished or is not finite, or the evaluator is
-    screened or not an ``EnergyEvaluator`` (one block of every entry)."""
+    """Yield per active tensor its moves, (pencil row, flat index) pairs of
+    its live entries, and its ``TensorPencil``, with V divided by the power
+    of two by which ``energy_from_weights`` would divide S; or None where
+    its moves are evaluated in full: S vanished or is not finite, or the
+    evaluator is screened or not an ``EnergyEvaluator`` (one block)."""
     engine = evaluator.engine
+    live = engine.live_indices.tolist()
     if not isinstance(evaluator, EnergyEvaluator) or evaluator.screen > 0.0:
-        yield enumerate(engine.active_indices.tolist()), None
+        yield enumerate(live), None
         return
     first = 1 if engine.sum_mode else 0
     pair_weights = evaluator.K @ engine.pair_addend(x) if first else None
+    ends = np.searchsorted(engine.live_indices, [*engine.offsets, engine.n_params])
     for t, cofactor in engine.environments(x):
         start = int(engine.offsets[t])
-        moves = enumerate(range(start, start + engine.sizes[t]), first)
+        moves = [(e - start + first, e) for e in live[ends[t] : ends[t + 1]]]
         V = evaluator.derivative_states(t, cofactor, pair_weights)
         y = np.concatenate((np.ones(first), x[start : start + engine.sizes[t]]))
         peak = float(np.abs(y @ V).max())
@@ -274,9 +266,7 @@ def _tensor_pencils(evaluator, x: np.ndarray):
             yield moves, None
             continue
         V /= peak_scale(peak)
-        rows = engine.entry_table[t][cofactor != 0.0] - (start - first)
-        moving = np.bincount(rows, minlength=len(y)) > 0
-        yield moves, TensorPencil(V @ evaluator.operators @ V.T, y, moving.tolist())
+        yield moves, TensorPencil(V @ evaluator.operators @ V.T, y)
 
 
 def metropolis_sweep(
@@ -285,14 +275,14 @@ def metropolis_sweep(
     evaluator,
     target_acceptance: float | None = None,
 ) -> float:
-    """One proposed move per active tensor entry, in fixed order.
+    """One proposed move per live entry (``engine.live_indices``), in order.
 
-    Proposals add a uniform perturbation from [-step, step] to one entry;
-    acceptance follows min{1, exp(-(E_new - E_old)/T)}.  A failed energy
-    evaluation aborts that move and leaves the state unchanged.  When a
-    target acceptance is given, the step width is rescaled multiplicatively
-    afterwards (bounded per sweep and globally).  Returns the acceptance
-    ratio of the sweep.
+    A proposal adds a uniform perturbation from [-step, step] to one entry,
+    draws one uniform u and is accepted iff u < min{1, exp(-(E_new - E_old)/T)}.
+    A failed energy evaluation aborts that move before u is drawn and leaves
+    the state unchanged.  When a target acceptance is given, the step width
+    is rescaled multiplicatively afterwards (bounded per sweep and
+    globally).  Returns the sweep's acceptance ratio over the live entries.
 
     An unscreened ``EnergyEvaluator`` prices the moves on each active
     tensor on its pencil (``TensorPencil``), built once per tensor, and
@@ -323,7 +313,7 @@ def metropolis_sweep(
                     )
                     continue
                 de = full_new - e_full
-            if de <= 0.0 or replica.rng.random() < math.exp(-de / temperature):
+            if replica.rng.random() < math.exp(min(0.0, -de / temperature)):
                 x[entry] += delta
                 accepted += 1
                 e_full = full_new
@@ -332,7 +322,7 @@ def metropolis_sweep(
     if accepted:
         replica.x = x
         replica.energy = evaluator.energy(x).e if e_full is None else e_full
-    ratio = accepted / len(evaluator.engine.active_indices)
+    ratio = accepted / len(evaluator.engine.live_indices)
     if target_acceptance is not None:
         factor = math.exp(ratio - target_acceptance)
         factor = min(max(factor, 1.0 / STEP_FACTOR_CAP), STEP_FACTOR_CAP)

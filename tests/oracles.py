@@ -331,13 +331,15 @@ def dense_g_from_unique(m_orb: int, entries: dict) -> np.ndarray:
 def metropolis_sweep_full(replica, temperature, evaluator, target_acceptance=None):
     """Reference Metropolis sweep: one full energy evaluation per proposal.
 
-    Same proposal order, random draws, step adaptation and power-of-two scale
+    Same proposal order (the entries some determinant selects, ascending),
+    random draws (one uniform per proposal, and one more unless its
+    evaluation fails), step adaptation and power-of-two scale
     renormalization as the library's sweep, which must take the same
-    decisions.  Returns the acceptance ratio.
+    decisions.  Returns the acceptance ratio over the proposals.
     """
-    active = evaluator.engine.active_indices
+    live = np.unique(evaluator.engine.entry_table[evaluator.engine.n_frozen_tensors :])
     accepted = 0
-    for entry in active:
+    for entry in live:
         delta = replica.rng.uniform(-replica.step, replica.step)
         x_new = replica.x.copy()
         x_new[entry] += delta
@@ -346,11 +348,11 @@ def metropolis_sweep_full(replica, temperature, evaluator, target_acceptance=Non
         except DegenerateStateError:
             continue
         de = e_new - replica.energy
-        if de <= 0.0 or replica.rng.random() < math.exp(-de / temperature):
+        if replica.rng.random() < math.exp(min(0.0, -de / temperature)):
             replica.x = x_new
             replica.energy = e_new
             accepted += 1
-    ratio = accepted / len(active)
+    ratio = accepted / len(live)
     if target_acceptance is not None:
         factor = math.exp(ratio - target_acceptance)
         factor = min(max(factor, 1.0 / STEP_FACTOR_CAP), STEP_FACTOR_CAP)

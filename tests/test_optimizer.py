@@ -162,7 +162,7 @@ class _QuadraticToy:
     """Duck-typed evaluator with E = 0.5 |x|^2 over two free parameters."""
 
     def __init__(self):
-        self.engine = SimpleNamespace(active_indices=np.arange(2))
+        self.engine = SimpleNamespace(live_indices=np.arange(2))
 
     def energy(self, x):
         return EnergyReport(e=float(0.5 * np.dot(x, x)), norm=1.0)
@@ -238,7 +238,7 @@ class TestMetropolis:
         assert stat < 0.05
 
 
-def _h4_start(engine, seed, cli_like):
+def _start_vector(engine, seed, cli_like):
     """A start as the CLI builds it (warm-started pure triples, identity or
     small hybrid triples on cold pairs) or with noisy triples."""
     spec = engine.spec
@@ -246,7 +246,7 @@ def _h4_start(engine, seed, cli_like):
     if not spec.has_triples or (not cli_like and not spec.is_hybrid):
         return cold_start(engine, rng)
     pair_spec = AnsatzSpec(spec.pair_stage)
-    pairs = cold_start(AmplitudeEngine(pair_spec, 8, engine.space), rng)
+    pairs = cold_start(AmplitudeEngine(pair_spec, engine.m, engine.space), rng)
     if not spec.is_hybrid:
         return optimizer._warm_triples(engine, pairs)
     if cli_like:
@@ -277,7 +277,7 @@ def _assert_sweeps_match(ev, fast, ref, temperature, sweeps, target=0.4):
 
 
 def _pencil_rows(ev, x):
-    """(flat index, pencil, pencil row) of every active entry, each tensor's
+    """(flat index, pencil, pencil row) of every live entry, each tensor's
     pencil built at ``x`` as a sweep builds it."""
     for moves, pencil in optimizer._tensor_pencils(ev, x):
         for j, entry in moves:
@@ -311,17 +311,102 @@ class TestLocalMoves:
         sel = (2, 3, 4, 5) if kind.endswith("sel") else None
         spec = AnsatzSpec(kind, selected_sites=sel)
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = _h4_start(ev.engine, 5 if cli_like else 6, cli_like)
+        x = _start_vector(ev.engine, 5 if cli_like else 6, cli_like)
         fast, ref = _replica_pair(ev, x, seed=7)
         _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=4)
+        # The starts and streams of seeds 1-6, at both ends of the default
+        # temperature ladder.
+        for seed in range(1, 7):
+            x = _start_vector(ev.engine, seed, cli_like)
+            fast, ref = _replica_pair(ev, x, seed=seed)
+            temperature = 0.05 if seed % 2 else 0.001
+            _assert_sweeps_match(ev, fast, ref, temperature, sweeps=2)
+
+    @pytest.mark.parametrize("kind", ["3s", "3s[2s]", "3s/si[2s]"])
+    def test_h6_matches_full_recompute(self, h6, kind):
+        basis, ham = h6
+        ev = EnergyEvaluator(AnsatzSpec(kind), 12, basis, ham)
+        x = _start_vector(ev.engine, 1, cli_like=True)
+        fast, ref = _replica_pair(ev, x, seed=1)
+        _assert_sweeps_match(ev, fast, ref, temperature=0.05, sweeps=2)
+
+    def test_sweep_moves_live_entries_and_draws_one_uniform_per_proposal(self, h4):
+        # H4 3s holds 288 entries that no determinant selects.  A sweep
+        # proposes no move on them, so their bits stay as they were (up to
+        # the power of two of the scale renormalization); each live entry
+        # draws its proposal's uniform, then one more to decide it.
+        basis, ham = h4
+        ev = EnergyEvaluator(AnsatzSpec("3s"), 8, basis, ham)
+        engine = ev.engine
+        selected = np.array([len(dets) > 0 for _, dets in entry_cells_loop(engine)])
+        dead = engine.active_indices[~selected]
+        assert len(dead) == 288
+        x = _start_vector(engine, 3, cli_like=True)
+        x[dead] = np.random.default_rng(4).uniform(-2.0, 2.0, len(dead))
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng, self.draws = np.random.default_rng(seed), []
+
+            def uniform(self, low, high):
+                self.draws.append("uniform")
+                return self.rng.uniform(low, high)
+
+            def random(self):
+                self.draws.append("random")
+                return self.rng.random()
+
+        for temperature in (0.001, 0.05):
+            fast, ref = _replica_pair(ev, x, seed=5, step=0.3)
+            fast.rng = CountingRng(5)
+            ratio = metropolis_sweep(fast, temperature, ev, target_acceptance=0.4)
+            assert np.array_equal(np.frexp(fast.x[dead])[0], np.frexp(x[dead])[0])
+            moved = np.flatnonzero(np.frexp(fast.x)[0] != np.frexp(x)[0])
+            assert round(ratio * len(engine.live_indices)) == len(moved) > 0
+            assert fast.rng.draws == ["uniform", "random"] * len(engine.live_indices)
+            assert metropolis_sweep_full(ref, temperature, ev, 0.4) == ratio
+            assert np.array_equal(fast.x, ref.x)
+
+    def test_h6_sweep_evaluates_in_full_only_after_declines(self, h6, monkeypatch):
+        # A sweep's full evaluations are those of proposals that left a
+        # pencil's trusted range (the proposal, and the state before it when
+        # only the pencil knew it) and the one of the final state.  A
+        # roundoff-level priced change is decided on the pencil: the triple
+        # stage's hot replica meets many of them by its fourth sweep.
+        basis, ham = h6
+        counts = {"energy": 0, "declines": 0}
+        full_energy, price = EnergyEvaluator.energy, optimizer.TensorPencil.price
+        sweep = optimizer.metropolis_sweep
+
+        def counted_energy(ev, x, *args, **kwargs):
+            counts["energy"] += 1
+            return full_energy(ev, x, *args, **kwargs)
+
+        def counted_price(pencil, j, delta):
+            de = price(pencil, j, delta)
+            counts["declines"] += pencil._pending is None
+            return de
+
+        def checked_sweep(*args, **kwargs):
+            counts.update(energy=0, declines=0)
+            ratio = sweep(*args, **kwargs)
+            assert counts["energy"] <= 2 * counts["declines"] + 1
+            return ratio
+
+        monkeypatch.setattr(EnergyEvaluator, "energy", counted_energy)
+        monkeypatch.setattr(optimizer.TensorPencil, "price", counted_price)
+        monkeypatch.setattr(optimizer, "metropolis_sweep", checked_sweep)
+        config = PtConfig(n_replicas=2, sweeps=4, swap_interval=1, seed=1)
+        stages = list(run_stages(config, AnsatzSpec("3s[2s]"), basis, ham))
+        assert [len(stage.trace) for stage in stages] == [8, 8]
 
     def test_proposal_energies_match_full_evaluation(self, h4):
         basis, ham = h4
         spec = AnsatzSpec("3s[2s]")
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = _h4_start(ev.engine, 7, cli_like=False)
+        x = _start_vector(ev.engine, 7, cli_like=False)
         rng = np.random.default_rng(8)
-        picks = set(rng.choice(ev.engine.active_indices, 40, replace=False).tolist())
+        picks = set(rng.choice(ev.engine.live_indices, 40, replace=False).tolist())
         assert _assert_pencil_prices(ev, x, picks, 0.37) > 30
 
     def test_fall_after_a_rise_forms_the_sums_anew(self, h4):
@@ -332,14 +417,14 @@ class TestLocalMoves:
         # of order eps times the peak they held.
         basis, ham = h4
         ev = EnergyEvaluator(AnsatzSpec("3s[2s]"), 8, basis, ham)
-        x = _h4_start(ev.engine, 7, cli_like=False)
-        entry, pencil, j = next(r for r in _pencil_rows(ev, x) if r[1].moving[r[2]])
+        x = _start_vector(ev.engine, 7, cli_like=False)
+        entry, pencil, j = next(_pencil_rows(ev, x))
         assert pencil.price(j, 1e30) is not None
         pencil.accept(j, 1e30)
         assert pencil.den > 1e50
         assert pencil.price(j, -1e30) is None
         pencil.accept(j, -1e30)
-        fresh = optimizer.TensorPencil(pencil.HO, pencil.y.copy(), pencil.moving)
+        fresh = optimizer.TensorPencil(pencil.HO, pencil.y.copy())
         sums = [pencil.num, pencil.den, pencil.hy, pencil.oy, pencil.floor]
         assert sums == [fresh.num, fresh.den, fresh.hy, fresh.oy, fresh.floor]
         x[entry] += 1e30
@@ -352,7 +437,7 @@ class TestLocalMoves:
         basis, ham = h4
         spec = AnsatzSpec("3s[2s]")
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = _h4_start(ev.engine, 9, cli_like=False)
+        x = _start_vector(ev.engine, 9, cli_like=False)
         k = next(k for k, (_, dets) in enumerate(entry_cells_loop(ev.engine)) if len(dets))
         entry = int(ev.engine.active_indices[k])
         x[entry] = 0.0
@@ -363,7 +448,7 @@ class TestLocalMoves:
         assert entry_ == entry and j == 0
         assert pencil.price(j, 0.3) is not None
         pencil.accept(j, 0.3)
-        fresh = optimizer.TensorPencil(pencil.HO, pencil.y.copy(), pencil.moving)
+        fresh = optimizer.TensorPencil(pencil.HO, pencil.y.copy())
         assert pencil.energy == pytest.approx(fresh.energy, rel=1e-12)
         incremental, formed = [pencil.hy, pencil.oy], [fresh.hy, fresh.oy]
         assert np.allclose(incremental, formed, rtol=1e-12, atol=1e-14)
@@ -377,7 +462,7 @@ class TestLocalMoves:
         # two, and proposals are still priced on it.
         basis, ham = h4
         ev = EnergyEvaluator(AnsatzSpec("3s[2s]"), 8, basis, ham)
-        x = _h4_start(ev.engine, 9, cli_like=False)
+        x = _start_vector(ev.engine, 9, cli_like=False)
         x[:4] *= 1e120
         assert np.max(np.abs(ev.weights(x))) > 1e100
         k = next(k for k, (_, dets) in enumerate(entry_cells_loop(ev.engine)) if len(dets))
@@ -404,16 +489,15 @@ class TestLocalMoves:
         n_det = ev.K.shape[1]
         accepted = 0
         for moves, pencil in optimizer._tensor_pencils(ev, x):
-            entries = []
             for j, entry in moves:
                 delta = float(rng.uniform(-0.1, 0.1))
                 if pencil.price(j, delta) is not None:
                     pencil.accept(j, delta)
                     x[entry] += delta
                     accepted += 1
-                entries.append(entry)
-            fresh = optimizer.TensorPencil(pencil.HO, pencil.y.copy(), pencil.moving)
-            assert np.array_equal(pencil.y, x[entries])
+            fresh = optimizer.TensorPencil(pencil.HO, pencil.y.copy())
+            rows, entries = map(list, zip(*moves))
+            assert np.array_equal(pencil.y[rows], x[entries])
             assert pencil.energy == pytest.approx(fresh.energy, rel=1e-12)
             nd = [pencil.num, pencil.den]
             assert nd == pytest.approx([fresh.num, fresh.den], rel=1e-12)
@@ -423,7 +507,7 @@ class TestLocalMoves:
             for name, value in vars(pencil).items():
                 if isinstance(value, np.ndarray):
                     assert value.size < n_det**2, name
-        assert accepted > len(ev.engine.active_indices) // 2
+        assert accepted > len(ev.engine.live_indices) // 2
         assert pencil.energy == pytest.approx(ev.energy(x).e, rel=1e-12)
         for name, value in vars(ev).items():
             if isinstance(value, np.ndarray):
@@ -441,14 +525,15 @@ class TestLocalMoves:
         fast, ref = _replica_pair(ev, x, seed=18)
         _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
 
-    def test_cancelling_derivative_state_takes_the_full_path(self, h4, monkeypatch):
+    def test_cancelling_derivative_state_is_priced_zero(self, h4, monkeypatch):
         # Entry (1, 1) of the pair tensor on spin orbitals (0, 1) selects the
         # determinants with orbital 0 doubly occupied.  Zero factors leave a
         # nonzero cofactor on two of them only, |0 1 2 5> and |0 1 3 4>,
         # whose K columns are parallel; tensor (2, 2) tells them apart and
         # sets the ratio that cancels.  The entry's derivative state then
-        # vanishes while its amplitudes change: such a move is a tie for the
-        # full evaluation to decide, not a move that changes nothing.
+        # vanishes while its amplitudes change: its pencil column is zero, so
+        # a move is priced exactly 0.0 with no full evaluation, and the
+        # sweep still takes the reference's decisions.
         basis, ham = h4
         ev = EnergyEvaluator(AnsatzSpec("2s"), 8, basis, ham)
         engine = ev.engine
@@ -471,14 +556,22 @@ class TestLocalMoves:
         assert np.count_nonzero(cofactor[selecting]) == 2
         assert not ev.derivative_states(t, cofactor)[3].any()
 
+        cancelling = entry((0, 1), 1, 1)
+        _, pencil, j = next(r for r in _pencil_rows(ev, x) if r[0] == cancelling)
+        assert not np.any(pencil.columns[j])
+        x_new = x.copy()
+        x_new[cancelling] += 0.3
+        assert not np.array_equal(engine.amplitudes(x_new), engine.amplitudes(x))
+        assert pencil.price(j, 0.3) == 0.0
+        assert ev.energy(x_new).e == pytest.approx(ev.energy(x).e, rel=1e-12)
+
         events = []
         price = optimizer.TensorPencil.price
         full_energy = ev.energy
 
         def logged_price(pencil, j, delta):
             de = price(pencil, j, delta)
-            h_j, o_j = pencil.columns[j]
-            events.append((pencil.moving[j] and h_j[j] == o_j[j] == 0.0, de))
+            events.append((not np.any(pencil.columns[j]), de))
             return de
 
         def logged_energy(x, *args, **kwargs):
@@ -489,10 +582,10 @@ class TestLocalMoves:
         monkeypatch.setattr(ev, "energy", logged_energy)
         fast, ref = _replica_pair(ev, x, seed=20)
         _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=1)
-        cancelled = [i for i, e in enumerate(events) if e != "energy" and e[0]]
-        assert cancelled
-        for i in cancelled:
-            assert events[i][1] is None and events[i + 1] == "energy"
+        zero = [i for i, e in enumerate(events) if e != "energy" and e[0]]
+        assert zero
+        for i in zero:
+            assert events[i][1] == 0.0 and events[i + 1] != "energy"
 
     @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_degenerate_proposals_abort_and_keep_the_state(self, h2, caplog):
@@ -500,37 +593,43 @@ class TestLocalMoves:
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 4, basis, ham)
         # Amplitudes of 30**10 need no rescaling; a step of order 1e300
-        # overflows them, so every proposal on an entry that some determinant
-        # selects is degenerate.  The other entries move nothing and are
-        # accepted at zero energy change.
+        # overflows them, so every proposal is degenerate and draws no
+        # uniform for its acceptance.  Entries that no determinant selects
+        # get no proposal, and the ratio is over the others.
         x = np.full(ev.engine.n_params, 30.0)
         assert all(pencil is not None for _, pencil in optimizer._tensor_pencils(ev, x))
         selected = np.array([len(dets) > 0 for _, dets in entry_cells_loop(ev.engine)])
         assert 0 < selected.sum() < selected.size
+        live = ev.engine.live_indices
+        assert np.array_equal(live, ev.engine.active_indices[selected])
         fast, ref = _replica_pair(ev, x, seed=11, step=1e300)
         with caplog.at_level("WARNING", logger="cgtns.optimizer"):
             ratio = metropolis_sweep(fast, 0.01, ev, target_acceptance=None)
         aborted = [r for r in caplog.records if "aborted" in r.getMessage()]
-        assert len(aborted) == selected.sum()
-        assert ratio == (~selected).sum() / selected.size
-        assert np.array_equal(fast.x[ev.engine.active_indices[selected]], x[selected])
+        assert [r.args[0] for r in aborted] == live.tolist()
+        assert ratio == 0.0
+        assert np.array_equal(fast.x, x)
         assert fast.energy == ev.energy(x).e
+        rng = np.random.default_rng(11)
+        for _ in range(selected.sum()):
+            rng.uniform(-1e300, 1e300)
+        assert fast.rng.bit_generator.state == rng.bit_generator.state
         assert metropolis_sweep_full(ref, 0.01, ev, target_acceptance=None) == ratio
         assert np.array_equal(fast.x, ref.x)
         assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
 
-    @pytest.mark.parametrize("kind,seed", [("3s[2s]", 2), ("3s", 2), ("3s+[2s]", 1)])
+    @pytest.mark.parametrize("kind,seed", [("3s[2s]", 6), ("3s", 2), ("3s+[2s]", 3)])
     def test_cli_run_matches_full_recompute_at_extreme_scales(
         self, tmp_path, monkeypatch, kind, seed
     ):
-        # 3s[2s] seed 2 drives the hot replica's squared norm up by many
-        # orders and back within one sweep; the local sums then carry an
-        # absolute error of order eps times the peak, so the trusted norm
-        # floor must follow the accepted peak.  3s seed 2 renormalizes
-        # weights above 1e100, whose energy must equal the one recomputed
-        # after the sweep's power-of-two scale renormalization.  3s+[2s]
-        # seed 1 renormalizes its two addends by one common power of two;
-        # its sweeps still price moves on the pencils.
+        # In each run the hot replica's squared norm leaves the trusted
+        # range within a sweep (in three sweeps for 3s[2s] seed 6); the
+        # local sums then carry an absolute error of order eps times the
+        # peak, so the trusted norm floor must follow the accepted peak.
+        # Each run renormalizes its scale by powers of two, and the energy
+        # must equal the one recomputed after the sweep's renormalization;
+        # 3s+[2s] renormalizes its two addends by one common power of two,
+        # and its sweeps still price moves on the pencils.
         from cgtns.cli import main
 
         def run(name):
@@ -587,7 +686,7 @@ class TestLocalMoves:
         basis, ham = h4
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 8, basis, ham, screen=0.3)
-        x = _h4_start(ev.engine, 12, cli_like=True)
+        x = _start_vector(ev.engine, 12, cli_like=True)
         assert [pencil for _, pencil in optimizer._tensor_pencils(ev, x)] == [None]
         calls = []
         full_energy = ev.energy
@@ -599,14 +698,15 @@ class TestLocalMoves:
         monkeypatch.setattr(ev, "energy", counted)
         fast, ref = _replica_pair(ev, x, seed=13)
         _assert_sweeps_match(ev, fast, ref, temperature=0.01, sweeps=2)
-        # Reference and fast sweeps each evaluate every proposal in full.
-        assert len(calls) >= 4 * len(ev.engine.active_indices)
+        # After the start's evaluation, reference and fast sweeps each
+        # evaluate every proposal, one per live entry, in full.
+        assert len(calls) == 1 + 4 * len(ev.engine.live_indices)
 
     def test_unscreened_sweep_evaluates_once(self, h4, monkeypatch):
         basis, ham = h4
         spec = AnsatzSpec("2s")
         ev = EnergyEvaluator(spec, 8, basis, ham)
-        x = _h4_start(ev.engine, 14, cli_like=True)
+        x = _start_vector(ev.engine, 14, cli_like=True)
         calls = []
         full_energy = ev.energy
 
