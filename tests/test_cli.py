@@ -785,3 +785,22 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_oracle_is_identical_across_blas_threads(h8_chain_fcidump, tmp_path):
+    # Every product of the eigensolve gives the same bits with one BLAS
+    # thread and with two, so the oracle file does too.
+    src = str(Path(__file__).parent.parent / "src")
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"oracle_{threads}.json"
+        subprocess.run(
+            [sys.executable, "-c", "import sys, cgtns.cli; sys.exit(cgtns.cli.main())",
+             "oracle", "--integrals", str(h8_chain_fcidump), "--oracle-out", str(out)],
+            env=env, capture_output=True, check=True,
+        )
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["csfs"] == 1008

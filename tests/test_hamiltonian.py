@@ -1,19 +1,24 @@
 """Integral parsing, Slater-Condon elements, and the dense diagonalization oracle."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import linalg
 
+from cgtns import hamiltonian
 from cgtns.correlators import select_sites
 from cgtns.errors import CapacityError, ParseError
-from cgtns.fock import build_csf_basis, enumerate_onvs
+from cgtns.fock import CsfBasis, build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import (
     HamiltonianOperator,
     IntegralSet,
+    _csf_diagonals,
     csf_hamiltonian,
     exact_diagonalize,
+    lowest_pencil_eigenpair,
     orbital_occupations,
     parse_fcidump,
     slater_condon,
@@ -38,6 +43,15 @@ def provenance():
 @pytest.fixture(scope="module")
 def h2_integrals():
     return parse_fcidump(FIXTURES / "h2.fcidump")
+
+
+@pytest.fixture(scope="module")
+def h8_problem(h8_chain_fcidump):
+    """(space, doublet CSF basis, Hamiltonian) of the H8 chain, as the CLI
+    builds them from the FCIDUMP."""
+    ints = parse_fcidump(h8_chain_fcidump)
+    space = enumerate_onvs(16, 5, 0.5)
+    return space, build_csf_basis(space, 0.5), HamiltonianOperator(ints, space)
 
 
 def random_integrals(m_orb, seed):
@@ -402,6 +416,21 @@ class TestExactDiagonalize:
             exact_diagonalize(ham, dense_limit=2)
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """(products with A, order) of each Davidson solve the test runs."""
+    solve, seen = hamiltonian.lowest_pencil_eigenpair, []
+
+    def counted(apply_a, *args):
+        calls = []
+        theta, x = solve(lambda u: calls.append(1) or apply_a(u), *args)
+        seen.append((len(calls), len(x)))
+        return theta, x
+
+    monkeypatch.setattr(hamiltonian, "lowest_pencil_eigenpair", counted)
+    return seen
+
+
 def assert_same_ground_state(ham, basis=None):
     """The lowest-eigenpair solve against the full-spectrum reference: the
     energy, the vector up to its sign, and the sites the run would select."""
@@ -457,3 +486,134 @@ class TestLowestEigenpair:
         e0, vec = exact_diagonalize(ham, basis)
         assert e0 == ham.matrix()[0, 0]
         assert vec.tolist() == [1.0]
+
+    def test_h8_chain(self, h8_problem):
+        space, basis, ham = h8_problem
+        assert (space.size, basis.n_csfs) == (1568, 1008)
+        assert_same_ground_state(ham)
+        assert_same_ground_state(ham, basis)
+
+    def test_large_core_energy(self, products):
+        # At 1000 Ha the pairs match the reference to the usual bounds; at
+        # 1e5 Ha, where the residual's rounding floor lies far above 1e-12 Ha,
+        # every solve still converges long before its basis spans the space.
+        h, g, _ = random_integrals(6, 47)
+        space = enumerate_onvs(12, 5, 0.5)
+        ham = HamiltonianOperator(IntegralSet.from_dense(h, g, e_core=1000.0), space)
+        assert_same_ground_state(ham)
+        for s in (0.5, 1.5, 2.5):
+            assert_same_ground_state(ham, build_csf_basis(space, s))
+        far = HamiltonianOperator(IntegralSet.from_dense(h, g, e_core=1e5), space)
+        e_far, vec_far = exact_diagonalize(far)
+        e_near, vec_near = exact_diagonalize(ham)
+        assert abs((e_far - 1e5) - (e_near - 1000.0)) <= 1e-10
+        assert abs(vec_far @ vec_near - 1.0) <= 1e-12
+        assert [n for _, n in products] == [300, 210, 84, 6, 300, 300]
+        assert all(4 * count < n for count, n in products if n > 100)
+
+    def test_energy_near_zero(self, products):
+        # A core energy that cancels the electronic energy: the bound scales
+        # with the largest diagonal element too, so the solve still stops
+        # long before its basis spans the space.
+        ints, space = fixture_problem("h6")
+        basis = build_csf_basis(space, 0.0)
+        ints.e_core -= exact_diagonalize(HamiltonianOperator(ints, space), basis)[0]
+        ham = HamiltonianOperator(ints, space)
+        assert_same_ground_state(ham)
+        assert_same_ground_state(ham, basis)
+        assert abs(exact_diagonalize(ham, basis)[0]) <= 1e-12
+        assert [n for _, n in products] == [175, 400, 175, 175]
+        assert all(4 * count < n for count, n in products)
+
+    def test_non_interacting_electrons(self, products):
+        # H is diagonal, so every preconditioned residual lies in the basis
+        # and the basis grows by the residual itself, not by rounding noise.
+        h = np.diag(np.linspace(-1.5, 1.0, 6))
+        ints = IntegralSet.from_dense(h, np.zeros((6,) * 4), e_core=0.5)
+        space = enumerate_onvs(12, 5, 0.5)
+        ham = HamiltonianOperator(ints, space)
+        assert_same_ground_state(ham)
+        for s in (0.5, 1.5):
+            assert_same_ground_state(ham, build_csf_basis(space, s))
+        assert exact_diagonalize(ham)[0] == pytest.approx(-5.0, abs=1e-14)
+        assert [n for _, n in products] == [300, 210, 84, 300]
+        assert all(4 * count < n for count, n in products)
+
+    def test_closed_shell_start_reaches_triplet_ground_state(self):
+        # The lowest diagonal element belongs to a closed-shell determinant,
+        # which has no triplet part, while the Ms = 0 ground state is a
+        # triplet: a start from that unit vector alone stays in the singlets.
+        h, g, e_core = random_integrals(4, 18)
+        ints = IntegralSet.from_dense(h, g, e_core=e_core)
+        space = enumerate_onvs(8, 2, 0.0)
+        ham = HamiltonianOperator(ints, space)
+        start = space.onvs[np.argmin(np.diag(ham.matrix()))]
+        assert start == 0b110000
+        e_triplet, _ = exact_diagonalize(ham, build_csf_basis(space, 1.0))
+        e_singlet, _ = exact_diagonalize(ham, build_csf_basis(space, 0.0))
+        assert e_triplet < e_singlet - 0.5
+        assert_same_ground_state(ham)
+
+    @pytest.mark.parametrize("name", ["h4", "h6", 0, 1, 2, 3])
+    def test_spin_flip_partners_share_energy_bits(self, name):
+        # The Ms = +1 and Ms = -1 triplet problems order their determinants
+        # and CSFs differently, so every product sums in another order; the
+        # energy is one extended-precision Rayleigh quotient rounded once.
+        if isinstance(name, str):
+            ints, _ = fixture_problem(name)
+        else:
+            h, g, e_core = random_integrals(5, name)
+            ints = IntegralSet.from_dense(h, g, e_core=e_core, n_electrons=4)
+        energies = set()
+        for ms in (1.0, -1.0):
+            space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ms)
+            ham = HamiltonianOperator(ints, space)
+            energies.add(exact_diagonalize(ham, build_csf_basis(space, 1.0))[0])
+        assert len(energies) == 1
+
+
+class TestMatrixFreeSolve:
+    """The CSF solve works through the sparse K and products with H."""
+
+    def test_no_dense_csf_operator(self, h8_problem, monkeypatch):
+        _, basis, ham = h8_problem
+        H = ham.matrix()
+
+        def forbidden(*args):
+            raise AssertionError("dense CSF operator formed")
+
+        monkeypatch.setattr(hamiltonian, "csf_hamiltonian", forbidden)
+        monkeypatch.setattr(CsfBasis, "overlap", forbidden)
+        monkeypatch.setattr(CsfBasis, "dense", forbidden)
+        tracemalloc.start()
+        try:
+            exact_diagonalize(ham, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < H.nbytes / 4
+
+    @pytest.mark.parametrize("name,spin2", [("h4", 0), ("h6", 0), ("h6", 2)])
+    def test_csf_diagonals(self, name, spin2):
+        ints, space = fixture_problem(name)
+        basis = build_csf_basis(space, spin2 / 2.0)
+        H = HamiltonianOperator(ints, space).matrix()
+        K = basis.dense()
+        diag_a, diag_s = _csf_diagonals(basis.K, H)
+        assert np.max(np.abs(diag_a - np.diag(K @ H @ K.T))) <= 1e-12
+        assert np.max(np.abs(diag_s - np.diag(K @ K.T))) <= 1e-14
+
+    def test_generic_overlap(self):
+        # S far from the identity, as the CSF solve allows.
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((60, 60))
+        A = A + A.T
+        B = rng.standard_normal((60, 60))
+        S = np.eye(60) + 0.1 * B @ B.T
+        theta, x = lowest_pencil_eigenpair(
+            A.__matmul__, S.__matmul__, np.diag(A), np.diag(S)
+        )
+        evals, evecs = linalg.eigh(A, S)
+        assert abs(theta - evals[0]) <= 1e-12
+        assert abs(x @ S @ x - 1.0) <= 1e-12
+        assert abs(abs(x @ S @ evecs[:, 0]) - 1.0) <= 1e-12
