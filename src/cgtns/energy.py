@@ -48,9 +48,9 @@ class EnergyReport:
 class EnergyEvaluator:
     """Caches the CSF-basis operators for repeated evaluations of one ansatz.
 
-    Builds the amplitude engine, the dense K, K's nonzeros as
-    (determinant, CSF, value) triplets in ascending determinant order, the
-    dense CSF Hamiltonian K H K^T and the generic overlap K K^T once;
+    Keeps the basis's sparse K and builds the amplitude engine, K's nonzeros
+    as (determinant, CSF, value) triplets in ascending determinant order,
+    the dense CSF Hamiltonian K H K^T and the generic overlap K K^T once;
     ``operators`` stacks the last two, and ``h_csf`` and ``overlap`` are its
     halves.  Every energy/gradient call then costs a handful of small dense
     products.  No array of n_det^2 floats is kept.  All heavy state is
@@ -74,7 +74,7 @@ class EnergyEvaluator:
         self.basis = basis
         self.ham = ham
         self.engine = AmplitudeEngine(spec, m, basis.space)
-        self.K = basis.dense()
+        self.K = basis.K
         by_det = basis.K.T.tocsr()
         by_det.sort_indices()
         dets = np.repeat(np.arange(by_det.shape[0]), np.diff(by_det.indptr))
@@ -168,7 +168,7 @@ class EnergyEvaluator:
         """Exact dE/d(entry) for every active tensor entry, unscreened."""
         S = self.weights(x)
         jac = self.engine.jacobian(x)          # (n_active, n_det)
-        dS = jac @ self.K.T                    # (n_active, n_csf)
+        dS = (jac @ self.K.T).toarray()        # (n_active, n_csf)
         return self.gradient_from_weights(S, dS)
 
     def derivative_states(

@@ -259,9 +259,6 @@ class CsfBasis:
     def n_csfs(self) -> int:
         return self.K.shape[0]
 
-    def dense(self) -> np.ndarray:
-        return self.K.toarray()
-
     def overlap(self) -> np.ndarray:
         """CSF overlap matrix sum_n K_pn K_qn, evaluated generically and cached."""
         if not self._overlap:

@@ -422,9 +422,12 @@ class HamiltonianOperator:
 
 
 def csf_hamiltonian(basis: CsfBasis, ham: HamiltonianOperator) -> np.ndarray:
-    """Dense CSF-basis matrix K H K^T."""
+    """Dense CSF-basis matrix K H K^T, as K (K H)^T from two products of the
+    sparse K with a dense matrix: no dense K^T is built, and the sums run
+    over K's nonzeros in a fixed order, so the bits do not depend on BLAS
+    or its thread count."""
     K = basis.K
-    return np.asarray((K @ ham.matrix()) @ K.T.toarray())
+    return K @ (K @ ham.matrix()).T
 
 
 def orbital_occupations(
@@ -531,6 +534,12 @@ def _csf_diagonals(K, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag_a, diag_s
 
 
+def fix_sign(v: np.ndarray) -> np.ndarray:
+    """``v``, negated when its entry of largest magnitude is negative: the
+    sign of an eigenvector is arbitrary and differs between solvers."""
+    return -v if v[np.argmax(np.abs(v))] < 0 else v
+
+
 def _rayleigh_quotient(H: np.ndarray, w: np.ndarray) -> float:
     """w^T H w / w^T w in extended precision, rounded once to a float.
 
@@ -563,8 +572,7 @@ def exact_diagonalize(
     S u = K (K^T u) and the diagonals from K's nonzeros; neither K H K^T nor
     the dense overlap is formed.  On the 1568-determinant H8 chain (1008
     doublet CSFs) the determinant solve takes 73 products and about 0.08 s,
-    the CSF solve 68 products and about 0.09 s, where LAPACK's lowest
-    eigenpair took 0.20 s and 0.23 s with K H K^T (2 CPUs, OpenBLAS with 2
+    the CSF solve 68 products and about 0.09 s (2 CPUs, OpenBLAS with 2
     threads).  The energy is ``_rayleigh_quotient`` of the eigenvector in the
     determinant basis.  The returned eigenvector is normalized (in the CSF
     overlap metric), with a deterministic overall sign.
@@ -587,7 +595,4 @@ def exact_diagonalize(
             *_csf_diagonals(K, H),
         )
     e0 = _rayleigh_quotient(H, vec if basis is None else basis.K.T @ vec)
-    anchor = np.argmax(np.abs(vec))
-    if vec[anchor] < 0:
-        vec = -vec
-    return e0, vec
+    return e0, fix_sign(vec)

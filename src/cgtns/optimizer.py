@@ -16,13 +16,12 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg
 
 from .correlators import AmplitudeEngine, AnsatzSpec
-from .energy import EnergyEvaluator, peak_scale
+from .energy import UNSCALED_PEAK, EnergyEvaluator, peak_scale
 from .errors import ConfigError, DegenerateStateError, DimensionError
 from .fock import CsfBasis
-from .hamiltonian import HamiltonianOperator
+from .hamiltonian import HamiltonianOperator, fix_sign
 
 log = logging.getLogger(__name__)
 
@@ -173,11 +172,11 @@ def _replica_rng(seed: int, index: int) -> np.random.Generator:
 
 
 #: A move priced on its tensor's pencil is trusted while the squared norm
-#: stays inside this range (the square of ``energy.UNSCALED_PEAK``) and
-#: above this fraction of the largest value accepted since the pencil's
-#: sums were formed, as the incremental sums keep an absolute error of
-#: order eps times that peak; otherwise the proposal is evaluated in full.
-LOCAL_NORM_RANGE = (1e-200, 1e200)
+#: stays inside this range and above this fraction of the largest value
+#: accepted since the pencil's sums were formed, as the incremental sums
+#: keep an absolute error of order eps times that peak; otherwise the
+#: proposal is evaluated in full.
+LOCAL_NORM_RANGE = tuple(v * v for v in UNSCALED_PEAK)
 LOCAL_NORM_DROP = 1e-3
 
 
@@ -616,30 +615,6 @@ def bfgs_refine(
     )
 
 
-#: LAPACK workspace sizes of ``_eigh``, by matrix order.
-_SYEVR_WORK: dict[int, dict[str, int]] = {}
-
-
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.eigh(a)``, bit for bit, without its wrapper: LAPACK
-    ``dsyevr`` on the lower triangle with the workspace sizes that eigh
-    queries, cached per order.  A non-finite entry raises
-    DegenerateStateError."""
-    if not np.isfinite(a).all():
-        raise DegenerateStateError(
-            "the subspace pencil is not finite; cannot update this tensor"
-        )
-    n = a.shape[0]
-    work = _SYEVR_WORK.get(n)
-    if work is None:
-        lwork, liwork, _ = linalg.lapack.dsyevr_lwork(n, lower=True)
-        work = _SYEVR_WORK[n] = {"lwork": int(lwork), "liwork": int(liwork)}
-    w, v, _, _, info = linalg.lapack.dsyevr(a, compute_v=1, lower=True, **work)
-    if info != 0:
-        raise linalg.LinAlgError(f"dsyevr failed: info = {info}")
-    return w, v
-
-
 def gradient_subspace_solve(
     evaluator: EnergyEvaluator,
     x: np.ndarray,
@@ -658,7 +633,9 @@ def gradient_subspace_solve(
     energy, when the addend's share of the new state is 1e-10 or less.
     Every state is scaled to unit peak, and overlaps are rank-reduced at a
     relative eigenvalue floor of 1e-10; screening is ignored.  A pencil
-    that vanishes or is not finite raises DegenerateStateError.
+    that vanishes or is not finite raises DegenerateStateError.  The scaled
+    coefficients pass through ``fix_sign``, as ``exact_diagonalize``'s
+    vector does, so the entries do not depend on the LAPACK driver.
 
     ``cofactor``, the tensor's environment from ``engine.environments(x)``,
     and a sum hybrid's ``pair_weights``, ``K @ engine.pair_addend(x)``, are
@@ -679,8 +656,13 @@ def gradient_subspace_solve(
     scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
     V *= scale[:, None]
     pencil = V @ evaluator.operators @ V.T
-    h_sub, s_sub = 0.5 * (pencil + pencil.transpose(0, 2, 1))
-    w, U = _eigh(s_sub)
+    pencil = 0.5 * (pencil + pencil.transpose(0, 2, 1))
+    if not np.isfinite(pencil).all():
+        raise DegenerateStateError(
+            "the subspace pencil is not finite; cannot update this tensor"
+        )
+    h_sub, s_sub = pencil
+    w, U = np.linalg.eigh(s_sub)
     w_max = float(w[-1])
     if w_max <= 0.0:
         raise DegenerateStateError(
@@ -688,13 +670,13 @@ def gradient_subspace_solve(
         )
     keep = w > 1e-10 * w_max
     X = U[:, keep] / np.sqrt(w[keep])
-    evals, Y = _eigh(X.T @ h_sub @ X)
+    evals, Y = np.linalg.eigh(X.T @ h_sub @ X)
     coeff = X @ Y[:, 0]
     x_new = x.copy()
     # Of the unit-norm state, a sum hybrid's addend carries |coeff[0]| sqrt(s_00).
     if engine.sum_mode and not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
         return x_new, evaluator.energy(x).e
-    coeff = coeff * scale
+    coeff = fix_sign(coeff * scale)
     if engine.sum_mode:
         coeff = coeff[1:] / coeff[0]
     x_new[engine.offsets[t] : engine.offsets[t] + engine.sizes[t]] = coeff

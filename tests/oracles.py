@@ -25,7 +25,8 @@ products the engine's environments replaced) for
 ``gradient_subspace_solve`` replaced by a cofactor handed in by its caller,
 ``subspace_refine`` keeping each pass's left and right products: each
 reference solve regathers every tensor's factors, builds a sparse matrix of
-the tensor's Jacobian rows and calls ``scipy.linalg.eigh``.
+the tensor's Jacobian rows and calls numpy's ``eigh`` (or the ``eigh`` it is
+given) and the library's sign rule.
 ``tensors`` restates the flat parameter layout from the ansatz definition
 alone, so the amplitude references read the tensors without the engine.
 ``exact_diagonalize_full`` keeps the full-spectrum dense solve that
@@ -502,12 +503,13 @@ def jacobian_rows(engine, x: np.ndarray, key) -> sparse.csr_matrix:
     )
 
 
-def subspace_solve_reference(evaluator, x: np.ndarray, key):
+def subspace_solve_reference(evaluator, x: np.ndarray, key, eigh=np.linalg.eigh):
     """Reference ``gradient_subspace_solve``: the solve from the tensor's
-    Jacobian rows and ``scipy.linalg.eigh``."""
+    Jacobian rows, ``eigh`` and the sign rule that makes the entry of
+    largest magnitude positive."""
     engine = evaluator.engine
     rows = active_rows(engine, key)
-    V = np.asarray(jacobian_rows(engine, x, key) @ evaluator.K.T)
+    V = (jacobian_rows(engine, x, key) @ evaluator.K.T).toarray()
     if engine.sum_mode:
         addend = np.prod(x[engine.entry_table[: engine.n_pair_rows]], axis=0)
         V = np.vstack((evaluator.K @ addend, V))
@@ -518,17 +520,19 @@ def subspace_solve_reference(evaluator, x: np.ndarray, key):
     s_sub = V @ evaluator.overlap @ V.T
     h_sub = 0.5 * (h_sub + h_sub.T)
     s_sub = 0.5 * (s_sub + s_sub.T)
-    w, U = linalg.eigh(s_sub)
+    w, U = eigh(s_sub)
     w_max = float(w[-1])
     if w_max <= 0.0:
         raise DegenerateStateError("all subspace states vanish")
     keep = w > 1e-10 * w_max
     X = U[:, keep] / np.sqrt(w[keep])
-    evals, Y = linalg.eigh(X.T @ h_sub @ X)
+    evals, Y = eigh(X.T @ h_sub @ X)
     coeff = X @ Y[:, 0]
     if engine.sum_mode and not abs(coeff[0]) * math.sqrt(max(s_sub[0, 0], 0.0)) > 1e-10:
         return x.copy(), evaluator.energy(x).e
     coeff = coeff * scale
+    if coeff[np.argmax(np.abs(coeff))] < 0:
+        coeff = -coeff
     if engine.sum_mode:
         coeff = coeff[1:] / coeff[0]
     x_new = x.copy()

@@ -787,6 +787,59 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_subspace_run_leaves_scipy_linalg_unloaded(tmp_path):
+    # The tensor solves and the oracle call numpy's eigh, so a run with
+    # subspace refinement maps one LAPACK; only refine = bfgs loads
+    # scipy.linalg.  scipy.sparse goes first, as some scipy releases load
+    # scipy.linalg with it.
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("replicas = 2\nsweeps = 2\nseed = 1\nrefine = subspace\n")
+    code = (
+        "import sys, scipy.sparse\n"
+        "before = set(sys.modules)\n"
+        "import cgtns.cli\n"
+        "status = cgtns.cli.main(sys.argv[1:])\n"
+        "print(status, sorted(m for m in set(sys.modules) - before"
+        " if m.startswith('scipy.linalg')))"
+    )
+    argv = ["run", "--config", str(cfg), "--integrals", H4, "--ansatz", "3s+[2s]",
+            "--out", str(tmp_path / "run")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_csf_hamiltonian_is_identical_across_blas_threads(tmp_path):
+    # K H K^T is formed by sparse-times-dense products, which use no BLAS,
+    # so its bits do not depend on the thread count (H6 singlets).
+    src = str(Path(__file__).parent.parent / "src")
+    code = (
+        "import sys\n"
+        "from cgtns.fock import build_csf_basis, enumerate_onvs\n"
+        "from cgtns.hamiltonian import HamiltonianOperator, csf_hamiltonian, parse_fcidump\n"
+        "ints = parse_fcidump(sys.argv[1])\n"
+        "space = enumerate_onvs(12, 6, 0.0)\n"
+        "A = csf_hamiltonian(build_csf_basis(space, 0.0), HamiltonianOperator(ints, space))\n"
+        "sys.stdout.write(A.tobytes().hex())"
+    )
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(FIXTURES / "h6.fcidump")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        written.append(done.stdout)
+    assert len(written[0]) == 2 * 8 * 175 * 175
+    assert written[0] == written[1]
+
+
 def test_oracle_is_identical_across_blas_threads(h8_chain_fcidump, tmp_path):
     # Every product of the eigensolve gives the same bits with one BLAS
     # thread and with two, so the oracle file does too.

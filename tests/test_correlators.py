@@ -278,7 +278,7 @@ class TestCsfWeights:
         x = randomize(spec, 4, np.random.default_rng(6))
         amps = np.array([amplitude(spec, 4, x, b) for b in space.onvs])
         S = csf_weights(x, spec, 4, basis)
-        assert np.allclose(S, basis.dense() @ amps, atol=1e-13)
+        assert np.allclose(S, basis.K.toarray() @ amps, atol=1e-13)
 
 
 class TestNorm:
@@ -310,7 +310,7 @@ class TestNorm:
         basis = build_csf_basis(space, 0.5)
         spec = AnsatzSpec("2s")
         S = csf_weights(randomize(spec, 6, np.random.default_rng(9)), spec, 6, basis)
-        dense = basis.dense().T @ S  # determinant-space expansion
+        dense = basis.K.toarray().T @ S  # determinant-space expansion
         report = self.evaluator(space, basis).energy_from_weights(S)
         assert report.norm == pytest.approx(float(dense @ dense), rel=1e-12)
 
@@ -482,8 +482,9 @@ class TestEngineTables:
     def test_jacobian_rows_match_full_jacobian_bitwise(self, kind, n, seed):
         # The subspace solve's V, scattered from one tensor's cofactors over
         # K's nonzeros, equals the rows of the full Jacobian times K^T and
-        # the reference rows times K^T, bit for bit (H4 and H6 spaces); a
-        # sum hybrid's pair weights, when given, are prepended as row 0.
+        # the reference rows times K^T, bit for bit, with K^T sparse or
+        # dense (H4 and H6 spaces); a sum hybrid's pair weights, when given,
+        # are prepended as row 0.
         space = enumerate_onvs(2 * n, n, 0.0)
         basis = build_csf_basis(space, 0.0)
         ham = HamiltonianOperator(IntegralSet.zeros(n), space)
@@ -496,8 +497,9 @@ class TestEngineTables:
         for t, cofactor in engine.environments(x):
             key = engine.keys[t]
             V = ev.derivative_states(t, cofactor)
-            assert V.tobytes() == (jac[active_rows(engine, key)] @ K.T).tobytes()
-            assert V.tobytes() == (jacobian_rows(engine, x, key) @ K.T).tobytes()
+            for rows in (jac[active_rows(engine, key)], jacobian_rows(engine, x, key)):
+                assert V.tobytes() == (rows @ K.T).toarray().tobytes()
+                assert V.tobytes() == (rows @ K.T.toarray()).tobytes()
             stacked = ev.derivative_states(t, cofactor, weights)
             assert stacked.tobytes() == np.vstack((weights, V)).tobytes()
 

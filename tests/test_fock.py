@@ -154,7 +154,7 @@ class TestS2Apply:
         space = enumerate_onvs(m, n, ms)
         spectral = np.zeros((space.size, space.size))
         for s in np.arange(abs(ms), n / 2 + 0.25, 1.0):
-            K = build_csf_basis(space, float(s)).dense()
+            K = build_csf_basis(space, float(s)).K.toarray()
             spectral += s * (s + 1) * (K.T @ K)
         assert np.allclose(spectral, s2_of(space), atol=1e-10)
 
@@ -194,7 +194,7 @@ class TestCsfBasis:
         space = enumerate_onvs(2, 2, 0.0)
         basis = build_csf_basis(space, 0.0)
         assert basis.n_csfs == 1
-        assert np.allclose(basis.dense(), [[1.0]])
+        assert np.allclose(basis.K.toarray(), [[1.0]])
 
     @pytest.mark.parametrize(
         "m,n,ms,s",

@@ -338,7 +338,7 @@ class TestCsfMatrixElement:
         space = enumerate_onvs(6, 3, 0.5)
         basis = build_csf_basis(space, 0.5)
         ham = HamiltonianOperator(ints, space)
-        K = basis.dense()
+        K = basis.K.toarray()
         dense = K @ ham.matrix() @ K.T
         A = csf_hamiltonian(basis, ham)
         assert A.shape == (basis.n_csfs, basis.n_csfs)
@@ -350,7 +350,7 @@ class TestCsfMatrixElement:
         # K H K^T from the reference per-pair determinant matrix.
         ints, space = fixture_problem(name)
         basis = build_csf_basis(space, 0.0)
-        K = basis.dense()
+        K = basis.K.toarray()
         ref = K @ slater_condon_matrix(ints, space) @ K.T
         A = csf_hamiltonian(basis, HamiltonianOperator(ints, space))
         assert np.max(np.abs(A - ref)) <= 1e-12
@@ -584,7 +584,7 @@ class TestMatrixFreeSolve:
 
         monkeypatch.setattr(hamiltonian, "csf_hamiltonian", forbidden)
         monkeypatch.setattr(CsfBasis, "overlap", forbidden)
-        monkeypatch.setattr(CsfBasis, "dense", forbidden)
+        monkeypatch.setattr(type(basis.K), "toarray", forbidden)
         tracemalloc.start()
         try:
             exact_diagonalize(ham, basis)
@@ -598,7 +598,7 @@ class TestMatrixFreeSolve:
         ints, space = fixture_problem(name)
         basis = build_csf_basis(space, spin2 / 2.0)
         H = HamiltonianOperator(ints, space).matrix()
-        K = basis.dense()
+        K = basis.K.toarray()
         diag_a, diag_s = _csf_diagonals(basis.K, H)
         assert np.max(np.abs(diag_a - np.diag(K @ H @ K.T))) <= 1e-12
         assert np.max(np.abs(diag_s - np.diag(K @ K.T))) <= 1e-14
