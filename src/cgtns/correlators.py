@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CapacityError, DimensionError, FrozenTensorError
 from .fock import MAX_SPIN_ORBITALS, FockSubspace, occupations
@@ -218,7 +217,10 @@ class AmplitudeEngine:
         p, q, r = np.array(self.triple_keys, dtype=np.intp).reshape(-1, 3).T
         local = (2 * occ[i] + occ[j], 4 * occ[p] + 2 * occ[q] + occ[r])
         self.entry_table = self.offsets[:, None] + np.concatenate(local)
-        self.live_indices = np.unique(self.entry_table[self.n_frozen_tensors :])
+        # np.unique would import numpy.ma on its first call (numpy 2.x).
+        selected = self.entry_table[self.n_frozen_tensors :].ravel()
+        counts = np.bincount(selected, minlength=self.n_params)
+        self.live_indices = np.flatnonzero(counts)
 
     # -- flat-vector plumbing ----------------------------------------------
 
@@ -295,11 +297,16 @@ class AmplitudeEngine:
             yield t, left * right_t
             left = left * x[rows]
 
-    def jacobian(self, x: np.ndarray) -> sparse.csr_matrix:
-        """Sparse d(amplitudes)/d(active entries), shape (n_active, n_det):
-        row e holds the environment of e's tensor at the determinants that
-        select e, in ascending order.  Built per call from the stacked
-        environments, as column n holds one entry of each active tensor."""
+    def jacobian(self, x: np.ndarray):
+        """Sparse d(amplitudes)/d(active entries), a ``scipy.sparse``
+        ``csr_matrix`` of shape (n_active, n_det): row e holds the
+        environment of e's tensor at the determinants that select e, in
+        ascending order.  Built per call from the stacked environments, as
+        column n holds one entry of each active tensor.  Only the tests and
+        the benchmark call it, so scipy is imported here, not with the
+        package."""
+        from scipy import sparse
+
         env = np.array([cofactor for _, cofactor in self.environments(x)])
         entries = self.entry_table[self.n_frozen_tensors :] - self.active_indices[0]
         by_det = sparse.csc_matrix(

@@ -3,9 +3,12 @@
 The energy is the deterministic Rayleigh quotient over all CSF weights (with
 optional relative screening); per-CSF estimators reproduce it identically
 when summed with squared-weight probabilities, which the tests enforce.
-Gradients are exact, assembled from the multilinear amplitude derivatives.
-A tensor's derivative states span every state that moves of that tensor
-reach: the tensor solves and the Metropolis sweep both use their pencil.
+Gradients are exact, assembled from the multilinear amplitude derivatives:
+the CSF weights of every active tensor's derivative states, scattered from
+K's nonzeros.  A tensor's derivative states span every state that moves of
+that tensor reach: the tensor solves and the Metropolis sweep both use
+their pencil.  K is the basis's ``fock.CsrMatrix``, whose products add in
+storage order, so no product with it depends on BLAS.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ class EnergyReport:
 class EnergyEvaluator:
     """Caches the CSF-basis operators for repeated evaluations of one ansatz.
 
-    Keeps the basis's sparse K and builds the amplitude engine, K's nonzeros
-    as (determinant, CSF, value) triplets in ascending determinant order,
-    the dense CSF Hamiltonian K H K^T and the generic overlap K K^T once;
+    Keeps the basis's sparse K, whose cached transpose ``K.T`` holds K's
+    nonzeros in ascending determinant order, and builds the amplitude
+    engine, the dense CSF Hamiltonian K H K^T and the generic overlap K K^T
+    once;
     ``operators`` stacks the last two, and ``h_csf`` and ``overlap`` are its
     halves.  Every energy/gradient call then costs a handful of small dense
     products.  No array of n_det^2 floats is kept.  All heavy state is
@@ -75,10 +79,6 @@ class EnergyEvaluator:
         self.ham = ham
         self.engine = AmplitudeEngine(spec, m, basis.space)
         self.K = basis.K
-        by_det = basis.K.T.tocsr()
-        by_det.sort_indices()
-        dets = np.repeat(np.arange(by_det.shape[0]), np.diff(by_det.indptr))
-        self._k_entries = dets, by_det.indices, by_det.data
         self.operators = np.stack((csf_hamiltonian(basis, ham), basis.overlap()))
         self.h_csf, self.overlap = self.operators
 
@@ -165,11 +165,11 @@ class EnergyEvaluator:
         return 2.0 * (dS @ HS - e * (dS @ OS)) / den
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Exact dE/d(entry) for every active tensor entry, unscreened."""
-        S = self.weights(x)
-        jac = self.engine.jacobian(x)          # (n_active, n_det)
-        dS = (jac @ self.K.T).toarray()        # (n_active, n_csf)
-        return self.gradient_from_weights(S, dS)
+        """Exact dE/d(entry) for every active tensor entry, unscreened: the
+        derivative states of every active tensor, stacked in layout order,
+        which are the rows of ``engine.jacobian(x) @ K.T`` bit for bit."""
+        states = [self.derivative_states(t, c) for t, c in self.engine.environments(x)]
+        return self.gradient_from_weights(self.weights(x), np.concatenate(states))
 
     def derivative_states(
         self, t: int, cofactor: np.ndarray, pair_weights: np.ndarray | None = None
@@ -185,7 +185,8 @@ class EnergyEvaluator:
         forms, less its terms with a zero K entry, which add nothing while
         the cofactors are finite.
         """
-        dets, csfs, values = self._k_entries
+        by_det = self.K.T
+        dets, csfs, values = by_det.rows, by_det.indices, by_det.data
         engine, n_csf = self.engine, self.basis.n_csfs
         first = 0 if pair_weights is None else 1
         local = engine.entry_table[t][dets] - (engine.offsets[t] - first)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CapacityError, DimensionError, EmptyBasisError, EmptySpaceError
 
@@ -236,18 +235,119 @@ def _spatial_occupations(bits: int, m_orb: int) -> tuple[tuple[int, ...], tuple[
     return tuple(docc), tuple(socc)
 
 
+def row_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (left, right) of stored values of a CSR matrix
+    that share a row, as two arrays of storage positions: row by row, and
+    within a row left-major, both in storage order."""
+    counts = np.diff(indptr)
+    reps = np.repeat(counts, counts)  # the row length at every stored value
+    left = np.repeat(np.arange(indptr[-1]), reps)
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps, reps)
+    right = np.repeat(indptr[:-1], counts)[left] + offset
+    return left, right
+
+
+class CsrMatrix:
+    """A sparse matrix as the numpy arrays of compressed sparse rows.
+
+    Row r stores ``data[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``.  Every product adds each output
+    element's terms in storage order, starting from zero, as scipy's CSR
+    kernels do; no BLAS call is made, so the bits depend on neither the
+    BLAS build nor its thread count.  ``T`` is the transpose in the same
+    form, its rows holding their columns in ascending order.
+    """
+
+    def __init__(self, indptr, indices, data, shape: tuple[int, int]):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.data = np.asarray(data, dtype=float)
+        self.shape = (int(shape[0]), int(shape[1]))
+        fits = (
+            len(self.indptr) == self.shape[0] + 1
+            and self.indptr[-1] == len(self.indices) == len(self.data)
+            and np.all((self.indices >= 0) & (self.indices < self.shape[1]))
+        )
+        if not fits:
+            raise ValueError(f"CSR arrays do not describe a {self.shape} matrix")
+        #: The row of every stored value.
+        self.rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        self._transpose: list[CsrMatrix] = []
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @property
+    def T(self) -> CsrMatrix:
+        if not self._transpose:
+            order = np.argsort(self.indices, kind="stable")
+            counts = np.bincount(self.indices, minlength=self.shape[1])
+            transpose = CsrMatrix(
+                np.concatenate(([0], np.cumsum(counts))),
+                self.rows[order],
+                self.data[order],
+                self.shape[::-1],
+            )
+            transpose._transpose.append(self)
+            self._transpose.append(transpose)
+        return self._transpose[0]
+
+    def __matmul__(self, other) -> np.ndarray:
+        other = np.asarray(other, dtype=float)
+        if other.ndim not in (1, 2) or other.shape[0] != self.shape[1]:
+            raise ValueError(
+                f"cannot multiply a {self.shape} matrix by shape {other.shape}"
+            )
+        if other.ndim == 1:
+            terms = self.data * other[self.indices]
+            return np.bincount(self.rows, terms, minlength=self.shape[0])
+        # One step per row slot s: every row with more than s stored values
+        # adds its s-th term, so each row adds its terms in storage order.
+        # With the rows longest first, those rows are a prefix.
+        other = np.ascontiguousarray(other)
+        counts = np.diff(self.indptr)
+        order = np.argsort(-counts, kind="stable")
+        firsts = self.indptr[order]
+        out = np.zeros((self.shape[0], other.shape[1]))
+        term = np.empty_like(out)
+        for s, n in enumerate(np.cumsum(np.bincount(counts)[::-1])[::-1][1:]):
+            k = firsts[:n] + s
+            # The indices were checked on construction; "clip" skips a copy.
+            np.take(other, self.indices[k], axis=0, out=term[:n], mode="clip")
+            term[:n] *= self.data[k, None]
+            out[:n] += term[:n]
+        return out[np.argsort(order)]
+
+    def gram(self) -> np.ndarray:
+        """Dense ``self @ self.T``: element (p, q) adds K_pn K_qn over the
+        columns n that rows p and q share, in ascending n."""
+        by_col = self.T
+        left, right = row_pairs(by_col.indptr)
+        n = self.shape[0]
+        bins = by_col.indices[left] * n + by_col.indices[right]
+        terms = by_col.data[left] * by_col.data[right]
+        return np.bincount(bins, terms, minlength=n * n).reshape(n, n)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.indices] = self.data
+        return out
+
+
 @dataclass(frozen=True)
 class CsfBasis:
     """Spin eigenfunctions spanned over a determinant space.
 
     ``K`` holds one row per configuration state function; ``K[p, n]`` is the
     Clebsch-Gordan coefficient of determinant ``n`` (a column index into
-    ``space.onvs``) in CSF ``p``.  Rows from the genealogical construction
-    are orthonormal, but consumers evaluate overlaps generically.
+    ``space.onvs``) in CSF ``p``, stored as a ``CsrMatrix`` with ascending
+    columns and no zeros.  Rows from the genealogical construction are
+    orthonormal, but consumers evaluate overlaps generically.
     """
 
     s2: int
-    K: sparse.csr_matrix
+    K: CsrMatrix
     space: FockSubspace
     _overlap: list = field(default_factory=list, repr=False, compare=False)
 
@@ -262,7 +362,7 @@ class CsfBasis:
     def overlap(self) -> np.ndarray:
         """CSF overlap matrix sum_n K_pn K_qn, evaluated generically and cached."""
         if not self._overlap:
-            self._overlap.append((self.K @ self.K.T).toarray())
+            self._overlap.append(self.K.gram())
         return self._overlap[0]
 
 
@@ -336,7 +436,7 @@ def build_csf_basis(space: FockSubspace, s: float) -> CsfBasis:
             f"no spin-{s} eigenfunction exists in this ({space.n_electrons} "
             f"electrons, Ms={space.ms}) space"
         )
-    K = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(n_rows, space.size), dtype=float
-    )
+    # The values come out row by row with ascending columns.
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+    K = CsrMatrix(indptr, cols, vals, (n_rows, space.size))
     return CsfBasis(s2=s2, K=K, space=space)

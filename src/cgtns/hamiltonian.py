@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ParseError
-from .fock import MAX_SPIN_ORBITALS, CsfBasis, FockSubspace, occupations
+from .fock import MAX_SPIN_ORBITALS, CsfBasis, FockSubspace, occupations, row_pairs
 
 #: Default cap on the determinant dimension of the oracle, whose H is dense.
 DENSE_LIMIT = 20_000
@@ -518,19 +518,13 @@ def lowest_pencil_eigenpair(apply_a, apply_s, diag_a, diag_s):
 def _csf_diagonals(K, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """diag(K H K^T) and diag(K K^T) from the nonzeros of the sparse K.
 
-    Each CSF's diagonal element sums over the pairs of its own nonzeros, so
-    no dense K @ H is formed.
+    Each CSF's diagonal element sums over the pairs of its own nonzeros
+    (``fock.row_pairs``), so no dense K @ H is formed.
     """
-    counts = np.diff(K.indptr)
-    row = np.repeat(np.arange(len(counts)), counts)  # the CSF of each nonzero
-    reps = counts[row]
-    left = np.repeat(np.arange(K.nnz), reps)
-    # Pair each nonzero with every nonzero of its row, in storage order.
-    offset = np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps, reps)
-    right = K.indptr[row[left]] + offset
+    left, right = row_pairs(K.indptr)
     terms = K.data[left] * H[K.indices[left], K.indices[right]] * K.data[right]
-    diag_a = np.bincount(row[left], terms, minlength=len(counts))
-    diag_s = np.bincount(row, K.data * K.data, minlength=len(counts))
+    diag_a = np.bincount(K.rows[left], terms, minlength=K.shape[0])
+    diag_s = np.bincount(K.rows, K.data * K.data, minlength=K.shape[0])
     return diag_a, diag_s
 
 
@@ -571,9 +565,8 @@ def exact_diagonalize(
     orthonormal rows, through the sparse K: A u = K (H (K^T u)),
     S u = K (K^T u) and the diagonals from K's nonzeros; neither K H K^T nor
     the dense overlap is formed.  On the 1568-determinant H8 chain (1008
-    doublet CSFs) the determinant solve takes 73 products and about 0.08 s,
-    the CSF solve 68 products and about 0.09 s (2 CPUs, OpenBLAS with 2
-    threads).  The energy is ``_rayleigh_quotient`` of the eigenvector in the
+    doublet CSFs) the determinant solve takes 73 products, the CSF solve
+    68.  The energy is ``_rayleigh_quotient`` of the eigenvector in the
     determinant basis.  The returned eigenvector is normalized (in the CSF
     overlap metric), with a deterministic overall sign.
     """

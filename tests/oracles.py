@@ -32,6 +32,10 @@ alone, so the amplitude references read the tensors without the engine.
 ``exact_diagonalize_full`` keeps the full-spectrum dense solve that
 ``exact_diagonalize`` replaced by a lowest-eigenpair solve; it reuses the
 library's matrices, so it checks the eigensolver, not the Hamiltonian.
+``csr_reference`` and ``gram_reference`` are the per-row loops that the
+products of ``fock.CsrMatrix`` replaced, and ``scipy_csr`` rebuilds a
+``CsrMatrix`` as the scipy matrix it replaced, for the tests that compare
+with scipy's kernels.
 """
 
 from __future__ import annotations
@@ -296,6 +300,43 @@ def orbital_occupations_loop(ham, coeffs) -> tuple[float, ...]:
     return tuple(float(v) for v in occ)
 
 
+def csr_reference(K, other: np.ndarray) -> np.ndarray:
+    """K @ other for a 1-D or 2-D ``other``, from a loop over each row's
+    stored terms: ``acc = 0.0``, then ``acc += a * x`` in storage order."""
+    other = np.asarray(other, dtype=float)
+    columns = other.reshape(len(other), -1)
+    out = np.zeros((K.shape[0], columns.shape[1]))
+    for r in range(K.shape[0]):
+        for j in range(columns.shape[1]):
+            acc = 0.0
+            for k in range(K.indptr[r], K.indptr[r + 1]):
+                acc += K.data[k] * columns[K.indices[k], j]
+            out[r, j] = acc
+    return out.reshape(K.shape[0], *other.shape[1:])
+
+
+def gram_reference(K) -> np.ndarray:
+    """Dense K K^T from a loop over row p's stored terms in storage order,
+    adding K_pn K_qn wherever row q stores column n."""
+    stored = [slice(K.indptr[r], K.indptr[r + 1]) for r in range(K.shape[0])]
+    rows = [dict(zip(K.indices[row], K.data[row])) for row in stored]
+    out = np.zeros((K.shape[0], K.shape[0]))
+    for p in range(K.shape[0]):
+        for q in range(K.shape[0]):
+            acc = 0.0
+            for k in range(K.indptr[p], K.indptr[p + 1]):
+                n = K.indices[k]
+                if n in rows[q]:
+                    acc += K.data[k] * rows[q][n]
+            out[p, q] = acc
+    return out
+
+
+def scipy_csr(K) -> sparse.csr_matrix:
+    """The scipy CSR matrix with K's ``data``, ``indices`` and ``indptr``."""
+    return sparse.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+
+
 def fd_gradient(f, x, idx, h=3e-4):
     """Richardson-extrapolated central difference along one coordinate.
 
@@ -509,7 +550,7 @@ def subspace_solve_reference(evaluator, x: np.ndarray, key, eigh=np.linalg.eigh)
     largest magnitude positive."""
     engine = evaluator.engine
     rows = active_rows(engine, key)
-    V = (jacobian_rows(engine, x, key) @ evaluator.K.T).toarray()
+    V = (jacobian_rows(engine, x, key) @ scipy_csr(evaluator.K).T).toarray()
     if engine.sum_mode:
         addend = np.prod(x[engine.entry_table[: engine.n_pair_rows]], axis=0)
         V = np.vstack((evaluator.K @ addend, V))

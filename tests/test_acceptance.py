@@ -170,8 +170,7 @@ def test_criterion_04_oracle_equivalence(problems, provenance):
             provenance["systems"][name]["e_fci"], abs=1e-8
         )
         s2 = s2_matrix_brute(list(space.onvs), space.m, space.ms)
-        for p in range(basis.n_csfs):
-            row = basis.K[p].toarray().ravel()
+        for row in basis.K.toarray():
             resid = s2 @ row - basis.s * (basis.s + 1) * row
             assert np.max(np.abs(resid)) <= 1e-10
     report(4, "determinant and CSF diagonalization agree to 1e-10 on "

@@ -771,47 +771,68 @@ class TestCompare:
         assert "unrecognized run-record document" in err
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # Only bfgs_refine needs scipy.optimize, and it imports it when called;
-    # every command pays for a module-level import at start-up.
+def run_fresh(code: str, *argv: str) -> list[str]:
+    """Output lines of ``code`` run in a fresh interpreter on this checkout."""
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, cgtns, cgtns.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "[]"
-
-
-def test_subspace_run_leaves_scipy_linalg_unloaded(tmp_path):
-    # The tensor solves and the oracle call numpy's eigh, so a run with
-    # subspace refinement maps one LAPACK; only refine = bfgs loads
-    # scipy.linalg.  scipy.sparse goes first, as some scipy releases load
-    # scipy.linalg with it.
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("replicas = 2\nsweeps = 2\nseed = 1\nrefine = subspace\n")
-    code = (
-        "import sys, scipy.sparse\n"
-        "before = set(sys.modules)\n"
-        "import cgtns.cli\n"
-        "status = cgtns.cli.main(sys.argv[1:])\n"
-        "print(status, sorted(m for m in set(sys.modules) - before"
-        " if m.startswith('scipy.linalg')))"
-    )
-    argv = ["run", "--config", str(cfg), "--integrals", H4, "--ansatz", "3s+[2s]",
-            "--out", str(tmp_path / "run")]
     done = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert done.stdout.splitlines()[-1] == "0 []"
+    return done.stdout.splitlines()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only bfgs_refine needs scipy, and it imports scipy.optimize when called;
+    # importing the package loads no scipy module at all.
+    code = (
+        "import sys, cgtns, cgtns.cli\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    assert run_fresh(code) == ["[]"]
+
+
+def test_subspace_run_leaves_scipy_linalg_unloaded(tmp_path):
+    # K is a numpy CSR matrix and the tensor solves call numpy's eigh, so a
+    # run with subspace refinement loads no scipy module, scipy.linalg included.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("replicas = 2\nsweeps = 2\nseed = 1\nrefine = subspace\n")
+    code = (
+        "import sys, cgtns.cli\n"
+        "status = cgtns.cli.main(sys.argv[1:])\n"
+        "print(status, [m for m in sys.modules if m.startswith('scipy')])"
+    )
+    argv = ["run", "--config", str(cfg), "--integrals", H4, "--ansatz", "3s+[2s]",
+            "--out", str(tmp_path / "run")]
+    assert run_fresh(code, *argv)[-1] == "0 []"
+
+
+def test_oracle_loads_no_scipy(tmp_path):
+    # The oracle's Davidson products run on the numpy CSR K and its
+    # eigenpairs come from numpy's eigh.
+    code = (
+        "import sys, cgtns.cli\n"
+        "status = cgtns.cli.main(sys.argv[1:])\n"
+        "print(status, [m for m in sys.modules if m.startswith('scipy')])"
+    )
+    argv = ["oracle", "--integrals", H4, "--oracle-out", str(tmp_path / "oracle.json")]
+    assert run_fresh(code, *argv)[-1] == "0 []"
+
+
+def test_bfgs_refine_loads_scipy_optimize(tmp_path):
+    # refine = bfgs is the one path that needs scipy, and it imports
+    # scipy.optimize when it runs.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("replicas = 2\nsweeps = 2\nseed = 1\nrefine = bfgs\n")
+    code = (
+        "import sys\n"
+        "import cgtns.cli\n"
+        "print(cgtns.cli.main(sys.argv[1:]), 'scipy.optimize' in sys.modules)"
+    )
+    argv = ["run", "--config", str(cfg), "--integrals", H2,
+            "--out", str(tmp_path / "run")]
+    assert run_fresh(code, *argv)[-1] == "0 True"
 
 
 def test_csf_hamiltonian_is_identical_across_blas_threads(tmp_path):

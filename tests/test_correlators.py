@@ -37,6 +37,7 @@ from oracles import (
     jacobian_rows,
     randomize,
     renormalized_loop,
+    scipy_csr,
     tensors,
 )
 
@@ -261,7 +262,7 @@ class TestCsfWeights:
         basis = build_csf_basis(space, 0.5)
         spec = AnsatzSpec("2s")
         S = csf_weights(identity(spec, 6), spec, 6, basis)
-        assert np.allclose(S, np.asarray(basis.K.sum(axis=1)).ravel(), atol=1e-14)
+        assert np.allclose(S, basis.K.toarray().sum(axis=1), atol=1e-14)
 
     def test_single_determinant_csf(self):
         space = enumerate_onvs(2, 2, 0.0)
@@ -437,6 +438,18 @@ class TestEngineTables:
 
     @pytest.mark.parametrize("kind", ANSATZ_KINDS)
     @pytest.mark.parametrize("n", [4, 6])
+    def test_live_indices_are_the_selected_active_entries(self, kind, n):
+        # Ascending, and exactly the active entries that some determinant's
+        # cells name in the per-entry scan (H4, H6).
+        sel = (2, 3, 4, 5) if kind.endswith("sel") else None
+        spec = AnsatzSpec(kind, selected_sites=sel)
+        engine = AmplitudeEngine(spec, 2 * n, enumerate_onvs(2 * n, n, 0.0))
+        cells = entry_cells_loop(engine)
+        live = [e for e, (_, dets) in zip(engine.active_indices, cells) if len(dets)]
+        assert engine.live_indices.tolist() == live
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    @pytest.mark.parametrize("n", [4, 6])
     def test_environments_match_reference_bitwise(self, kind, n):
         # Each active tensor's environment against the prefix and suffix
         # products, bit for bit (H4 and H6 spaces), from starts with zero
@@ -498,7 +511,7 @@ class TestEngineTables:
             key = engine.keys[t]
             V = ev.derivative_states(t, cofactor)
             for rows in (jac[active_rows(engine, key)], jacobian_rows(engine, x, key)):
-                assert V.tobytes() == (rows @ K.T).toarray().tobytes()
+                assert V.tobytes() == (rows @ scipy_csr(K).T).toarray().tobytes()
                 assert V.tobytes() == (rows @ K.T.toarray()).tobytes()
             stacked = ev.derivative_states(t, cofactor, weights)
             assert stacked.tobytes() == np.vstack((weights, V)).tobytes()

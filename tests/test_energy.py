@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgtns.correlators import AnsatzSpec
+from cgtns.correlators import ANSATZ_KINDS, AnsatzSpec
 from cgtns.energy import EnergyEvaluator
 from cgtns.errors import (
     DegenerateStateError,
@@ -22,6 +22,7 @@ from oracles import (
     fd_noise_bound,
     identity,
     randomize,
+    scipy_csr,
     tensors,
 )
 
@@ -199,6 +200,19 @@ class TestGradient:
             fd = finite_difference(ev, x, e_idx)
             tol = max(1e-6 * max(abs(fd), abs(grad[row])), noise)
             assert abs(grad[row] - fd) <= tol
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    def test_matches_jacobian_route_bitwise(self, h4, kind):
+        # The stacked derivative states equal the sparse Jacobian times K^T,
+        # the route the gradient took through scipy, bit for bit (H4).
+        _, space, basis, ham = h4
+        spec = make_spec(kind, 8)
+        ev = EnergyEvaluator(spec, 8, basis, ham)
+        for seed in range(3):
+            x = random_params(spec, 8, seed)
+            dS = (ev.engine.jacobian(x) @ scipy_csr(ev.K).T).toarray()
+            ref = ev.gradient_from_weights(ev.weights(x), dS)
+            assert ev.gradient(x).tobytes() == ref.tobytes()
 
     def test_gradient_vanishes_at_eigenvector(self, h2):
         _, space, basis, ham = h2

@@ -14,7 +14,14 @@ from cgtns.fock import (
     genealogical_paths,
 )
 
-from oracles import all_onvs_brute, bits_of, s2_matrix_brute
+from oracles import (
+    all_onvs_brute,
+    bits_of,
+    csr_reference,
+    gram_reference,
+    s2_matrix_brute,
+    scipy_csr,
+)
 
 
 def s2_of(space):
@@ -167,8 +174,7 @@ class TestS2Apply:
         s2 = s2_of(space)
         assert s2.shape == (space.size, space.size)
         basis = build_csf_basis(space, 0.5)
-        for p in range(basis.n_csfs):
-            row = basis.K[p].toarray().ravel()
+        for row in basis.K.toarray():
             resid = s2 @ row - 0.5 * 1.5 * row
             assert np.max(np.abs(resid)) < 1e-10
 
@@ -214,8 +220,7 @@ class TestCsfBasis:
         basis = build_csf_basis(space, s)
         assert basis.n_csfs == s2_multiplicity(space, s)
         s2 = s2_of(space)
-        for p in range(basis.n_csfs):
-            row = basis.K[p].toarray().ravel()
+        for row in basis.K.toarray():
             resid = s2 @ row - s * (s + 1) * row
             assert np.max(np.abs(resid)) < 1e-10
 
@@ -234,8 +239,7 @@ class TestCsfBasis:
         assert basis.n_csfs == 3 * math.comb(7, 2) * math.comb(7, 5) // 7 == 189
         assert np.max(np.abs(basis.overlap() - np.eye(basis.n_csfs))) < 1e-12
         s2 = s2_of(space)
-        for p in range(basis.n_csfs):
-            row = basis.K[p].toarray().ravel()
+        for row in basis.K.toarray():
             assert np.max(np.abs(s2 @ row - 2.0 * row)) < 1e-10
 
     @pytest.mark.parametrize("name,m,n", [("h2", 4, 2), ("h4", 8, 4), ("h6", 12, 6)])
@@ -296,3 +300,86 @@ class TestGenealogicalPaths:
                     math.comb(k, half - 1) if half >= 1 else 0
                 )
                 assert len(genealogical_paths(k, s2)) == expected
+
+
+#: (m, n, ms, s) of the H2, H4 and H6 fixture spaces and of the bases above.
+CSR_BASES = [
+    (4, 2, 0.0, 0.0),
+    (8, 4, 0.0, 0.0),
+    (12, 6, 0.0, 0.0),
+    (2, 2, 0.0, 0.0),
+    (4, 2, 0.0, 1.0),
+    (6, 3, 0.5, 0.5),
+    (6, 3, 0.5, 1.5),
+    (8, 4, 0.0, 1.0),
+    (8, 4, 0.0, 2.0),
+    (8, 3, 0.5, 1.5),
+    (8, 4, 1.0, 1.0),
+    (8, 4, 1.0, 2.0),
+    (12, 6, 1.0, 1.0),
+]
+
+
+def assert_products_match_references(K, rng):
+    """Every product of K and of K.T equals the per-row loop and scipy's
+    kernel bit for bit, and so does K K^T."""
+    ref = scipy_csr(K)
+    for mat, ref_mat in ((K, ref), (K.T, ref.T)):
+        for shape in ((mat.shape[1],), (mat.shape[1], 3)):
+            v = rng.standard_normal(shape)
+            got = (mat @ v).tobytes()
+            assert got == csr_reference(mat, v).tobytes()
+            assert got == (ref_mat @ v).tobytes()
+    gram = K.gram()
+    assert gram.tobytes() == gram_reference(K).tobytes()
+    assert gram.tobytes() == (ref @ ref.T).toarray().tobytes()
+
+
+class TestCsrMatrix:
+    @pytest.mark.parametrize("m,n,ms,s", CSR_BASES)
+    def test_products_match_loop_and_scipy_bitwise(self, m, n, ms, s):
+        basis = build_csf_basis(enumerate_onvs(m, n, ms), s)
+        assert_products_match_references(basis.K, np.random.default_rng(m + n))
+        assert basis.overlap() is basis.overlap()
+        assert basis.overlap().tobytes() == basis.K.gram().tobytes()
+
+    def test_symmetry_filtered_basis(self):
+        space = enumerate_onvs(6, 3, 0.5, orb_irreps=(1, 2, 1), target_irrep=2)
+        basis = build_csf_basis(space, 0.5)
+        assert_products_match_references(basis.K, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_matrix_with_empty_rows_and_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((9, 7)) * (rng.random((9, 7)) < 0.4)
+        dense[[0, 4, 8]] = 0.0
+        dense[:, 2] = 0.0
+        rows, cols = np.nonzero(dense)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=9))))
+        K = fock.CsrMatrix(indptr, cols, dense[rows, cols], dense.shape)
+        assert K.nnz == len(rows)
+        assert np.array_equal(K.toarray(), dense)
+        assert np.array_equal(K.T.toarray(), dense.T)
+        assert K.T.T is K
+        assert_products_match_references(K, rng)
+
+    def test_empty_matrix(self):
+        K = fock.CsrMatrix([0, 0, 0], [], [], (2, 3))
+        assert np.array_equal(K @ np.ones(3), np.zeros(2))
+        assert np.array_equal(K @ np.ones((3, 2)), np.zeros((2, 2)))
+        assert np.array_equal(K.T @ np.ones(2), np.zeros(3))
+        assert np.array_equal(K.gram(), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "indptr,indices",
+        [([0, 1, 2], [0, 3]), ([0, 1, 2], [-1, 0]), ([0, 2], [0, 1]), ([0, 1, 1], [0, 1])],
+    )
+    def test_arrays_that_do_not_fit_the_shape_raise(self, indptr, indices):
+        with pytest.raises(ValueError):
+            fock.CsrMatrix(indptr, indices, [1.0, 2.0], (2, 3))
+
+    def test_mismatched_operand_raises(self):
+        K = build_csf_basis(enumerate_onvs(4, 2, 0.0), 0.0).K
+        for bad in (np.ones(K.shape[1] + 1), np.ones((K.shape[1], 2, 2)), 1.0):
+            with pytest.raises(ValueError):
+                K @ bad
