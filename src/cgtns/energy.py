@@ -7,8 +7,9 @@ Gradients are exact, assembled from the multilinear amplitude derivatives:
 the CSF weights of every active tensor's derivative states, scattered from
 K's nonzeros.  A tensor's derivative states span every state that moves of
 that tensor reach: the tensor solves and the Metropolis sweep both use
-their pencil.  K is the basis's ``fock.CsrMatrix``, whose products add in
-storage order, so no product with it depends on BLAS.
+their pencil.  K is the basis's ``fock.CouplingMatrix``, stored by spatial
+configuration, whose products add each element's terms in ascending index
+order, so no product with it depends on BLAS.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ class EnergyReport:
 class EnergyEvaluator:
     """Caches the CSF-basis operators for repeated evaluations of one ansatz.
 
-    Keeps the basis's sparse K, whose cached transpose ``K.T`` holds K's
-    nonzeros in ascending determinant order, and builds the amplitude
-    engine, the dense CSF Hamiltonian K H K^T and the generic overlap K K^T
-    once;
+    Keeps the basis's sparse K, whose list of nonzeros the derivative
+    states are scattered from, and builds the amplitude engine, the dense
+    CSF Hamiltonian K H K^T and the generic overlap K K^T once;
     ``operators`` stacks the last two, and ``h_csf`` and ``overlap`` are its
     halves.  Every energy/gradient call then costs a handful of small dense
     products.  No array of n_det^2 floats is kept.  All heavy state is
@@ -180,13 +180,12 @@ class EnergyEvaluator:
         for bit, after a sum hybrid's ``pair_weights``
         (``K @ pair_addend(x)``) as row 0 when given.
 
-        The rows are scattered from K's nonzeros in ascending determinant
-        order, so every element is the sum the sparse-times-dense product
-        forms, less its terms with a zero K entry, which add nothing while
-        the cofactors are finite.
+        The rows are scattered from K's nonzeros, each CSF's in ascending
+        determinant order, so every element is the sum the sparse-times-dense
+        product forms, less its terms with a zero K entry, which add nothing
+        while the cofactors are finite.
         """
-        by_det = self.K.T
-        dets, csfs, values = by_det.rows, by_det.indices, by_det.data
+        csfs, dets, values = self.K.rows, self.K.cols, self.K.data
         engine, n_csf = self.engine, self.basis.n_csfs
         first = 0 if pair_weights is None else 1
         local = engine.entry_table[t][dets] - (engine.offsets[t] - first)

@@ -221,74 +221,41 @@ def genealogical_paths(n_open: int, s2: int) -> list[tuple[int, ...]]:
     return paths
 
 
-def _spatial_occupations(bits: int, m_orb: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a determinant into (doubly occupied, singly occupied) spatial orbitals."""
-    docc = []
-    socc = []
-    for p in range(m_orb):
-        a = (bits >> spin_orbital(p, ALPHA)) & 1
-        b = (bits >> spin_orbital(p, BETA)) & 1
-        if a and b:
-            docc.append(p)
-        elif a or b:
-            socc.append(p)
-    return tuple(docc), tuple(socc)
+class CouplingMatrix:
+    """A matrix that is block-diagonal by spatial configuration, with one
+    dense coefficient block shared by every configuration of a kind.
 
-
-def row_pairs(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (left, right) of stored values of a CSR matrix
-    that share a row, as two arrays of storage positions: row by row, and
-    within a row left-major, both in storage order."""
-    counts = np.diff(indptr)
-    reps = np.repeat(counts, counts)  # the row length at every stored value
-    left = np.repeat(np.arange(indptr[-1]), reps)
-    offset = np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps, reps)
-    right = np.repeat(indptr[:-1], counts)[left] + offset
-    return left, right
-
-
-class CsrMatrix:
-    """A sparse matrix as the numpy arrays of compressed sparse rows.
-
-    Row r stores ``data[indptr[r]:indptr[r + 1]]`` at the columns
-    ``indices[indptr[r]:indptr[r + 1]]``.  Every product adds each output
-    element's terms in storage order, starting from zero, as scipy's CSR
-    kernels do; no BLAS call is made, so the bits depend on neither the
-    BLAS build nor its thread count.  ``T`` is the transpose in the same
-    form, its rows holding their columns in ascending order.
+    ``blocks`` holds triples ``(coeffs, rows, cols)``: every configuration
+    g of the kind stores ``coeffs[i, j]`` at row ``rows[g, i]`` and column
+    ``cols[g, j]``, the columns ascending along j.  Each product adds each
+    output element's nonzero terms in ascending column order, starting from
+    zero; no BLAS call is made, so the bits depend on neither the BLAS
+    build nor its thread count.  ``rows``, ``cols`` and ``data`` list the
+    nonzeros configuration by configuration and within one block column by
+    block column, so one ``bincount`` over them adds in that order along
+    either axis.  ``T`` is the transpose in the same form.
     """
 
-    def __init__(self, indptr, indices, data, shape: tuple[int, int]):
-        self.indptr = np.asarray(indptr, dtype=np.intp)
-        self.indices = np.asarray(indices, dtype=np.intp)
-        self.data = np.asarray(data, dtype=float)
-        self.shape = (int(shape[0]), int(shape[1]))
-        fits = (
-            len(self.indptr) == self.shape[0] + 1
-            and self.indptr[-1] == len(self.indices) == len(self.data)
-            and np.all((self.indices >= 0) & (self.indices < self.shape[1]))
-        )
-        if not fits:
-            raise ValueError(f"CSR arrays do not describe a {self.shape} matrix")
-        #: The row of every stored value.
-        self.rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        self._transpose: list[CsrMatrix] = []
+    def __init__(self, blocks, shape: tuple[int, int]):
+        self.blocks = tuple(blocks)
+        self.shape = shape
+        listed = []
+        for coeffs, rows, cols in self.blocks:
+            j, i = np.nonzero(coeffs.T)
+            values = np.tile(coeffs[i, j], len(rows))
+            listed.append((rows[:, i].ravel(), cols[:, j].ravel(), values))
+        self.rows, self.cols, self.data = map(np.concatenate, zip(*listed))
+        self._transpose: list[CouplingMatrix] = []
 
     @property
     def nnz(self) -> int:
         return len(self.data)
 
     @property
-    def T(self) -> CsrMatrix:
+    def T(self) -> CouplingMatrix:
         if not self._transpose:
-            order = np.argsort(self.indices, kind="stable")
-            counts = np.bincount(self.indices, minlength=self.shape[1])
-            transpose = CsrMatrix(
-                np.concatenate(([0], np.cumsum(counts))),
-                self.rows[order],
-                self.data[order],
-                self.shape[::-1],
-            )
+            blocks = [(coeffs.T, cols, rows) for coeffs, rows, cols in self.blocks]
+            transpose = CouplingMatrix(blocks, self.shape[::-1])
             transpose._transpose.append(self)
             self._transpose.append(transpose)
         return self._transpose[0]
@@ -300,38 +267,34 @@ class CsrMatrix:
                 f"cannot multiply a {self.shape} matrix by shape {other.shape}"
             )
         if other.ndim == 1:
-            terms = self.data * other[self.indices]
+            terms = self.data * other[self.cols]
             return np.bincount(self.rows, terms, minlength=self.shape[0])
-        # One step per row slot s: every row with more than s stored values
-        # adds its s-th term, so each row adds its terms in storage order.
-        # With the rows longest first, those rows are a prefix.
         other = np.ascontiguousarray(other)
-        counts = np.diff(self.indptr)
-        order = np.argsort(-counts, kind="stable")
-        firsts = self.indptr[order]
         out = np.zeros((self.shape[0], other.shape[1]))
-        term = np.empty_like(out)
-        for s, n in enumerate(np.cumsum(np.bincount(counts)[::-1])[::-1][1:]):
-            k = firsts[:n] + s
-            # The indices were checked on construction; "clip" skips a copy.
-            np.take(other, self.indices[k], axis=0, out=term[:n], mode="clip")
-            term[:n] *= self.data[k, None]
-            out[:n] += term[:n]
-        return out[np.argsort(order)]
+        for coeffs, rows, cols in self.blocks:
+            acc = np.zeros((len(coeffs), len(rows), other.shape[1]))
+            for i, j in zip(*np.nonzero(coeffs)):
+                term = other[cols[:, j]]
+                term *= coeffs[i, j]
+                acc[i] += term
+            out[rows.T] = acc
+        return out
 
     def gram(self) -> np.ndarray:
-        """Dense ``self @ self.T``: element (p, q) adds K_pn K_qn over the
-        columns n that rows p and q share, in ascending n."""
-        by_col = self.T
-        left, right = row_pairs(by_col.indptr)
-        n = self.shape[0]
-        bins = by_col.indices[left] * n + by_col.indices[right]
-        terms = by_col.data[left] * by_col.data[right]
-        return np.bincount(bins, terms, minlength=n * n).reshape(n, n)
+        """Dense ``self @ self.T``, zero between configurations; within one,
+        element (p, q) adds K_pn K_qn over the columns n in ascending order."""
+        out = np.zeros((self.shape[0], self.shape[0]))
+        for coeffs, rows, _ in self.blocks:
+            block = np.zeros((len(coeffs), len(coeffs)))
+            for column in coeffs.T:
+                block += column[:, None] * column
+            out[rows[:, :, None], rows[:, None, :]] = block
+        return out
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[self.rows, self.indices] = self.data
+        for coeffs, rows, cols in self.blocks:
+            out[rows[:, :, None], cols[:, None, :]] = coeffs
         return out
 
 
@@ -341,13 +304,16 @@ class CsfBasis:
 
     ``K`` holds one row per configuration state function; ``K[p, n]`` is the
     Clebsch-Gordan coefficient of determinant ``n`` (a column index into
-    ``space.onvs``) in CSF ``p``, stored as a ``CsrMatrix`` with ascending
-    columns and no zeros.  Rows from the genealogical construction are
-    orthonormal, but consumers evaluate overlaps generically.
+    ``space.onvs``) in CSF ``p``.  K is block-diagonal by spatial
+    configuration, and its coefficients depend only on the open shells' spin
+    pattern, so it is a ``CouplingMatrix`` with one block per open-shell
+    count: coupling paths by spin patterns.  Rows from the genealogical
+    construction are orthonormal, but consumers evaluate overlaps
+    generically.
     """
 
     s2: int
-    K: CsrMatrix
+    K: CouplingMatrix
     space: FockSubspace
     _overlap: list = field(default_factory=list, repr=False, compare=False)
 
@@ -372,7 +338,10 @@ def build_csf_basis(space: FockSubspace, s: float) -> CsfBasis:
     Open-shell electrons are coupled one at a time in ascending spatial-orbital
     order; doubly occupied and empty orbitals spectate.  Interleaved spin
     orbitals keep each spatial orbital's creation operators adjacent, so the
-    coupling coefficients carry no extra fermionic reordering signs.
+    coupling coefficients carry no extra fermionic reordering signs.  The
+    configurations come in the order of their first determinant, each one's
+    CSFs in the lexicographic order of their paths, and each open-shell
+    count's coefficients are computed once.
     """
     s2 = int(round(2 * s))
     if abs(2 * s - s2) > 1e-12 or s2 < 0:
@@ -386,57 +355,53 @@ def build_csf_basis(space: FockSubspace, s: float) -> CsfBasis:
             f"total spin {s} incompatible with {space.n_electrons} electrons"
         )
 
-    m_orb = space.m // 2
-    groups: dict[tuple, list[int]] = {}
-    order: list[tuple] = []
-    for pos, bits in enumerate(space.onvs):
-        key = _spatial_occupations(bits, m_orb)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(pos)
+    occ = occupations(space).reshape(space.size, -1, 2)
+    n_open = np.count_nonzero(occ[:, :, ALPHA] != occ[:, :, BETA], axis=1)
+    # Each determinant's configuration, its spatial occupation numbers read
+    # as one base-3 integer; a stable sort lists every configuration's
+    # determinants together and in ascending order.
+    config = occ.sum(axis=2) @ 3 ** np.arange(space.m // 2, dtype=np.int64)
+    order = np.argsort(config, kind="stable")
+    starts = np.flatnonzero(np.diff(config[order], prepend=-1))
+    starts = starts[np.argsort(order[starts])]  # in order of first appearance
+    kinds = n_open[order[starts]]
 
-    rows, cols, vals = [], [], []
-    path_cache: dict[int, list[tuple[int, ...]]] = {}
-    n_rows = 0
-    for key in order:
-        docc, socc = key
-        k = len(socc)
-        if k not in path_cache:
-            path_cache[k] = genealogical_paths(k, s2)
-        paths = path_cache[k]
-        if not paths:
+    paths = {k: genealogical_paths(k, s2) for k in set(kinds.tolist())}
+    counts = np.array([len(paths[k]) for k in kinds.tolist()])
+    row_starts = np.cumsum(counts) - counts
+    blocks = []
+    for k in sorted(paths):
+        if not paths[k]:
             continue
-        members = groups[key]
-        # Alpha/beta pattern of each member determinant over the open shells.
-        assignments = []
-        for pos in members:
-            bits = space.onvs[pos]
-            mu2s = tuple(
-                1 if (bits >> spin_orbital(p, ALPHA)) & 1 else -1 for p in socc
-            )
-            assignments.append((pos, mu2s))
-        for path in paths:
-            for pos, mu2s in assignments:
-                coeff = 1.0
-                s2_prev = 0
-                m2 = 0
-                for mu2, s2_next in zip(mu2s, path):
-                    m2 += mu2
-                    coeff *= _cg_add_half(s2_prev, m2, mu2, s2_next)
-                    s2_prev = s2_next
-                if coeff != 0.0:
-                    rows.append(n_rows)
-                    cols.append(pos)
-                    vals.append(coeff)
-            n_rows += 1
+        g = np.flatnonzero(kinds == k)
+        dets = order[starts[g, None] + np.arange(math.comb(k, (k + space.ms2) // 2))]
+        # Every configuration of the kind lists its spin patterns in one
+        # order: within a configuration the ONVs ascend with the beta
+        # occupation of the highest open shell where they differ.
+        first = occ[dets[0]]
+        shells = first[0, :, ALPHA] != first[0, :, BETA]
+        patterns = np.where(first[:, shells, ALPHA], 1, -1).tolist()
+        coeffs = np.array([[_coupling(p, mu2s) for mu2s in patterns] for p in paths[k]])
+        rows = row_starts[g, None] + np.arange(len(paths[k]))
+        blocks.append((coeffs, rows, dets))
 
-    if n_rows == 0:
+    if not blocks:
         raise EmptyBasisError(
             f"no spin-{s} eigenfunction exists in this ({space.n_electrons} "
             f"electrons, Ms={space.ms}) space"
         )
-    # The values come out row by row with ascending columns.
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
-    K = CsrMatrix(indptr, cols, vals, (n_rows, space.size))
+    K = CouplingMatrix(blocks, (int(counts.sum()), space.size))
     return CsfBasis(s2=s2, K=K, space=space)
+
+
+def _coupling(path: tuple[int, ...], mu2s: list[int]) -> float:
+    """Genealogical coefficient of one spin pattern (+1 alpha, -1 beta per
+    open shell, in ascending orbital order) in the CSF of one path."""
+    coeff = 1.0
+    s2_prev = 0
+    m2 = 0
+    for mu2, s2_next in zip(mu2s, path):
+        m2 += mu2
+        coeff *= _cg_add_half(s2_prev, m2, mu2, s2_next)
+        s2_prev = s2_next
+    return coeff or 0.0  # a zero product may carry a sign; store +0.0

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, DimensionError, ParseError
-from .fock import MAX_SPIN_ORBITALS, CsfBasis, FockSubspace, occupations, row_pairs
+from .fock import MAX_SPIN_ORBITALS, CsfBasis, FockSubspace, occupations
 
 #: Default cap on the determinant dimension of the oracle, whose H is dense.
 DENSE_LIMIT = 20_000
@@ -423,9 +423,10 @@ class HamiltonianOperator:
 
 def csf_hamiltonian(basis: CsfBasis, ham: HamiltonianOperator) -> np.ndarray:
     """Dense CSF-basis matrix K H K^T, as K (K H)^T from two products of the
-    sparse K with a dense matrix: no dense K^T is built, and the sums run
-    over K's nonzeros in a fixed order, so the bits do not depend on BLAS
-    or its thread count."""
+    sparse K with a dense matrix, block by block of K's configurations: no
+    dense K^T is built, and each element adds its terms in ascending
+    determinant order, so the bits do not depend on BLAS or its thread
+    count."""
     K = basis.K
     return K @ (K @ ham.matrix()).T
 
@@ -516,14 +517,20 @@ def lowest_pencil_eigenpair(apply_a, apply_s, diag_a, diag_s):
 
 
 def _csf_diagonals(K, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """diag(K H K^T) and diag(K K^T) from the nonzeros of the sparse K.
+    """diag(K H K^T) and diag(K K^T) from the nonzeros of K, block by block.
 
-    Each CSF's diagonal element sums over the pairs of its own nonzeros
-    (``fock.row_pairs``), so no dense K @ H is formed.
+    Each CSF's element of diag(K H K^T) adds, from zero, the terms of every
+    ordered pair of its own nonzeros, left-major in ascending determinant
+    order, so no dense K @ H is formed.
     """
-    left, right = row_pairs(K.indptr)
-    terms = K.data[left] * H[K.indices[left], K.indices[right]] * K.data[right]
-    diag_a = np.bincount(K.rows[left], terms, minlength=K.shape[0])
+    diag_a = np.zeros(K.shape[0])
+    for coeffs, rows, cols in K.blocks:
+        nonzero = coeffs != 0.0
+        i, j, jj = np.nonzero(nonzero[:, :, None] & nonzero[:, None, :])
+        terms = coeffs[i, j] * H[cols[:, j], cols[:, jj]] * coeffs[i, jj]
+        bins = np.arange(len(rows))[:, None] * len(coeffs) + i
+        sums = np.bincount(bins.ravel(), terms.ravel(), minlength=rows.size)
+        diag_a[rows] = sums.reshape(rows.shape)
     diag_s = np.bincount(K.rows, K.data * K.data, minlength=K.shape[0])
     return diag_a, diag_s
 

@@ -32,10 +32,16 @@ alone, so the amplitude references read the tensors without the engine.
 ``exact_diagonalize_full`` keeps the full-spectrum dense solve that
 ``exact_diagonalize`` replaced by a lowest-eigenpair solve; it reuses the
 library's matrices, so it checks the eigensolver, not the Hamiltonian.
-``csr_reference`` and ``gram_reference`` are the per-row loops that the
-products of ``fock.CsrMatrix`` replaced, and ``scipy_csr`` rebuilds a
-``CsrMatrix`` as the scipy matrix it replaced, for the tests that compare
-with scipy's kernels.
+``csf_basis_reference`` keeps the per-configuration genealogical build
+that ``build_csf_basis`` replaced by one coefficient block per open-shell
+count; it reuses the library's Clebsch-Gordan step and coupling paths, so
+it checks the grouping and the ordering, not the coefficients.
+``csr_reference``, ``gram_reference`` and ``csf_diagonals_reference`` are
+per-row loops over a matrix's nonzeros in ascending column order, the
+references for the products of ``fock.CouplingMatrix`` and for
+``hamiltonian._csf_diagonals``, and ``scipy_csr`` is the scipy CSR matrix
+of the same nonzeros, for the tests that compare with scipy's kernels.
+All three read K only through ``toarray()``.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import math
 import numpy as np
 from scipy import linalg, sparse
 
-from cgtns import optimizer
+from cgtns import fock, optimizer
 from cgtns.correlators import AnsatzSpec
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
 from cgtns.hamiltonian import csf_hamiltonian
@@ -300,41 +306,97 @@ def orbital_occupations_loop(ham, coeffs) -> tuple[float, ...]:
     return tuple(float(v) for v in occ)
 
 
+def csf_basis_reference(space, s2: int) -> np.ndarray:
+    """Dense K of the genealogical basis with total spin s2 / 2, built one
+    configuration at a time: configurations in the order of their first
+    determinant, each one's CSFs in the order of ``genealogical_paths``,
+    every coefficient a product of ``_cg_add_half`` steps; zeros are +0.0."""
+    m_orb = space.m // 2
+    groups: dict[tuple, list[int]] = {}
+    for pos, bits in enumerate(space.onvs):
+        occ = [((bits >> (2 * p)) & 1, (bits >> (2 * p + 1)) & 1) for p in range(m_orb)]
+        docc = tuple(p for p, (a, b) in enumerate(occ) if a and b)
+        socc = tuple(p for p, (a, b) in enumerate(occ) if a != b)
+        groups.setdefault((docc, socc), []).append(pos)
+    rows = []
+    for (_, socc), members in groups.items():
+        for path in fock.genealogical_paths(len(socc), s2):
+            row = np.zeros(space.size)
+            for pos in members:
+                bits = space.onvs[pos]
+                coeff = 1.0
+                s2_prev = 0
+                m2 = 0
+                for p, s2_next in zip(socc, path):
+                    mu2 = 1 if (bits >> (2 * p)) & 1 else -1
+                    m2 += mu2
+                    coeff *= fock._cg_add_half(s2_prev, m2, mu2, s2_next)
+                    s2_prev = s2_next
+                if coeff != 0.0:
+                    row[pos] = coeff
+            rows.append(row)
+    return np.array(rows).reshape(-1, space.size)
+
+
+def _stored(dense: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Each row's nonzeros (column, value) in ascending column order."""
+    return [[(n, row[n]) for n in np.flatnonzero(row)] for row in dense]
+
+
 def csr_reference(K, other: np.ndarray) -> np.ndarray:
     """K @ other for a 1-D or 2-D ``other``, from a loop over each row's
-    stored terms: ``acc = 0.0``, then ``acc += a * x`` in storage order."""
+    nonzeros: ``acc = 0.0``, then ``acc += a * x`` in ascending column
+    order."""
     other = np.asarray(other, dtype=float)
     columns = other.reshape(len(other), -1)
     out = np.zeros((K.shape[0], columns.shape[1]))
-    for r in range(K.shape[0]):
+    for r, stored in enumerate(_stored(K.toarray())):
         for j in range(columns.shape[1]):
             acc = 0.0
-            for k in range(K.indptr[r], K.indptr[r + 1]):
-                acc += K.data[k] * columns[K.indices[k], j]
+            for n, a in stored:
+                acc += a * columns[n, j]
             out[r, j] = acc
     return out.reshape(K.shape[0], *other.shape[1:])
 
 
 def gram_reference(K) -> np.ndarray:
-    """Dense K K^T from a loop over row p's stored terms in storage order,
-    adding K_pn K_qn wherever row q stores column n."""
-    stored = [slice(K.indptr[r], K.indptr[r + 1]) for r in range(K.shape[0])]
-    rows = [dict(zip(K.indices[row], K.data[row])) for row in stored]
+    """Dense K K^T from a loop over row p's nonzeros in ascending column
+    order, adding K_pn K_qn wherever row q has a nonzero at column n."""
+    stored = _stored(K.toarray())
+    rows = [dict(row) for row in stored]
     out = np.zeros((K.shape[0], K.shape[0]))
     for p in range(K.shape[0]):
         for q in range(K.shape[0]):
             acc = 0.0
-            for k in range(K.indptr[p], K.indptr[p + 1]):
-                n = K.indices[k]
+            for n, a in stored[p]:
                 if n in rows[q]:
-                    acc += K.data[k] * rows[q][n]
+                    acc += a * rows[q][n]
             out[p, q] = acc
     return out
 
 
+def csf_diagonals_reference(K, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """diag(K H K^T) and diag(K K^T) from a loop over each row's ordered
+    pairs of nonzeros, left-major in ascending column order."""
+    stored = _stored(K.toarray())
+    diag_a = np.zeros(K.shape[0])
+    diag_s = np.zeros(K.shape[0])
+    for p, row in enumerate(stored):
+        acc = 0.0
+        for left, a in row:
+            for right, b in row:
+                acc += a * H[left, right] * b
+        diag_a[p] = acc
+        acc = 0.0
+        for _, a in row:
+            acc += a * a
+        diag_s[p] = acc
+    return diag_a, diag_s
+
+
 def scipy_csr(K) -> sparse.csr_matrix:
-    """The scipy CSR matrix with K's ``data``, ``indices`` and ``indptr``."""
-    return sparse.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+    """The scipy CSR matrix of K's nonzeros, ascending columns in each row."""
+    return sparse.csr_matrix(K.toarray())
 
 
 def fd_gradient(f, x, idx, h=3e-4):

@@ -794,30 +794,33 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_subspace_run_leaves_scipy_linalg_unloaded(tmp_path):
-    # K is a numpy CSR matrix and the tensor solves call numpy's eigh, so a
-    # run with subspace refinement loads no scipy module, scipy.linalg included.
+    # K is numpy arrays and the tensor solves call numpy's eigh, so a run
+    # with subspace refinement loads no scipy module, scipy.linalg included.
+    # Nor does it load numpy.ma, which np.unique imports on numpy 2.x.
     cfg = tmp_path / "run.cfg"
     cfg.write_text("replicas = 2\nsweeps = 2\nseed = 1\nrefine = subspace\n")
     code = (
         "import sys, cgtns.cli\n"
         "status = cgtns.cli.main(sys.argv[1:])\n"
-        "print(status, [m for m in sys.modules if m.startswith('scipy')])"
+        "print(status, [m for m in sys.modules if m.startswith('scipy')],"
+        " 'numpy.ma' in sys.modules)"
     )
     argv = ["run", "--config", str(cfg), "--integrals", H4, "--ansatz", "3s+[2s]",
             "--out", str(tmp_path / "run")]
-    assert run_fresh(code, *argv)[-1] == "0 []"
+    assert run_fresh(code, *argv)[-1] == "0 [] False"
 
 
 def test_oracle_loads_no_scipy(tmp_path):
-    # The oracle's Davidson products run on the numpy CSR K and its
-    # eigenpairs come from numpy's eigh.
+    # The oracle's Davidson products run on the numpy K and its eigenpairs
+    # come from numpy's eigh; building K loads no numpy.ma either.
     code = (
         "import sys, cgtns.cli\n"
         "status = cgtns.cli.main(sys.argv[1:])\n"
-        "print(status, [m for m in sys.modules if m.startswith('scipy')])"
+        "print(status, [m for m in sys.modules if m.startswith('scipy')],"
+        " 'numpy.ma' in sys.modules)"
     )
     argv = ["oracle", "--integrals", H4, "--oracle-out", str(tmp_path / "oracle.json")]
-    assert run_fresh(code, *argv)[-1] == "0 []"
+    assert run_fresh(code, *argv)[-1] == "0 [] False"
 
 
 def test_bfgs_refine_loads_scipy_optimize(tmp_path):
@@ -835,30 +838,34 @@ def test_bfgs_refine_loads_scipy_optimize(tmp_path):
     assert run_fresh(code, *argv)[-1] == "0 True"
 
 
-def test_csf_hamiltonian_is_identical_across_blas_threads(tmp_path):
+def test_csf_hamiltonian_is_identical_across_blas_threads(h8_chain_fcidump):
     # K H K^T is formed by sparse-times-dense products, which use no BLAS,
-    # so its bits do not depend on the thread count (H6 singlets).
+    # so its bits do not depend on the thread count: H6 singlets, and the
+    # H8 chain's 1008 doublets, a size at which BLAS products do change.
     src = str(Path(__file__).parent.parent / "src")
     code = (
         "import sys\n"
         "from cgtns.fock import build_csf_basis, enumerate_onvs\n"
         "from cgtns.hamiltonian import HamiltonianOperator, csf_hamiltonian, parse_fcidump\n"
         "ints = parse_fcidump(sys.argv[1])\n"
-        "space = enumerate_onvs(12, 6, 0.0)\n"
-        "A = csf_hamiltonian(build_csf_basis(space, 0.0), HamiltonianOperator(ints, space))\n"
+        "n, ms = int(sys.argv[2]), float(sys.argv[3])\n"
+        "space = enumerate_onvs(2 * ints.m_orb, n, ms)\n"
+        "A = csf_hamiltonian(build_csf_basis(space, ms), HamiltonianOperator(ints, space))\n"
         "sys.stdout.write(A.tobytes().hex())"
     )
-    written = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", code, str(FIXTURES / "h6.fcidump")],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        written.append(done.stdout)
-    assert len(written[0]) == 2 * 8 * 175 * 175
-    assert written[0] == written[1]
+    problems = ((FIXTURES / "h6.fcidump", "6", "0.0", 175), (h8_chain_fcidump, "5", "0.5", 1008))
+    for path, n, ms, n_csf in problems:
+        written = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(path), n, ms],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            written.append(done.stdout)
+        assert len(written[0]) == 2 * 8 * n_csf * n_csf
+        assert written[0] == written[1]
 
 
 def test_oracle_is_identical_across_blas_threads(h8_chain_fcidump, tmp_path):

@@ -13,10 +13,13 @@ from cgtns.fock import (
     enumerate_onvs,
     genealogical_paths,
 )
+from cgtns.hamiltonian import _csf_diagonals
 
 from oracles import (
     all_onvs_brute,
     bits_of,
+    csf_basis_reference,
+    csf_diagonals_reference,
     csr_reference,
     gram_reference,
     s2_matrix_brute,
@@ -260,9 +263,69 @@ class TestCsfBasis:
         guarded = build_csf_basis(space, 0.0).K
         monkeypatch.setattr(fock, "_cg_add_half", unguarded)
         bare = build_csf_basis(space, 0.0).K
-        assert guarded.shape == bare.shape
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(guarded, attr), getattr(bare, attr))
+        assert guarded.nnz == bare.nnz
+        assert guarded.toarray().tobytes() == bare.toarray().tobytes()
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
+    def test_every_small_basis_matches_the_loop_build(self, m):
+        # Every N, Ms and admissible S over m spin orbitals (209 bases for
+        # m <= 12 in all): K and its transpose equal the per-configuration
+        # build bit for bit, and K stores exactly the nonzeros.
+        built = 0
+        for n in range(m + 1):
+            for ms2 in range(-n, n + 1, 2):
+                try:
+                    space = enumerate_onvs(m, n, ms2 / 2)
+                except EmptySpaceError:
+                    continue
+                for s2 in range(abs(ms2), n + 1, 2):
+                    try:
+                        K = build_csf_basis(space, s2 / 2).K
+                    except EmptyBasisError:
+                        assert csf_basis_reference(space, s2).size == 0
+                        continue
+                    ref = csf_basis_reference(space, s2)
+                    assert K.toarray().tobytes() == ref.tobytes()
+                    assert K.T.toarray().tobytes() == ref.T.tobytes()
+                    assert K.nnz == np.count_nonzero(ref)
+                    built += 1
+        assert built == {2: 4, 4: 10, 6: 20, 8: 35, 10: 56, 12: 84}[m]
+
+    def test_symmetry_filtered_basis_matches_the_loop_build(self):
+        space = enumerate_onvs(6, 3, 0.5, orb_irreps=(1, 2, 1), target_irrep=2)
+        K = build_csf_basis(space, 0.5).K
+        ref = csf_basis_reference(space, 1)
+        assert K.toarray().tobytes() == ref.tobytes()
+        assert K.nnz == np.count_nonzero(ref)
+
+    @pytest.mark.parametrize(
+        "m,n,ms,s,table",
+        [
+            # H6 singlet: 0, 2, 4 and 6 open shells.
+            (12, 6, 0.0, 0.0, [((1, 1), 20), ((1, 2), 90), ((2, 6), 30), ((5, 20), 1)]),
+            # The H8 chain doublet: 1, 3 and 5 open shells.
+            (16, 5, 0.5, 0.5, [((1, 1), 168), ((2, 3), 280), ((5, 10), 56)]),
+        ],
+    )
+    def test_one_block_per_open_shell_count(self, m, n, ms, s, table):
+        # (paths x spin patterns, configurations) of every block of K.
+        K = build_csf_basis(enumerate_onvs(m, n, ms), s).K
+        assert [(coeffs.shape, len(rows)) for coeffs, rows, _ in K.blocks] == table
+
+    def test_paper_scale_doublet(self):
+        # 10 orbitals, 7 electrons: 13 860 doublet CSFs, the order of the
+        # paper's reference spaces.  Orthonormal rows, checked through
+        # products only: no dense overlap is formed.
+        space = enumerate_onvs(20, 7, 0.5)
+        K = build_csf_basis(space, 0.5).K
+        assert K.shape == (13860, 25200)
+        assert K.nnz == 92820
+        table = [(coeffs.shape, len(rows)) for coeffs, rows, _ in K.blocks]
+        assert table == [
+            ((1, 1), 840), ((2, 3), 2520), ((5, 10), 1260), ((14, 35), 120)
+        ]
+        u = np.random.default_rng(7).standard_normal(K.shape[0])
+        assert np.max(np.abs(K @ (K.T @ u) - u)) <= 1e-12
 
     def test_no_csf_for_unreachable_spin(self):
         space = enumerate_onvs(4, 2, 0.0)
@@ -321,21 +384,35 @@ CSR_BASES = [
 
 
 def assert_products_match_references(K, rng):
-    """Every product of K and of K.T equals the per-row loop and scipy's
-    kernel bit for bit, and so does K K^T."""
+    """Every product of K and of K.T, with a C-ordered and a transposed
+    operand, equals the per-row loop and scipy's kernel bit for bit, and so
+    do K K^T, ``K (K H)^T`` as ``csf_hamiltonian`` forms it, and the CSF
+    diagonals of a random symmetric H."""
     ref = scipy_csr(K)
     for mat, ref_mat in ((K, ref), (K.T, ref.T)):
-        for shape in ((mat.shape[1],), (mat.shape[1], 3)):
-            v = rng.standard_normal(shape)
+        n = mat.shape[1]
+        # The last operand is transposed, as in csf_hamiltonian.
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                  rng.standard_normal((5, n)).T):
             got = (mat @ v).tobytes()
             assert got == csr_reference(mat, v).tobytes()
             assert got == (ref_mat @ v).tobytes()
     gram = K.gram()
     assert gram.tobytes() == gram_reference(K).tobytes()
     assert gram.tobytes() == (ref @ ref.T).toarray().tobytes()
+    H = rng.standard_normal((K.shape[1], K.shape[1]))
+    H = H + H.T
+    assert (K @ (K @ H).T).tobytes() == (ref @ (ref @ H).T).tobytes()
+    got = _csf_diagonals(K, H)
+    want = csf_diagonals_reference(K, H)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestCsrMatrix:
+    """The products of K against per-row loops over compressed sparse rows
+    and scipy's CSR kernels."""
+
     @pytest.mark.parametrize("m,n,ms,s", CSR_BASES)
     def test_products_match_loop_and_scipy_bitwise(self, m, n, ms, s):
         basis = build_csf_basis(enumerate_onvs(m, n, ms), s)
@@ -347,36 +424,6 @@ class TestCsrMatrix:
         space = enumerate_onvs(6, 3, 0.5, orb_irreps=(1, 2, 1), target_irrep=2)
         basis = build_csf_basis(space, 0.5)
         assert_products_match_references(basis.K, np.random.default_rng(3))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_matrix_with_empty_rows_and_columns(self, seed):
-        rng = np.random.default_rng(seed)
-        dense = rng.standard_normal((9, 7)) * (rng.random((9, 7)) < 0.4)
-        dense[[0, 4, 8]] = 0.0
-        dense[:, 2] = 0.0
-        rows, cols = np.nonzero(dense)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=9))))
-        K = fock.CsrMatrix(indptr, cols, dense[rows, cols], dense.shape)
-        assert K.nnz == len(rows)
-        assert np.array_equal(K.toarray(), dense)
-        assert np.array_equal(K.T.toarray(), dense.T)
-        assert K.T.T is K
-        assert_products_match_references(K, rng)
-
-    def test_empty_matrix(self):
-        K = fock.CsrMatrix([0, 0, 0], [], [], (2, 3))
-        assert np.array_equal(K @ np.ones(3), np.zeros(2))
-        assert np.array_equal(K @ np.ones((3, 2)), np.zeros((2, 2)))
-        assert np.array_equal(K.T @ np.ones(2), np.zeros(3))
-        assert np.array_equal(K.gram(), np.zeros((2, 2)))
-
-    @pytest.mark.parametrize(
-        "indptr,indices",
-        [([0, 1, 2], [0, 3]), ([0, 1, 2], [-1, 0]), ([0, 2], [0, 1]), ([0, 1, 1], [0, 1])],
-    )
-    def test_arrays_that_do_not_fit_the_shape_raise(self, indptr, indices):
-        with pytest.raises(ValueError):
-            fock.CsrMatrix(indptr, indices, [1.0, 2.0], (2, 3))
 
     def test_mismatched_operand_raises(self):
         K = build_csf_basis(enumerate_onvs(4, 2, 0.0), 0.0).K
