@@ -58,7 +58,13 @@ class AnsatzSpec:
                 raise DimensionError(
                     f"{self.kind} requires a nonempty selected_sites"
                 )
-            sites = tuple(sorted(set(self.selected_sites)))
+            for site in self.selected_sites:
+                integral = isinstance(site, (int, np.integer))
+                if isinstance(site, bool) or not (integral and site >= 0):
+                    raise DimensionError(
+                        f"selected site {site!r} is not a non-negative integer"
+                    )
+            sites = tuple(sorted({int(site) for site in self.selected_sites}))
             object.__setattr__(self, "selected_sites", sites)
         elif self.selected_sites is not None:
             raise DimensionError(

@@ -3,6 +3,8 @@
 The energy is the deterministic Rayleigh quotient over all CSF weights (with
 optional relative screening); per-CSF estimators reproduce it identically
 when summed with squared-weight probabilities, which the tests enforce.
+The genealogical CSFs are orthonormal, so the squared norm is S.S and the
+CSF Hamiltonian is the only dense operator.
 Gradients are exact, assembled from the multilinear amplitude derivatives:
 the CSF weights of every active tensor's derivative states, scattered from
 K's nonzeros.  A tensor's derivative states span every state that moves of
@@ -53,12 +55,11 @@ class EnergyEvaluator:
     """Caches the CSF-basis operators for repeated evaluations of one ansatz.
 
     Keeps the basis's sparse K, whose list of nonzeros the derivative
-    states are scattered from, and builds the amplitude engine, the dense
-    CSF Hamiltonian K H K^T and the generic overlap K K^T once;
-    ``operators`` stacks the last two, and ``h_csf`` and ``overlap`` are its
-    halves.  Every energy/gradient call then costs a handful of small dense
-    products.  No array of n_det^2 floats is kept.  All heavy state is
-    immutable, so one evaluator may serve many parameter vectors.
+    states are scattered from, and builds the amplitude engine and the
+    dense CSF Hamiltonian ``h_csf`` = K H K^T once.  Every energy/gradient
+    call then costs a handful of small dense products.  No array of
+    n_det^2 floats is kept.  All heavy state is immutable, so one evaluator
+    may serve many parameter vectors.
     """
 
     def __init__(
@@ -79,8 +80,7 @@ class EnergyEvaluator:
         self.ham = ham
         self.engine = AmplitudeEngine(spec, m, basis.space)
         self.K = basis.K
-        self.operators = np.stack((csf_hamiltonian(basis, ham), basis.overlap()))
-        self.h_csf, self.overlap = self.operators
+        self.h_csf = csf_hamiltonian(basis, ham)
 
     # -- energy ---------------------------------------------------------------
 
@@ -108,14 +108,12 @@ class EnergyEvaluator:
             keep = np.abs(S) >= self.screen * peak
             dropped = int(S.size - np.count_nonzero(keep))
             Ss = S[keep]
-            hs = self.h_csf[np.ix_(keep, keep)] @ Ss
-            num = Ss @ hs
-            den = Ss @ self.overlap[np.ix_(keep, keep)] @ Ss
+            num = Ss @ (self.h_csf[np.ix_(keep, keep)] @ Ss)
+            den = Ss @ Ss
         else:
             dropped = 0
-            hs = self.h_csf @ S
-            num = S @ hs
-            den = S @ self.overlap @ S
+            num = S @ (self.h_csf @ S)
+            den = S @ S
         if not den > NORM_FLOOR:
             raise DegenerateStateError(
                 "all CSF weights vanished; the energy is undefined"
@@ -157,12 +155,11 @@ class EnergyEvaluator:
     def gradient_from_weights(self, S, dS) -> np.ndarray:
         """2 [ <dPsi|H|Psi> - E <dPsi|Psi> ] / <Psi|Psi> for rows dS."""
         HS = self.h_csf @ S
-        OS = self.overlap @ S
-        den = float(S @ OS)
+        den = float(S @ S)
         if not den > NORM_FLOOR:
             raise DegenerateStateError("degenerate norm; gradient undefined")
         e = float(S @ HS) / den
-        return 2.0 * (dS @ HS - e * (dS @ OS)) / den
+        return 2.0 * (dS @ HS - e * (dS @ S)) / den
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact dE/d(entry) for every active tensor entry, unscreened: the

@@ -14,7 +14,7 @@ below i)``, i.e. ONVs are creation-operator strings in ascending index order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -280,17 +280,6 @@ class CouplingMatrix:
             out[rows.T] = acc
         return out
 
-    def gram(self) -> np.ndarray:
-        """Dense ``self @ self.T``, zero between configurations; within one,
-        element (p, q) adds K_pn K_qn over the columns n in ascending order."""
-        out = np.zeros((self.shape[0], self.shape[0]))
-        for coeffs, rows, _ in self.blocks:
-            block = np.zeros((len(coeffs), len(coeffs)))
-            for column in coeffs.T:
-                block += column[:, None] * column
-            out[rows[:, :, None], rows[:, None, :]] = block
-        return out
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         for coeffs, rows, cols in self.blocks:
@@ -308,14 +297,13 @@ class CsfBasis:
     configuration, and its coefficients depend only on the open shells' spin
     pattern, so it is a ``CouplingMatrix`` with one block per open-shell
     count: coupling paths by spin patterns.  Rows from the genealogical
-    construction are orthonormal, but consumers evaluate overlaps
-    generically.
+    construction are orthonormal (Pauncz, *Spin Eigenfunctions*, 1979), and
+    every consumer relies on it: the CSF metric is the identity.
     """
 
     s2: int
     K: CouplingMatrix
     space: FockSubspace
-    _overlap: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def s(self) -> float:
@@ -326,10 +314,9 @@ class CsfBasis:
         return self.K.shape[0]
 
     def overlap(self) -> np.ndarray:
-        """CSF overlap matrix sum_n K_pn K_qn, evaluated generically and cached."""
-        if not self._overlap:
-            self._overlap.append(self.K.gram())
-        return self._overlap[0]
+        """Dense CSF overlap matrix sum_n K_pn K_qn, the identity to
+        rounding; no computation needs it, and it is not cached."""
+        return self.K @ self.K.toarray().T
 
 
 def build_csf_basis(space: FockSubspace, s: float) -> CsfBasis:

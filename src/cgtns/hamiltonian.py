@@ -453,86 +453,82 @@ def orbital_occupations(
     return tuple(float(v) for v in occ)
 
 
-#: Davidson's relative residual bound (see ``lowest_pencil_eigenpair``); on
-#: the H8 chain the residual's rounding floor is about 1e-15 |theta|.
+#: Davidson's relative residual bound (see ``lowest_eigenpair``); on the H8
+#: chain the residual's rounding floor is about 1e-15 |theta|.
 _RESIDUAL_TOL = 1e-12
 #: Rows added to the Davidson basis storage whenever it fills up.
 _BASIS_ROWS = 32
 
 
-def lowest_pencil_eigenpair(apply_a, apply_s, diag_a, diag_s):
-    """Lowest eigenpair (theta, x) of the symmetric pencil (A, S), S positive
-    definite, by Davidson's method (J. Comput. Phys. 17, 87 (1975)).
+def lowest_eigenpair(apply_a, diag_a):
+    """Lowest eigenpair (theta, x) of the symmetric matrix A by Davidson's
+    method (J. Comput. Phys. 17, 87 (1975)).
 
-    Only products with A and S and their diagonals are used.  The basis is
-    S-orthonormal, each new vector orthogonalized twice, so every
-    Rayleigh-Ritz step is a small standard ``eigh``.  The start vector is the
-    unit vector of the lowest diag(A)/diag(S) plus a fixed quasi-random
-    vector with entries in [-0.05, 0.05): a unit vector alone may lie in one
-    symmetry sector of the pencil (a closed-shell determinant has no triplet
-    part), and the solve would then never leave it.  The basis grows by the
-    residual divided by diag(A) - theta diag(S), or by the residual itself
-    when that correction lies in the basis.  There is no restart: the solve
-    stops once the residual norm is at most ``_RESIDUAL_TOL`` times the
-    larger of |theta| and the largest |diag(A)/diag(S)|, or once the basis
-    spans the space, where the pair is exact.  The scale follows the
-    residual's rounding floor: a large core energy cannot push the bound
-    below it, nor an energy near zero.  Storage grows with the iteration
-    count; x comes out with x^T S x = 1 to rounding.
+    Only products with A and its diagonal are used.  The basis is
+    orthonormal, each new vector orthogonalized twice, so every
+    Rayleigh-Ritz step is a small ``eigh``.  The start vector is the unit
+    vector of the lowest diag(A) plus a fixed quasi-random vector with
+    entries in [-0.05, 0.05): a unit vector alone may lie in one symmetry
+    sector of A (a closed-shell determinant has no triplet part), and the
+    solve would then never leave it.  The basis grows by the residual
+    divided by diag(A) - theta, or by the residual itself when that
+    correction lies in the basis.  There is no restart: the solve stops
+    once the residual norm is at most ``_RESIDUAL_TOL`` times the larger of
+    |theta| and the largest |diag(A)|, or once the basis spans the space,
+    where the pair is exact.  The scale follows the residual's rounding
+    floor: a large core energy cannot push the bound below it, nor an
+    energy near zero.  Storage grows with the iteration count; x comes out
+    with unit norm to rounding.
     """
     n = len(diag_a)
-    ratio = diag_a / diag_s
-    scale = np.max(np.abs(ratio))
-    V = AV = SV = np.empty((0, n))
+    scale = np.max(np.abs(diag_a))
+    V = AV = np.empty((0, n))
     G = np.empty((0, 0))  # V A V^T
     t = 0.1 * (np.modf(np.arange(1, n + 1) * 0.6180339887498949)[0] - 0.5)
-    t[np.argmin(ratio)] += 1.0
+    t[np.argmin(diag_a)] += 1.0
     residual = None
     for k in range(n):
         if k == len(V):
             rows = ((0, min(_BASIS_ROWS, n - k)), (0, 0))
             V = np.pad(V, rows)  # one array at a time, to keep the peak low
             AV = np.pad(AV, rows)
-            SV = np.pad(SV, rows)
             G = np.pad(G, rows[:1] * 2)
         for u in (t, residual):
             size = np.linalg.norm(u)
             for _ in range(2):
-                u = u - (SV[:k] @ u) @ V[:k]
+                u = u - (V[:k] @ u) @ V[:k]
             if np.linalg.norm(u) > 1e-8 * size:
                 break
-        su = apply_s(u)
-        norm = np.sqrt(u @ su)
-        V[k], SV[k] = u / norm, su / norm
+        V[k] = u / np.sqrt(u @ u)
         AV[k] = apply_a(V[k])
         G[k, : k + 1] = G[: k + 1, k] = V[: k + 1] @ AV[k]
         thetas, ys = np.linalg.eigh(G[: k + 1, : k + 1])
         theta, y = thetas[0], ys[:, 0]
-        residual = y @ AV[: k + 1] - theta * (y @ SV[: k + 1])
+        x = y @ V[: k + 1]
+        residual = y @ AV[: k + 1] - theta * x
         bound = _RESIDUAL_TOL * max(abs(theta), scale)
         if np.linalg.norm(residual) <= bound or k + 1 == n:
-            return float(theta), y @ V[: k + 1]
-        denom = diag_a - theta * diag_s
+            return float(theta), x
+        denom = diag_a - theta
         t = residual / np.where(np.abs(denom) > 1e-8, denom, 1e-8)
 
 
-def _csf_diagonals(K, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """diag(K H K^T) and diag(K K^T) from the nonzeros of K, block by block.
+def _csf_diagonals(K, H: np.ndarray) -> np.ndarray:
+    """diag(K H K^T) from the nonzeros of K, block by block.
 
-    Each CSF's element of diag(K H K^T) adds, from zero, the terms of every
-    ordered pair of its own nonzeros, left-major in ascending determinant
-    order, so no dense K @ H is formed.
+    Each CSF's element adds, from zero, the terms of every ordered pair of
+    its own nonzeros, left-major in ascending determinant order, so no
+    dense K @ H is formed.
     """
-    diag_a = np.zeros(K.shape[0])
+    diag = np.zeros(K.shape[0])
     for coeffs, rows, cols in K.blocks:
         nonzero = coeffs != 0.0
         i, j, jj = np.nonzero(nonzero[:, :, None] & nonzero[:, None, :])
         terms = coeffs[i, j] * H[cols[:, j], cols[:, jj]] * coeffs[i, jj]
         bins = np.arange(len(rows))[:, None] * len(coeffs) + i
         sums = np.bincount(bins.ravel(), terms.ravel(), minlength=rows.size)
-        diag_a[rows] = sums.reshape(rows.shape)
-    diag_s = np.bincount(K.rows, K.data * K.data, minlength=K.shape[0])
-    return diag_a, diag_s
+        diag[rows] = sums.reshape(rows.shape)
+    return diag
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:
@@ -566,16 +562,15 @@ def exact_diagonalize(
 ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of H, in the determinant or a CSF basis.
 
-    Both bases call ``lowest_pencil_eigenpair``, so H enters only through
-    products and its diagonal.  The CSF path solves the generalized problem
-    with the generic overlap sum_n K_pn K_qn rather than assuming
-    orthonormal rows, through the sparse K: A u = K (H (K^T u)),
-    S u = K (K^T u) and the diagonals from K's nonzeros; neither K H K^T nor
-    the dense overlap is formed.  On the 1568-determinant H8 chain (1008
-    doublet CSFs) the determinant solve takes 73 products, the CSF solve
-    68.  The energy is ``_rayleigh_quotient`` of the eigenvector in the
-    determinant basis.  The returned eigenvector is normalized (in the CSF
-    overlap metric), with a deterministic overall sign.
+    Both bases call ``lowest_eigenpair``, so H enters only through products
+    and its diagonal.  The genealogical CSFs are orthonormal, so the CSF
+    path is a standard problem too, through the sparse K: A u =
+    K (H (K^T u)) and diag(A) from K's nonzeros; K H K^T is not formed.
+    On the 1568-determinant H8 chain (1008 doublet CSFs) the determinant
+    solve takes 73 products, the CSF solve 68.  The energy is
+    ``_rayleigh_quotient`` of the eigenvector in the determinant basis.
+    The returned eigenvector has unit norm, with a deterministic overall
+    sign.
     """
     if ham.dim > dense_limit:
         raise CapacityError(
@@ -584,15 +579,9 @@ def exact_diagonalize(
         )
     H = ham.matrix()
     if basis is None:
-        _, vec = lowest_pencil_eigenpair(
-            H.__matmul__, np.asarray, H.diagonal(), np.ones(ham.dim)
-        )
+        _, vec = lowest_eigenpair(H.__matmul__, H.diagonal())
     else:
         K, KT = basis.K, basis.K.T
-        _, vec = lowest_pencil_eigenpair(
-            lambda u: K @ (H @ (KT @ u)),
-            lambda u: K @ (KT @ u),
-            *_csf_diagonals(K, H),
-        )
+        _, vec = lowest_eigenpair(lambda u: K @ (H @ (KT @ u)), _csf_diagonals(K, H))
     e0 = _rayleigh_quotient(H, vec if basis is None else basis.K.T @ vec)
     return e0, fix_sign(vec)

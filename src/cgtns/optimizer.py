@@ -186,11 +186,12 @@ class TensorPencil:
     Every determinant selects one entry of the tensor, so while only it
     moves the CSF weights are S = y V: V the tensor's derivative states (a
     sum hybrid's pair weights first), y their coefficients (the entries,
-    after a fixed 1).  With the pencil ``HO`` = V [h, O] V^T, moving y_j by
-    delta changes num = y.H y to num + 2 delta (H y)_j + delta^2 H_jj, and
-    den = y.O y likewise; an accepted move adds delta times column j to H y
-    and O y.  Where V's row j is zero, so is column j, and every move of y_j
-    is priced exactly 0.0.
+    after a fixed 1).  With the pencil ``HO`` = [V h V^T, V V^T] (h the CSF
+    Hamiltonian; the CSFs are orthonormal, the derivative states are not),
+    moving y_j by delta changes num = y.H y to num + 2 delta (H y)_j +
+    delta^2 H_jj, and den = y.O y likewise; an accepted move adds delta
+    times column j to H y and O y.  Where V's row j is zero, so is column
+    j, and every move of y_j is priced exactly 0.0.
     """
 
     def __init__(self, HO: np.ndarray, y: np.ndarray):
@@ -265,7 +266,8 @@ def _tensor_pencils(evaluator, x: np.ndarray):
             yield moves, None
             continue
         V /= peak_scale(peak)
-        yield moves, TensorPencil(V @ evaluator.operators @ V.T, y)
+        HO = np.stack((V @ evaluator.h_csf @ V.T, V @ V.T))
+        yield moves, TensorPencil(HO, y)
 
 
 def metropolis_sweep(
@@ -625,12 +627,13 @@ def gradient_subspace_solve(
     """Optimal entries of the active tensor ``key`` from one small pencil.
 
     A determinant picks one entry of each tensor, so the state is linear in
-    the 4 or 8 entries of ``key``: the lowest eigenpair of the
-    Hamiltonian/overlap pencil of their derivative states gives the new
-    entries and energy.  A sum hybrid's state is affine in a triple, so the
-    frozen pair addend joins as a ninth state and the entries are divided by
-    its coefficient; the solve is declined, returning a copy of ``x`` and its
-    energy, when the addend's share of the new state is 1e-10 or less.
+    the 4 or 8 entries of ``key``: the lowest eigenpair of the pencil
+    (V h V^T, V V^T) of their derivative states V gives the new entries and
+    energy (h the CSF Hamiltonian; the CSFs are orthonormal).  A sum
+    hybrid's state is affine in a triple, so the frozen pair addend joins as
+    a ninth state and the entries are divided by its coefficient; the solve
+    is declined, returning a copy of ``x`` and its energy, when the addend's
+    share of the new state is 1e-10 or less.
     Every state is scaled to unit peak, and overlaps are rank-reduced at a
     relative eigenvalue floor of 1e-10; screening is ignored.  A pencil
     that vanishes or is not finite raises DegenerateStateError.  The scaled
@@ -640,8 +643,8 @@ def gradient_subspace_solve(
     ``cofactor``, the tensor's environment from ``engine.environments(x)``,
     and a sum hybrid's ``pair_weights``, ``K @ engine.pair_addend(x)``, are
     computed from ``x`` when not given.  With both given, a solve costs
-    O(n_det + nnz K) for its derivative states, one product with the stacked
-    dense CSF matrices and two LAPACK calls of order 9 at most.
+    O(n_det + nnz K) for its derivative states, one product with the dense
+    CSF Hamiltonian and two LAPACK calls of order 9 at most.
     """
     engine = evaluator.engine
     t = engine.tensor_row(key)
@@ -655,7 +658,7 @@ def gradient_subspace_solve(
     peaks = np.abs(V).max(axis=1)
     scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
     V *= scale[:, None]
-    pencil = V @ evaluator.operators @ V.T
+    pencil = np.stack((V @ evaluator.h_csf @ V.T, V @ V.T))
     pencil = 0.5 * (pencil + pencil.transpose(0, 2, 1))
     if not np.isfinite(pencil).all():
         raise DegenerateStateError(

@@ -32,6 +32,9 @@ alone, so the amplitude references read the tensors without the engine.
 ``exact_diagonalize_full`` keeps the full-spectrum dense solve that
 ``exact_diagonalize`` replaced by a lowest-eigenpair solve; it reuses the
 library's matrices, so it checks the eigensolver, not the Hamiltonian.
+Like ``generic_quotient``, the energy as the evaluator formed it before it
+relied on orthonormal CSFs, it takes the CSF metric from the basis's
+overlap K K^T rather than assuming the identity.
 ``csf_basis_reference`` keeps the per-configuration genealogical build
 that ``build_csf_basis`` replaced by one coefficient block per open-shell
 count; it reuses the library's Clebsch-Gordan step and coupling paths, so
@@ -290,6 +293,14 @@ def exact_diagonalize_full(ham, basis=None) -> tuple[float, np.ndarray]:
     return float(evals[0]), vec
 
 
+def generic_quotient(evaluator, x: np.ndarray) -> float:
+    """Rayleigh quotient S.(h S) / S.(K K^T) S of the evaluator's CSF
+    weights S, in the generic metric of ``basis.overlap()``; unscreened."""
+    S = evaluator.weights(x)
+    overlap = evaluator.basis.overlap()
+    return float(S @ (evaluator.h_csf @ S)) / float(S @ overlap @ S)
+
+
 def orbital_occupations_loop(ham, coeffs) -> tuple[float, ...]:
     """Spin-summed orbital occupations, one determinant at a time."""
     m_orb = ham.integrals.m_orb
@@ -375,23 +386,17 @@ def gram_reference(K) -> np.ndarray:
     return out
 
 
-def csf_diagonals_reference(K, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """diag(K H K^T) and diag(K K^T) from a loop over each row's ordered
-    pairs of nonzeros, left-major in ascending column order."""
-    stored = _stored(K.toarray())
-    diag_a = np.zeros(K.shape[0])
-    diag_s = np.zeros(K.shape[0])
-    for p, row in enumerate(stored):
+def csf_diagonals_reference(K, H: np.ndarray) -> np.ndarray:
+    """diag(K H K^T) from a loop over each row's ordered pairs of nonzeros,
+    left-major in ascending column order."""
+    diag = np.zeros(K.shape[0])
+    for p, row in enumerate(_stored(K.toarray())):
         acc = 0.0
         for left, a in row:
             for right, b in row:
                 acc += a * H[left, right] * b
-        diag_a[p] = acc
-        acc = 0.0
-        for _, a in row:
-            acc += a * a
-        diag_s[p] = acc
-    return diag_a, diag_s
+        diag[p] = acc
+    return diag
 
 
 def scipy_csr(K) -> sparse.csr_matrix:
@@ -620,7 +625,7 @@ def subspace_solve_reference(evaluator, x: np.ndarray, key, eigh=np.linalg.eigh)
     scale = 1.0 / np.where(peaks > 0.0, peaks, 1.0)
     V *= scale[:, None]
     h_sub = V @ evaluator.h_csf @ V.T
-    s_sub = V @ evaluator.overlap @ V.T
+    s_sub = V @ V.T
     h_sub = 0.5 * (h_sub + h_sub.T)
     s_sub = 0.5 * (s_sub + s_sub.T)
     w, U = eigh(s_sub)

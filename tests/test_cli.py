@@ -17,6 +17,7 @@ from cgtns.cli import (
     REFINE_STAGES,
     REFINERS,
     RunConfig,
+    cmd_oracle,
     cmd_run,
     dump_config,
     main,
@@ -24,7 +25,7 @@ from cgtns.cli import (
 )
 from cgtns.correlators import AnsatzSpec, param_count
 from cgtns.energy import EnergyEvaluator
-from cgtns.fock import build_csf_basis, enumerate_onvs
+from cgtns.fock import CsfBasis, build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import HamiltonianOperator, exact_diagonalize, parse_fcidump
 from cgtns.optimizer import PtConfig, run_stages, save_checkpoint
 
@@ -637,6 +638,20 @@ class TestStagePlan:
         assert not (outdir / "stage1_trace.csv").exists()
         assert not (outdir / "stage1_checkpoint.json").exists()
         assert (outdir / "checkpoint.json").exists()
+
+    def test_run_and_oracle_never_form_the_csf_overlap(self, tmp_path, monkeypatch):
+        # The CSFs are orthonormal, so no command needs the dense K K^T.
+        def forbidden(self):
+            raise AssertionError("the dense CSF overlap was formed")
+
+        monkeypatch.setattr(CsfBasis, "overlap", forbidden)
+        cfg = quick_cfg(
+            integrals=H4, ansatz="3s+[2s]", sweeps=2, seed=1, refine="subspace",
+            out=str(tmp_path / "run"),
+        )
+        record = RunRecord.from_json((cmd_run(cfg) / "record.json").read_text())
+        assert record.error_vs_oracle >= -1e-12
+        assert cmd_oracle(RunConfig(integrals=H4))["csfs"] == 20
 
     def test_oracle_is_the_ground_state_of_the_target_spin(self, tmp_path):
         # The H4 ground state is a singlet; a triplet run is measured

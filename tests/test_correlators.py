@@ -665,6 +665,17 @@ class TestSpecValidation:
         with pytest.raises(DimensionError):
             AnsatzSpec("3s[2s]sel")
 
+    @pytest.mark.parametrize("sites", [(-1, 2), (0, -3), (1.0, 2), ("1", 2), (True, 2)])
+    def test_sites_must_be_non_negative_integers(self, sites):
+        # A negative site would index the spin orbitals from the end.
+        with pytest.raises(DimensionError, match="non-negative integer"):
+            AnsatzSpec("3s[2s]sel", selected_sites=sites)
+
+    def test_numpy_integer_sites_become_ints(self):
+        spec = AnsatzSpec("3s[2s]sel", selected_sites=tuple(np.arange(3, -1, -1)))
+        assert spec.selected_sites == (0, 1, 2, 3)
+        assert all(type(site) is int for site in spec.selected_sites)
+
     def test_non_sel_rejects_sites(self):
         with pytest.raises(DimensionError):
             AnsatzSpec("2s", selected_sites=(0, 1))

@@ -20,6 +20,7 @@ from oracles import (
     active_rows,
     fd_gradient,
     fd_noise_bound,
+    generic_quotient,
     identity,
     randomize,
     scipy_csr,
@@ -42,6 +43,15 @@ def h2():
 def h4():
     ints = parse_fcidump(FIXTURES / "h4.fcidump")
     space = enumerate_onvs(8, 4, 0.0)
+    basis = build_csf_basis(space, 0.0)
+    ham = HamiltonianOperator(ints, space)
+    return ints, space, basis, ham
+
+
+@pytest.fixture(scope="module")
+def h6():
+    ints = parse_fcidump(FIXTURES / "h6.fcidump")
+    space = enumerate_onvs(12, 6, 0.0)
     basis = build_csf_basis(space, 0.0)
     ham = HamiltonianOperator(ints, space)
     return ints, space, basis, ham
@@ -97,8 +107,20 @@ class TestVariationalEnergy:
         x = random_params(spec, 8, 5)
         ev = EnergyEvaluator(spec, 8, basis, ham, screen=0.0)
         S = ev.weights(x)
-        dense = float(S @ (ev.h_csf @ S)) / float(S @ ev.overlap @ S)
+        dense = float(S @ (ev.h_csf @ S)) / float(S @ S)
         assert ev.energy(x).e == dense  # bit-for-bit
+
+    @pytest.mark.parametrize("kind", ANSATZ_KINDS)
+    @pytest.mark.parametrize("system,m", [("h4", 8), ("h6", 12)])
+    def test_matches_the_generic_metric_quotient(self, request, system, m, kind):
+        # The evaluator takes the CSF metric to be the identity; the
+        # quotient in the metric K K^T agrees to rounding.
+        _, _, basis, ham = request.getfixturevalue(system)
+        spec = make_spec(kind, m)
+        ev = EnergyEvaluator(spec, m, basis, ham)
+        for seed in range(3):
+            x = random_params(spec, m, seed)
+            assert ev.energy(x).e == pytest.approx(generic_quotient(ev, x), rel=1e-14)
 
     def test_screening_drops_both_sides(self, h4):
         _, space, basis, ham = h4

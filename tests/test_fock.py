@@ -182,6 +182,13 @@ class TestS2Apply:
             assert np.max(np.abs(resid)) < 1e-10
 
 
+def assert_orthonormal(basis):
+    """max |K K^T - I| <= 1e-15: the genealogical CSFs are orthonormal, so
+    the energy, the tensor pencils and the oracle use the identity metric."""
+    error = basis.overlap() - np.eye(basis.n_csfs)
+    assert np.max(np.abs(error), initial=0.0) <= 1e-15
+
+
 def s2_multiplicity(space, s):
     """Multiplicity of eigenvalue s(s+1) in the brute-force S^2 matrix."""
     evals = np.linalg.eigvalsh(s2_of(space))
@@ -270,7 +277,8 @@ class TestCsfBasis:
     def test_every_small_basis_matches_the_loop_build(self, m):
         # Every N, Ms and admissible S over m spin orbitals (209 bases for
         # m <= 12 in all): K and its transpose equal the per-configuration
-        # build bit for bit, and K stores exactly the nonzeros.
+        # build bit for bit, K stores exactly the nonzeros, and its rows are
+        # orthonormal to 1e-15, which every consumer of K relies on.
         built = 0
         for n in range(m + 1):
             for ms2 in range(-n, n + 1, 2):
@@ -280,23 +288,25 @@ class TestCsfBasis:
                     continue
                 for s2 in range(abs(ms2), n + 1, 2):
                     try:
-                        K = build_csf_basis(space, s2 / 2).K
+                        basis = build_csf_basis(space, s2 / 2)
                     except EmptyBasisError:
                         assert csf_basis_reference(space, s2).size == 0
                         continue
-                    ref = csf_basis_reference(space, s2)
+                    K, ref = basis.K, csf_basis_reference(space, s2)
                     assert K.toarray().tobytes() == ref.tobytes()
                     assert K.T.toarray().tobytes() == ref.T.tobytes()
                     assert K.nnz == np.count_nonzero(ref)
+                    assert_orthonormal(basis)
                     built += 1
         assert built == {2: 4, 4: 10, 6: 20, 8: 35, 10: 56, 12: 84}[m]
 
     def test_symmetry_filtered_basis_matches_the_loop_build(self):
         space = enumerate_onvs(6, 3, 0.5, orb_irreps=(1, 2, 1), target_irrep=2)
-        K = build_csf_basis(space, 0.5).K
+        basis = build_csf_basis(space, 0.5)
         ref = csf_basis_reference(space, 1)
-        assert K.toarray().tobytes() == ref.tobytes()
-        assert K.nnz == np.count_nonzero(ref)
+        assert basis.K.toarray().tobytes() == ref.tobytes()
+        assert basis.K.nnz == np.count_nonzero(ref)
+        assert_orthonormal(basis)
 
     @pytest.mark.parametrize(
         "m,n,ms,s,table",
@@ -308,9 +318,13 @@ class TestCsfBasis:
         ],
     )
     def test_one_block_per_open_shell_count(self, m, n, ms, s, table):
-        # (paths x spin patterns, configurations) of every block of K.
-        K = build_csf_basis(enumerate_onvs(m, n, ms), s).K
-        assert [(coeffs.shape, len(rows)) for coeffs, rows, _ in K.blocks] == table
+        # (paths x spin patterns, configurations) of every block of K; the
+        # rows of the H8 chain's basis (``h8_chain_fcidump``) are orthonormal
+        # too.
+        basis = build_csf_basis(enumerate_onvs(m, n, ms), s)
+        blocks = basis.K.blocks
+        assert [(coeffs.shape, len(rows)) for coeffs, rows, _ in blocks] == table
+        assert_orthonormal(basis)
 
     def test_paper_scale_doublet(self):
         # 10 orbitals, 7 electrons: 13 860 doublet CSFs, the order of the
@@ -383,11 +397,12 @@ CSR_BASES = [
 ]
 
 
-def assert_products_match_references(K, rng):
+def assert_products_match_references(basis, rng):
     """Every product of K and of K.T, with a C-ordered and a transposed
     operand, equals the per-row loop and scipy's kernel bit for bit, and so
-    do K K^T, ``K (K H)^T`` as ``csf_hamiltonian`` forms it, and the CSF
-    diagonals of a random symmetric H."""
+    do the overlap K K^T, ``K (K H)^T`` as ``csf_hamiltonian`` forms it,
+    and the CSF diagonal of a random symmetric H."""
+    K = basis.K
     ref = scipy_csr(K)
     for mat, ref_mat in ((K, ref), (K.T, ref.T)):
         n = mat.shape[1]
@@ -397,16 +412,13 @@ def assert_products_match_references(K, rng):
             got = (mat @ v).tobytes()
             assert got == csr_reference(mat, v).tobytes()
             assert got == (ref_mat @ v).tobytes()
-    gram = K.gram()
-    assert gram.tobytes() == gram_reference(K).tobytes()
-    assert gram.tobytes() == (ref @ ref.T).toarray().tobytes()
+    overlap = basis.overlap()
+    assert overlap.tobytes() == gram_reference(K).tobytes()
+    assert overlap.tobytes() == (ref @ ref.T).toarray().tobytes()
     H = rng.standard_normal((K.shape[1], K.shape[1]))
     H = H + H.T
     assert (K @ (K @ H).T).tobytes() == (ref @ (ref @ H).T).tobytes()
-    got = _csf_diagonals(K, H)
-    want = csf_diagonals_reference(K, H)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    assert _csf_diagonals(K, H).tobytes() == csf_diagonals_reference(K, H).tobytes()
 
 
 class TestCsrMatrix:
@@ -416,14 +428,12 @@ class TestCsrMatrix:
     @pytest.mark.parametrize("m,n,ms,s", CSR_BASES)
     def test_products_match_loop_and_scipy_bitwise(self, m, n, ms, s):
         basis = build_csf_basis(enumerate_onvs(m, n, ms), s)
-        assert_products_match_references(basis.K, np.random.default_rng(m + n))
-        assert basis.overlap() is basis.overlap()
-        assert basis.overlap().tobytes() == basis.K.gram().tobytes()
+        assert_products_match_references(basis, np.random.default_rng(m + n))
 
     def test_symmetry_filtered_basis(self):
         space = enumerate_onvs(6, 3, 0.5, orb_irreps=(1, 2, 1), target_irrep=2)
         basis = build_csf_basis(space, 0.5)
-        assert_products_match_references(basis.K, np.random.default_rng(3))
+        assert_products_match_references(basis, np.random.default_rng(3))
 
     def test_mismatched_operand_raises(self):
         K = build_csf_basis(enumerate_onvs(4, 2, 0.0), 0.0).K

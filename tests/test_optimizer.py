@@ -1464,6 +1464,23 @@ class TestCheckpoint:
         with pytest.raises(DimensionError):
             load_checkpoint(ckpt, basis, ham)
 
+    def test_negative_selected_site_rejected_on_load(self, h2, tmp_path):
+        basis, ham = h2
+        spec = AnsatzSpec("3s[2s]sel", selected_sites=(1, 2))
+        ev = EnergyEvaluator(spec, 4, basis, ham)
+        config = PtConfig(n_replicas=2, sweeps=1, swap_interval=2, seed=3)
+        ensemble = run_parallel_tempering(
+            config, ev, cold_start(ev.engine, np.random.default_rng(3))
+        )
+        ckpt = tmp_path / "sel.json"
+        save_checkpoint(ensemble, ckpt)
+        doc = json.loads(ckpt.read_text())
+        assert doc["ansatz"]["selected_sites"] == [1, 2]
+        doc["ansatz"]["selected_sites"] = [-1, 2]
+        ckpt.write_text(json.dumps(doc))
+        with pytest.raises(DimensionError, match="non-negative integer"):
+            load_checkpoint(ckpt, basis, ham)
+
     @pytest.mark.parametrize(
         "write",
         [save_checkpoint, lambda ens, path: analysis.export_trace(ens.trace, path)],
