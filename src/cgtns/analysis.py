@@ -82,7 +82,7 @@ class RunRecord:
         included."""
         try:
             doc = json.loads(text)
-        except ValueError as exc:  # also undecodable bytes
+        except (ValueError, RecursionError) as exc:  # undecodable, too deep
             raise ParseError(f"not a JSON document: {exc}", path) from None
         if (
             not isinstance(doc, dict)

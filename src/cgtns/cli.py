@@ -408,8 +408,8 @@ def _config_from_args(args) -> RunConfig:
     if args.config:
         path = Path(args.config)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         cfg = parse_config(text, path=str(path))
     else:

@@ -33,6 +33,10 @@ class EstimatorUndefinedError(CgtnsError):
     """A per-CSF energy estimator was requested for a weight below the floor."""
 
 
+class ConvergenceError(CgtnsError):
+    """An iterative solve stopped at its iteration bound without converging."""
+
+
 class ParseError(CgtnsError):
     """An input file could not be parsed.
 

@@ -32,6 +32,11 @@ alone, so the amplitude references read the tensors without the engine.
 ``exact_diagonalize_full`` keeps the full-spectrum dense solve that
 ``exact_diagonalize`` replaced by a lowest-eigenpair solve; it reuses the
 library's matrices, so it checks the eigensolver, not the Hamiltonian.
+``exact_diagonalize_reference`` runs the library's oracle on
+``lowest_eigenpair_reference``, the Davidson solve before its basis was
+bounded and restarted, and ``determinant_matrix_reference`` keeps the
+float32 occupation product that classified the determinant pairs before
+the per-string tables.
 Like ``generic_quotient``, the energy as the evaluator formed it before it
 relied on orthonormal CSFs, it takes the CSF metric from the basis's
 overlap K K^T rather than assuming the identity.
@@ -54,7 +59,7 @@ import math
 import numpy as np
 from scipy import linalg, sparse
 
-from cgtns import fock, optimizer
+from cgtns import fock, hamiltonian, optimizer
 from cgtns.correlators import AnsatzSpec
 from cgtns.errors import DegenerateStateError, DimensionError, FrozenTensorError
 from cgtns.hamiltonian import csf_hamiltonian
@@ -291,6 +296,82 @@ def exact_diagonalize_full(ham, basis=None) -> tuple[float, np.ndarray]:
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     return float(evals[0]), vec
+
+
+def determinant_matrix_reference(ints, space) -> np.ndarray:
+    """Dense determinant H with the pairs classified by a float32 product of
+    occupation matrices, one block of 256 rows at a time: the classification
+    that the per-string tables of ``hamiltonian._determinant_matrix``
+    replaced.  It feeds the library's ``_pair_elements`` kernel."""
+    n, n_el = space.size, space.n_electrons
+    onvs = np.array(space.onvs, dtype=np.uint64)
+    mat = np.zeros((n, n))
+    mat[np.arange(n), np.arange(n)] = hamiltonian._pair_elements(ints, onvs, onvs, 0)
+    counts = fock.occupations(space).astype(np.float32)  # exact: small integers
+    for i0 in range(0, n, 256):
+        i1 = min(i0 + 256, n)
+        shared = counts[i0:i1] @ counts[:i1].T
+        rows, cols = np.nonzero(shared >= n_el - 2)
+        below_diagonal = cols < rows + i0
+        rows, cols = rows[below_diagonal], cols[below_diagonal]
+        levels = n_el - shared[rows, cols].astype(np.int64)
+        for level in (1, 2):
+            bra, ket = rows[levels == level] + i0, cols[levels == level]
+            val = hamiltonian._pair_elements(ints, onvs[bra], onvs[ket], level)
+            mat[bra, ket] = val
+            mat[ket, bra] = val
+    return mat
+
+
+def lowest_eigenpair_reference(apply_a, diag_a):
+    """Davidson's lowest eigenpair with no restart: the basis, stored in
+    blocks of 32 rows, grows until the residual bound of the library's
+    solve holds or the basis spans the space, with the same start vector,
+    corrections and orthogonalization as ``hamiltonian.lowest_eigenpair``."""
+    n = len(diag_a)
+    scale = np.max(np.abs(diag_a))
+    V = AV = np.empty((0, n))
+    G = np.empty((0, 0))
+    t = 0.1 * (np.modf(np.arange(1, n + 1) * 0.6180339887498949)[0] - 0.5)
+    t[np.argmin(diag_a)] += 1.0
+    residual = None
+    for k in range(n):
+        if k == len(V):
+            rows = ((0, min(32, n - k)), (0, 0))
+            V, AV, G = np.pad(V, rows), np.pad(AV, rows), np.pad(G, rows[:1] * 2)
+        for u in (t, residual):
+            size = np.linalg.norm(u)
+            for _ in range(2):
+                u = u - (V[:k] @ u) @ V[:k]
+            if np.linalg.norm(u) > 1e-8 * size:
+                break
+        V[k] = u / np.sqrt(u @ u)
+        AV[k] = apply_a(V[k])
+        G[k, : k + 1] = G[: k + 1, k] = V[: k + 1] @ AV[k]
+        thetas, ys = np.linalg.eigh(G[: k + 1, : k + 1])
+        theta, y = thetas[0], ys[:, 0]
+        x = y @ V[: k + 1]
+        residual = y @ AV[: k + 1] - theta * x
+        bound = hamiltonian._RESIDUAL_TOL * max(abs(theta), scale)
+        if np.linalg.norm(residual) <= bound or k + 1 == n:
+            return float(theta), x
+        denom = diag_a - theta
+        t = residual / np.where(np.abs(denom) > 1e-8, denom, 1e-8)
+
+
+def exact_diagonalize_reference(ham, basis=None) -> tuple[float, np.ndarray]:
+    """``hamiltonian.exact_diagonalize`` on ``lowest_eigenpair_reference``:
+    the same products, diagonal, energy quotient and sign rule."""
+    H = ham.matrix()
+    if basis is None:
+        _, vec = lowest_eigenpair_reference(H.__matmul__, H.diagonal())
+    else:
+        K = basis.K
+        _, vec = lowest_eigenpair_reference(
+            lambda u: K @ (H @ (K.T @ u)), hamiltonian._csf_diagonals(K, H)
+        )
+    e0 = hamiltonian._rayleigh_quotient(H, vec if basis is None else basis.K.T @ vec)
+    return e0, hamiltonian.fix_sign(vec)
 
 
 def generic_quotient(evaluator, x: np.ndarray) -> float:

@@ -7,16 +7,20 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cgtns import hamiltonian
 from cgtns.analysis import RunRecord, reduction_percentage
 from cgtns.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     REFINE_STAGES,
     REFINERS,
     RunConfig,
+    _resolve_ansatz,
     cmd_oracle,
     cmd_run,
     dump_config,
@@ -26,12 +30,20 @@ from cgtns.cli import (
 from cgtns.correlators import AnsatzSpec, param_count
 from cgtns.energy import EnergyEvaluator
 from cgtns.fock import CsfBasis, build_csf_basis, enumerate_onvs
-from cgtns.hamiltonian import HamiltonianOperator, exact_diagonalize, parse_fcidump
+from cgtns.hamiltonian import (
+    HamiltonianOperator,
+    exact_diagonalize,
+    orbital_occupations,
+    parse_fcidump,
+)
 from cgtns.optimizer import PtConfig, run_stages, save_checkpoint
+
+from oracles import exact_diagonalize_reference
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cgtns" / "fixtures"
 H2 = str(FIXTURES / "h2.fcidump")
 H4 = str(FIXTURES / "h4.fcidump")
+H6 = str(FIXTURES / "h6.fcidump")
 
 
 def quick_cfg(**overrides):
@@ -236,6 +248,17 @@ class TestOracle:
             main(["oracle", "--integrals", H2, *flag])
         assert exc.value.code == EXIT_CONFIG
         assert capsys.readouterr().out == ""
+        assert not any(tmp_path.iterdir())
+
+    def test_unconverged_oracle_exits_4_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # With no residual bound the 400-determinant H6 solve can only stop
+        # at its product bound, a numerical failure.
+        monkeypatch.setattr(hamiltonian, "_RESIDUAL_TOL", 0.0)
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", "--integrals", H6, "--oracle-out", str(out)]) == EXIT_NUMERICAL
+        assert "residual norm" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("target", [".", "out"])
@@ -579,6 +602,60 @@ class TestRun:
         assert record.n_active_parameters == param_count("2s", 12)
         assert record.error_vs_oracle >= -1e-12
         assert record.error_vs_oracle < 0.2  # seed 6 lands near 0.09 Ha
+
+
+@pytest.fixture
+def eigh_orders(monkeypatch):
+    """Orders of the matrices handed to numpy's ``eigh``, as ``hamiltonian``
+    calls it, from now on."""
+    eigh, orders = np.linalg.eigh, []
+
+    def recorded(a, *args, **kwargs):
+        orders.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian.np.linalg, "eigh", recorded)
+    return orders
+
+
+class TestSmallEigensolves:
+    """Every Rayleigh-Ritz ``eigh`` has order 25 at most, where LAPACK's
+    ``dsyevd`` keeps to its QR path; the oracle's solves restart there."""
+
+    def test_oracle(self, eigh_orders, h8_chain_fcidump):
+        for path in (H6, h8_chain_fcidump):
+            cmd_oracle(RunConfig(integrals=str(path)))
+            assert max(eigh_orders) == 25
+            eigh_orders.clear()
+
+    def test_h6_hybrid_run(self, eigh_orders, tmp_path):
+        cfg = quick_cfg(
+            integrals=H6, ansatz="3s[2s]", replicas=2, sweeps=1, swap_interval=1,
+            seed=1, out=str(tmp_path / "run"),
+        )
+        cmd_run(cfg)
+        assert eigh_orders.count(25) > 0
+        assert max(eigh_orders) == 25
+
+    @pytest.mark.parametrize("kind", ["3s[2s]sel", "3s+[2s]sel"])
+    @pytest.mark.parametrize(
+        "path,window,sites",
+        [(H4, (0.02, 1.98), 8), (H4, (0.5, 1.0), 4), (H6, (0.02, 1.98), 12)],
+    )
+    def test_sel_kinds_keep_their_sites(self, path, window, sites, kind):
+        # The oracle vector's last bits differ from the unrestarted solve's
+        # on H6; its occupations and the sites they select do not.
+        cfg = RunConfig(integrals=path, ansatz=kind, window_lo=window[0], window_hi=window[1])
+        ints = parse_fcidump(path)
+        space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
+        basis = build_csf_basis(space, 0.0)
+        ham = HamiltonianOperator(ints, space)
+        oracles = [exact_diagonalize(ham, basis), exact_diagonalize_reference(ham, basis)]
+        specs = [_resolve_ansatz(cfg, ints, ham, basis, oracle) for oracle in oracles]
+        assert specs[0].selected_sites == specs[1].selected_sites
+        assert len(specs[0].selected_sites) == sites
+        occ = [orbital_occupations(ham, basis.K.T @ vec) for _, vec in oracles]
+        assert np.max(np.abs(np.subtract(*occ))) <= 1e-12
 
 
 def h4_problem(spin2=0):

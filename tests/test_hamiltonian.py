@@ -9,7 +9,7 @@ import pytest
 
 from cgtns import hamiltonian
 from cgtns.correlators import select_sites
-from cgtns.errors import CapacityError, ParseError
+from cgtns.errors import CapacityError, ConvergenceError, ParseError
 from cgtns.fock import CsfBasis, build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import (
     HamiltonianOperator,
@@ -24,8 +24,11 @@ from cgtns.hamiltonian import (
 )
 
 from oracles import (
+    determinant_matrix_reference,
     exact_diagonalize_full,
+    exact_diagonalize_reference,
     hamiltonian_matrix_brute,
+    lowest_eigenpair_reference,
     orbital_occupations_loop,
     slater_condon_loop,
     slater_condon_matrix,
@@ -86,6 +89,21 @@ def assert_bit_identical(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a, b)
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture(autouse=True)
+def classified_as_the_reference(monkeypatch):
+    """Every determinant H the tests of this module build is the matrix of
+    the float32 classification, ``oracles.determinant_matrix_reference``,
+    bit for bit."""
+    build = hamiltonian._determinant_matrix
+
+    def checked(ints, space):
+        mat = build(ints, space)
+        assert_bit_identical(mat, determinant_matrix_reference(ints, space))
+        return mat
+
+    monkeypatch.setattr(hamiltonian, "_determinant_matrix", checked)
 
 
 class TestIntegralSet:
@@ -189,6 +207,12 @@ class TestParser:
         f = tmp_path / "nohdr.fcidump"
         f.write_text("1.0 1 1 0 0\n")
         with pytest.raises(ParseError):
+            parse_fcidump(f)
+
+    def test_undecodable_bytes(self, tmp_path):
+        f = tmp_path / "latin1.fcidump"
+        f.write_bytes(b"&FCI NORB=2,NELEC=2,MS2=0,\n&END\n-7.5\xb5 0 0 0 0\n")
+        with pytest.raises(ParseError, match="utf-8"):
             parse_fcidump(f)
 
 
@@ -306,6 +330,26 @@ class TestMatrixAssembly:
         mat = HamiltonianOperator(ints, space).matrix()
         assert_bit_identical(mat, slater_condon_matrix(ints, space))
         assert np.array_equal(mat, mat.T)
+
+    def test_symmetry_filtered_space(self):
+        # The filter keeps some determinants of an alpha string and drops
+        # others, so the strings are not a product of alpha and beta lists.
+        h, g, e_core = random_integrals(6, 29)
+        ints = IntegralSet.from_dense(h, g, e_core=e_core)
+        space = enumerate_onvs(12, 5, 0.5, orb_irreps=(1, 2, 3, 4, 1, 2), target_irrep=2)
+        assert 0 < space.size < enumerate_onvs(12, 5, 0.5).size
+        assert_bit_identical(
+            HamiltonianOperator(ints, space).matrix(), slater_condon_matrix(ints, space)
+        )
+
+    @pytest.mark.parametrize("spacing", [1.75, 1.85])
+    def test_h8_chain_matches_the_float32_classification(self, h8_chain, spacing):
+        ints = parse_fcidump(h8_chain(spacing))
+        space = enumerate_onvs(16, 5, 0.5)
+        assert_bit_identical(
+            hamiltonian._determinant_matrix(ints, space),
+            determinant_matrix_reference(ints, space),
+        )
 
     @pytest.mark.parametrize("name", ["h4", "h6"])
     def test_orbital_occupations_bit_identical(self, name):
@@ -610,3 +654,86 @@ class TestMatrixFreeSolve:
         assert abs(theta - evals[0]) <= 1e-12
         assert abs(x @ x - 1.0) <= 1e-12
         assert abs(abs(x @ evecs[:, 0]) - 1.0) <= 1e-12
+
+
+def oracle_problem(name, h8_chain):
+    """(space, ground-spin CSF basis, Hamiltonian) of a fixture or, for a
+    float name, of the H8 chain at that bond length."""
+    if isinstance(name, str):
+        ints, space = fixture_problem(name)
+    else:
+        ints = parse_fcidump(h8_chain(name))
+        space = enumerate_onvs(16, 5, 0.5)
+    basis = build_csf_basis(space, abs(space.ms))
+    return space, basis, HamiltonianOperator(ints, space)
+
+
+class TestRestartedDavidson:
+    """The bounded, restarted solve against ``oracles.lowest_eigenpair_reference``,
+    the solve whose basis grows until it converges."""
+
+    @pytest.mark.parametrize(
+        "name,counts",
+        [("h2", [4, 3]), ("h4", [28, 20]), ("h6", [49, 37]), (1.75, [79, 74]),
+         (1.85, [82, 79])],
+    )
+    def test_oracle_energies_keep_their_bits(self, h8_chain, products, name, counts):
+        space, basis, ham = oracle_problem(name, h8_chain)
+        for b in (None, basis):
+            e0, vec = exact_diagonalize(ham, b)
+            e_ref, ref = exact_diagonalize_reference(ham, b)
+            assert e0 == e_ref
+            assert np.max(np.abs(vec - ref)) <= 1e-10
+        assert [count for count, _ in products] == counts
+
+    def test_small_spaces_keep_the_unrestarted_solve(self):
+        # At most _BASIS_MAX dimensions: no restart, the same bits.
+        _, h2_basis, h2 = oracle_problem("h2", None)
+        _, h4_basis, h4 = oracle_problem("h4", None)
+        for ham, basis in ((h2, None), (h2, h2_basis), (h4, h4_basis)):
+            assert (basis.n_csfs if basis else ham.dim) <= hamiltonian._BASIS_MAX
+            e0, vec = exact_diagonalize(ham, basis)
+            e_ref, ref = exact_diagonalize_reference(ham, basis)
+            assert e0 == e_ref
+            assert_bit_identical(vec, ref)
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((25, 25))
+        A = A + A.T
+        theta, x = lowest_eigenpair(A.__matmul__, np.diag(A))
+        theta_ref, x_ref = lowest_eigenpair_reference(A.__matmul__, np.diag(A))
+        assert theta == theta_ref
+        assert_bit_identical(x, x_ref)
+
+    def test_storage_holds_at_most_25_vectors(self, h8_problem):
+        # V and AV are 25 rows each, allocated once, and the solve's peak
+        # is 64 vectors of length n; the unrestarted solve peaked at 336.
+        space, _, ham = h8_problem
+        H = ham.matrix()
+        tracemalloc.start()
+        try:
+            lowest_eigenpair(H.__matmul__, H.diagonal())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hamiltonian._BASIS_MAX == 25
+        assert peak < 80 * 8 * space.size
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        # With no residual bound, a space beyond the basis size can only
+        # stop at the product bound, and says so.
+        monkeypatch.setattr(hamiltonian, "_RESIDUAL_TOL", 0.0)
+        _, basis, ham = oracle_problem("h6", None)
+        with pytest.raises(ConvergenceError, match="175.* 1000 products: residual norm"):
+            exact_diagonalize(ham, basis)
+
+    def test_small_space_stays_exact_without_a_residual_bound(self, monkeypatch):
+        # The 20-CSF H4 solve ends when its basis spans the space.
+        _, basis, ham = oracle_problem("h4", None)
+        e0, vec = exact_diagonalize(ham, basis)
+        monkeypatch.setattr(hamiltonian, "_RESIDUAL_TOL", 0.0)
+        e_span, vec_span = exact_diagonalize(ham, basis)
+        assert e_span == e0
+        assert_bit_identical(vec_span, vec)
+        e_full, ref = exact_diagonalize_full(ham, basis)
+        assert abs(e_span - e_full) <= 1e-12
+        assert abs(abs(vec_span @ ref) - 1.0) <= 1e-12
