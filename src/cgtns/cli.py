@@ -147,9 +147,9 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         target = known[key].type
         try:
-            if target == "int" or target is int:
+            if target == "int":
                 values[key] = int(value)
-            elif target == "float" or target is float:
+            elif target == "float":
                 values[key] = float(value)
             else:
                 values[key] = value
@@ -219,7 +219,7 @@ def _resolve_ansatz(cfg: RunConfig, ints, ham, basis, oracle) -> AnsatzSpec:
             "the space is too large for the oracle density"
         )
     else:
-        occ = orbital_occupations(ham, basis.K.T @ oracle[1])
+        occ = orbital_occupations(ham, oracle[1] @ basis.K)
     sites = select_sites(occ, (cfg.window_lo, cfg.window_hi))
     if not sites:
         raise ConfigError(

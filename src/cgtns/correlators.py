@@ -182,7 +182,8 @@ class AmplitudeEngine:
     vector ``x``, the package's one parameter representation: the pair
     tensors in ``spec.pair_keys(m)`` order, then the triples, 4 and 8 entries
     each in C order.  The first ``n_frozen_tensors`` tensors are frozen;
-    ``active_keys`` and ``active_indices`` hold the rest, ``live_indices``
+    the rest, each addressed by its row in ``keys`` and ``entry_table``, are
+    active: ``active_indices`` holds their entries, ``live_indices``
     (ascending) those that some determinant selects.  Only the engine knows
     how factors combine: the active entries live in the addend of tensor
     rows ``addend_start:``, after the frozen pairs of a sum hybrid
@@ -210,11 +211,9 @@ class AmplitudeEngine:
 
         # Frozen tensors (a hybrid's pairs) lead the layout.
         self.n_frozen_tensors = self.n_pair_rows if spec.pairs_frozen else 0
-        self.active_keys = self.keys[self.n_frozen_tensors :]
         self.active_indices = np.arange(
             self.offsets[self.n_frozen_tensors], self.n_params
         )
-        self._tensor_rows = {key: t for t, key in enumerate(self.keys)}
 
         # entry_table[t, n] = flat index of the entry of tensor t picked by
         # determinant n's occupations, the first site the most significant.
@@ -258,17 +257,6 @@ class AmplitudeEngine:
                 "frozen": sorted(names[: self.n_frozen_tensors]),
             }
         )
-
-    def tensor_row(self, key) -> int:
-        """Row of the active tensor ``key`` in ``entry_table``;
-        DimensionError for a key the ansatz lacks, FrozenTensorError for a
-        frozen tensor."""
-        t = self._tensor_rows.get(key)
-        if t is None:
-            raise DimensionError(f"no tensor {key} in this ansatz")
-        if t < self.n_frozen_tensors:
-            raise FrozenTensorError(f"tensor {key} is frozen")
-        return t
 
     # -- evaluation ---------------------------------------------------------
 

@@ -11,13 +11,14 @@ K's nonzeros.  A tensor's derivative states span every state that moves of
 that tensor reach: the tensor solves and the Metropolis sweep both use
 their pencil.  K is the basis's ``fock.CouplingMatrix``, stored by spatial
 configuration, whose products add each element's terms in ascending index
-order, so no product with it depends on BLAS.
+order, so no product with it depends on BLAS.  An evaluation reports its
+energy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +45,9 @@ def peak_scale(peak: float) -> float:
 
 @dataclass
 class EnergyReport:
-    """Energy, squared norm, and screening bookkeeping of one evaluation."""
+    """Energy of one evaluation."""
 
     e: float
-    norm: float
-    screened_csfs: int = 0
 
 
 class EnergyEvaluator:
@@ -77,7 +76,6 @@ class EnergyEvaluator:
         self.spec = spec
         self.screen = float(screen)
         self.basis = basis
-        self.ham = ham
         self.engine = AmplitudeEngine(spec, m, basis.space)
         self.K = basis.K
         self.h_csf = csf_hamiltonian(basis, ham)
@@ -99,19 +97,13 @@ class EnergyEvaluator:
             )
         scale = peak_scale(peak)
         if scale != 1.0:
-            # The restored norm may saturate to inf; one that underflows is
-            # reported as the smallest normal float, as the state is valid.
-            inner = self.energy_from_weights(S / scale)
-            norm = float(inner.norm * scale * scale) or float(np.finfo(float).tiny)
-            return replace(inner, norm=norm)
+            return self.energy_from_weights(S / scale)
         if self.screen > 0.0 and peak > 0.0:
             keep = np.abs(S) >= self.screen * peak
-            dropped = int(S.size - np.count_nonzero(keep))
             Ss = S[keep]
             num = Ss @ (self.h_csf[np.ix_(keep, keep)] @ Ss)
             den = Ss @ Ss
         else:
-            dropped = 0
             num = S @ (self.h_csf @ S)
             den = S @ S
         if not den > NORM_FLOOR:
@@ -122,7 +114,7 @@ class EnergyEvaluator:
             raise DegenerateStateError(
                 "quadratic forms overflowed; the energy is numerically undefined"
             )
-        return EnergyReport(e=float(num / den), norm=float(den), screened_csfs=dropped)
+        return EnergyReport(e=float(num / den))
 
     def energy(self, x: np.ndarray) -> EnergyReport:
         """Rayleigh quotient of the correlator state over the CSF basis.
@@ -164,7 +156,8 @@ class EnergyEvaluator:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact dE/d(entry) for every active tensor entry, unscreened: the
         derivative states of every active tensor, stacked in layout order,
-        which are the rows of ``engine.jacobian(x) @ K.T`` bit for bit."""
+        which are the rows of J K^T, J = ``engine.jacobian(x)``, bit for
+        bit."""
         states = [self.derivative_states(t, c) for t, c in self.engine.environments(x)]
         return self.gradient_from_weights(self.weights(x), np.concatenate(states))
 
@@ -173,8 +166,8 @@ class EnergyEvaluator:
     ) -> np.ndarray:
         """CSF weights of tensor t's derivative states, one row per entry,
         from ``cofactor``, tensor t's environment from the engine's
-        ``environments(x)``: tensor t's rows of ``jacobian(x) @ K.T``, bit
-        for bit, after a sum hybrid's ``pair_weights``
+        ``environments(x)``: tensor t's rows of J K^T, J =
+        ``jacobian(x)``, bit for bit, after a sum hybrid's ``pair_weights``
         (``K @ pair_addend(x)``) as row 0 when given.
 
         The rows are scattered from K's nonzeros, each CSF's in ascending

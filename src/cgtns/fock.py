@@ -233,8 +233,11 @@ class CouplingMatrix:
     build nor its thread count.  ``rows``, ``cols`` and ``data`` list the
     nonzeros configuration by configuration and within one block column by
     block column, so one ``bincount`` over them adds in that order along
-    either axis.  ``T`` is the transpose in the same form.
+    either axis: ``K @ v`` by row, ``u @ K`` (a 1-D ``u``, K^T u) by column.
     """
+
+    # ndarray @ K defers to __rmatmul__ instead of converting K.
+    __array_ufunc__ = None
 
     def __init__(self, blocks, shape: tuple[int, int]):
         self.blocks = tuple(blocks)
@@ -245,20 +248,10 @@ class CouplingMatrix:
             values = np.tile(coeffs[i, j], len(rows))
             listed.append((rows[:, i].ravel(), cols[:, j].ravel(), values))
         self.rows, self.cols, self.data = map(np.concatenate, zip(*listed))
-        self._transpose: list[CouplingMatrix] = []
 
     @property
     def nnz(self) -> int:
         return len(self.data)
-
-    @property
-    def T(self) -> CouplingMatrix:
-        if not self._transpose:
-            blocks = [(coeffs.T, cols, rows) for coeffs, rows, cols in self.blocks]
-            transpose = CouplingMatrix(blocks, self.shape[::-1])
-            transpose._transpose.append(self)
-            self._transpose.append(transpose)
-        return self._transpose[0]
 
     def __matmul__(self, other) -> np.ndarray:
         other = np.asarray(other, dtype=float)
@@ -280,6 +273,15 @@ class CouplingMatrix:
             out[rows.T] = acc
         return out
 
+    def __rmatmul__(self, other) -> np.ndarray:
+        other = np.asarray(other, dtype=float)
+        if other.shape != (self.shape[0],):
+            raise ValueError(
+                f"cannot multiply shape {other.shape} by a {self.shape} matrix"
+            )
+        terms = self.data * other[self.rows]
+        return np.bincount(self.cols, terms, minlength=self.shape[1])
+
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         for coeffs, rows, cols in self.blocks:
@@ -298,7 +300,8 @@ class CsfBasis:
     pattern, so it is a ``CouplingMatrix`` with one block per open-shell
     count: coupling paths by spin patterns.  Rows from the genealogical
     construction are orthonormal (Pauncz, *Spin Eigenfunctions*, 1979), and
-    every consumer relies on it: the CSF metric is the identity.
+    every consumer relies on it: the CSF metric is the identity.  CSF
+    weights ``c`` expand over the determinants as ``c @ K``.
     """
 
     s2: int

@@ -19,7 +19,7 @@ import numpy as np
 
 from .correlators import AmplitudeEngine, AnsatzSpec
 from .energy import UNSCALED_PEAK, EnergyEvaluator, peak_scale
-from .errors import ConfigError, DegenerateStateError, DimensionError
+from .errors import ConfigError, DegenerateStateError, DimensionError, FrozenTensorError
 from .fock import CsfBasis
 from .hamiltonian import HamiltonianOperator, fix_sign
 
@@ -620,14 +620,15 @@ def bfgs_refine(
 def gradient_subspace_solve(
     evaluator: EnergyEvaluator,
     x: np.ndarray,
-    key: tuple[int, ...],
-    cofactor: np.ndarray | None = None,
-    pair_weights: np.ndarray | None = None,
+    t: int,
+    cofactor: np.ndarray,
+    pair_weights: np.ndarray | None,
 ) -> tuple[np.ndarray, float]:
-    """Optimal entries of the active tensor ``key`` from one small pencil.
+    """Optimal entries of the active tensor in row ``t`` of the engine's
+    ``entry_table`` from one small pencil.
 
     A determinant picks one entry of each tensor, so the state is linear in
-    the 4 or 8 entries of ``key``: the lowest eigenpair of the pencil
+    the 4 or 8 entries of tensor t: the lowest eigenpair of the pencil
     (V h V^T, V V^T) of their derivative states V gives the new entries and
     energy (h the CSF Hamiltonian; the CSFs are orthonormal).  A sum
     hybrid's state is affine in a triple, so the frozen pair addend joins as
@@ -640,18 +641,22 @@ def gradient_subspace_solve(
     coefficients pass through ``fix_sign``, as ``exact_diagonalize``'s
     vector does, so the entries do not depend on the LAPACK driver.
 
-    ``cofactor``, the tensor's environment from ``engine.environments(x)``,
-    and a sum hybrid's ``pair_weights``, ``K @ engine.pair_addend(x)``, are
-    computed from ``x`` when not given.  With both given, a solve costs
-    O(n_det + nnz K) for its derivative states, one product with the dense
-    CSF Hamiltonian and two LAPACK calls of order 9 at most.
+    The caller passes ``cofactor``, tensor t's environment from
+    ``engine.environments(x)``, and ``pair_weights``, ``K @
+    engine.pair_addend(x)`` for a sum hybrid and None otherwise.  A row
+    outside the tensors, or pair weights missing on a sum hybrid or given
+    for a product, raises DimensionError; a frozen row raises
+    FrozenTensorError.  A solve costs O(n_det + nnz K) for its derivative
+    states, one product with the dense CSF Hamiltonian and two LAPACK calls
+    of order 9 at most.
     """
     engine = evaluator.engine
-    t = engine.tensor_row(key)
-    if cofactor is None:
-        cofactor = next(c for u, c in engine.environments(x) if u == t)
-    if engine.sum_mode and pair_weights is None:
-        pair_weights = evaluator.K @ engine.pair_addend(x)
+    if t not in range(len(engine.keys)):
+        raise DimensionError(f"no tensor row {t} in this ansatz")
+    if t < engine.n_frozen_tensors:
+        raise FrozenTensorError(f"tensor {engine.keys[t]} is frozen")
+    if (pair_weights is not None) != engine.sum_mode:
+        raise DimensionError("pair weights go with a sum hybrid's solve only")
     V = evaluator.derivative_states(t, cofactor, pair_weights)
     # The states can differ by many orders of magnitude, and the rank floor
     # is relative to the largest.
@@ -688,11 +693,14 @@ def gradient_subspace_solve(
 
 def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
     """Cycle ``gradient_subspace_solve`` over the active tensors in layout
-    order (``engine.active_keys``): an alternating linear scheme.
+    order, by their rows in ``engine.entry_table``: an alternating linear
+    scheme.
 
-    A pass hands each solve its cofactor from ``engine.environments``, as
-    the Metropolis sweep does, and moves the tensor's entries in place
-    before the next tensor's environment is formed.  A pass improves when
+    A pass hands each solve its row and its cofactor from
+    ``engine.environments``, as the Metropolis sweep does (a sum hybrid's
+    solves also get the frozen pair addend's weights, formed once), and
+    moves the tensor's entries in place before the next tensor's
+    environment is formed.  A pass improves when
     some solve lowers the energy by more than ``SUBSPACE_GAIN``; the cycle
     stops after the first pass that does not, or after ``SUBSPACE_PASSES``
     passes (``converged=False``).  The energy returned is that of the last solve.
@@ -706,9 +714,7 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
         improved = False
         for t, cofactor in engine.environments(x):
             # The module global, which tracing wraps; x is moved in place.
-            x[:], e_sub = gradient_subspace_solve(
-                evaluator, x, engine.keys[t], cofactor, pair_weights
-            )
+            x[:], e_sub = gradient_subspace_solve(evaluator, x, t, cofactor, pair_weights)
             if energy - e_sub > SUBSPACE_GAIN:
                 improved = True
             energy = e_sub

@@ -26,7 +26,8 @@ products the engine's environments replaced) for
 ``subspace_refine`` keeping each pass's left and right products: each
 reference solve regathers every tensor's factors, builds a sparse matrix of
 the tensor's Jacobian rows and calls numpy's ``eigh`` (or the ``eigh`` it is
-given) and the library's sign rule.
+given) and the library's sign rule.  ``solve_at_key`` is no reference: it
+calls the library's solve on a tensor named by its key.
 ``tensors`` restates the flat parameter layout from the ansatz definition
 alone, so the amplitude references read the tensors without the engine.
 ``exact_diagonalize_full`` keeps the full-spectrum dense solve that
@@ -213,19 +214,29 @@ def hamiltonian_matrix_brute(
     return mat
 
 
+def _triangular(a: int, b: int) -> int:
+    """Position of the unordered pair (a, b) in row-major lower-triangular
+    order."""
+    a, b = max(a, b), min(a, b)
+    return a * (a + 1) // 2 + b
+
+
 def slater_condon_loop(bra: int, ket: int, ints) -> float:
     """<bra|H|ket> by the Slater-Condon rules, one determinant pair at a time.
 
     The phase comes from applying the excitation operators, annihilations in
     ascending hole order, then creations in descending part order.  The sums
     run over the ket's occupied spin orbitals in ascending order and read the
-    integrals through ``IntegralSet.g``.
+    integrals from ``IntegralSet.g_flat`` by the canonical triangular index.
     """
     diff = bra ^ ket
     ndiff = diff.bit_count()
     if ndiff > 4 or bra.bit_count() != ket.bit_count():
         return 0.0
-    g, h = ints.g, ints.h
+    h = ints.h
+
+    def g(p, q, r, s):
+        return ints.g_flat[_triangular(_triangular(p, q), _triangular(r, s))]
 
     if ndiff == 0:
         occ = [so for so in range(ket.bit_length()) if (ket >> so) & 1]
@@ -368,9 +379,9 @@ def exact_diagonalize_reference(ham, basis=None) -> tuple[float, np.ndarray]:
     else:
         K = basis.K
         _, vec = lowest_eigenpair_reference(
-            lambda u: K @ (H @ (K.T @ u)), hamiltonian._csf_diagonals(K, H)
+            lambda u: K @ (H @ (u @ K)), hamiltonian._csf_diagonals(K, H)
         )
-    e0 = hamiltonian._rayleigh_quotient(H, vec if basis is None else basis.K.T @ vec)
+    e0 = hamiltonian._rayleigh_quotient(H, vec if basis is None else vec @ basis.K)
     return e0, hamiltonian.fix_sign(vec)
 
 
@@ -674,7 +685,7 @@ def jacobian_loop(engine, x: np.ndarray) -> sparse.csr_matrix:
 def active_rows(engine, key) -> slice:
     """Gradient rows (positions in ``engine.active_indices``) of the active
     tensor ``key``: one contiguous block in the tensor's element order."""
-    t = engine.tensor_row(key)
+    t = engine.keys.index(key)
     start = int(engine.offsets[t] - engine.active_indices[0])
     return slice(start, start + engine.sizes[t])
 
@@ -682,7 +693,7 @@ def active_rows(engine, key) -> slice:
 def jacobian_rows(engine, x: np.ndarray, key) -> sparse.csr_matrix:
     """Rows ``active_rows(engine, key)`` of ``engine.jacobian(x)``, bit for
     bit, from tensor ``key``'s row of ``cofactors_reference``."""
-    t = engine.tensor_row(key)
+    t = engine.keys.index(key)
     cells = _tensor_cells(engine, t)
     dets = np.concatenate(cells)
     cofactor = cofactors_reference(engine, x)[t - engine.addend_start]
@@ -690,6 +701,18 @@ def jacobian_rows(engine, x: np.ndarray, key) -> sparse.csr_matrix:
         (cofactor[dets], dets, np.cumsum([0] + [len(c) for c in cells])),
         shape=(len(cells), engine.space.size),
     )
+
+
+def solve_at_key(evaluator, x: np.ndarray, key):
+    """``gradient_subspace_solve`` of the tensor ``key``: its row from
+    ``engine.keys``, its cofactor and a sum hybrid's pair weights formed as
+    ``subspace_refine`` forms them.  A frozen tensor has no environment; it
+    gets ones, which the solve refuses before it reads them."""
+    engine = evaluator.engine
+    t = engine.keys.index(key)
+    cofactor = dict(engine.environments(x)).get(t, np.ones(engine.space.size))
+    pair_weights = evaluator.K @ engine.pair_addend(x) if engine.sum_mode else None
+    return optimizer.gradient_subspace_solve(evaluator, x, t, cofactor, pair_weights)
 
 
 def subspace_solve_reference(evaluator, x: np.ndarray, key, eigh=np.linalg.eigh):
@@ -735,7 +758,7 @@ def subspace_refine_reference(evaluator, x: np.ndarray):
     energy = evaluator.energy(x).e
     for done in range(1, optimizer.SUBSPACE_PASSES + 1):
         improved = False
-        for key in evaluator.engine.active_keys:
+        for key in evaluator.engine.keys[evaluator.engine.n_frozen_tensors :]:
             x, e_sub = subspace_solve_reference(evaluator, x, key)
             if energy - e_sub > optimizer.SUBSPACE_GAIN:
                 improved = True

@@ -238,7 +238,7 @@ def test_criterion_06_gradient_suite(problems):
         space, basis, ham = problems[name]
         _, vec = exact_diagonalize(ham)
         ev = EnergyEvaluator(AnsatzSpec("2s"), space.m, basis, ham)
-        grad = ev.gradient_from_weights(ev.K @ vec, ev.K.T)
+        grad = ev.gradient_from_weights(ev.K @ vec, ev.K.toarray().T)
         assert np.max(np.abs(grad)) <= 1e-8
     report(6, f"{probes} random finite-difference probes within 1e-6 "
               "relative; gradient at the injected oracle eigenvector "

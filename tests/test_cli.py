@@ -654,7 +654,7 @@ class TestSmallEigensolves:
         specs = [_resolve_ansatz(cfg, ints, ham, basis, oracle) for oracle in oracles]
         assert specs[0].selected_sites == specs[1].selected_sites
         assert len(specs[0].selected_sites) == sites
-        occ = [orbital_occupations(ham, basis.K.T @ vec) for _, vec in oracles]
+        occ = [orbital_occupations(ham, vec @ basis.K) for _, vec in oracles]
         assert np.max(np.abs(np.subtract(*occ))) <= 1e-12
 
 

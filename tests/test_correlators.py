@@ -284,7 +284,7 @@ class TestCsfWeights:
 
 class TestNorm:
     """The squared norm sum_pq S_p S_q sum_n K_pn K_qn is the energy's
-    denominator, reported as ``EnergyReport.norm``."""
+    denominator, S.S for the orthonormal CSFs."""
 
     @staticmethod
     def evaluator(space, basis):
@@ -296,8 +296,9 @@ class TestNorm:
         basis = build_csf_basis(space, 0.0)
         e1 = np.zeros(basis.n_csfs)
         e1[0] = 1.0
-        report = self.evaluator(space, basis).energy_from_weights(e1)
-        assert report.norm == pytest.approx(1.0, abs=1e-12)
+        ev = self.evaluator(space, basis)
+        report = ev.energy_from_weights(e1)
+        assert report.e == pytest.approx(ev.h_csf[0, 0], abs=1e-12)
 
     def test_zero_vector(self):
         space = enumerate_onvs(4, 2, 0.0)
@@ -312,8 +313,9 @@ class TestNorm:
         spec = AnsatzSpec("2s")
         S = csf_weights(randomize(spec, 6, np.random.default_rng(9)), spec, 6, basis)
         dense = basis.K.toarray().T @ S  # determinant-space expansion
+        assert float(S @ S) == pytest.approx(float(dense @ dense), rel=1e-12)
         report = self.evaluator(space, basis).energy_from_weights(S)
-        assert report.norm == pytest.approx(float(dense @ dense), rel=1e-12)
+        assert report.e == pytest.approx(-1.0, rel=1e-12)
 
 
 class TestSelectSites:
@@ -484,7 +486,7 @@ class TestEngineTables:
         sel = (2, 3, 4, 5) if kind.endswith("sel") else None
         space = enumerate_onvs(2 * n, n, 0.0)
         engine = AmplitudeEngine(AnsatzSpec(kind, selected_sites=sel), 2 * n, space)
-        cells = len(engine.active_keys) * space.size
+        cells = (len(engine.keys) - engine.n_frozen_tensors) * space.size
         for name, value in vars(engine).items():
             if isinstance(value, np.ndarray) and name != "entry_table":
                 assert value.size < cells, name
@@ -512,7 +514,7 @@ class TestEngineTables:
             V = ev.derivative_states(t, cofactor)
             for rows in (jac[active_rows(engine, key)], jacobian_rows(engine, x, key)):
                 assert V.tobytes() == (rows @ scipy_csr(K).T).toarray().tobytes()
-                assert V.tobytes() == (rows @ K.T.toarray()).tobytes()
+                assert V.tobytes() == (rows @ K.toarray().T).tobytes()
             stacked = ev.derivative_states(t, cofactor, weights)
             assert stacked.tobytes() == np.vstack((weights, V)).tobytes()
 
@@ -530,7 +532,7 @@ class TestEngineTables:
         rescaled = 0
         for _ in range(8):
             x = randomize(spec, 2 * n, rng)
-            exponent = rng.uniform(-250, 250) / len(engine.active_keys)
+            exponent = rng.uniform(-250, 250) / (len(engine.keys) - engine.n_frozen_tensors)
             x[engine.active_indices] *= 2.0**exponent
             fast = engine.renormalized(x)
             assert fast.tobytes() == renormalized_loop(engine, x).tobytes()

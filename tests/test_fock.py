@@ -13,7 +13,7 @@ from cgtns.fock import (
     enumerate_onvs,
     genealogical_paths,
 )
-from cgtns.hamiltonian import _csf_diagonals
+from cgtns.hamiltonian import _csf_diagonals, parse_fcidump
 
 from oracles import (
     all_onvs_brute,
@@ -294,7 +294,7 @@ class TestCsfBasis:
                         continue
                     K, ref = basis.K, csf_basis_reference(space, s2)
                     assert K.toarray().tobytes() == ref.tobytes()
-                    assert K.T.toarray().tobytes() == ref.T.tobytes()
+                    assert K.toarray().T.tobytes() == ref.T.tobytes()
                     assert K.nnz == np.count_nonzero(ref)
                     assert_orthonormal(basis)
                     built += 1
@@ -339,7 +339,7 @@ class TestCsfBasis:
             ((1, 1), 840), ((2, 3), 2520), ((5, 10), 1260), ((14, 35), 120)
         ]
         u = np.random.default_rng(7).standard_normal(K.shape[0])
-        assert np.max(np.abs(K @ (K.T @ u) - u)) <= 1e-12
+        assert np.max(np.abs(K @ (u @ K) - u)) <= 1e-12
 
     def test_no_csf_for_unreachable_spin(self):
         space = enumerate_onvs(4, 2, 0.0)
@@ -398,20 +398,23 @@ CSR_BASES = [
 
 
 def assert_products_match_references(basis, rng):
-    """Every product of K and of K.T, with a C-ordered and a transposed
-    operand, equals the per-row loop and scipy's kernel bit for bit, and so
-    do the overlap K K^T, ``K (K H)^T`` as ``csf_hamiltonian`` forms it,
-    and the CSF diagonal of a random symmetric H."""
+    """Every product K @ v, with a C-ordered and a transposed operand, and
+    u @ K equal the per-row loop and scipy's kernel bit for bit, and so do
+    the overlap K K^T, ``K (K H)^T`` as ``csf_hamiltonian`` forms it, and
+    the CSF diagonal of a random symmetric H."""
     K = basis.K
     ref = scipy_csr(K)
-    for mat, ref_mat in ((K, ref), (K.T, ref.T)):
-        n = mat.shape[1]
-        # The last operand is transposed, as in csf_hamiltonian.
-        for v in (rng.standard_normal(n), rng.standard_normal((n, 3)),
-                  rng.standard_normal((5, n)).T):
-            got = (mat @ v).tobytes()
-            assert got == csr_reference(mat, v).tobytes()
-            assert got == (ref_mat @ v).tobytes()
+    n = K.shape[1]
+    # The last operand is transposed, as in csf_hamiltonian.
+    for v in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+              rng.standard_normal((5, n)).T):
+        got = (K @ v).tobytes()
+        assert got == csr_reference(K, v).tobytes()
+        assert got == (ref @ v).tobytes()
+    u = rng.standard_normal(K.shape[0])
+    got = (u @ K).tobytes()
+    assert got == csr_reference(ref.T, u).tobytes()
+    assert got == (ref.T @ u).tobytes()
     overlap = basis.overlap()
     assert overlap.tobytes() == gram_reference(K).tobytes()
     assert overlap.tobytes() == (ref @ ref.T).toarray().tobytes()
@@ -440,3 +443,18 @@ class TestCsrMatrix:
         for bad in (np.ones(K.shape[1] + 1), np.ones((K.shape[1], 2, 2)), 1.0):
             with pytest.raises(ValueError):
                 K @ bad
+        for bad in (np.ones(K.shape[0] + 1), np.ones((2, K.shape[0])), 1.0):
+            with pytest.raises(ValueError):
+                bad @ K
+
+    def test_transpose_products_on_the_h8_chain(self, h8_chain_fcidump):
+        # u @ K sums each determinant's terms in ascending CSF order, as
+        # scipy's kernel does for K^T u (1568 determinants, 1008 CSFs).
+        ints = parse_fcidump(h8_chain_fcidump)
+        space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
+        K = build_csf_basis(space, 0.5).K
+        ref = scipy_csr(K).T
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            u = rng.standard_normal(K.shape[0])
+            assert (u @ K).tobytes() == (ref @ u).tobytes()
