@@ -169,22 +169,21 @@ def export_trace(trace: list[TraceRow], path) -> None:
 
 
 def read_trace_csv(path) -> list[TraceRow]:
-    """Parse a CSV trace back; numbers round-trip exactly."""
+    """Parse a CSV trace back; numbers round-trip exactly.  A file that is
+    not a trace export raises ParseError naming ``path`` and the line."""
     rows = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != TRACE_COLUMNS:
-            raise DimensionError(f"{path} does not look like a trace export")
-        for rec in reader:
-            rows.append(
-                TraceRow(
-                    sweep=int(rec[0]),
-                    replica=int(rec[1]),
-                    temperature=float(rec[2]),
-                    energy=float(rec[3]),
-                    acceptance=float(rec[4]),
-                    swapped=bool(int(rec[5])),
+        try:
+            if tuple(next(reader, ())) != TRACE_COLUMNS:
+                raise ValueError("not a trace export")
+            for sweep, replica, temperature, energy, acceptance, swap in reader:
+                rows.append(
+                    TraceRow(
+                        int(sweep), int(replica), float(temperature), float(energy),
+                        float(acceptance), bool(int(swap)),
+                    )
                 )
-            )
+        except (ValueError, csv.Error) as exc:  # undecodable bytes included
+            raise ParseError(f"malformed trace: {exc}", str(path), reader.line_num) from None
     return rows

@@ -19,7 +19,13 @@ import numpy as np
 
 from .correlators import AmplitudeEngine, AnsatzSpec
 from .energy import UNSCALED_PEAK, EnergyEvaluator, peak_scale
-from .errors import ConfigError, DegenerateStateError, DimensionError, FrozenTensorError
+from .errors import (
+    ConfigError,
+    DegenerateStateError,
+    DimensionError,
+    FrozenTensorError,
+    ParseError,
+)
 from .fock import CsfBasis
 from .hamiltonian import HamiltonianOperator, fix_sign
 
@@ -624,8 +630,7 @@ def gradient_subspace_solve(
     cofactor: np.ndarray,
     pair_weights: np.ndarray | None,
 ) -> tuple[np.ndarray, float]:
-    """Optimal entries of the active tensor in row ``t`` of the engine's
-    ``entry_table`` from one small pencil.
+    """Optimal entries of the active tensor in row ``t`` from one small pencil.
 
     A determinant picks one entry of each tensor, so the state is linear in
     the 4 or 8 entries of tensor t: the lowest eigenpair of the pencil
@@ -641,14 +646,12 @@ def gradient_subspace_solve(
     coefficients pass through ``fix_sign``, as ``exact_diagonalize``'s
     vector does, so the entries do not depend on the LAPACK driver.
 
-    The caller passes ``cofactor``, tensor t's environment from
-    ``engine.environments(x)``, and ``pair_weights``, ``K @
-    engine.pair_addend(x)`` for a sum hybrid and None otherwise.  A row
-    outside the tensors, or pair weights missing on a sum hybrid or given
-    for a product, raises DimensionError; a frozen row raises
-    FrozenTensorError.  A solve costs O(n_det + nnz K) for its derivative
-    states, one product with the dense CSF Hamiltonian and two LAPACK calls
-    of order 9 at most.
+    The caller passes tensor t's environment ``cofactor`` from
+    ``engine.environments(x)`` and, for a sum hybrid only, ``pair_weights``
+    = ``K @ engine.pair_addend(x)``; a frozen row, a row outside the
+    tensors or misplaced pair weights raise.  A solve costs O(n_det + nnz K)
+    for its derivative states, one product with the dense CSF Hamiltonian
+    and two LAPACK calls of order 9 at most.
     """
     engine = evaluator.engine
     if t not in range(len(engine.keys)):
@@ -692,14 +695,12 @@ def gradient_subspace_solve(
 
 
 def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
-    """Cycle ``gradient_subspace_solve`` over the active tensors in layout
-    order, by their rows in ``engine.entry_table``: an alternating linear
-    scheme.
+    """Cycle ``gradient_subspace_solve`` over the active tensors' rows in
+    layout order: an alternating linear scheme.
 
-    A pass hands each solve its row and its cofactor from
-    ``engine.environments``, as the Metropolis sweep does (a sum hybrid's
-    solves also get the frozen pair addend's weights, formed once), and
-    moves the tensor's entries in place before the next tensor's
+    A pass hands each solve its cofactor from ``engine.environments``, as
+    the Metropolis sweep does, and a sum hybrid's pair weights, formed once;
+    it moves the tensor's entries in place before the next tensor's
     environment is formed.  A pass improves when
     some solve lowers the energy by more than ``SUBSPACE_GAIN``; the cycle
     stops after the first pass that does not, or after ``SUBSPACE_PASSES``
@@ -793,51 +794,59 @@ def load_checkpoint(
     """Rebuild an ensemble; continuing it reproduces the uninterrupted run.
 
     Version-1 files do not record the screening threshold; they load with
-    ``screen = 0``.
+    ``screen = 0``.  A file that is not a well-formed checkpoint raises
+    ParseError naming ``path``; vectors that do not fit the ansatz raise
+    DimensionError.
     """
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "cgtns-checkpoint" or doc.get("version") not in (1, 2):
-        raise DimensionError(f"{path} is not a version-1 or version-2 checkpoint")
-    screen = float(doc["screen"]) if doc["version"] == 2 else 0.0
-    ansatz = doc["ansatz"]
-    spec = AnsatzSpec(
-        ansatz["kind"],
-        selected_sites=(
-            tuple(ansatz["selected_sites"]) if ansatz["selected_sites"] else None
-        ),
-        si_selected_triples=ansatz["si_selected_triples"],
-    )
-    config = PtConfig(**doc["config"])
-    evaluator = EnergyEvaluator(spec, doc["m"], basis, ham, screen=screen)
-    replicas = [
-        ReplicaState(
-            x=evaluator.engine.checked(r["x"]),
-            energy=float(r["energy"]),
-            step=float(r["step"]),
-            rng=_restore_rng(r["rng_state"]),
+    try:
+        doc = json.loads(Path(path).read_bytes())
+        if doc.get("format") != "cgtns-checkpoint" or doc["version"] not in (1, 2):
+            raise ValueError("not a version-1 or version-2 checkpoint")
+        screen = float(doc["screen"]) if doc["version"] == 2 else 0.0
+        ansatz = doc["ansatz"]
+        spec = AnsatzSpec(
+            ansatz["kind"],
+            selected_sites=(
+                tuple(ansatz["selected_sites"]) if ansatz["selected_sites"] else None
+            ),
+            si_selected_triples=ansatz["si_selected_triples"],
         )
-        for r in doc["replicas"]
-    ]
-    trace = [
-        TraceRow(
-            sweep=int(row[0]),
-            replica=int(row[1]),
-            temperature=float(row[2]),
-            energy=float(row[3]),
-            acceptance=float(row[4]),
-            swapped=bool(row[5]),
+        config = PtConfig(**doc["config"])
+        evaluator = EnergyEvaluator(spec, doc["m"], basis, ham, screen=screen)
+        replicas = [
+            ReplicaState(
+                x=evaluator.engine.checked(r["x"]),
+                energy=float(r["energy"]),
+                step=float(r["step"]),
+                rng=_restore_rng(r["rng_state"]),
+            )
+            for r in doc["replicas"]
+        ]
+        trace = [
+            TraceRow(
+                sweep=int(row[0]),
+                replica=int(row[1]),
+                temperature=float(row[2]),
+                energy=float(row[3]),
+                acceptance=float(row[4]),
+                swapped=bool(row[5]),
+            )
+            for row in doc["trace_tail"]
+        ]
+        return ReplicaEnsemble(
+            config=config,
+            temperatures=[float(t) for t in doc["temperatures"]],
+            replicas=replicas,
+            best_x=evaluator.engine.checked(doc["best_x"]),
+            best_energy=float(doc["best_energy"]),
+            trace=trace,
+            sweeps_done=int(doc["sweeps_done"]),
+            swap_attempts=int(doc["swap_attempts"]),
+            swap_rng=_restore_rng(doc["swap_rng_state"]),
+            evaluator=evaluator,
         )
-        for row in doc["trace_tail"]
-    ]
-    return ReplicaEnsemble(
-        config=config,
-        temperatures=[float(t) for t in doc["temperatures"]],
-        replicas=replicas,
-        best_x=evaluator.engine.checked(doc["best_x"]),
-        best_energy=float(doc["best_energy"]),
-        trace=trace,
-        sweeps_done=int(doc["sweeps_done"]),
-        swap_attempts=int(doc["swap_attempts"]),
-        swap_rng=_restore_rng(doc["swap_rng_state"]),
-        evaluator=evaluator,
-    )
+    except (
+        AttributeError, ConfigError, FrozenTensorError, IndexError, KeyError,
+        OverflowError, RecursionError, TypeError, ValueError,
+    ) as exc:  # undecodable, too deep, or a field of the wrong shape
+        raise ParseError(f"malformed checkpoint: {exc}", str(path)) from None

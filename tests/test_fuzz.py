@@ -1,5 +1,7 @@
-"""Property-based input checks: malformed run records and config values
-are input errors (``ParseError``, exit 2), whatever their text or bytes."""
+"""Property-based input checks: malformed run records, checkpoints, traces
+and config values are input errors (``ParseError``, exit 2; a checkpoint's
+vectors that do not fit its ansatz raise ``DimensionError``), whatever
+their text or bytes."""
 
 import json
 import math
@@ -10,9 +12,10 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgtns.analysis import RunRecord
+from cgtns.analysis import RunRecord, read_trace_csv
 from cgtns.cli import EXIT_CONFIG, RunConfig, main
-from cgtns.errors import ParseError
+from cgtns.errors import DimensionError, ParseError
+from cgtns.optimizer import load_checkpoint
 
 H2 = str(Path(__file__).parent.parent / "src" / "cgtns" / "fixtures" / "h2.fcidump")
 
@@ -145,3 +148,113 @@ def test_undecodable_value_exits_2_before_any_output(key, value):
         cfg.write_bytes(key.encode() + b" = " + value + b"\n")
         assert main(["run", "--config", str(cfg), "--integrals", H2, "--out", str(out)]) == EXIT_CONFIG
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["run.cfg"]
+
+
+def _h2_problem():
+    from cgtns.fock import build_csf_basis, enumerate_onvs
+    from cgtns.hamiltonian import HamiltonianOperator, parse_fcidump
+
+    space = enumerate_onvs(4, 2, 0.0)
+    return build_csf_basis(space, 0.0), HamiltonianOperator(parse_fcidump(H2), space)
+
+
+def _valid_artifacts() -> tuple[str, str]:
+    """A checkpoint and a trace of a short H2 `3s[2s]sel` ensemble, whose
+    ansatz has every optional field set."""
+    import numpy as np
+
+    from cgtns.analysis import export_trace
+    from cgtns.correlators import AnsatzSpec
+    from cgtns.energy import EnergyEvaluator
+    from cgtns.optimizer import PtConfig, cold_start, run_parallel_tempering, save_checkpoint
+
+    evaluator = EnergyEvaluator(AnsatzSpec("3s[2s]sel", selected_sites=(0, 1, 2)), 4, *PROBLEM)
+    config = PtConfig(n_replicas=2, sweeps=2, swap_interval=1, seed=1)
+    start = cold_start(evaluator.engine, np.random.default_rng(1))
+    ensemble = run_parallel_tempering(config, evaluator, start)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(ensemble, Path(tmp) / "checkpoint.json")
+        export_trace(ensemble.trace, Path(tmp) / "trace.csv")
+        return tuple((Path(tmp) / name).read_text() for name in ("checkpoint.json", "trace.csv"))
+
+
+PROBLEM = _h2_problem()
+VALID_CHECKPOINT, VALID_TRACE = _valid_artifacts()
+
+
+@st.composite
+def altered_checkpoints(draw):
+    """A valid checkpoint with one field dropped or given another JSON
+    value: a top-level field, or one of a nested object (the config, the
+    ansatz, a replica, an RNG state)."""
+    doc = json.loads(VALID_CHECKPOINT)
+    target, key = doc, draw(st.sampled_from(sorted(doc)))
+    nested = doc[key]
+    if isinstance(nested, list) and nested and isinstance(nested[0], dict):
+        nested = nested[draw(st.integers(0, len(nested) - 1))]
+    if isinstance(nested, dict) and nested and draw(st.booleans()):
+        target, key = nested, draw(st.sampled_from(sorted(nested)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+@st.composite
+def altered_traces(draw):
+    """A valid trace with one cell of one line dropped or replaced."""
+    lines = VALID_TRACE.splitlines()
+    row = draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    col = draw(st.integers(0, len(cells) - 1))
+    if draw(st.booleans()):
+        del cells[col]
+    else:
+        cells[col] = draw(line_text | numeric_text)
+    lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def check_loads(load, data, name):
+    """``load`` raises ParseError or DimensionError, and nothing else, on
+    ``data`` written to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        try:
+            load(path)
+        except (ParseError, DimensionError):
+            pass
+
+
+def load_checkpoint_h2(path):
+    return load_checkpoint(path, *PROBLEM)
+
+
+def test_valid_checkpoint_and_trace_load():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        path.write_text(VALID_CHECKPOINT)
+        ensemble = load_checkpoint_h2(path)
+        assert ensemble.evaluator.spec.selected_sites == (0, 1, 2)
+        path = Path(tmp) / "trace.csv"
+        path.write_text(VALID_TRACE)
+        assert len(read_trace_csv(path)) == len(VALID_TRACE.splitlines()) - 1
+
+
+@FUZZ
+@given(altered_checkpoints() | json_values.map(json.dumps) | st.binary())
+@example("[" * 100_000)
+@example(b'{"format": "cgtns-checkpoint", "version": 2, "m": ' + b"[" * 50_000)
+@example(VALID_CHECKPOINT.encode("utf-16"))
+def test_malformed_checkpoint_is_a_parse_error(data):
+    check_loads(load_checkpoint_h2, data, "checkpoint.json")
+
+
+@FUZZ
+@given(altered_traces() | st.text() | st.binary())
+@example(VALID_TRACE.encode("utf-16"))
+@example(VALID_TRACE.replace("\n", "\x00\n", 2))
+def test_malformed_trace_is_a_parse_error(data):
+    check_loads(read_trace_csv, data, "trace.csv")
