@@ -185,5 +185,5 @@ def read_trace_csv(path) -> list[TraceRow]:
                     )
                 )
         except (ValueError, csv.Error) as exc:  # undecodable bytes included
-            raise ParseError(f"malformed trace: {exc}", str(path), reader.line_num) from None
+            raise ParseError(f"malformed trace: {exc}", path, reader.line_num) from None
     return rows

@@ -715,7 +715,9 @@ def subspace_refine(evaluator: EnergyEvaluator, x: np.ndarray) -> RefineResult:
         improved = False
         for t, cofactor in engine.environments(x):
             # The module global, which tracing wraps; x is moved in place.
-            x[:], e_sub = gradient_subspace_solve(evaluator, x, t, cofactor, pair_weights)
+            x[:], e_sub = gradient_subspace_solve(
+                evaluator, x, t, cofactor, pair_weights
+            )
             if energy - e_sub > SUBSPACE_GAIN:
                 improved = True
             energy = e_sub
@@ -849,4 +851,4 @@ def load_checkpoint(
         AttributeError, ConfigError, FrozenTensorError, IndexError, KeyError,
         OverflowError, RecursionError, TypeError, ValueError,
     ) as exc:  # undecodable, too deep, or a field of the wrong shape
-        raise ParseError(f"malformed checkpoint: {exc}", str(path)) from None
+        raise ParseError(f"malformed checkpoint: {exc}", path) from None

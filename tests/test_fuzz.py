@@ -9,13 +9,24 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgtns.analysis import RunRecord, read_trace_csv
+from cgtns.analysis import RunRecord, export_trace, read_trace_csv
 from cgtns.cli import EXIT_CONFIG, RunConfig, main
+from cgtns.correlators import AnsatzSpec
+from cgtns.energy import EnergyEvaluator
 from cgtns.errors import DimensionError, ParseError
-from cgtns.optimizer import load_checkpoint
+from cgtns.fock import build_csf_basis, enumerate_onvs
+from cgtns.hamiltonian import HamiltonianOperator, parse_fcidump
+from cgtns.optimizer import (
+    PtConfig,
+    cold_start,
+    load_checkpoint,
+    run_parallel_tempering,
+    save_checkpoint,
+)
 
 H2 = str(Path(__file__).parent.parent / "src" / "cgtns" / "fixtures" / "h2.fcidump")
 
@@ -150,25 +161,15 @@ def test_undecodable_value_exits_2_before_any_output(key, value):
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["run.cfg"]
 
 
-def _h2_problem():
-    from cgtns.fock import build_csf_basis, enumerate_onvs
-    from cgtns.hamiltonian import HamiltonianOperator, parse_fcidump
-
-    space = enumerate_onvs(4, 2, 0.0)
-    return build_csf_basis(space, 0.0), HamiltonianOperator(parse_fcidump(H2), space)
+SPACE = enumerate_onvs(4, 2, 0.0)
+PROBLEM = build_csf_basis(SPACE, 0.0), HamiltonianOperator(parse_fcidump(H2), SPACE)
 
 
 def _valid_artifacts() -> tuple[str, str]:
     """A checkpoint and a trace of a short H2 `3s[2s]sel` ensemble, whose
     ansatz has every optional field set."""
-    import numpy as np
-
-    from cgtns.analysis import export_trace
-    from cgtns.correlators import AnsatzSpec
-    from cgtns.energy import EnergyEvaluator
-    from cgtns.optimizer import PtConfig, cold_start, run_parallel_tempering, save_checkpoint
-
-    evaluator = EnergyEvaluator(AnsatzSpec("3s[2s]sel", selected_sites=(0, 1, 2)), 4, *PROBLEM)
+    spec = AnsatzSpec("3s[2s]sel", selected_sites=(0, 1, 2))
+    evaluator = EnergyEvaluator(spec, 4, *PROBLEM)
     config = PtConfig(n_replicas=2, sweeps=2, swap_interval=1, seed=1)
     start = cold_start(evaluator.engine, np.random.default_rng(1))
     ensemble = run_parallel_tempering(config, evaluator, start)
@@ -178,7 +179,6 @@ def _valid_artifacts() -> tuple[str, str]:
         return tuple((Path(tmp) / name).read_text() for name in ("checkpoint.json", "trace.csv"))
 
 
-PROBLEM = _h2_problem()
 VALID_CHECKPOINT, VALID_TRACE = _valid_artifacts()
 
 

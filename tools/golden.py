@@ -30,6 +30,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,7 +80,10 @@ def cases() -> list[Case]:
             Case(f"run-h6-{kind}-seed1", "run", "h6", h6, ("--ansatz", kind, "--seed", "1"))
             for kind in ("2s", "3s[2s]", "3s+[2s]")
         ),
-        *(Case(f"oracle-{system}", "oracle", system, "") for system in ("h2", "h4", "h6", "h8_chain")),
+        *(
+            Case(f"oracle-{system}", "oracle", system, "")
+            for system in ("h2", "h4", "h6", "h8_chain")
+        ),
         Case("run-h4-sweeps0", "run", "h4", "sweeps = 0\n"),
         Case("oracle-h4-dense10", "oracle", "h4", "dense_limit = 10\n"),
     ]
@@ -88,7 +92,8 @@ def cases() -> list[Case]:
 def write_h8_chain(path: Path) -> Path:
     """The linear H8 chain at ``H8_SPACING`` bohr, 5 electrons, MS2 = 1,
     from the fixture script's own integral code."""
-    spec = importlib.util.spec_from_file_location("make_fixtures", ROOT / "tools" / "make_fixtures.py")
+    script = ROOT / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
     mf = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mf)
     centers = [(0.0, 0.0, H8_SPACING * k) for k in range(8)]
@@ -112,7 +117,9 @@ def platform_info() -> dict:
     info["blas"], info["blas_version"] = blas.get("name"), blas.get("version")
     for lib in sorted((Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
-        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
+        for prefix, suffix in (
+            ("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")
+        ):
             if hasattr(handle, f"{prefix}get_corename{suffix}"):
                 corename = getattr(handle, f"{prefix}get_corename{suffix}")
                 corename.argtypes, corename.restype = [], ctypes.c_char_p
@@ -173,7 +180,8 @@ def run_panel(work: Path, h8_chain: Path | None = None) -> dict:
 def platform_differences(recorded: dict) -> list[str]:
     """Names of the platform fields that differ from ``recorded``."""
     current = platform_info()
-    return [key for key in sorted(set(recorded) | set(current)) if recorded.get(key) != current.get(key)]
+    keys = sorted(set(recorded) | set(current))
+    return [key for key in keys if recorded.get(key) != current.get(key)]
 
 
 def byte_mismatches(expected: dict, observed: dict) -> list[str]:
@@ -220,8 +228,6 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path, default=ROOT / ".golden_out",
                         help="scratch directory for the commands' files (emptied first)")
     args = parser.parse_args(argv)
-    import shutil
-
     shutil.rmtree(args.work, ignore_errors=True)
     observed = run_panel(args.work)
     if args.update:
