@@ -796,9 +796,11 @@ def load_checkpoint(
     """Rebuild an ensemble; continuing it reproduces the uninterrupted run.
 
     Version-1 files do not record the screening threshold; they load with
-    ``screen = 0``.  A file that is not a well-formed checkpoint raises
-    ParseError naming ``path``; vectors that do not fit the ansatz raise
-    DimensionError.
+    ``screen = 0``.  A file that is not a well-formed checkpoint, or that
+    describes an ansatz without an active tensor, raises ParseError naming
+    ``path``; an ansatz or vectors that do not fit the basis raise
+    DimensionError.  Only the document's reads are caught: a fault in
+    building the evaluator or the ensemble propagates as raised.
     """
     try:
         doc = json.loads(Path(path).read_bytes())
@@ -813,42 +815,40 @@ def load_checkpoint(
             ),
             si_selected_triples=ansatz["si_selected_triples"],
         )
-        config = PtConfig(**doc["config"])
-        evaluator = EnergyEvaluator(spec, doc["m"], basis, ham, screen=screen)
+        if not isinstance(doc["m"], int):
+            raise TypeError(f"m = {doc['m']!r} is not an integer")
         replicas = [
-            ReplicaState(
-                x=evaluator.engine.checked(r["x"]),
-                energy=float(r["energy"]),
-                step=float(r["step"]),
-                rng=_restore_rng(r["rng_state"]),
-            )
+            (np.asarray(r["x"], dtype=float), float(r["energy"]), float(r["step"]),
+             _restore_rng(r["rng_state"]))
             for r in doc["replicas"]
         ]
-        trace = [
-            TraceRow(
-                sweep=int(row[0]),
-                replica=int(row[1]),
-                temperature=float(row[2]),
-                energy=float(row[3]),
-                acceptance=float(row[4]),
-                swapped=bool(row[5]),
-            )
-            for row in doc["trace_tail"]
-        ]
-        return ReplicaEnsemble(
-            config=config,
+        best_x = np.asarray(doc["best_x"], dtype=float)
+        fields = dict(
+            config=PtConfig(**doc["config"]),
             temperatures=[float(t) for t in doc["temperatures"]],
-            replicas=replicas,
-            best_x=evaluator.engine.checked(doc["best_x"]),
             best_energy=float(doc["best_energy"]),
-            trace=trace,
+            trace=[
+                TraceRow(int(row[0]), int(row[1]), float(row[2]), float(row[3]),
+                         float(row[4]), bool(row[5]))
+                for row in doc["trace_tail"]
+            ],
             sweeps_done=int(doc["sweeps_done"]),
             swap_attempts=int(doc["swap_attempts"]),
             swap_rng=_restore_rng(doc["swap_rng_state"]),
-            evaluator=evaluator,
         )
     except (
-        AttributeError, ConfigError, FrozenTensorError, IndexError, KeyError,
-        OverflowError, RecursionError, TypeError, ValueError,
+        AttributeError, ConfigError, IndexError, KeyError, OverflowError,
+        RecursionError, TypeError, ValueError,
     ) as exc:  # undecodable, too deep, or a field of the wrong shape
         raise ParseError(f"malformed checkpoint: {exc}", path) from None
+    try:
+        evaluator = EnergyEvaluator(spec, doc["m"], basis, ham, screen=screen)
+    except FrozenTensorError as exc:  # an ansatz no run can have
+        raise ParseError(f"malformed checkpoint: {exc}", path) from None
+    checked = evaluator.engine.checked
+    return ReplicaEnsemble(
+        replicas=[ReplicaState(checked(x), e, step, rng) for x, e, step, rng in replicas],
+        best_x=checked(best_x),
+        evaluator=evaluator,
+        **fields,
+    )

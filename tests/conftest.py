@@ -12,10 +12,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture(scope="session")
 def h8_chain(tmp_path_factory):
-    """FCIDUMP path of the linear H8 chain at a bond length in bohr, 5
-    electrons, MS2 = 1 (1568 determinants, 1008 doublet CSFs), written once
-    per bond length by the fixture script's own integral code, as the
-    benchmark's ``h8-oracle`` workload builds it."""
+    """FCIDUMP path of the linear H8 chain at a bond length in bohr, written
+    once per bond length by ``tools/make_fixtures.py``'s ``write_h8_chain``,
+    as the benchmark's ``h8-oracle`` workload builds it."""
     spec = importlib.util.spec_from_file_location(
         "make_fixtures", ROOT / "tools" / "make_fixtures.py"
     )
@@ -25,12 +24,8 @@ def h8_chain(tmp_path_factory):
 
     def build(spacing: float) -> Path:
         if spacing not in paths:
-            centers = [(0.0, 0.0, spacing * k) for k in range(8)]
-            S, h_ao, eri_ao = mf.ao_integrals(mf.Basis(centers))
-            h, g = mf.transform(h_ao, eri_ao, mf.lowdin_orbitals(S))
             path = tmp_path_factory.mktemp("h8") / f"h8_{spacing}.fcidump"
-            mf.write_fcidump(path, h, g, mf.nuclear_repulsion(centers), 5, 1)
-            paths[spacing] = path
+            paths[spacing] = mf.write_h8_chain(path, spacing)
         return paths[spacing]
 
     return build

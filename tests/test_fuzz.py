@@ -10,6 +10,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from cgtns.energy import EnergyEvaluator
 from cgtns.errors import DimensionError, ParseError
 from cgtns.fock import build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import HamiltonianOperator, parse_fcidump
+from cgtns import optimizer
 from cgtns.optimizer import (
     PtConfig,
     cold_start,
@@ -241,6 +243,29 @@ def test_valid_checkpoint_and_trace_load():
         path = Path(tmp) / "trace.csv"
         path.write_text(VALID_TRACE)
         assert len(read_trace_csv(path)) == len(VALID_TRACE.splitlines()) - 1
+
+
+def load_altered_checkpoint(**ansatz):
+    doc = json.loads(VALID_CHECKPOINT)
+    doc["ansatz"].update(ansatz)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        return load_checkpoint_h2(path)
+
+
+def test_checkpoint_of_an_ansatz_without_active_tensors_is_a_parse_error():
+    with pytest.raises(ParseError, match="frozen"):
+        load_altered_checkpoint(selected_sites=[0, 1], si_selected_triples=False)
+
+
+def test_a_fault_in_building_the_evaluator_is_not_a_parse_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("not from the document")
+
+    monkeypatch.setattr(optimizer, "EnergyEvaluator", broken)
+    with pytest.raises(ValueError, match="not from the document"):
+        load_altered_checkpoint()
 
 
 @FUZZ

@@ -20,8 +20,8 @@ MANIFEST = json.loads(golden.MANIFEST.read_text())
 
 
 @pytest.fixture(scope="module")
-def observed(tmp_path_factory, h8_chain):
-    return golden.run_panel(tmp_path_factory.mktemp("golden"), h8_chain(golden.H8_SPACING))
+def observed(tmp_path_factory):
+    return golden.run_panel(tmp_path_factory.mktemp("golden") / "work")
 
 
 def test_artifacts_are_byte_identical(observed):

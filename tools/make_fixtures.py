@@ -177,6 +177,16 @@ def write_fcidump(path, h, g, e_core, n_electrons, ms2):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_h8_chain(path, spacing):
+    """The linear H8 chain at ``spacing`` bohr with 5 electrons and MS2 = 1
+    (1568 determinants, 1008 doublet CSFs), written to ``path``."""
+    centers = [(0.0, 0.0, spacing * k) for k in range(8)]
+    S, h_ao, eri_ao = ao_integrals(Basis(centers))
+    h, g = transform(h_ao, eri_ao, lowdin_orbitals(S))
+    write_fcidump(path, h, g, nuclear_repulsion(centers), 5, 1)
+    return Path(path)
+
+
 # --- independent full CI by direct operator application -------------------
 
 
