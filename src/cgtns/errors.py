@@ -6,7 +6,7 @@ class CgtnsError(Exception):
 
 
 class CapacityError(CgtnsError):
-    """A requested object exceeds a hard size limit (bit width, dense solver)."""
+    """A requested object exceeds a hard size limit (bit width, oracle size)."""
 
 
 class EmptySpaceError(CgtnsError):

@@ -6,17 +6,24 @@ Spatial orbitals are 0-based internally; FCIDUMP files are 1-based.
 
 One kernel, ``_pair_elements``, applies the Slater-Condon rules to arrays
 of determinant pairs of one excitation level in whole-array steps.
-``slater_condon`` calls it on one pair.  ``HamiltonianOperator`` calls it
-once for the diagonal and once per block of rows for the singles and the
-doubles, after classifying each pair by the spin orbitals it shares.  The
-kernel adds the integrals in the order of the per-pair loop kept as the test
-reference, so the matrix is bit-identical to that loop.
+``slater_condon`` calls it on one pair.  ``HamiltonianOperator.matrix``
+calls it once for the diagonal and once per block of rows for the singles
+and the doubles, after classifying each pair by the spin orbitals it
+shares.  The kernel adds the integrals in the order of the per-pair loop
+kept as the test reference, so the matrix is bit-identical to that loop.
+
+The oracle, ``exact_diagonalize``, forms no H: ``HamiltonianOperator.sigma``
+gives H v from tables over the alpha and beta strings (direct CI: Knowles &
+Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen, Roos, Jorgensen & Jensen,
+J. Chem. Phys. 89, 2185 (1988)), whose every element is the value the
+dense matrix holds.  ``csf_hamiltonian`` still reads the dense matrix.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +31,8 @@ import numpy as np
 from .errors import CapacityError, ConvergenceError, DimensionError, ParseError
 from .fock import MAX_SPIN_ORBITALS, CsfBasis, FockSubspace, occupations
 
-#: Default cap on the determinant dimension of the oracle, whose H is dense.
+#: Default cap on the determinant dimension of the oracle.  The oracle forms
+#: no H, but the cap and its exit status 3 stay as they were.
 DENSE_LIMIT = 20_000
 
 
@@ -406,13 +414,157 @@ def _determinant_matrix(ints: IntegralSet, space: FockSubspace) -> np.ndarray:
     return mat
 
 
+#: Pairs per ``_pair_elements`` call while the product tables are built.
+_CHUNK_PAIRS = 1 << 12
+
+
+def _connection_elements(
+    ints: IntegralSet, words: np.ndarray, partner: np.ndarray, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elements of a symmetric connection table over ``words``.
+
+    ``partner`` (N, k) lists, for each word, the words ``level`` excitations
+    away (-1 for none).  Returns the table with each row sorted and the
+    elements ``_pair_elements`` gives each pair: evaluated once per pair,
+    with the bra at the higher index as ``_determinant_matrix`` evaluates
+    it, in batches of ``_CHUNK_PAIRS``, and reused for the other
+    orientation.
+    """
+    partner = np.sort(partner, axis=1)
+    row = np.broadcast_to(np.arange(len(partner))[:, None], partner.shape)
+    up = partner > row
+    bra, ket = words[partner[up]], words[row[up]]
+    values = np.zeros(partner.shape)
+    values[up] = np.concatenate([np.zeros(0)] + [
+        _pair_elements(ints, bra[i0 : i0 + _CHUNK_PAIRS], ket[i0 : i0 + _CHUNK_PAIRS], level)
+        for i0 in range(0, len(bra), _CHUNK_PAIRS)
+    ])
+    # The pairs above the diagonal, row-major with sorted partners, ascend.
+    keys = row[up] * len(words) + partner[up]
+    down = (partner >= 0) & (partner < row)
+    mirror = np.searchsorted(keys, partner[down] * len(words) + row[down])
+    values[down] = values[up][mirror]
+    return partner, values
+
+
+def _spin_strings(ints: IntegralSet, n: int, spin: int):
+    """Every string of ``n`` electrons of one spin, with its excitations.
+
+    Returns the strings as ascending ONV words (alpha on even bits, beta on
+    odd bits); the single excitations a+_p a_q (p != q) into each string,
+    as (N, n (m - n)) arrays of the source string's index, the pair index
+    p m + q and the sign <T|a+_p a_q|S>, -1 to the number of orbitals
+    occupied between p and q; and the same-spin doubles into each string,
+    as ``_connection_elements`` of the string pairs: (0 + g_direct) -
+    g_exchange times the string's sign.
+    """
+    m = ints.m_orb
+    combos = list(combinations(range(m), n))
+    occ = np.array(combos, dtype=np.int64).reshape(len(combos), n)
+    bit = lambda orb: np.uint64(1) << (2 * orb + spin).astype(np.uint64)
+    words = bit(occ).sum(1, dtype=np.uint64)
+    order = np.argsort(words)
+    words, occ = words[order], occ[order]
+    empty = np.ones((len(occ), m), dtype=bool)
+    empty[np.arange(len(occ))[:, None], occ] = False
+    virt = np.nonzero(empty)[1].reshape(len(occ), m - n)
+
+    p, q = np.broadcast_arrays(occ[:, :, None], virt[:, None, :])
+    p, q = p.reshape(len(occ), -1), q.reshape(len(occ), -1)
+    source = np.searchsorted(words, words[:, None] - bit(p) + bit(q))
+    lo, hi = np.minimum(p, q)[..., None], np.maximum(p, q)[..., None]
+    between = ((occ[:, None, :] > lo) & (occ[:, None, :] < hi)).sum(-1)
+    singles = source, p * m + q, 1.0 - 2.0 * (between & 1)
+
+    a1, a2 = np.triu_indices(n, 1)
+    b1, b2 = np.triu_indices(m - n, 1)
+    emptied = words[:, None] - bit(occ[:, a1]) - bit(occ[:, a2])
+    filled = bit(virt[:, b1]) + bit(virt[:, b2])
+    source = np.searchsorted(words, emptied[:, :, None] + filled[:, None, :])
+    doubles = _connection_elements(ints, words, source.reshape(len(words), -1), 2)
+    return words, singles, doubles
+
+
+class _ProductTables:
+    """The tables of the matrix-free product sigma = H v over one space.
+
+    Every determinant sits on the grid of alpha strings x beta strings; a
+    space that is not the whole grid leaves zeros at the other points.  A
+    determinant is s(D) times the product of its alpha string, then its beta
+    string, where s(D) is (-1) to the sum, over its occupied alpha orbitals
+    p, of the occupied beta orbitals below p.  H splits into three parts:
+
+    * the diagonal, ``_pair_elements(..., 0)`` of each determinant;
+    * the singles, a fixed number per determinant, evaluated once per pair
+      with the bra at the higher space index and reused for the other
+      orientation (a single sums over the ket's occupied orbitals, so the
+      other orientation can round differently); a partner outside the space
+      points at a zero slot past the end of v;
+    * the doubles on the grid: the same-spin ones from per-string lists,
+      the opposite-spin ones as the integral g[p q r s] times the two
+      strings' excitation signs, contracted one beta string at a time.
+
+    Every element is the value ``_determinant_matrix`` stores.
+    """
+
+    def __init__(self, ints: IntegralSet, space: FockSubspace):
+        m_orb = ints.m_orb
+        n_alpha = (space.n_electrons + space.ms2) // 2
+        self.onvs = np.array(space.onvs, dtype=np.uint64)
+        a_words, (a_src, a_pair, self.a_sign), (self.aa_src, self.aa_val) = (
+            _spin_strings(ints, n_alpha, 0)
+        )
+        b_words, (b_src, b_pair, b_sign), (self.bb_src, self.bb_val) = (
+            _spin_strings(ints, space.n_electrons - n_alpha, 1)
+        )
+        self.shape = (len(a_words), len(b_words))
+        ia = np.searchsorted(a_words, self.onvs & np.uint64(0x5555555555555555))
+        ib = np.searchsorted(b_words, self.onvs & np.uint64(0xAAAAAAAAAAAAAAAA))
+        self.pos = ia * len(b_words) + ib
+
+        occupied = occupations(space)
+        alpha, beta = occupied[:, 0::2], occupied[:, 1::2].astype(np.int64)
+        beta_below = np.cumsum(beta, axis=1) - beta
+        self.phase = 1.0 - 2.0 * ((alpha * beta_below).sum(1) & 1)
+
+        self.diagonal = _pair_elements(ints, self.onvs, self.onvs, 0)
+        grid = np.full(self.shape, -1, dtype=np.int64)
+        grid.flat[self.pos] = np.arange(space.size)
+        partner = np.hstack([grid[a_src[ia], ib[:, None]], grid[ia[:, None], b_src[ib]]])
+        partner, self.single_val = _connection_elements(ints, self.onvs, partner, 1)
+        self.single_idx = np.where(partner >= 0, partner, space.size)
+
+        # Opposite spin: g[pq, rs] for each beta string's excitations r <- s,
+        # (N_beta, m^2, n_s); the alpha side gathers column pq N_alpha + I.
+        g = ints.g_dense().reshape(m_orb * m_orb, m_orb * m_orb)
+        self.g_beta = np.ascontiguousarray(g[:, b_pair].transpose(1, 0, 2))
+        self.b_src, self.b_sign = b_src, b_sign[:, :, None]
+        self.a_col = a_pair * len(a_words) + a_src
+
+    def sigma(self, v: np.ndarray) -> np.ndarray:
+        n_alpha, n_beta = self.shape
+        x = np.zeros(n_alpha * n_beta, dtype=v.dtype)
+        x[self.pos] = self.phase * v
+        x = x.reshape(self.shape)
+        y = np.einsum("ak,akb->ab", self.aa_val, x[self.aa_src])
+        y += np.einsum("bk,abk->ab", self.bb_val, x[:, self.bb_src])
+        # One small product per beta string: (m^2, n_s) @ (n_s, N_alpha).
+        e = (self.g_beta @ (self.b_sign * x.T[self.b_src])).reshape(n_beta, -1)
+        y += np.einsum("ak,bak->ab", self.a_sign, e[:, self.a_col])
+        padded = np.concatenate([v, np.zeros(1, dtype=v.dtype)])
+        singles = np.einsum("jk,jk->j", self.single_val, padded[self.single_idx])
+        return self.phase * y.ravel()[self.pos] + self.diagonal * v + singles
+
+
 @dataclass
 class HamiltonianOperator:
-    """Hamiltonian restricted to one determinant space, with a cached matrix."""
+    """Hamiltonian restricted to one determinant space: a matrix-free
+    product, built once, and a dense matrix, assembled on request."""
 
     integrals: IntegralSet
     space: FockSubspace
     _matrix: list = field(default_factory=list, repr=False)
+    _tables: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if 2 * self.integrals.m_orb != self.space.m:
@@ -430,6 +582,35 @@ class HamiltonianOperator:
         if not self._matrix:
             self._matrix.append(_determinant_matrix(self.integrals, self.space))
         return self._matrix[0]
+
+    def _product_tables(self) -> _ProductTables:
+        if not self._tables:
+            self._tables.append(_ProductTables(self.integrals, self.space))
+        return self._tables[0]
+
+    def sigma(self, v: np.ndarray) -> np.ndarray:
+        """H v, without H: the sum of ``matrix()``'s elements times v, in
+        v's dtype (float or ``np.longdouble``), in another order."""
+        return self._product_tables().sigma(v)
+
+    def diagonal(self) -> np.ndarray:
+        """The bytes of ``matrix().diagonal()``, without the matrix."""
+        return self._product_tables().diagonal
+
+    def elements(self, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+        """``matrix()[bra, ket]`` for index arrays broadcast together,
+        without the matrix: each pair is classified by the spin orbitals it
+        moves."""
+        bra, ket = np.broadcast_arrays(bra, ket)
+        onvs = self._product_tables().onvs
+        hi, lo = onvs[np.maximum(bra, ket)], onvs[np.minimum(bra, ket)]
+        moved = np.unpackbits((hi ^ lo).ravel().view(np.uint8))
+        levels = moved.reshape(-1, 64).sum(1).reshape(bra.shape) // 2
+        out = np.where(levels == 0, self.diagonal()[bra], 0.0)
+        for level in (1, 2):
+            at = levels == level
+            out[at] = _pair_elements(self.integrals, hi[at], lo[at], level)
+        return out
 
 
 def csf_hamiltonian(basis: CsfBasis, ham: HamiltonianOperator) -> np.ndarray:
@@ -540,18 +721,21 @@ def lowest_eigenpair(apply_a, diag_a):
     )
 
 
-def _csf_diagonals(K, H: np.ndarray) -> np.ndarray:
-    """diag(K H K^T) from the nonzeros of K, block by block.
+def _csf_diagonals(K, ham: HamiltonianOperator) -> np.ndarray:
+    """diag(K H K^T) from the nonzeros of K, block by block, without H.
 
     Each CSF's element adds, from zero, the terms of every ordered pair of
-    its own nonzeros, left-major in ascending determinant order, so no
-    dense K @ H is formed.
+    its own nonzeros, left-major in ascending determinant order; the
+    elements of H between a configuration's determinants come from
+    ``ham.elements``, once per configuration, so no dense K @ H or H is
+    formed.
     """
     diag = np.zeros(K.shape[0])
     for coeffs, rows, cols in K.blocks:
         nonzero = coeffs != 0.0
         i, j, jj = np.nonzero(nonzero[:, :, None] & nonzero[:, None, :])
-        terms = coeffs[i, j] * H[cols[:, j], cols[:, jj]] * coeffs[i, jj]
+        block = ham.elements(cols[:, :, None], cols[:, None, :])
+        terms = coeffs[i, j] * block[:, j, jj] * coeffs[i, jj]
         bins = np.arange(len(rows))[:, None] * len(coeffs) + i
         sums = np.bincount(bins.ravel(), terms.ravel(), minlength=rows.size)
         diag[rows] = sums.reshape(rows.shape)
@@ -564,24 +748,6 @@ def fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[np.argmax(np.abs(v))] < 0 else v
 
 
-def _rayleigh_quotient(H: np.ndarray, w: np.ndarray) -> float:
-    """w^T H w / w^T w in extended precision, rounded once to a float.
-
-    The quotient is stationary at an eigenvector, so it is as accurate as
-    the extended sums (64-bit mantissas on x86-64), far below a float's last
-    bit: problems that differ only in the order of their rows, whose float
-    products round differently, round to the same float.  H is converted
-    about 2**16 elements (1 MB) at a time.
-    """
-    w = w.astype(np.longdouble)
-    rows = max(1, 2**16 // len(w))
-    num = sum(
-        w[i0 : i0 + rows] @ (H[i0 : i0 + rows].astype(np.longdouble) @ w)
-        for i0 in range(0, len(w), rows)
-    )
-    return float(num / (w @ w))
-
-
 def exact_diagonalize(
     ham: HamiltonianOperator,
     basis: CsfBasis | None = None,
@@ -589,27 +755,34 @@ def exact_diagonalize(
 ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of H, in the determinant or a CSF basis.
 
-    Both bases call ``lowest_eigenpair``, so H enters only through products
-    and its diagonal.  The genealogical CSFs are orthonormal, so the CSF
-    path is a standard problem too, through the sparse K: A u =
-    K (H (u K)) and diag(A) from K's nonzeros; K H K^T is not formed, and
-    u K is one sum over K's own nonzeros.
+    Both bases call ``lowest_eigenpair``, so H enters only through
+    ``ham.sigma`` and the exact diagonal; no dense H is formed.  The
+    genealogical CSFs are orthonormal, so the CSF path is a standard
+    problem too, through the sparse K: A u = K (H (u K)) and diag(A) from
+    K's nonzeros and ``ham.elements``; K H K^T is not formed, and u K is
+    one sum over K's own nonzeros.
     On the 1568-determinant H8 chain at 1.75 bohr (1008 doublet CSFs) the
     determinant solve takes 79 products, the CSF solve 74.  The energy is
-    ``_rayleigh_quotient`` of the eigenvector in the determinant basis.
+    the Rayleigh quotient w.(H w) / w.w of the eigenvector w in the
+    determinant basis, with ``ham.sigma`` and both dot products in
+    extended precision (64-bit mantissas on x86-64), rounded once to a
+    float.  The quotient is stationary at an eigenvector, so problems that
+    differ only in the order of their rows, whose float products round
+    differently, give the same float.
     The returned eigenvector has unit norm, with a deterministic overall
-    sign.
+    sign.  ``dense_limit`` caps the determinant count as before: above it,
+    ``CapacityError``.
     """
     if ham.dim > dense_limit:
         raise CapacityError(
-            f"{ham.dim} determinants exceed the dense-solver limit "
+            f"{ham.dim} determinants exceed the oracle's limit "
             f"{dense_limit}; shrink the space or raise the limit explicitly"
         )
-    H = ham.matrix()
     if basis is None:
-        _, vec = lowest_eigenpair(H.__matmul__, H.diagonal())
+        _, vec = lowest_eigenpair(ham.sigma, ham.diagonal())
     else:
         K = basis.K
-        _, vec = lowest_eigenpair(lambda u: K @ (H @ (u @ K)), _csf_diagonals(K, H))
-    e0 = _rayleigh_quotient(H, vec if basis is None else vec @ basis.K)
+        _, vec = lowest_eigenpair(lambda u: K @ ham.sigma(u @ K), _csf_diagonals(K, ham))
+    w = (vec if basis is None else vec @ basis.K).astype(np.longdouble)
+    e0 = float(w @ ham.sigma(w) / (w @ w))
     return e0, fix_sign(vec)

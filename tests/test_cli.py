@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -977,3 +978,24 @@ def test_oracle_is_identical_across_blas_threads(h8_chain_fcidump, tmp_path):
         written.append(out.read_bytes())
     assert written[0] == written[1]
     assert json.loads(written[0])["csfs"] == 1008
+
+
+def test_oracle_forms_no_dense_hamiltonian(h8_chain_fcidump, tmp_path, monkeypatch):
+    # Both solves run on the matrix-free product: no call builds the dense
+    # H, and the command's peak stays below a quarter of its n_det^2 floats.
+    def forbidden(self):
+        raise AssertionError("dense determinant H formed")
+
+    monkeypatch.setattr(HamiltonianOperator, "matrix", forbidden)
+    out = tmp_path / "oracle.json"
+    tracemalloc.start()
+    try:
+        status = main(["oracle", "--integrals", str(h8_chain_fcidump), "--oracle-out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["determinants"] == 1568
+    assert abs(doc["e0_determinant_basis"] - doc["e0_csf_basis"]) <= 1e-10
+    assert peak < 1568**2 * 8 / 4

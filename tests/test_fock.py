@@ -13,12 +13,18 @@ from cgtns.fock import (
     enumerate_onvs,
     genealogical_paths,
 )
-from cgtns.hamiltonian import _csf_diagonals, parse_fcidump
+from cgtns.hamiltonian import (
+    HamiltonianOperator,
+    IntegralSet,
+    _csf_diagonals,
+    parse_fcidump,
+)
 
 from oracles import (
     all_onvs_brute,
     bits_of,
     csf_basis_reference,
+    csf_diagonals_dense,
     csf_diagonals_reference,
     csr_reference,
     gram_reference,
@@ -400,8 +406,9 @@ CSR_BASES = [
 def assert_products_match_references(basis, rng):
     """Every product K @ v, with a C-ordered and a transposed operand, and
     u @ K equal the per-row loop and scipy's kernel bit for bit, and so do
-    the overlap K K^T, ``K (K H)^T`` as ``csf_hamiltonian`` forms it, and
-    the CSF diagonal of a random symmetric H."""
+    the overlap K K^T and ``K (K H)^T`` as ``csf_hamiltonian`` forms it, of
+    a random symmetric H; the CSF diagonal of a Hamiltonian from random
+    integrals equals both dense references byte for byte."""
     K = basis.K
     ref = scipy_csr(K)
     n = K.shape[1]
@@ -421,7 +428,13 @@ def assert_products_match_references(basis, rng):
     H = rng.standard_normal((K.shape[1], K.shape[1]))
     H = H + H.T
     assert (K @ (K @ H).T).tobytes() == (ref @ (ref @ H).T).tobytes()
-    assert _csf_diagonals(K, H).tobytes() == csf_diagonals_reference(K, H).tobytes()
+    m_orb = basis.space.m // 2
+    h = rng.standard_normal((m_orb, m_orb))
+    ints = IntegralSet.from_dense(h + h.T, rng.standard_normal((m_orb,) * 4))
+    ham = HamiltonianOperator(ints, basis.space)
+    diag = _csf_diagonals(K, ham).tobytes()
+    assert diag == csf_diagonals_dense(K, ham.matrix()).tobytes()
+    assert diag == csf_diagonals_reference(K, ham.matrix()).tobytes()
 
 
 class TestCsrMatrix:

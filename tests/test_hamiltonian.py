@@ -25,6 +25,7 @@ from cgtns.hamiltonian import (
 )
 
 from oracles import (
+    csf_diagonals_dense,
     determinant_matrix_reference,
     exact_diagonalize_full,
     exact_diagonalize_reference,
@@ -642,9 +643,11 @@ class TestMatrixFreeSolve:
     def test_csf_diagonals(self, name, spin2):
         ints, space = fixture_problem(name)
         basis = build_csf_basis(space, spin2 / 2.0)
-        H = HamiltonianOperator(ints, space).matrix()
+        ham = HamiltonianOperator(ints, space)
+        H = ham.matrix()
         K = basis.K.toarray()
-        diag = _csf_diagonals(basis.K, H)
+        diag = _csf_diagonals(basis.K, ham)
+        assert diag.tobytes() == csf_diagonals_dense(basis.K, H).tobytes()
         assert np.max(np.abs(diag - np.diag(K @ H @ K.T))) <= 1e-12
 
     def test_random_symmetric_matrix(self):
@@ -739,3 +742,74 @@ class TestRestartedDavidson:
         e_full, ref = exact_diagonalize_full(ham, basis)
         assert abs(e_span - e_full) <= 1e-12
         assert abs(abs(vec_span @ ref) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["h2", "h4", "h6", 1.75, 1.85])
+    def test_energies_match_the_dense_product_solve(self, h8_chain, name):
+        # The oracle before the matrix-free product: Davidson on products
+        # with the dense H.  Its products round differently; its energies
+        # keep their bits.
+        space, basis, ham = oracle_problem(name, h8_chain)
+        for b in (None, basis):
+            e_dense, _ = exact_diagonalize_reference(ham, b, dense_products=True)
+            assert exact_diagonalize(ham, b)[0] == e_dense
+
+
+def sigma_problem(name, h8_chain):
+    """(integrals, space) of a product parity case: a fixture at a given
+    2S, the H8 chain at Ms = +-1/2, or random integrals on a space with no
+    beta electrons, no alpha electrons, or an irrep filter."""
+    if isinstance(name, tuple):
+        fixture, spin2 = name
+        ints = parse_fcidump(FIXTURES / f"{fixture}.fcidump")
+        return ints, enumerate_onvs(2 * ints.m_orb, ints.n_electrons, spin2 / 2.0)
+    if isinstance(name, float):
+        return parse_fcidump(h8_chain(1.75)), enumerate_onvs(16, 5, name)
+    h, g, e_core = random_integrals(6, 29)
+    ints = IntegralSet.from_dense(h, g, e_core=e_core)
+    if name == "irreps":
+        return ints, enumerate_onvs(12, 5, 0.5, orb_irreps=(1, 2, 3, 4, 1, 2), target_irrep=2)
+    return ints, enumerate_onvs(12, 3, {"no-beta": 1.5, "no-alpha": -1.5}[name])
+
+
+SIGMA_CASES = [("h2", 0), ("h4", 0), ("h4", 2), ("h4", 4), ("h6", 0), ("h6", 2),
+               0.5, -0.5, "no-beta", "no-alpha", "irreps"]
+
+
+class TestSigma:
+    """``HamiltonianOperator.sigma`` against the dense matrix it replaces."""
+
+    @pytest.mark.parametrize("name", SIGMA_CASES)
+    def test_parity_with_the_dense_matrix(self, h8_chain, name):
+        ints, space = sigma_problem(name, h8_chain)
+        ham = HamiltonianOperator(ints, space)
+        H = ham.matrix()
+        rng = np.random.default_rng(space.size)
+        v = rng.standard_normal(space.size)
+        sigma = ham.sigma(v)
+        assert np.max(np.abs(sigma - H @ v)) <= 1e-13 * np.max(np.abs(H @ v))
+        # A unit vector reads out one column: every element is the dense one.
+        for j in rng.choice(space.size, min(space.size, 12), replace=False):
+            unit = np.zeros(space.size)
+            unit[j] = 1.0
+            assert_bit_identical(ham.sigma(unit), H[:, j])
+        assert ham.diagonal().tobytes() == H.diagonal().tobytes()
+        extended = ham.sigma(v.astype(np.longdouble))
+        assert extended.dtype == np.longdouble
+        assert np.max(np.abs(extended - sigma)) <= 1e-14 * np.max(np.abs(sigma))
+
+    def test_covers_the_edge_spaces(self, h8_chain):
+        sizes = {name: sigma_problem(name, h8_chain)[1].size for name in SIGMA_CASES}
+        assert sizes[("h4", 4)] == 1  # four alpha electrons fill the four orbitals
+        assert sizes["no-beta"] == sizes["no-alpha"] == 20
+        assert 0 < sizes["irreps"] < enumerate_onvs(12, 5, 0.5).size
+        assert sizes[0.5] == sizes[-0.5] == 1568
+
+    @pytest.mark.parametrize("name", ["h4", "h6"])
+    def test_elements(self, name):
+        ints, space = fixture_problem(name)
+        ham = HamiltonianOperator(ints, space)
+        sample = np.random.default_rng(7).choice(space.size, 30, replace=False)
+        bra, ket = np.meshgrid(sample, sample)  # every level, both orientations
+        elements = ham.elements(bra, ket)
+        assert_bit_identical(elements, ham.matrix()[bra, ket])
+        assert np.count_nonzero(elements) > 60
