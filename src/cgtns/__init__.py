@@ -1,5 +1,16 @@
 """Complete graph tensor network states for small active spaces."""
 
+import os
+import sys
+
+# An idle OpenBLAS worker busy-waits 2^28 cycles (about 0.1 s) before it
+# sleeps, at start-up and after each threaded product; 2^4 is OpenBLAS's
+# minimum.  OpenBLAS reads the variable once, when numpy loads it, so a value
+# set after numpy would only leak into child processes.  The thread count,
+# and with it every product's bits, is unchanged.
+if "OPENBLAS_THREAD_TIMEOUT" not in os.environ and "numpy" not in sys.modules:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+
 from .analysis import (
     RunRecord,
     accuracy_measure,

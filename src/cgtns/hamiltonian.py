@@ -337,9 +337,13 @@ def _pair_elements(
     if level == 1:
         P, Q = p >> 1, q >> 1
         val = h[P, Q]
+        # g[P, Q, R, R] and g[P, R, R, Q], each gathered by one flat index.
+        m, flat = ints.m_orb, g.reshape(-1)
+        pq_rr, p_rr_q = (P * m + Q) * m * m, P * m**3 + Q
         for r, R, sr in zip(occ.T, orb.T, spin.T):
-            val = np.where(r != q, val + g[P, Q, R, R], val)
-            val = np.where((r != q) & (sr == (p & 1)), val - g[P, R, R, Q], val)
+            rr = R * (m + 1)
+            val = np.where(r != q, val + flat[pq_rr + rr], val)
+            val = np.where((r != q) & (sr == (p & 1)), val - flat[p_rr_q + rr * m], val)
     else:
         (q1, q2), (p1, p2) = holes.T, parts.T
         val = np.zeros(len(ket))
@@ -414,8 +418,9 @@ def _determinant_matrix(ints: IntegralSet, space: FockSubspace) -> np.ndarray:
     return mat
 
 
-#: Pairs per ``_pair_elements`` call while the product tables are built.
-_CHUNK_PAIRS = 1 << 12
+#: Entries of a connection table per block while the product tables are
+#: built; about half of a block's pairs go to one ``_pair_elements`` call.
+_BLOCK_ENTRIES = 1 << 13
 
 
 def _connection_elements(
@@ -424,26 +429,28 @@ def _connection_elements(
     """Elements of a symmetric connection table over ``words``.
 
     ``partner`` (N, k) lists, for each word, the words ``level`` excitations
-    away (-1 for none).  Returns the table with each row sorted and the
-    elements ``_pair_elements`` gives each pair: evaluated once per pair,
+    away (-1 for none).  Returns ``partner`` with each row sorted in place and
+    the elements ``_pair_elements`` gives each pair: evaluated once per pair,
     with the bra at the higher index as ``_determinant_matrix`` evaluates
-    it, in batches of ``_CHUNK_PAIRS``, and reused for the other
-    orientation.
+    it, and reused for the other orientation.  The rows are taken in blocks
+    of about ``_BLOCK_ENTRIES`` entries, so the only full-size arrays are
+    the two returned.
     """
-    partner = np.sort(partner, axis=1)
-    row = np.broadcast_to(np.arange(len(partner))[:, None], partner.shape)
-    up = partner > row
-    bra, ket = words[partner[up]], words[row[up]]
+    partner.sort(axis=1)
     values = np.zeros(partner.shape)
-    values[up] = np.concatenate([np.zeros(0)] + [
-        _pair_elements(ints, bra[i0 : i0 + _CHUNK_PAIRS], ket[i0 : i0 + _CHUNK_PAIRS], level)
-        for i0 in range(0, len(bra), _CHUNK_PAIRS)
-    ])
-    # The pairs above the diagonal, row-major with sorted partners, ascend.
-    keys = row[up] * len(words) + partner[up]
-    down = (partner >= 0) & (partner < row)
-    mirror = np.searchsorted(keys, partner[down] * len(words) + row[down])
-    values[down] = values[up][mirror]
+    if not partner.size:
+        return partner, values
+    step = _BLOCK_ENTRIES // partner.shape[1]
+    for r0 in range(0, len(partner), step):
+        block, out = partner[r0 : r0 + step], values[r0 : r0 + step]
+        row = np.broadcast_to(np.arange(r0, r0 + len(block))[:, None], block.shape)
+        up = block > row
+        out[up] = _pair_elements(ints, words[block[up]], words[row[up]], level)
+        # The other orientation's value is in the lower partner's row, done
+        # already, at the slot that holds this row.
+        down = (block >= 0) & (block < row)
+        lower, this = block[down], row[down]
+        out[down] = values[lower, (partner[lower] == this[:, None]).argmax(1)]
     return partner, values
 
 
@@ -532,7 +539,8 @@ class _ProductTables:
         grid.flat[self.pos] = np.arange(space.size)
         partner = np.hstack([grid[a_src[ia], ib[:, None]], grid[ia[:, None], b_src[ib]]])
         partner, self.single_val = _connection_elements(ints, self.onvs, partner, 1)
-        self.single_idx = np.where(partner >= 0, partner, space.size)
+        partner[partner < 0] = space.size
+        self.single_idx = partner
 
         # Opposite spin: g[pq, rs] for each beta string's excitations r <- s,
         # (N_beta, m^2, n_s); the alpha side gathers column pq N_alpha + I.

@@ -961,23 +961,41 @@ def test_csf_hamiltonian_is_identical_across_blas_threads(h8_chain_fcidump):
         assert written[0] == written[1]
 
 
+def oracle_bytes(fcidump: Path, out: Path, variable: str, value: str) -> bytes:
+    """``oracle.json`` of ``cgtns oracle`` run in a fresh interpreter with
+    one environment variable set."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, **{variable: value})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import sys, cgtns.cli; sys.exit(cgtns.cli.main())",
+         "oracle", "--integrals", str(fcidump), "--oracle-out", str(out)],
+        env=env, capture_output=True, check=True,
+    )
+    return out.read_bytes()
+
+
 def test_oracle_is_identical_across_blas_threads(h8_chain_fcidump, tmp_path):
     # Every product of the eigensolve gives the same bits with one BLAS
     # thread and with two, so the oracle file does too.
-    src = str(Path(__file__).parent.parent / "src")
-    written = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / f"oracle_{threads}.json"
-        subprocess.run(
-            [sys.executable, "-c", "import sys, cgtns.cli; sys.exit(cgtns.cli.main())",
-             "oracle", "--integrals", str(h8_chain_fcidump), "--oracle-out", str(out)],
-            env=env, capture_output=True, check=True,
-        )
-        written.append(out.read_bytes())
+    written = [
+        oracle_bytes(h8_chain_fcidump, tmp_path / f"oracle_{threads}.json",
+                     "OPENBLAS_NUM_THREADS", threads)
+        for threads in ("1", "2")
+    ]
     assert written[0] == written[1]
     assert json.loads(written[0])["csfs"] == 1008
+
+
+def test_oracle_is_identical_across_blas_thread_timeouts(h8_chain_fcidump, tmp_path):
+    # How long an idle OpenBLAS worker spins before it sleeps (2^28 cycles
+    # by default, 2^4 as cgtns sets it) moves no bit of the oracle file.
+    written = [
+        oracle_bytes(h8_chain_fcidump, tmp_path / f"oracle_{timeout}.json",
+                     "OPENBLAS_THREAD_TIMEOUT", timeout)
+        for timeout in ("28", "4")
+    ]
+    assert written[0] == written[1]
 
 
 def test_oracle_forms_no_dense_hamiltonian(h8_chain_fcidump, tmp_path, monkeypatch):

@@ -804,6 +804,24 @@ class TestSigma:
         assert 0 < sizes["irreps"] < enumerate_onvs(12, 5, 0.5).size
         assert sizes[0.5] == sizes[-0.5] == 1568
 
+    def test_table_build_holds_no_second_singles_table(self):
+        # On the 25 200 determinants of 7 electrons in 10 orbitals, the
+        # singles' connection table (25 200 x 45) is sorted in place and
+        # mirrored block by block: beyond what the tables keep, the build
+        # never holds as much as one more copy of it.
+        h, g, e_core = random_integrals(10, 3)
+        ints = IntegralSet.from_dense(h, g, e_core=e_core)
+        space = enumerate_onvs(20, 7, 0.5)
+        ints.g_dense()
+        tracemalloc.start()
+        try:
+            tables = hamiltonian._ProductTables(ints, space)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tables.single_val.shape == (25200, 45)
+        assert peak - kept < tables.single_val.nbytes
+
     @pytest.mark.parametrize("name", ["h4", "h6"])
     def test_elements(self, name):
         ints, space = fixture_problem(name)
