@@ -216,12 +216,15 @@ class AmplitudeEngine:
         )
 
         # entry_table[t, n] = flat index of the entry of tensor t picked by
-        # determinant n's occupations, the first site the most significant.
-        occ = occupations(space).T.astype(np.int64)
-        i, j = np.array(self.pair_keys, dtype=np.intp).reshape(-1, 2).T
-        p, q, r = np.array(self.triple_keys, dtype=np.intp).reshape(-1, 3).T
-        local = (2 * occ[i] + occ[j], 4 * occ[p] + 2 * occ[q] + occ[r])
-        self.entry_table = self.offsets[:, None] + np.concatenate(local)
+        # determinant n's occupations, the first site the most significant:
+        # t's offset plus the uint8 occupations of its sites, shifted.
+        occ = np.ascontiguousarray(occupations(space).T).view(np.uint8)
+        self.entry_table = np.repeat(self.offsets[:, None], space.size, axis=1)
+        pairs, triples = np.split(self.entry_table, [self.n_pair_rows])
+        for table, keys in ((pairs, self.pair_keys), (triples, self.triple_keys)):
+            columns = list(zip(*keys))  # every key's first site, second, ...
+            for shift, site in enumerate(columns[::-1]):
+                table += occ[list(site)] << shift
         # np.unique would import numpy.ma on its first call (numpy 2.x).
         selected = self.entry_table[self.n_frozen_tensors :].ravel()
         counts = np.bincount(selected, minlength=self.n_params)

@@ -221,6 +221,12 @@ def genealogical_paths(n_open: int, s2: int) -> list[tuple[int, ...]]:
     return paths
 
 
+#: Entries of a slab (a block's configurations x a tile of operand columns)
+#: in a 2-D ``CouplingMatrix`` product: tiles keep the slabs in cache while
+#: each block nonzero adds into them.  Blocks of few configurations stay whole.
+_SLAB_ENTRIES = 1 << 16
+
+
 class CouplingMatrix:
     """A matrix that is block-diagonal by spatial configuration, with one
     dense coefficient block shared by every configuration of a kind.
@@ -265,12 +271,15 @@ class CouplingMatrix:
         other = np.ascontiguousarray(other)
         out = np.zeros((self.shape[0], other.shape[1]))
         for coeffs, rows, cols in self.blocks:
-            acc = np.zeros((len(coeffs), len(rows), other.shape[1]))
-            for i, j in zip(*np.nonzero(coeffs)):
-                term = other[cols[:, j]]
-                term *= coeffs[i, j]
-                acc[i] += term
-            out[rows.T] = acc
+            width = max(1, _SLAB_ENTRIES // len(rows))
+            for c0 in range(0, other.shape[1], width):
+                tile = other[:, c0 : c0 + width]
+                acc = np.zeros((len(coeffs), len(rows), tile.shape[1]))
+                for i, j in zip(*np.nonzero(coeffs)):
+                    term = tile[cols[:, j]]
+                    term *= coeffs[i, j]
+                    acc[i] += term
+                out[rows.T, c0 : c0 + width] = acc
         return out
 
     def __rmatmul__(self, other) -> np.ndarray:

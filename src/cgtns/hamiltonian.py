@@ -5,18 +5,14 @@ Two-electron integrals are handled in chemists' notation (pq|rs) with the
 Spatial orbitals are 0-based internally; FCIDUMP files are 1-based.
 
 One kernel, ``_pair_elements``, applies the Slater-Condon rules to arrays
-of determinant pairs of one excitation level in whole-array steps.
-``slater_condon`` calls it on one pair.  ``HamiltonianOperator.matrix``
-calls it once for the diagonal and once per block of rows for the singles
-and the doubles, after classifying each pair by the spin orbitals it
-shares.  The kernel adds the integrals in the order of the per-pair loop
-kept as the test reference, so the matrix is bit-identical to that loop.
-
-The oracle, ``exact_diagonalize``, forms no H: ``HamiltonianOperator.sigma``
-gives H v from tables over the alpha and beta strings (direct CI: Knowles &
-Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen, Roos, Jorgensen & Jensen,
-J. Chem. Phys. 89, 2185 (1988)), whose every element is the value the
-dense matrix holds.  ``csf_hamiltonian`` still reads the dense matrix.
+of determinant pairs of one excitation level in whole-array steps, adding
+the integrals in the order of the per-pair loop kept as the test reference.
+``slater_condon`` calls it on one pair.  A ``HamiltonianOperator`` calls it
+once per pair for its tables over the alpha and beta strings (direct CI:
+Knowles & Handy, Chem. Phys. Lett. 111, 315 (1984); Olsen, Roos, Jorgensen
+& Jensen, J. Chem. Phys. 89, 2185 (1988)).  ``sigma`` gives H v from them,
+so the oracle, ``exact_diagonalize``, forms no H; ``matrix``, which
+``csf_hamiltonian`` reads, scatters them into a dense array.
 """
 
 from __future__ import annotations
@@ -370,56 +366,9 @@ def _pair_elements(
     return val
 
 
-#: Rows of the determinant matrix classified per block; the block's
-#: temporaries are O(_BLOCK_ROWS x n_det) bytes.
-_BLOCK_ROWS = 256
-
-
-def _string_tables(strings: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index of each of the m-bit strings among the distinct ones, uint8
-    table of the spin orbitals each pair of distinct strings shares)."""
-    ordered = np.sort(strings)
-    distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    bits = ((distinct[:, None] >> np.arange(m, dtype=np.uint64)) & 1).astype(np.uint8)
-    return np.searchsorted(distinct, strings), bits @ bits.T  # integer: no BLAS
-
-
-def _determinant_matrix(ints: IntegralSet, space: FockSubspace) -> np.ndarray:
-    """Dense H over ``space``, built per excitation class by ``_pair_elements``.
-
-    Element (i, j <= i) is ``slater_condon(onvs[i], onvs[j])``, mirrored to
-    (j, i).  The classification counts the spin orbitals each pair shares,
-    one block of rows at a time, as the sum of two exact uint8 counts
-    gathered from per-string tables: one over the distinct alpha strings
-    (even bits), one over the distinct beta strings (odd bits).  It drops
-    the pairs beyond a double excitation; a block's temporaries are a few
-    uint8 arrays of _BLOCK_ROWS x n_det.
-    """
-    n, n_el = space.size, space.n_electrons
-    onvs = np.array(space.onvs, dtype=np.uint64)
-    mat = np.zeros((n, n))
-    mat[np.arange(n), np.arange(n)] = _pair_elements(ints, onvs, onvs, 0)
-
-    alpha, alpha_shared = _string_tables(onvs & np.uint64(0x5555555555555555), space.m)
-    beta, beta_shared = _string_tables(onvs & np.uint64(0xAAAAAAAAAAAAAAAA), space.m)
-    for i0 in range(0, n, _BLOCK_ROWS):
-        i1 = min(i0 + _BLOCK_ROWS, n)
-        shared = alpha_shared[alpha[i0:i1, None], alpha[:i1]]
-        shared += beta_shared[beta[i0:i1, None], beta[:i1]]
-        rows, cols = np.nonzero(shared >= max(n_el - 2, 0))
-        below_diagonal = cols < rows + i0
-        rows, cols = rows[below_diagonal], cols[below_diagonal]
-        levels = n_el - shared[rows, cols].astype(np.int64)
-        for level in (1, 2):
-            bra, ket = rows[levels == level] + i0, cols[levels == level]
-            val = _pair_elements(ints, onvs[bra], onvs[ket], level)
-            mat[bra, ket] = val
-            mat[ket, bra] = val
-    return mat
-
-
 #: Entries of a connection table per block while the product tables are
-#: built; about half of a block's pairs go to one ``_pair_elements`` call.
+#: built (about half of a block's pairs go to one ``_pair_elements`` call),
+#: and entries of the dense matrix per block of rows it is scattered in.
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -431,8 +380,8 @@ def _connection_elements(
     ``partner`` (N, k) lists, for each word, the words ``level`` excitations
     away (-1 for none).  Returns ``partner`` with each row sorted in place and
     the elements ``_pair_elements`` gives each pair: evaluated once per pair,
-    with the bra at the higher index as ``_determinant_matrix`` evaluates
-    it, and reused for the other orientation.  The rows are taken in blocks
+    with the bra at the higher index, as the per-pair loop fills the lower
+    triangle, and reused for the other orientation.  The rows are taken in blocks
     of about ``_BLOCK_ENTRIES`` entries, so the only full-size arrays are
     the two returned.
     """
@@ -511,7 +460,9 @@ class _ProductTables:
       the opposite-spin ones as the integral g[p q r s] times the two
       strings' excitation signs, contracted one beta string at a time.
 
-    Every element is the value ``_determinant_matrix`` stores.
+    Every element is the kernel's value for its pair, except that a double
+    whose integrals cancel or vanish may be a zero of the other sign;
+    ``matrix`` evaluates those again.
     """
 
     def __init__(self, ints: IntegralSet, space: FockSubspace):
@@ -563,11 +514,46 @@ class _ProductTables:
         singles = np.einsum("jk,jk->j", self.single_val, padded[self.single_idx])
         return self.phase * y.ravel()[self.pos] + self.diagonal * v + singles
 
+    def matrix(self, ints: IntegralSet) -> np.ndarray:
+        """The dense H of these tables, scattered a block of rows at a time
+        into a flat array whose last slot takes every absent partner.  A
+        double is its table value times both phases; one whose value is an
+        exact zero is evaluated again by ``_pair_elements``, with the bra
+        at the higher index, to keep the kernel's sign of zero."""
+        n = len(self.onvs)
+        n_alpha, n_beta = self.shape
+        grid = np.full(self.shape, n)
+        grid.flat[self.pos] = np.arange(n)
+        a_pair, a_src = np.divmod(self.a_col, n_alpha)
+        phase = np.append(self.phase, 1.0)
+        flat = np.zeros(n * n + 1)
+        flat[: n * n : n + 1] = self.diagonal
+        step = max(1, _BLOCK_ENTRIES // (self.a_col.shape[1] * self.b_src.shape[1] + 1))
+        for r0 in range(0, n, step):
+            row = np.arange(r0, min(r0 + step, n))[:, None]
+            ia, ib = np.divmod(self.pos[row[:, 0]], n_beta)
+            opposite = self.a_sign[ia][:, :, None] * self.g_beta[ib[:, None], a_pair[ia]]
+            opposite *= self.b_sign[ib].transpose(0, 2, 1)
+            cols = np.hstack([
+                grid[self.aa_src[ia], ib[:, None]],
+                grid[ia[:, None], self.bb_src[ib]],
+                grid[a_src[ia][:, :, None], self.b_src[ib][:, None, :]].reshape(len(row), -1),
+            ])
+            vals = np.hstack([self.aa_val[ia], self.bb_val[ib], opposite.reshape(len(row), -1)])
+            vals *= phase[row] * phase[cols]
+            zero = (vals == 0.0) & (cols < n)
+            hi, lo = np.maximum(row, cols)[zero], np.minimum(row, cols)[zero]
+            vals[zero] = _pair_elements(ints, self.onvs[hi], self.onvs[lo], 2)
+            cols = np.hstack([self.single_idx[row[:, 0]], cols])
+            vals = np.hstack([self.single_val[row[:, 0]], vals])
+            flat[np.where(cols < n, row * n + cols, n * n)] = vals
+        return flat[: n * n].reshape(n, n)
+
 
 @dataclass
 class HamiltonianOperator:
-    """Hamiltonian restricted to one determinant space: a matrix-free
-    product, built once, and a dense matrix, assembled on request."""
+    """Hamiltonian restricted to one determinant space: tables built once,
+    and from them a matrix-free product and, on request, the dense matrix."""
 
     integrals: IntegralSet
     space: FockSubspace
@@ -586,9 +572,10 @@ class HamiltonianOperator:
         return self.space.size
 
     def matrix(self) -> np.ndarray:
-        """Dense symmetric determinant-basis matrix (assembled once)."""
+        """Dense symmetric determinant-basis matrix, scattered once from
+        the product tables; each element has ``slater_condon``'s bits."""
         if not self._matrix:
-            self._matrix.append(_determinant_matrix(self.integrals, self.space))
+            self._matrix.append(self._product_tables().matrix(self.integrals))
         return self._matrix[0]
 
     def _product_tables(self) -> _ProductTables:
@@ -626,7 +613,7 @@ def csf_hamiltonian(basis: CsfBasis, ham: HamiltonianOperator) -> np.ndarray:
     sparse K with a dense matrix, block by block of K's configurations: no
     dense K^T is built, and each element adds its terms in ascending
     determinant order, so the bits do not depend on BLAS or its thread
-    count."""
+    count.  H is ``ham.matrix()``, scattered from ``ham.sigma``'s tables."""
     K = basis.K
     return K @ (K @ ham.matrix()).T
 

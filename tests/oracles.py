@@ -315,9 +315,10 @@ def exact_diagonalize_full(ham, basis=None) -> tuple[float, np.ndarray]:
 
 def determinant_matrix_reference(ints, space) -> np.ndarray:
     """Dense determinant H with the pairs classified by a float32 product of
-    occupation matrices, one block of 256 rows at a time: the classification
-    that the per-string tables of ``hamiltonian._determinant_matrix``
-    replaced.  It feeds the library's ``_pair_elements`` kernel."""
+    occupation matrices, one block of 256 rows at a time, and evaluated by
+    the library's ``_pair_elements`` kernel: an independent classification
+    against which the tests check ``HamiltonianOperator.matrix``, which
+    scatters the product tables."""
     n, n_el = space.size, space.n_electrons
     onvs = np.array(space.onvs, dtype=np.uint64)
     mat = np.zeros((n, n))

@@ -369,6 +369,28 @@ class TestRun:
         assert record.kind == "3s[2s]sel"
         assert record.error_vs_oracle >= -1e-12
 
+    def test_run_classifies_determinant_pairs_once(self, tmp_path, monkeypatch):
+        # The oracle's σ tables also give the evaluator's dense H: one table
+        # build, and one evaluation of each of the 36 diagonal elements.
+        built, diagonal = [], []
+        kernel = hamiltonian._pair_elements
+
+        class Counted(hamiltonian._ProductTables):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        def counted(ints, bra, ket, level):
+            if level == 0:
+                diagonal.append(len(ket))
+            return kernel(ints, bra, ket, level)
+
+        monkeypatch.setattr(hamiltonian, "_ProductTables", Counted)
+        monkeypatch.setattr(hamiltonian, "_pair_elements", counted)
+        cmd_run(quick_cfg(integrals=H4, sweeps=2, out=str(tmp_path / "run")))
+        assert len(built) == 1
+        assert diagonal == [36]
+
     def test_hybrid_run_freezes_pairs_and_keeps_stage_artifacts(self, tmp_path):
         cfg = quick_cfg(ansatz="3s[2s]", sweeps=5, out=str(tmp_path / "hyb"))
         outdir = cmd_run(cfg)

@@ -451,6 +451,25 @@ class TestCsrMatrix:
         basis = build_csf_basis(space, 0.5)
         assert_products_match_references(basis, np.random.default_rng(3))
 
+    @pytest.mark.parametrize("slab", [1, 7, 100])
+    def test_tiled_products_keep_the_bits(self, monkeypatch, slab):
+        # Every block of a 2-D product taken one column, or a few, at a time.
+        monkeypatch.setattr(fock, "_SLAB_ENTRIES", slab)
+        basis = build_csf_basis(enumerate_onvs(8, 4, 0.0), 1.0)
+        assert_products_match_references(basis, np.random.default_rng(slab))
+
+    def test_tiled_csf_hamiltonian_on_the_h8_chain(self, h8_chain_fcidump):
+        # The 280-configuration block takes the operand's 1568 columns in
+        # tiles, and K (K H)^T keeps scipy's bits.
+        ints = parse_fcidump(h8_chain_fcidump)
+        space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
+        K = build_csf_basis(space, 0.5).K
+        assert max(len(rows) for _, rows, _ in K.blocks) * space.size > fock._SLAB_ENTRIES
+        ref = scipy_csr(K)
+        H = np.random.default_rng(9).standard_normal((space.size, space.size))
+        H = H + H.T
+        assert (K @ (K @ H).T).tobytes() == (ref @ (ref @ H).T).tobytes()
+
     def test_mismatched_operand_raises(self):
         K = build_csf_basis(enumerate_onvs(4, 2, 0.0), 0.0).K
         for bad in (np.ones(K.shape[1] + 1), np.ones((K.shape[1], 2, 2)), 1.0):

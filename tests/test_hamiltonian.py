@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,19 @@ def random_integrals(m_orb, seed):
     return h, g, rng.standard_normal()
 
 
+def sparse_integrals(m_orb, seed):
+    """``random_integrals`` with about half of the stored g and a third of
+    h exactly zero, and about a tenth of the stored g -0.0."""
+    h, g, e_core = random_integrals(m_orb, seed)
+    rng = np.random.default_rng(seed)
+    ints = IntegralSet.from_dense(h, g, e_core=e_core)
+    ints.g_flat[rng.random(ints.g_flat.size) < 0.5] = 0.0
+    ints.g_flat[rng.random(ints.g_flat.size) < 0.1] = -0.0
+    upper = np.triu(rng.random((m_orb, m_orb)) < 0.33)
+    ints.h[upper | upper.T] = 0.0
+    return ints
+
+
 def fixture_problem(name):
     ints = parse_fcidump(FIXTURES / f"{name}.fcidump")
     space = enumerate_onvs(2 * ints.m_orb, ints.n_electrons, ints.ms2 / 2.0)
@@ -98,14 +112,15 @@ def classified_as_the_reference(monkeypatch):
     """Every determinant H the tests of this module build is the matrix of
     the float32 classification, ``oracles.determinant_matrix_reference``,
     bit for bit."""
-    build = hamiltonian._determinant_matrix
+    build = HamiltonianOperator.matrix
 
-    def checked(ints, space):
-        mat = build(ints, space)
-        assert_bit_identical(mat, determinant_matrix_reference(ints, space))
-        return mat
+    def checked(ham):
+        if not ham._matrix:
+            reference = determinant_matrix_reference(ham.integrals, ham.space)
+            assert_bit_identical(build(ham), reference)
+        return build(ham)
 
-    monkeypatch.setattr(hamiltonian, "_determinant_matrix", checked)
+    monkeypatch.setattr(HamiltonianOperator, "matrix", checked)
 
 
 class TestIntegralSet:
@@ -322,6 +337,18 @@ class TestMatrixAssembly:
             HamiltonianOperator(ints, space).matrix(), slater_condon_matrix(ints, space)
         )
 
+    @pytest.mark.parametrize("n_electrons", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sparse_integrals_keep_the_kernels_signed_zeros(self, seed, n_electrons):
+        # The σ tables hold a double whose integrals vanish as a zero of
+        # either sign; the matrix must carry the kernel's.
+        ints = sparse_integrals(5, seed)
+        space = enumerate_onvs(10, n_electrons, (n_electrons % 2) / 2)
+        mat = HamiltonianOperator(ints, space).matrix()
+        assert mat.flags.c_contiguous
+        assert_bit_identical(mat, slater_condon_matrix(ints, space))
+        assert np.any(np.signbit(mat) & (mat == 0.0))
+
     def test_asymmetric_h_keeps_bra_ket_order(self):
         # h within the symmetry tolerance but not symmetric: the element of
         # row i, column j < i reads h[bra orbital, ket orbital].
@@ -350,7 +377,7 @@ class TestMatrixAssembly:
         ints = parse_fcidump(h8_chain(spacing))
         space = enumerate_onvs(16, 5, 0.5)
         assert_bit_identical(
-            hamiltonian._determinant_matrix(ints, space),
+            HamiltonianOperator(ints, space).matrix(),
             determinant_matrix_reference(ints, space),
         )
 
@@ -821,6 +848,29 @@ class TestSigma:
             tracemalloc.stop()
         assert tables.single_val.shape == (25200, 45)
         assert peak - kept < tables.single_val.nbytes
+
+    @pytest.mark.parametrize(
+        "order", list(permutations(["sigma", "diagonal", "elements", "matrix"]))
+    )
+    def test_tables_built_once_in_any_call_order(self, monkeypatch, order):
+        built = []
+
+        class Counted(hamiltonian._ProductTables):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(hamiltonian, "_ProductTables", Counted)
+        ham = HamiltonianOperator(*fixture_problem("h4"))
+        calls = {
+            "sigma": lambda: ham.sigma(np.ones(ham.dim)),
+            "diagonal": ham.diagonal,
+            "elements": lambda: ham.elements(np.arange(ham.dim), 0),
+            "matrix": ham.matrix,
+        }
+        for name in order:
+            calls[name]()
+        assert len(built) == 1
 
     @pytest.mark.parametrize("name", ["h4", "h6"])
     def test_elements(self, name):
