@@ -93,6 +93,10 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} = {value} is not finite")
+            # config.txt must parse back to this value: '#' starts a comment
+            # there, and a line break ends the line.
+            if isinstance(value, str) and ("#" in value or "".join(value.splitlines()) != value):
+                raise ConfigError(f"{f.name} = {value!r} holds '#' or a line break")
         if not self.window_lo < self.window_hi:
             raise ConfigError("window_lo must be below window_hi")
         if not 0.0 <= self.screen <= 1.0:

@@ -36,9 +36,8 @@ library's matrices, so it checks the eigensolver, not the Hamiltonian.
 ``exact_diagonalize_reference`` runs the library's oracle on
 ``lowest_eigenpair_reference``, the Davidson solve before its basis was
 bounded and restarted, and on the dense H that ``exact_diagonalize`` no
-longer forms: ``csf_diagonals_dense`` and ``rayleigh_quotient_dense`` keep
-the CSF diagonal and the extended-precision energy that read it, which
-``_csf_diagonals`` and ``HamiltonianOperator.sigma`` replaced.
+longer forms: its diagonal, and ``rayleigh_quotient_dense``, the
+extended-precision energy that ``HamiltonianOperator.sigma`` replaced.
 ``determinant_matrix_reference`` keeps the
 float32 occupation product that classified the determinant pairs before
 the per-string tables.
@@ -49,12 +48,11 @@ overlap K K^T rather than assuming the identity.
 that ``build_csf_basis`` replaced by one coefficient block per open-shell
 count; it reuses the library's Clebsch-Gordan step and coupling paths, so
 it checks the grouping and the ordering, not the coefficients.
-``csr_reference``, ``gram_reference`` and ``csf_diagonals_reference`` are
-per-row loops over a matrix's nonzeros in ascending column order, the
-references for the products of ``fock.CouplingMatrix`` and for
-``csf_diagonals_dense``, and ``scipy_csr`` is the scipy CSR matrix
-of the same nonzeros, for the tests that compare with scipy's kernels.
-All three read K only through ``toarray()``.
+``csr_reference`` and ``gram_reference`` are per-row loops over a
+matrix's nonzeros in ascending column order, the references for the
+products of ``fock.CouplingMatrix``, and ``scipy_csr`` is the scipy CSR
+matrix of the same nonzeros, for the tests that compare with scipy's
+kernels.  All three read K only through ``toarray()``.
 """
 
 from __future__ import annotations
@@ -375,24 +373,6 @@ def lowest_eigenpair_reference(apply_a, diag_a):
         t = residual / np.where(np.abs(denom) > 1e-8, denom, 1e-8)
 
 
-def csf_diagonals_dense(K, H: np.ndarray) -> np.ndarray:
-    """diag(K H K^T) from the nonzeros of K and a dense H, block by block.
-
-    Each CSF's element adds, from zero, the terms of every ordered pair of
-    its own nonzeros, left-major in ascending determinant order, so no
-    dense K @ H is formed.
-    """
-    diag = np.zeros(K.shape[0])
-    for coeffs, rows, cols in K.blocks:
-        nonzero = coeffs != 0.0
-        i, j, jj = np.nonzero(nonzero[:, :, None] & nonzero[:, None, :])
-        terms = coeffs[i, j] * H[cols[:, j], cols[:, jj]] * coeffs[i, jj]
-        bins = np.arange(len(rows))[:, None] * len(coeffs) + i
-        sums = np.bincount(bins.ravel(), terms.ravel(), minlength=rows.size)
-        diag[rows] = sums.reshape(rows.shape)
-    return diag
-
-
 def rayleigh_quotient_dense(H: np.ndarray, w: np.ndarray) -> float:
     """w^T H w / w^T w in extended precision, rounded once to a float, with
     H converted about 2**16 elements (1 MB) at a time."""
@@ -409,20 +389,21 @@ def exact_diagonalize_reference(
     ham, basis=None, dense_products=False
 ) -> tuple[float, np.ndarray]:
     """``hamiltonian.exact_diagonalize`` on ``lowest_eigenpair_reference``,
-    with the diagonal and the energy of the dense H: ``H.diagonal()`` or
-    ``csf_diagonals_dense``, ``rayleigh_quotient_dense`` and the library's
-    sign rule.  The products are ``ham.sigma``'s, as the library's are, so
-    a solve that does not restart gives the library's bits; with
-    ``dense_products`` they are those of ``ham.matrix()``."""
+    with the diagonal and the energy of the dense H: ``H.diagonal()``, in
+    the CSF basis weighted by K's squared coefficients as the library
+    weights it, ``rayleigh_quotient_dense`` and the library's sign rule.
+    The products are ``ham.sigma``'s, as the library's are, so a solve that
+    does not restart gives the library's bits; with ``dense_products`` they
+    are those of ``ham.matrix()``."""
     H = ham.matrix()
     apply_h = H.__matmul__ if dense_products else ham.sigma
     if basis is None:
         _, vec = lowest_eigenpair_reference(apply_h, H.diagonal())
     else:
         K = basis.K
-        _, vec = lowest_eigenpair_reference(
-            lambda u: K @ apply_h(u @ K), csf_diagonals_dense(K, H)
-        )
+        weighted = K.data * K.data * H.diagonal()[K.cols]
+        diag = np.bincount(K.rows, weighted, minlength=K.shape[0])
+        _, vec = lowest_eigenpair_reference(lambda u: K @ apply_h(u @ K), diag)
     e0 = rayleigh_quotient_dense(H, vec if basis is None else vec @ basis.K)
     return e0, hamiltonian.fix_sign(vec)
 
@@ -518,19 +499,6 @@ def gram_reference(K) -> np.ndarray:
                     acc += a * rows[q][n]
             out[p, q] = acc
     return out
-
-
-def csf_diagonals_reference(K, H: np.ndarray) -> np.ndarray:
-    """diag(K H K^T) from a loop over each row's ordered pairs of nonzeros,
-    left-major in ascending column order."""
-    diag = np.zeros(K.shape[0])
-    for p, row in enumerate(_stored(K.toarray())):
-        acc = 0.0
-        for left, a in row:
-            for right, b in row:
-                acc += a * H[left, right] * b
-        diag[p] = acc
-    return diag
 
 
 def scipy_csr(K) -> sparse.csr_matrix:

@@ -30,6 +30,7 @@ from cgtns.cli import (
 )
 from cgtns.correlators import AnsatzSpec, param_count
 from cgtns.energy import EnergyEvaluator
+from cgtns.errors import ConfigError
 from cgtns.fock import CsfBasis, build_csf_basis, enumerate_onvs
 from cgtns.hamiltonian import (
     HamiltonianOperator,
@@ -369,20 +370,31 @@ class TestRun:
         assert record.kind == "3s[2s]sel"
         assert record.error_vs_oracle >= -1e-12
 
-    def test_run_classifies_determinant_pairs_once(self, tmp_path, monkeypatch):
+    def test_run_classifies_determinant_pairs_once(
+        self, tmp_path, monkeypatch, h8_chain_fcidump
+    ):
         # The oracle's σ tables also give the evaluator's dense H: one table
         # build, and one evaluation of each of the 36 diagonal elements.
-        built, diagonal = [], []
+        # Every element a run or an oracle uses comes from the tables: no
+        # pair of any level is evaluated outside their build (the zero
+        # re-evaluation in matrix() finds no pair on these integrals).
+        built, diagonal, outside, building = [], [], [], []
         kernel = hamiltonian._pair_elements
 
         class Counted(hamiltonian._ProductTables):
             def __init__(self, *args):
                 built.append(args)
-                super().__init__(*args)
+                building.append(True)
+                try:
+                    super().__init__(*args)
+                finally:
+                    building.pop()
 
         def counted(ints, bra, ket, level):
             if level == 0:
                 diagonal.append(len(ket))
+            if not building:
+                outside.append(len(ket))
             return kernel(ints, bra, ket, level)
 
         monkeypatch.setattr(hamiltonian, "_ProductTables", Counted)
@@ -390,6 +402,13 @@ class TestRun:
         cmd_run(quick_cfg(integrals=H4, sweeps=2, out=str(tmp_path / "run")))
         assert len(built) == 1
         assert diagonal == [36]
+        assert sum(outside) == 0
+        for path in (H6, h8_chain_fcidump):
+            built.clear()
+            outside.clear()
+            cmd_oracle(RunConfig(integrals=str(path)))
+            assert len(built) == 1
+            assert sum(outside) == 0
 
     def test_hybrid_run_freezes_pairs_and_keeps_stage_artifacts(self, tmp_path):
         cfg = quick_cfg(ansatz="3s[2s]", sweeps=5, out=str(tmp_path / "hyb"))
@@ -590,6 +609,18 @@ class TestRun:
         argv = ["run", "--config", str(cfg_file), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["run#1", "run\n1", "run\r1", "run\u20281"])
+    def test_value_that_config_txt_cannot_hold_exits_2_before_any_output(
+        self, tmp_path, name
+    ):
+        # config.txt would read 'out = run#1' back as 'run', a different run.
+        argv = ["run", "--integrals", H2, "--out", str(tmp_path / name)]
+        assert main(argv) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        cfg = quick_cfg(integrals=f"{H2}#b")
+        with pytest.raises(ConfigError, match="integrals"):
+            cfg.validate()
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_negative_seed_exits_2_before_any_output(self, tmp_path, how):

@@ -13,19 +13,12 @@ from cgtns.fock import (
     enumerate_onvs,
     genealogical_paths,
 )
-from cgtns.hamiltonian import (
-    HamiltonianOperator,
-    IntegralSet,
-    _csf_diagonals,
-    parse_fcidump,
-)
+from cgtns.hamiltonian import parse_fcidump
 
 from oracles import (
     all_onvs_brute,
     bits_of,
     csf_basis_reference,
-    csf_diagonals_dense,
-    csf_diagonals_reference,
     csr_reference,
     gram_reference,
     s2_matrix_brute,
@@ -407,8 +400,7 @@ def assert_products_match_references(basis, rng):
     """Every product K @ v, with a C-ordered and a transposed operand, and
     u @ K equal the per-row loop and scipy's kernel bit for bit, and so do
     the overlap K K^T and ``K (K H)^T`` as ``csf_hamiltonian`` forms it, of
-    a random symmetric H; the CSF diagonal of a Hamiltonian from random
-    integrals equals both dense references byte for byte."""
+    a random symmetric H."""
     K = basis.K
     ref = scipy_csr(K)
     n = K.shape[1]
@@ -428,13 +420,6 @@ def assert_products_match_references(basis, rng):
     H = rng.standard_normal((K.shape[1], K.shape[1]))
     H = H + H.T
     assert (K @ (K @ H).T).tobytes() == (ref @ (ref @ H).T).tobytes()
-    m_orb = basis.space.m // 2
-    h = rng.standard_normal((m_orb, m_orb))
-    ints = IntegralSet.from_dense(h + h.T, rng.standard_normal((m_orb,) * 4))
-    ham = HamiltonianOperator(ints, basis.space)
-    diag = _csf_diagonals(K, ham).tobytes()
-    assert diag == csf_diagonals_dense(K, ham.matrix()).tobytes()
-    assert diag == csf_diagonals_reference(K, ham.matrix()).tobytes()
 
 
 class TestCsrMatrix:

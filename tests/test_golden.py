@@ -35,6 +35,16 @@ def test_exit_codes_and_energies(observed):
     assert golden.energy_mismatches(MANIFEST["cases"], observed) == []
 
 
+def test_a_case_adapts_a_replica_step_above_one(tmp_path):
+    # The wide-step case covers steps past 1.0, so a step cap there changes
+    # its checkpoint and trace.
+    case = next(c for c in golden.cases() if c.name == "run-h4-2s-wide-step-seed1")
+    result = golden.run_case(case, tmp_path / "case", golden.FIXTURES / "h4.fcidump")
+    assert result["exit"] == 0
+    checkpoint = json.loads((tmp_path / "case" / "out" / "checkpoint.json").read_text())
+    assert max(replica["step"] for replica in checkpoint["replicas"]) > 1.0
+
+
 def test_every_exit_code_is_pinned():
     codes = {case["exit"] for case in MANIFEST["cases"].values()}
     assert codes == {0, 2, 3}

@@ -5,7 +5,9 @@ panel of ``cgtns`` commands writes, kept in ``tests/golden/manifest.json``.
     python tools/golden.py --update   # run the panel, rewrite the manifest
 
 The panel: H4 with every ansatz kind at seeds 1-3 (2 replicas x 3 sweeps);
-H6 ``2s``, ``3s[2s]`` and ``3s+[2s]`` at seed 1 (2 x 2, ``refine =
+H4 ``2s`` at seed 1 with ``step_size = 0.5``, whose hot replica's step
+adapts past 1.0, so a step cap at or below that changes its bytes; H6
+``2s``, ``3s[2s]`` and ``3s+[2s]`` at seed 1 (2 x 2, ``refine =
 subspace``); ``cgtns oracle`` on H2, H4, H6 and the generated 5-electron H8
 chain at 1.75 bohr; ``sweeps = 0`` (exit 2) and an oracle with
 ``dense_limit = 10`` (exit 3).  No plain configuration reaches exit 4 in
@@ -18,14 +20,14 @@ on the BLAS build, core and thread count, so the manifest records them
 (``platform_info``).  Where any of them differs, only the exit codes and
 the energies are compared, within ``ENERGY_TOL``.  The exit-2 and exit-3
 cases write no file, and the oracle energies and ``e_oracle`` take no
-accept/reject decision; the 33 tempering runs' ``final_energy`` and
+accept/reject decision; the 34 tempering runs' ``final_energy`` and
 ``best_energy`` follow their Metropolis and swap decisions, and a decision
 that flips on rounding moves them by far more than ``ENERGY_TOL``.  With
 OpenBLAS forced to the Haswell, Sandybridge and Katmai kernels
-(``OPENBLAS_CORETYPE``) on a SkylakeX machine, 34 of the 39 commands
-changed bytes and no energy moved by more than 2e-14 Ha.  The check
-prints, per command, which comparison it made, names each changed file,
-and exits 1 on a mismatch.
+(``OPENBLAS_CORETYPE``) on a SkylakeX machine, 34 of the panel's first
+39 commands changed bytes and no energy moved by more than 2e-14 Ha.  The
+check prints, per command, which comparison it made, names each changed
+file, and exits 1 on a mismatch.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ def cases() -> list[Case]:
             for kind in ANSATZ_KINDS
             for seed in (1, 2, 3)
         ),
+        Case("run-h4-2s-wide-step-seed1", "run", "h4", h4 + "step_size = 0.5\n",
+             ("--ansatz", "2s", "--seed", "1")),
         *(
             Case(f"run-h6-{kind}-seed1", "run", "h6", h6, ("--ansatz", kind, "--seed", "1"))
             for kind in ("2s", "3s[2s]", "3s+[2s]")
